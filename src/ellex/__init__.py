@@ -24,6 +24,7 @@ from .errors import (
     NearSingularity,
     NonConvergentBase,
     QuadratureUnresolved,
+    SamplingExhausted,
     SingularMatrix,
     TruncationExceeded,
 )
@@ -145,4 +146,5 @@ __all__ = [
     "SingularMatrix",
     "AnnulusContainsPole",
     "QuadratureUnresolved",
+    "SamplingExhausted",
 ]

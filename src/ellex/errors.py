@@ -31,3 +31,7 @@ class AnnulusContainsPole(EllexError):
 
 class QuadratureUnresolved(EllexError):
     """Doubling the node count moved a Laurent coefficient too much."""
+
+
+class SamplingExhausted(EllexError):
+    """A verification grid ran out of tries before finding enough valid points."""

@@ -1,11 +1,11 @@
-"""q-series foundations: multi-base q-Pochhammer products, multiplicative
-Jacobi theta functions, their quasi-periodicity factors, and logarithmic
-derivatives, all truncated under an explicit certified policy.
+"""q-series foundations: one- and two-base q-Pochhammer products,
+multiplicative Jacobi theta functions, their quasi-periodicity factors, and
+logarithmic derivatives, all truncated under an explicit certified policy.
 
 Conventions (multiplicative notation throughout):
 
-    (x; b1,...,bm)_inf = prod_{n1..nm >= 0} (1 - x * b1^n1 * ... * bm^nm)
-    theta_a(x)         = (x; a)_inf * (a/x; a)_inf * (a; a)_inf
+    (x; a, b)_inf = prod_{n,k >= 0} (1 - x a^n b^k) = prod_{n >= 0} (x a^n; b)_inf
+    theta_a(x)    = (x; a)_inf * (a/x; a)_inf * (a; a)_inf
 
 theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
 
@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DomainError,
@@ -47,9 +46,9 @@ __all__ = [
 class TruncationPolicy:
     """Caps for every infinite product/series.
 
-    ``max_terms`` bounds the number of total-degree levels (products) or
-    terms (series); evaluation stops earlier once the certified tail bound
-    drops below ``tail_tol``.
+    ``max_terms`` bounds the factors (one base) or the rows and factors per
+    row (two bases) of a product, and the terms of a series; evaluation
+    stops earlier once the certified tail bound drops below ``tail_tol``.
     """
 
     max_terms: int = 512
@@ -78,13 +77,13 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
 
 @dataclass(frozen=True)
 class BaseSet:
-    """Ordered bases (b1, ..., bm) of a multi-base product, each 0 < |b| < 1."""
+    """Ordered bases (b,) or (a, b) of a q-Pochhammer product, each 0 < |b| < 1."""
 
     bases: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if not self.bases:
-            raise DomainError("BaseSet needs at least one base")
+        if len(self.bases) not in (1, 2):
+            raise DomainError(f"need one or two bases, got {len(self.bases)}")
         for b in self.bases:
             bb = _as_complex(b, "base")
             if not (0.0 < abs(bb) < 1.0):
@@ -105,57 +104,57 @@ def _coerce_bases(bases: BaseSet | complex | Iterable[complex]) -> tuple[complex
     return BaseSet(tuple(complex(b) for b in bases)).bases
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def qpochhammer(
     x: complex,
     bases: BaseSet | complex | Iterable[complex],
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Evaluate (x; b1,...,bm)_inf by total-degree enumeration.
+    """Evaluate (x; b)_inf, or (x; a, b)_inf = prod_n (x a^n; b)_inf by rows n.
 
-    Truncates after total degree d once
-
-        N_d * (1 + |x|) * B^d / (1 - B)^m  <  tail_tol
-
-    with B = max|b_i| and N_d the number of multi-indices of degree d; the
-    left side bounds everything the remaining factors can still contribute.
+    One base: stops before factor d once (1 + |x|) |b|^d / (1 - |b|) < tail_tol.
+    Two bases: the rows run over the larger base a, and 1 - x a^n b^k is
+    dropped exactly when |x a^n b^k| < t.  Rows n < N lose < t/(1-|b|) each
+    and the rows n >= N, where |x a^n| < t, lose < t/((1-|a|)(1-|b|))
+    together, so the dropped sum is S < t (N+1)/((1-|a|)(1-|b|)).  Every
+    dropped |z| < 1/2, so the relative error is <= e^(2S) - 1 <= 4S < tail_tol at
+    t = tail_tol (1-|a|)(1-|b|)/(4 (N+1)).  Past ``max_terms``: TruncationExceeded.
     """
     xv = _as_complex(x, "x")
     bs = _coerce_bases(bases)
-    m = len(bs)
-    big = max(abs(b) for b in bs)
-    headroom = (1.0 + abs(xv)) / (1.0 - big) ** m
-
-    pows: list[list[complex]] = [[1.0 + 0j] for _ in bs]
-    result = 1.0 + 0j
-    for degree in range(policy.max_terms + 1):
-        if comb(degree + m - 1, m - 1) * headroom * big**degree < policy.tail_tol:
+    if len(bs) == 1:
+        b, big = bs[0], abs(bs[0])
+        headroom = (1.0 + abs(xv)) / (1.0 - big)
+        power = result = 1.0 + 0j
+        for degree in range(policy.max_terms + 1):
+            if headroom * big**degree < policy.tail_tol:
+                return result
+            result *= 1.0 - xv * power
+            if result == 0:
+                return result
+            power *= b
+    else:
+        a, b = sorted(bs, key=abs, reverse=True)
+        amag, bmag, xmag = abs(a), abs(b), abs(xv)
+        scale = policy.tail_tol * (1.0 - amag) * (1.0 - bmag) / 4.0
+        # smallest N with |x| |a|^N < scale/(N+1), from a start that is no larger
+        rows = int(math.log(xmag / scale) / -math.log(amag)) if xmag > scale else 0
+        while rows <= policy.max_terms and xmag * amag**rows >= scale / (rows + 1):
+            rows += 1
+        t = scale / (rows + 1)
+        if rows <= policy.max_terms and xmag * bmag**policy.max_terms < t:
+            result = 1.0 + 0j
+            for _ in range(rows):
+                z, zmag = xv, xmag
+                while zmag >= t:
+                    result *= 1.0 - z
+                    z *= b
+                    zmag *= bmag
+                xv *= a
+                xmag *= amag
             return result
-        for i, b in enumerate(bs):
-            pows[i].append(pows[i][degree] * b)
-        if m == 1:
-            result *= 1.0 - xv * pows[0][degree]
-            if result == 0:
-                return result
-            continue
-        for idx in _compositions(degree, m):
-            t = xv
-            for i, n in enumerate(idx):
-                t *= pows[i][n]
-            result *= 1.0 - t
-            if result == 0:
-                return result
     raise TruncationExceeded(
-        f"tail bound {policy.tail_tol:g} not reached within "
-        f"max_terms={policy.max_terms} (max base modulus {big:.4g})"
+        f"tail bound {policy.tail_tol:g} not reached within max_terms="
+        f"{policy.max_terms} (base moduli {', '.join(f'{abs(b):.4g}' for b in bs)})"
     )
 
 

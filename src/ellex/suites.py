@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -22,6 +21,7 @@ from .elliptic import NomeParams
 from .errors import (
     DomainError,
     NearSingularity,
+    SamplingExhausted,
     SingularMatrix,
     TruncationExceeded,
 )
@@ -50,6 +50,7 @@ from .rmatrix import check_crossing, check_pshift, check_ybe
 __all__ = ["VerifyConfig", "SUITES", "resolve_suites", "run_suite", "run_suites", "list_suites"]
 
 _GRID_REJECT_TOL = 1e-3  # log-radial clearance from zero/pole spirals
+_TRIES_PER_POINT = 10  # candidate budget of _collect, per point asked for
 
 
 @dataclass(frozen=True)
@@ -78,24 +79,41 @@ class VerifyConfig:
 def _pmap(fn: Callable, items: list, degree: int) -> list:
     if degree <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: the pool's multiprocessing modules add ~2 MB to every
+    # serial process that imports this module
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=degree) as ex:
         return list(ex.map(fn, items))
 
 
 def _collect(
+    check_id: str,
     worker: Callable,
     candidates: Iterator,
     count: int,
     degree: int,
 ) -> list:
-    """Evaluate candidates until ``count`` succeed; order-deterministic."""
+    """Evaluate candidates until ``count`` succeed; order-deterministic.
+
+    Raises SamplingExhausted once ``_TRIES_PER_POINT * count`` candidates
+    have been tried without ``count`` successes.
+    """
     results: list = []
+    budget = _TRIES_PER_POINT * count
     while len(results) < count:
-        batch = [next(candidates) for _ in range(count - len(results))]
+        if budget == 0:
+            raise SamplingExhausted(
+                f"{check_id}: only {len(results)} of {count} points valid "
+                f"after {_TRIES_PER_POINT * count} candidates"
+            )
+        size = min(count - len(results), budget)
+        budget -= size
+        batch = [next(candidates) for _ in range(size)]
         for out in _pmap(worker, batch, degree):
             if out is not None:
                 results.append(out)
-    return results[:count]
+    return results
 
 
 def _aggregate(
@@ -255,9 +273,9 @@ def suite_rmatrix(cfg: VerifyConfig) -> VerificationReport:
             yield _rmatrix_candidate(rng, cfg, next(counter))
 
     cand = stream()
-    crossing = _collect(_w_crossing, cand, 50, cfg.parallel)
-    pshift = _collect(_w_pshift, cand, 50, cfg.parallel)
-    ybe = _collect(_w_ybe, cand, 20, cfg.parallel)
+    crossing = _collect("crossing-symmetry", _w_crossing, cand, 50, cfg.parallel)
+    pshift = _collect("nome-shift-covariance", _w_pshift, cand, 50, cfg.parallel)
+    ybe = _collect("yang-baxter", _w_ybe, cand, 20, cfg.parallel)
     params = {"|p|<=0.7": True, "|q|<=0.7": True, "zero_clearance": _GRID_REJECT_TOL, "seed": cfg.seed}
     return VerificationReport(
         "rmatrix",

@@ -113,6 +113,16 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_rmatrix_gives_up_when_no_point_is_valid(capsys):
+    # at q = 0.999 every candidate exceeds max_terms, so sampling can never
+    # fill the grid; the capped retries end in a typed error, exit code 2
+    code, _, err = run(
+        capsys, "verify", "--suite", "rmatrix", "--p", "0.69", "--q", "0.999", "--max-terms", "8"
+    )
+    assert code == 2
+    assert "crossing-symmetry" in err and "candidates" in err
+
+
 def test_verify_report_bytes_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -115,6 +115,25 @@ def test_qpochhammer_truncation_exceeded():
         qpochhammer(0.5, (0.9,), TruncationPolicy(max_terms=10, tail_tol=1e-15))
 
 
+def test_qpochhammer_double_base_truncation_is_certified():
+    x, bases = 1.7 + 0.4j, (0.85, -0.82 + 0.2j)
+    loose = qpochhammer(x, bases, TruncationPolicy(2048, 1e-8))
+    tight = qpochhammer(x, bases, TruncationPolicy(2048, 1e-9))
+    assert abs(loose - tight) < 1e-8 * max(1.0, abs(tight))
+
+
+def test_qpochhammer_double_base_truncation_exceeded():
+    with pytest.raises(TruncationExceeded):
+        qpochhammer(0.5, (0.6, 0.9), TruncationPolicy(max_terms=10, tail_tol=1e-15))
+
+
+def test_qpochhammer_rejects_three_bases():
+    with pytest.raises(DomainError):
+        qpochhammer(0.5, (0.2, 0.3, 0.4))
+    with pytest.raises(DomainError):
+        BaseSet.of(0.2, 0.3, 0.4)
+
+
 # --- theta -------------------------------------------------------------------
 
 
