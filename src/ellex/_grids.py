@@ -1,15 +1,14 @@
 """Deterministic sampling of verification grids.
 
 Points come from a seeded generator so identical configurations reproduce
-identical grids; rejection predicates keep points clear of the pole and
-zero spirals of the functions under test.
+identical grids; the suites' samplers reject points near the pole and zero
+spirals of the functions under test.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -25,25 +24,3 @@ def log_annulus_point(
     r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     phi = rng.uniform(0.0, 2.0 * math.pi)
     return r * cmath.exp(1j * phi)
-
-
-def sample_points(
-    rng: np.random.Generator,
-    count: int,
-    lo: float,
-    hi: float,
-    reject: Callable[[complex], bool] | None = None,
-    max_tries: int = 500,
-) -> list[complex]:
-    out: list[complex] = []
-    tries = 0
-    while len(out) < count:
-        z = log_annulus_point(rng, lo, hi)
-        tries += 1
-        if tries > max_tries * count:
-            raise RuntimeError("grid sampling rejected too many points")
-        if reject is not None and reject(z):
-            continue
-        out.append(z)
-    return out
-

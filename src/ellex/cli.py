@@ -16,7 +16,6 @@ byte-identical across runs for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from .exchange import LevelParams, exchange_F, exchange_Y
 from .poisson import (
     AnnulusLabel,
     BetaLimitRequest,
+    _log_y_over_beta,
     format_mode_bracket,
     laurent_modes,
     poisson_series_g,
@@ -222,9 +222,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     target = poisson_structure(args.m, args.k, x, q, pol)
     table = []
     for beta in betas:
-        req = BetaLimitRequest(m=args.m, k=args.k, beta=beta, q=q)
-        nome = NomeParams(req.p, q, allow_p_outside_disk=True)
-        d = cmath.log(exchange_Y(LevelParams(args.m, nome), x, pol)) / beta
+        d = _log_y_over_beta(BetaLimitRequest(m=args.m, k=args.k, beta=beta, q=q), x, pol)
         table.append((beta, d, abs(d - target)))
     # least-squares slope of log err vs log beta
     logs = [(math.log(b), math.log(e)) for b, _, e in table if e > 0]

@@ -300,7 +300,7 @@ def check_p_periodicity(
 ) -> CheckResult:
     """Invariance of F(m, x) under p -> p q^4, as a relative residual.
 
-    Skipped (passed, with a domain note) when |p q^4| >= 1.
+    Raises DomainError when |p q^4| >= 1, outside the domain of the check.
     """
     t0 = time.perf_counter()
     xv = _as_complex(x, "x")
@@ -308,15 +308,7 @@ def check_p_periodicity(
     params = {"m": level.m, "x": xv, "p": p, "q": q}
     shifted_p = p * q**4
     if abs(shifted_p) >= 1.0:
-        return CheckResult(
-            check_id="p-periodicity",
-            params=params,
-            max_abs_error=0.0,
-            tolerance=tolerance,
-            passed=True,
-            wall_time_s=time.perf_counter() - t0,
-            info={"skipped": "shifted nome |p q^4| >= 1, outside domain"},
-        )
+        raise DomainError(f"shifted nome |p q^4| = {abs(shifted_p):.6g} >= 1")
     base = exchange_F(level, xv, policy)
     shifted = exchange_F(
         LevelParams(level.m, NomeParams(shifted_p, q, allow_p_outside_disk=True)),

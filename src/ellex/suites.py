@@ -1,10 +1,16 @@
 """Named verification suites driving every identity the library implements.
 
-Each suite samples a deterministic grid (seeded), evaluates one family of
-identities, and aggregates the worst residual per check. Suites are pure
-functions of their configuration; grid evaluation may run across processes
-with results merged in candidate order, so reports are reproducible
-byte-for-byte for a fixed configuration.
+A sampled suite is a table of ``Identity`` entries built from the config:
+check ids, a ``sample(rng, cfg, index)`` that draws a candidate or returns
+None to reject it (``index`` counts the candidates that passed so far), and
+an ``evaluate(cfg, candidate)`` that returns one ``(error, point)`` per check
+or raises an ``EllexError`` to reject the point. One runner draws the entries
+in table order from one rng seeded per suite. Every candidate, rejected or
+not, costs one of ``_TRIES_PER_POINT`` tries per point asked for, and an
+exhausted budget raises ``SamplingExhausted`` (exit code 2). Under
+``parallel > 1`` one process pool per ``run_suites`` call evaluates the
+candidates, merged in candidate order, so reports are byte-for-byte
+reproducible. ``beta-limit`` and ``mode-brackets`` sample nothing.
 """
 
 from __future__ import annotations
@@ -12,22 +18,20 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable
 
 from . import __version__
 from ._grids import log_annulus_point, make_rng
 from .elliptic import NomeParams
-from .errors import (
-    DomainError,
-    NearSingularity,
-    SamplingExhausted,
-    SingularMatrix,
-    TruncationExceeded,
-)
+from .errors import DomainError, EllexError, SamplingExhausted, SingularMatrix
 from .exchange import (
     CommutingPoint,
     LevelParams,
+    check_p_periodicity,
     commuting_F,
     exchange_F,
     exchange_F_iterated,
@@ -45,12 +49,15 @@ from .poisson import (
 )
 from .qseries import TruncationPolicy, near_theta_zero, theta, theta_shift_factor
 from .report import CheckResult, VerificationReport, merge_reports
-from .rmatrix import check_crossing, check_pshift, check_ybe
+from .rmatrix import check_crossing, check_pshift, check_ybe, tau_fn, tau_fn_pochhammer
 
 __all__ = ["VerifyConfig", "SUITES", "resolve_suites", "run_suite", "run_suites", "list_suites"]
 
 _GRID_REJECT_TOL = 1e-3  # log-radial clearance from zero/pole spirals
-_TRIES_PER_POINT = 10  # candidate budget of _collect, per point asked for
+_TRIES_PER_POINT = 10  # candidate budget of an identity, per point asked for
+_LEVELS = (-3, -2, -1, 1, 2, 3)  # levels m of the exchange checks; shift orders of theta
+
+_POOL: ContextVar = ContextVar("ellex_suites_pool", default=None)  # of the running run_suites
 
 
 @dataclass(frozen=True)
@@ -76,44 +83,107 @@ class VerifyConfig:
         }
 
 
-def _pmap(fn: Callable, items: list, degree: int) -> list:
-    if degree <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+@dataclass(frozen=True)
+class Identity:
+    """One sampled family of checks; see the module docstring."""
+
+    checks: tuple[str, ...]
+    sample: Callable  # (rng, cfg, index) -> candidate | None
+    evaluate: Callable  # (cfg, candidate) -> one (error, point) per check
+    tolerance: float
+    count: int
+    params: dict
+
+
+@dataclass(frozen=True)
+class SuiteSpec:
+    runner: Callable[[VerifyConfig], VerificationReport]
+    description: str
+    aliases: tuple[str, ...] = ()
+
+
+SUITES: dict[str, SuiteSpec] = {}  # filled by @_suite, in definition order
+
+
+def _suite(name: str, description: str, aliases: tuple = (), seed_offset: int | None = None):
+    """Register a plain suite runner or, given a seed offset, a table of identities."""
+
+    def register(fn: Callable) -> Callable:
+        runner = fn if seed_offset is None else partial(_run_sampled, name, seed_offset, fn)
+        SUITES[name] = SuiteSpec(runner, description, aliases)
+        return fn
+
+    return register
+
+
+@contextmanager
+def _shared_pool(degree: int):
+    """Let one process pool serve every sampled suite run inside the block."""
+    if degree <= 1 or _POOL.get() is not None:
+        yield
+        return
     # imported here: the pool's multiprocessing modules add ~2 MB to every
     # serial process that imports this module
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=degree) as ex:
-        return list(ex.map(fn, items))
+    with ProcessPoolExecutor(max_workers=degree) as pool:
+        token = _POOL.set(pool)
+        try:
+            yield
+        finally:
+            _POOL.reset(token)
 
 
-def _collect(
-    check_id: str,
-    worker: Callable,
-    candidates: Iterator,
-    count: int,
-    degree: int,
-) -> list:
-    """Evaluate candidates until ``count`` succeed; order-deterministic.
+def _evaluate(job: tuple):
+    evaluate, cfg, candidate = job
+    try:
+        return evaluate(cfg, candidate)
+    except EllexError:
+        return None
 
-    Raises SamplingExhausted once ``_TRIES_PER_POINT * count`` candidates
-    have been tried without ``count`` successes.
-    """
-    results: list = []
-    budget = _TRIES_PER_POINT * count
-    while len(results) < count:
-        if budget == 0:
-            raise SamplingExhausted(
-                f"{check_id}: only {len(results)} of {count} points valid "
-                f"after {_TRIES_PER_POINT * count} candidates"
-            )
-        size = min(count - len(results), budget)
-        budget -= size
-        batch = [next(candidates) for _ in range(size)]
-        for out in _pmap(worker, batch, degree):
-            if out is not None:
-                results.append(out)
-    return results
+
+def _evaluate_batch(batch: list) -> list:
+    pool = _POOL.get()
+    rows = map(_evaluate, batch) if pool is None else pool.map(_evaluate, batch)
+    return [row for row in rows if row is not None]
+
+
+def _run_sampled(
+    suite: str,
+    seed_offset: int,
+    table: Callable[[VerifyConfig], list[Identity]],
+    cfg: VerifyConfig,
+) -> VerificationReport:
+    t0 = time.perf_counter()
+    rng = make_rng(cfg.seed + seed_offset)
+    index = 0
+    checks: list[CheckResult] = []
+    with _shared_pool(cfg.parallel):
+        for ident in table(cfg):
+            rows: list = []
+            batch: list = []
+            for _ in range(_TRIES_PER_POINT * ident.count):
+                candidate = ident.sample(rng, cfg, index)
+                if candidate is not None:
+                    index += 1
+                    batch.append((ident.evaluate, cfg, candidate))
+                # evaluate once the batch could complete the grid, so exactly
+                # the candidates a one-at-a-time loop would draw are drawn
+                if len(rows) + len(batch) == ident.count:
+                    rows += _evaluate_batch(batch)
+                    batch = []
+                    if len(rows) == ident.count:
+                        break
+            rows += _evaluate_batch(batch)
+            if len(rows) < ident.count:
+                raise SamplingExhausted(
+                    f"{', '.join(ident.checks)}: only {len(rows)} of {ident.count} points "
+                    f"valid after {_TRIES_PER_POINT * ident.count} candidates"
+                )
+            for j, check_id in enumerate(ident.checks):
+                pairs = [row[j] for row in rows]
+                checks.append(_aggregate(check_id, pairs, ident.tolerance, t0, ident.params))
+    return VerificationReport(suite, checks, cfg.to_dict(), __version__)
 
 
 def _aggregate(
@@ -139,82 +209,65 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), 1e-300)
 
 
-# ---------------------------------------------------------------------------
-# theta identity suite
+def _sample_x(lo: float, hi: float, q: complex, rng, cfg: VerifyConfig, index: int):
+    x = log_annulus_point(rng, lo, hi)
+    # every theta factor of F and Y has zeros on x^2 = q^(2j) p^(j') spirals;
+    # clearing x^2 from even powers of q covers the worst of them
+    return None if near_theta_zero(q * q, x * x, _GRID_REJECT_TOL) else x
 
 
-def suite_theta(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed)
+def _sample_theta(rng, cfg: VerifyConfig, index: int):
+    a = log_annulus_point(rng, 0.05, 0.9)
+    x = log_annulus_point(rng, 0.1, 10.0)
+    if near_theta_zero(a, x, 1e-4):
+        return None
+    return a, x, _LEVELS[index % len(_LEVELS)]
+
+
+def _eval_theta(cfg: VerifyConfig, cand: tuple) -> tuple:
+    a, x, s = cand
     pol = cfg.policy
-    shift_orders = (-3, -2, -1, 1, 2, 3)
-    quasi: list[tuple[float, dict]] = []
-    invert: list[tuple[float, dict]] = []
-    shift: list[tuple[float, dict]] = []
-    i = 0
-    while len(quasi) < 100:
-        a = log_annulus_point(rng, 0.05, 0.9)
-        x = log_annulus_point(rng, 0.1, 10.0)
-        if near_theta_zero(a, x, 1e-4):
-            continue
-        th = theta(a, x, pol)
-        rhs = -th / x
-        scale = max(abs(rhs), 1e-300)
-        point = {"a": a, "x": x}
-        lhs = theta(a, a * x, pol)
-        quasi.append((abs(lhs - rhs) / scale, point))
-        invert.append((abs(theta(a, 1.0 / x, pol) - rhs) / scale, point))
-        s = shift_orders[i % len(shift_orders)]
-        i += 1
-        fac = theta_shift_factor(a, s, x) * th
-        err = abs(theta(a, a**s * x, pol) - fac) / max(abs(fac), 1e-300)
-        shift.append((err, {**point, "s": s}))
+    th = theta(a, x, pol)
+    rhs = -th / x
+    scale = max(abs(rhs), 1e-300)
+    fac = theta_shift_factor(a, s, x) * th
+    point = {"a": a, "x": x}
+    return (
+        (abs(theta(a, a * x, pol) - rhs) / scale, point),
+        (abs(theta(a, 1.0 / x, pol) - rhs) / scale, point),
+        (abs(theta(a, a**s * x, pol) - fac) / max(abs(fac), 1e-300), {**point, "s": s}),
+    )
+
+
+@_suite("theta", "quasi-periodicity, inversion and integer shift law of theta_a", seed_offset=0)
+def _theta_table(cfg: VerifyConfig) -> list[Identity]:
     params = {"|a|": "[0.05,0.9]", "|x|": "[0.1,10]", "zero_clearance": 1e-4, "seed": cfg.seed}
-    return VerificationReport(
-        "theta",
-        [
-            _aggregate("theta-quasiperiodicity", quasi, 1e-10, t0, params),
-            _aggregate("theta-inversion", invert, 1e-10, t0, params),
-            _aggregate("theta-shift-law", shift, 1e-10, t0, params),
-        ],
-        cfg.to_dict(),
-        __version__,
-    )
+    checks = ("theta-quasiperiodicity", "theta-inversion", "theta-shift-law")
+    return [Identity(checks, _sample_theta, _eval_theta, 1e-10, 100, params)]
 
 
-# ---------------------------------------------------------------------------
-# tau dual representation
+def _sample_tau(rng, cfg: VerifyConfig, index: int):
+    q = cfg.q if cfg.q is not None else log_annulus_point(rng, 0.3, 0.8)
+    x = log_annulus_point(rng, 0.5, 2.0)
+    q4 = q**4
+    if near_theta_zero(q4, q * x * x, 2e-4) or near_theta_zero(q4, q / (x * x), 2e-4):
+        return None
+    return q, x
 
 
-def suite_tau_dual(cfg: VerifyConfig) -> VerificationReport:
-    from .rmatrix import tau_fn, tau_fn_pochhammer
-
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 1)
-    pol = cfg.policy
-    pairs: list[tuple[float, dict]] = []
-    while len(pairs) < 50:
-        q = cfg.q if cfg.q is not None else log_annulus_point(rng, 0.3, 0.8)
-        x = log_annulus_point(rng, 0.5, 2.0)
-        q4 = q**4
-        if near_theta_zero(q4, q * x * x, 2e-4) or near_theta_zero(q4, q / (x * x), 2e-4):
-            continue
-        v1 = tau_fn(x, q, pol)
-        v2 = tau_fn_pochhammer(x, q, pol)
-        pairs.append((_rel(v1, v2), {"q": q, "x": x}))
-    return VerificationReport(
-        "tau-dual",
-        [_aggregate("tau-two-representations", pairs, 1e-11, t0, {"seed": cfg.seed})],
-        cfg.to_dict(),
-        __version__,
-    )
+def _eval_tau(cfg: VerifyConfig, cand: tuple) -> tuple:
+    q, x = cand
+    err = _rel(tau_fn(x, q, cfg.policy), tau_fn_pochhammer(x, q, cfg.policy))
+    return ((err, {"q": q, "x": x}),)
 
 
-# ---------------------------------------------------------------------------
-# R-matrix identity suite (crossing, nome shift, Yang-Baxter)
+@_suite("tau-dual", "agreement of the theta-quotient and product forms of tau", ("tau",), 1)
+def _tau_table(cfg: VerifyConfig) -> list[Identity]:
+    checks = ("tau-two-representations",)
+    return [Identity(checks, _sample_tau, _eval_tau, 1e-11, 50, {"seed": cfg.seed})]
 
 
-def _rmatrix_candidate(rng, cfg: VerifyConfig, idx: int) -> tuple:
+def _sample_rmatrix(rng, cfg: VerifyConfig, index: int) -> tuple:
     p = cfg.p if cfg.p is not None else rng.uniform(0.05, 0.6)
     if cfg.q is not None:
         q = cfg.q
@@ -222,260 +275,182 @@ def _rmatrix_candidate(rng, cfg: VerifyConfig, idx: int) -> tuple:
         mag = rng.uniform(0.3, 0.7)
         # mostly the negative-real regime of the elliptic parametrization,
         # with some fully complex q for coverage
-        q = mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) if idx % 5 == 0 else -mag
+        q = mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) if index % 5 == 0 else -mag
     x = log_annulus_point(rng, 0.7, 1.4)
     y = log_annulus_point(rng, 0.7, 1.4)
-    return (complex(p), complex(q), x, y, cfg.policy.max_terms, cfg.policy.tail_tol)
+    return complex(p), complex(q), x, y
 
 
-def _w_crossing(args: tuple):
-    p, q, x, _y, max_terms, tail_tol = args
-    try:
-        r = check_crossing(x, NomeParams(p, q), TruncationPolicy(max_terms, tail_tol))
-    except (NearSingularity, SingularMatrix, TruncationExceeded, DomainError):
-        return None
+def _well_posed(r: CheckResult, max_scale: float, max_cond: float = math.inf) -> tuple:
     # residuals of well-posed points only: near a determinant-zero spiral the
     # inversion amplifies roundoff by cond * scale regardless of truncation
-    if r.info["cond"] > 1e3 or r.info["scale"] > 1e2:
-        return None
-    return (r.max_abs_error, r.params)
+    if r.info.get("cond", 0.0) > max_cond or r.info["scale"] > max_scale:
+        raise SingularMatrix("ill-posed point")
+    return ((r.max_abs_error, r.params),)
 
 
-def _w_pshift(args: tuple):
-    p, q, x, _y, max_terms, tail_tol = args
-    try:
-        r = check_pshift(x, NomeParams(p, q), TruncationPolicy(max_terms, tail_tol))
-    except (NearSingularity, SingularMatrix, TruncationExceeded, DomainError):
-        return None
-    if r.info["scale"] > 1e3:
-        return None
-    return (r.max_abs_error, r.params)
+def _eval_crossing(cfg: VerifyConfig, cand: tuple) -> tuple:
+    p, q, x, _y = cand
+    return _well_posed(check_crossing(x, NomeParams(p, q), cfg.policy), 1e2, max_cond=1e3)
 
 
-def _w_ybe(args: tuple):
-    p, q, x, y, max_terms, tail_tol = args
-    try:
-        r = check_ybe(x, y, NomeParams(p, q), TruncationPolicy(max_terms, tail_tol))
-    except (NearSingularity, SingularMatrix, TruncationExceeded, DomainError):
-        return None
-    if r.info["scale"] > 50.0:
-        return None
-    return (r.max_abs_error, r.params)
+def _eval_pshift(cfg: VerifyConfig, cand: tuple) -> tuple:
+    p, q, x, _y = cand
+    return _well_posed(check_pshift(x, NomeParams(p, q), cfg.policy), 1e3)
 
 
-def suite_rmatrix(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 2)
-    counter = iter(range(10**9))
-
-    def stream():
-        while True:
-            yield _rmatrix_candidate(rng, cfg, next(counter))
-
-    cand = stream()
-    crossing = _collect("crossing-symmetry", _w_crossing, cand, 50, cfg.parallel)
-    pshift = _collect("nome-shift-covariance", _w_pshift, cand, 50, cfg.parallel)
-    ybe = _collect("yang-baxter", _w_ybe, cand, 20, cfg.parallel)
-    params = {"|p|<=0.7": True, "|q|<=0.7": True, "zero_clearance": _GRID_REJECT_TOL, "seed": cfg.seed}
-    return VerificationReport(
-        "rmatrix",
-        [
-            _aggregate("crossing-symmetry", crossing, 1e-9, t0, params),
-            _aggregate("nome-shift-covariance", pshift, 1e-9, t0, params),
-            _aggregate("yang-baxter", ybe, 1e-9, t0, params),
-        ],
-        cfg.to_dict(),
-        __version__,
-    )
+def _eval_ybe(cfg: VerifyConfig, cand: tuple) -> tuple:
+    p, q, x, y = cand
+    return _well_posed(check_ybe(x, y, NomeParams(p, q), cfg.policy), 50.0)
 
 
-# ---------------------------------------------------------------------------
-# exchange-function suites
+@_suite(
+    "rmatrix", "crossing symmetry, nome-shift covariance and Yang-Baxter for R+", ("crossing",), 2
+)
+def _rmatrix_table(cfg: VerifyConfig) -> list[Identity]:
+    params = {"|p|<=0.7": True, "|q|<=0.7": True, "zero_clearance": _GRID_REJECT_TOL,
+              "seed": cfg.seed}
+    return [
+        Identity(("crossing-symmetry",), _sample_rmatrix, _eval_crossing, 1e-9, 50, params),
+        Identity(("nome-shift-covariance",), _sample_rmatrix, _eval_pshift, 1e-9, 50, params),
+        Identity(("yang-baxter",), _sample_rmatrix, _eval_ybe, 1e-9, 20, params),
+    ]
 
 
-def _exchange_grid(rng, q: complex, count: int) -> list[complex]:
-    pts: list[complex] = []
-    q2 = q * q
-    while len(pts) < count:
-        x = log_annulus_point(rng, 0.6, 1.5)
-        # every theta factor of F and Y has zeros on x^2 = q^(2j) p^(j') spirals;
-        # clearing x^2 from even powers of q covers the worst of them
-        if near_theta_zero(q2, x * x, _GRID_REJECT_TOL):
-            continue
-        pts.append(x)
-    return pts
-
-
-def suite_f_two_path(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 3)
-    pol = cfg.policy
+def _exchange_table(
+    cfg: VerifyConfig, names: tuple, evaluate: Callable, tol: float, count: int, levels: tuple
+) -> list[Identity]:
+    """One identity per level m at the nome (cfg.p, cfg.q), by default (0.18, -0.45)."""
     p = cfg.p if cfg.p is not None else 0.18
     q = cfg.q if cfg.q is not None else -0.45
     nome = NomeParams(p, q)
-    checks = []
-    for m in (-3, -2, -1, 1, 2, 3):
-        level = LevelParams(m, nome)
-        pairs: list[tuple[float, dict]] = []
-        recip: list[tuple[float, dict]] = []
-        for x in _exchange_grid(rng, q, 20):
-            try:
-                closed = exchange_F(level, x, pol)
-                iterated = exchange_F_iterated(level, x, pol)
-            except (NearSingularity, TruncationExceeded):
-                continue
-            pairs.append((_rel(closed, iterated), {"x": x}))
-            if m < 0:
-                other = exchange_F_negative_by_reciprocity(level, x, pol)
-                recip.append((_rel(closed, other), {"x": x}))
-        checks.append(
-            _aggregate(f"f-two-path(m={m:+d})", pairs, 1e-10, t0, {"p": p, "q": q, "m": m})
+    return [
+        Identity(
+            tuple(f"{name}(m={m:+d})" for name in names), partial(_sample_x, 0.6, 1.5, q),
+            partial(evaluate, LevelParams(m, nome)), tol, count, {"p": p, "q": q, "m": m},
         )
-        if recip:
-            checks.append(
-                _aggregate(
-                    f"f-reciprocity(m={m:+d})", recip, 1e-10, t0, {"p": p, "q": q, "m": m}
-                )
-            )
-    return VerificationReport("f-two-path", checks, cfg.to_dict(), __version__)
+        for m in levels
+    ]
 
 
-def suite_y_two_path(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 4)
+def _eval_f_two_path(level: LevelParams, cfg: VerifyConfig, x: complex) -> list:
+    closed = exchange_F(level, x, cfg.policy)
+    rows = [(_rel(closed, exchange_F_iterated(level, x, cfg.policy)), {"x": x})]
+    if level.m < 0:
+        other = exchange_F_negative_by_reciprocity(level, x, cfg.policy)
+        rows.append((_rel(closed, other), {"x": x}))
+    return rows
+
+
+@_suite(
+    "f-two-path", "closed form of F(m, x) vs the iterated shift-factor product", ("theorem4",), 3
+)
+def _f_two_path_table(cfg: VerifyConfig) -> list[Identity]:
+    # the reciprocity path exists for negative levels only
+    names = ("f-two-path", "f-reciprocity")
+    negative = _exchange_table(cfg, names, _eval_f_two_path, 1e-10, 20, (-3, -2, -1))
+    return negative + _exchange_table(cfg, names[:1], _eval_f_two_path, 1e-10, 20, (1, 2, 3))
+
+
+def _eval_y_two_path(level: LevelParams, cfg: VerifyConfig, x: complex) -> tuple:
+    closed = exchange_Y(level, x, cfg.policy)
+    return ((_rel(closed, exchange_Y_ratio(level, x, cfg.policy)), {"x": x}),)
+
+
+@_suite("y-two-path", "closed form of Y vs the F-ratio construction", ("theorem5",), 4)
+def _y_two_path_table(cfg: VerifyConfig) -> list[Identity]:
+    return _exchange_table(cfg, ("y-two-path",), _eval_y_two_path, 1e-9, 20, _LEVELS)
+
+
+def _eval_feigin_frenkel(level: LevelParams, cfg: VerifyConfig, x: complex) -> tuple:
+    pol, q = cfg.policy, level.nome.q
+    y0 = exchange_Y(level, x, pol)
+    scale = max(1.0, abs(y0))
+    e1 = abs(exchange_Y(level, x * q * q, pol) - y0) / scale
+    e2 = abs(exchange_Y(level, x * q, pol) - exchange_Y(level, 1.0 / x, pol)) / scale
+    return ((e1, {"x": x}), (e2, {"x": x}))
+
+
+@_suite("feigin-frenkel", "Y(x q^2) = Y(x) and Y(x q) = Y(1/x)", seed_offset=5)
+def _feigin_frenkel_table(cfg: VerifyConfig) -> list[Identity]:
+    names = ("y-q2-shift", "y-q-inversion")
+    return _exchange_table(cfg, names, _eval_feigin_frenkel, 1e-10, 50, (1, -2))
+
+
+def _sample_commuting(rng, cfg: VerifyConfig, index: int):
+    q = cfg.q if cfg.q is not None else complex(rng.uniform(0.4, 0.75))
+    x = _sample_x(0.7, 1.4, q, rng, cfg, index)
+    return None if x is None else (q, x)
+
+
+def _eval_commuting(cp: CommutingPoint, cfg: VerifyConfig, cand: tuple) -> tuple:
+    q, x = cand
     pol = cfg.policy
-    p = cfg.p if cfg.p is not None else 0.18
-    q = cfg.q if cfg.q is not None else -0.45
-    nome = NomeParams(p, q)
-    checks = []
-    for m in (-3, -2, -1, 1, 2, 3):
+    nome = cp.exact_nome(q)
+    worst_f, worst_y = 0.0, 0.0
+    for m in _LEVELS:
         level = LevelParams(m, nome)
-        pairs: list[tuple[float, dict]] = []
-        for x in _exchange_grid(rng, q, 20):
-            try:
-                closed = exchange_Y(level, x, pol)
-                ratio = exchange_Y_ratio(level, x, pol)
-            except (NearSingularity, TruncationExceeded):
-                continue
-            pairs.append((_rel(closed, ratio), {"x": x}))
-        checks.append(
-            _aggregate(f"y-two-path(m={m:+d})", pairs, 1e-9, t0, {"p": p, "q": q, "m": m})
-        )
-    return VerificationReport("y-two-path", checks, cfg.to_dict(), __version__)
+        f = exchange_F(level, x, pol)
+        ref = commuting_F(m, cp, x, q, pol)
+        err = abs(f - ref) if cp.parity == "odd" else _rel(f, ref)
+        worst_f = max(worst_f, err)
+        worst_y = max(worst_y, abs(exchange_Y(level, x, pol) - 1.0))
+    point = {"q": q, "x": x}
+    return ((worst_f, point), (worst_y, point))
 
 
-def suite_feigin_frenkel(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 5)
-    pol = cfg.policy
-    p = cfg.p if cfg.p is not None else 0.18
-    q = cfg.q if cfg.q is not None else -0.45
-    nome = NomeParams(p, q)
-    checks = []
-    for m in (1, -2):
-        level = LevelParams(m, nome)
-        shift_pairs: list[tuple[float, dict]] = []
-        invert_pairs: list[tuple[float, dict]] = []
-        for x in _exchange_grid(rng, q, 50):
-            try:
-                y0 = exchange_Y(level, x, pol)
-                scale = max(1.0, abs(y0))
-                e1 = abs(exchange_Y(level, x * q * q, pol) - y0) / scale
-                e2 = abs(exchange_Y(level, x * q, pol) - exchange_Y(level, 1.0 / x, pol)) / scale
-            except (NearSingularity, TruncationExceeded):
-                continue
-            shift_pairs.append((e1, {"x": x}))
-            invert_pairs.append((e2, {"x": x}))
-        meta = {"p": p, "q": q, "m": m}
-        checks.append(_aggregate(f"y-q2-shift(m={m:+d})", shift_pairs, 1e-10, t0, meta))
-        checks.append(_aggregate(f"y-q-inversion(m={m:+d})", invert_pairs, 1e-10, t0, meta))
-    return VerificationReport("feigin-frenkel", checks, cfg.to_dict(), __version__)
-
-
-def suite_commuting_points(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 6)
-    pol = cfg.policy
-    checks = []
-    k_values = (1, 3, -1, -3, 2, -2) if cfg.k is None else (cfg.k,)
-    for k in k_values:
+@_suite(
+    "commuting-points",
+    "F = 1 at p = q^(2k) for odd k, even-k closed form, and Y = 1",
+    ("theorem6",),
+    6,
+)
+def _commuting_table(cfg: VerifyConfig) -> list[Identity]:
+    table = []
+    for k in (1, 3, -1, -3, 2, -2) if cfg.k is None else (cfg.k,):
         cp = CommutingPoint(k)
-        f_pairs: list[tuple[float, dict]] = []
-        y_pairs: list[tuple[float, dict]] = []
-        while len(f_pairs) < 10:
-            q = cfg.q if cfg.q is not None else complex(rng.uniform(0.4, 0.75))
-            x = log_annulus_point(rng, 0.7, 1.4)
-            if near_theta_zero(q * q, x * x, _GRID_REJECT_TOL):
-                continue
-            nome = cp.exact_nome(q)
-            point = {"q": q, "x": x}
-            worst_f, worst_y = 0.0, 0.0
-            try:
-                for m in (-3, -2, -1, 1, 2, 3):
-                    level = LevelParams(m, nome)
-                    f = exchange_F(level, x, pol)
-                    ref = commuting_F(m, cp, x, q, pol)
-                    err = abs(f - ref) if cp.parity == "odd" else _rel(f, ref)
-                    worst_f = max(worst_f, err)
-                    worst_y = max(worst_y, abs(exchange_Y(level, x, pol) - 1.0))
-            except (NearSingularity, TruncationExceeded):
-                continue
-            f_pairs.append((worst_f, point))
-            y_pairs.append((worst_y, point))
-        meta = {"k": k, "parity": cp.parity, "m": "[-3..3]\\{0}"}
         label = "f-equals-one" if cp.parity == "odd" else "f-even-closed-form"
-        checks.append(_aggregate(f"{label}(k={k:+d})", f_pairs, 1e-10, t0, meta))
-        checks.append(_aggregate(f"y-equals-one(k={k:+d})", y_pairs, 1e-10, t0, meta))
-    return VerificationReport("commuting-points", checks, cfg.to_dict(), __version__)
+        checks = (f"{label}(k={k:+d})", f"y-equals-one(k={k:+d})")
+        params = {"k": k, "parity": cp.parity, "m": "[-3..3]\\{0}"}
+        table.append(
+            Identity(checks, _sample_commuting, partial(_eval_commuting, cp), 1e-10, 10, params)
+        )
+    return table
 
 
-def suite_p_periodicity(cfg: VerifyConfig) -> VerificationReport:
-    from .exchange import check_p_periodicity
-
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 7)
-    pol = cfg.policy
-    f_pairs: list[tuple[float, dict]] = []
-    y_pairs: list[tuple[float, dict]] = []
-    i = 0
-    while len(f_pairs) < 20:
-        p = cfg.p if cfg.p is not None else complex(rng.uniform(0.05, 0.2))
-        if cfg.q is not None:
-            q = cfg.q
-        else:
-            mag = rng.uniform(0.4, 0.7)
-            q = complex(-mag) if i % 2 else complex(mag)
-        x = log_annulus_point(rng, 0.7, 1.4)
-        if near_theta_zero(q * q, x * x, _GRID_REJECT_TOL):
-            continue
-        m = (1, -2, 2)[i % 3]
-        i += 1
-        if abs(p * q**4) >= 1.0:
-            continue
-        nome = NomeParams(p, q)
-        level = LevelParams(m, nome)
-        shifted = LevelParams(m, NomeParams(p * q**4, q, allow_p_outside_disk=True))
-        try:
-            res = check_p_periodicity(level, x, pol)
-            y0 = exchange_Y(level, x, pol)
-            y1 = exchange_Y(shifted, x, pol)
-        except (NearSingularity, TruncationExceeded):
-            continue
-        f_pairs.append((res.max_abs_error, {"m": m, "p": p, "q": q, "x": x}))
-        y_pairs.append((_rel(y0, y1), {"m": m, "p": p, "q": q, "x": x}))
-    return VerificationReport(
-        "p-periodicity",
-        [
-            _aggregate("f-invariant-under-p-shift", f_pairs, 1e-10, t0, {}),
-            _aggregate("y-invariant-under-p-shift", y_pairs, 1e-10, t0, {}),
-        ],
-        cfg.to_dict(),
-        __version__,
-    )
+def _sample_p_shift(rng, cfg: VerifyConfig, index: int):
+    p = cfg.p if cfg.p is not None else complex(rng.uniform(0.05, 0.2))
+    if cfg.q is not None:
+        q = cfg.q
+    else:
+        mag = rng.uniform(0.4, 0.7)
+        q = complex(-mag) if index % 2 else complex(mag)
+    x = _sample_x(0.7, 1.4, q, rng, cfg, index)
+    return None if x is None else ((1, -2, 2)[index % 3], p, q, x)
 
 
+def _eval_p_shift(cfg: VerifyConfig, cand: tuple) -> tuple:
+    m, p, q, x = cand
+    level = LevelParams(m, NomeParams(p, q))
+    shifted = LevelParams(m, NomeParams(p * q**4, q, allow_p_outside_disk=True))
+    f_err = check_p_periodicity(level, x, cfg.policy).max_abs_error
+    y_err = _rel(exchange_Y(level, x, cfg.policy), exchange_Y(shifted, x, cfg.policy))
+    point = {"m": m, "p": p, "q": q, "x": x}
+    return ((f_err, point), (y_err, point))
+
+
+@_suite("p-periodicity", "invariance of F and Y under the nome shift p -> p q^4", ("remark3",), 7)
+def _p_periodicity_table(cfg: VerifyConfig) -> list[Identity]:
+    checks = ("f-invariant-under-p-shift", "y-invariant-under-p-shift")
+    return [Identity(checks, _sample_p_shift, _eval_p_shift, 1e-10, 20, {})]
+
+
+@_suite(
+    "beta-limit",
+    "first-order approach of ln(Y)/beta to the k-labeled structure function",
+    ("theorem7", "limit"),
+)
 def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
     pol = cfg.policy
     cases = [
         (1, 1, 0.5, 1.4),
@@ -493,35 +468,49 @@ def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
     return VerificationReport("beta-limit", checks, cfg.to_dict(), __version__)
 
 
-def suite_coincidence(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rng = make_rng(cfg.seed + 8)
+def _eval_coincidence(q: complex, norm: complex, cfg: VerifyConfig, x: complex) -> tuple:
+    lhs = poisson_structure_center(x, q, cfg.policy)
+    rhs = norm * poisson_series_g(x, q, cfg.policy)
+    return ((abs(lhs - rhs) / max(1.0, abs(lhs)), {"x": x}),)
+
+
+@_suite(
+    "coincidence",
+    "central bracket matches the k-labeled series after one-point normalization",
+    seed_offset=8,
+)
+def _coincidence_table(cfg: VerifyConfig) -> list[Identity]:
     pol = cfg.policy
-    q_list = [cfg.q] if cfg.q is not None else [0.45 + 0j, 0.3 * cmath.exp(0.4j)]
-    checks = []
-    for q in q_list:
-        x_ref = 1.37
+    x_ref = 1.37
+    table = []
+    for q in [cfg.q] if cfg.q is not None else [0.45 + 0j, 0.3 * cmath.exp(0.4j)]:
         norm = poisson_structure_center(x_ref, q, pol) / poisson_series_g(x_ref, q, pol)
-        pairs: list[tuple[float, dict]] = []
-        while len(pairs) < 50:
-            x = log_annulus_point(rng, 0.6, 1.6)
-            if near_theta_zero(q * q, x * x, _GRID_REJECT_TOL):
-                continue
-            lhs = poisson_structure_center(x, q, pol)
-            rhs = norm * poisson_series_g(x, q, pol)
-            pairs.append((abs(lhs - rhs) / max(1.0, abs(lhs)), {"x": x}))
-        checks.append(
-            _aggregate(
-                f"center-vs-series(q={q!r})",
-                pairs,
-                1e-8,
-                t0,
-                {"q": q, "x_ref": x_ref, "norm": norm, "norm_over_2lnq": norm / (2 * cmath.log(q))},
-            )
-        )
-    return VerificationReport("coincidence", checks, cfg.to_dict(), __version__)
+        params = {"q": q, "x_ref": x_ref, "norm": norm, "norm_over_2lnq": norm / (2 * cmath.log(q))}
+        table.append(Identity(
+            (f"center-vs-series(q={q!r})",), partial(_sample_x, 0.6, 1.6, q),
+            partial(_eval_coincidence, q, norm), 1e-8, 50, params,
+        ))
+    return table
 
 
+def _expansion_errors(raw: dict, pref: float, q: float, lmax: int, negative: bool) -> list:
+    # closed-form raw coefficients on annulus 0 (per even l = 2j, j >= 1):
+    #   g_0 = 1, g_{2j} = 2 q^(2j)/(1 + q^(2j)), g_{-2j} = 2/(1 + q^(2j))
+    errs = [(abs(raw[0] / pref - 1.0), {"l": 0})]
+    for j in range(1, lmax // 2 + 1):
+        expect_p = 2.0 * q ** (2 * j) / (1.0 + q ** (2 * j))
+        errs.append((abs(raw[2 * j] / pref - expect_p) / expect_p, {"l": 2 * j}))
+        if negative:
+            expect_m = 2.0 / (1.0 + q ** (2 * j))
+            errs.append((abs(raw[-2 * j] / pref - expect_m) / expect_m, {"l": -2 * j}))
+    return errs
+
+
+@_suite(
+    "mode-brackets",
+    "contour structure constants: expansions, antisymmetry, residue steps",
+    ("modes",),
+)
 def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
     t0 = time.perf_counter()
     pol = cfg.policy
@@ -532,44 +521,19 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
     m, k = 1, 1
     pref = 2.0 * k * m * math.log(q)
     lmax = 6
-    tables = {
-        n: laurent_modes(
-            "klimit",
-            q=q,
-            annulus=AnnulusLabel(n),
-            l_range=(-lmax, lmax),
-            quadrature_points=128,
-            m=m,
-            k=k,
-            policy=pol,
-        )
-        for n in (0, 1, 2)
-    }
+    modes = partial(laurent_modes, q=q, l_range=(-lmax, lmax), quadrature_points=128, policy=pol)
+    tables = {n: modes("klimit", annulus=AnnulusLabel(n), m=m, k=k) for n in (0, 1, 2)}
+    raw = {n: tab.raw_coefficients for n, tab in tables.items()}
+    # the central bracket carries the same coefficients scaled by its own
+    # normalization 2 ln q, so the annulus-0 expansion check applies verbatim
+    center0 = modes("center", annulus=AnnulusLabel(0)).raw_coefficients
+    geo = _expansion_errors(raw[0], pref, q, lmax, negative=True)
+    geo_center = _expansion_errors(center0, 2.0 * math.log(q), q, lmax, negative=False)
 
-    # closed-form raw coefficients on annulus 0 (per even l = 2j, j >= 1):
-    #   g_0 = 1, g_{2j} = 2 q^(2j)/(1 + q^(2j)), g_{-2j} = 2/(1 + q^(2j))
-    geo: list[tuple[float, dict]] = []
-    raw0 = tables[0].raw_coefficients
-    geo.append((abs(raw0[0] / pref - 1.0), {"l": 0}))
-    for j in range(1, lmax // 2 + 1):
-        expect_p = 2.0 * q ** (2 * j) / (1.0 + q ** (2 * j))
-        expect_m = 2.0 / (1.0 + q ** (2 * j))
-        geo.append((abs(raw0[2 * j] / pref - expect_p) / expect_p, {"l": 2 * j}))
-        geo.append((abs(raw0[-2 * j] / pref - expect_m) / expect_m, {"l": -2 * j}))
-    for l in range(-lmax, lmax + 1, 2):
-        if l % 2:
-            geo.append((abs(raw0[l]), {"l": l}))
-
-    anti: list[tuple[float, dict]] = []
-    for n, tab in tables.items():
-        anti.append((tab.antisymmetry_violation(), {"annulus": n}))
+    anti = [(tab.antisymmetry_violation(), {"annulus": n}) for n, tab in tables.items()]
     # functional antisymmetry g(1/x) = -g(x) ties annulus n to its mirror 1-n:
     # raw_n[l] = -raw_{1-n}[-l]; nontrivial check across the (0, 1) pair
-    mirror = max(
-        abs(tables[0].raw_coefficients[l] + tables[1].raw_coefficients[-l])
-        / max(1.0, abs(tables[0].raw_coefficients[l]))
-        for l in tables[0].raw_coefficients
-    )
+    mirror = max(abs(raw[0][l] + raw[1][-l]) / max(1.0, abs(raw[0][l])) for l in raw[0])
     anti.append((mirror, {"annuli": "(0,1) mirror pair"}))
 
     # crossing the pole circle |x| = |q|^n changes raw coefficients by the
@@ -578,26 +542,10 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
     for n in (0, 1):
         for l in range(-lmax, lmax + 1):
             expected = pref * (-1.0) ** n * q ** (-n * l) * (1.0 + (-1.0) ** l)
-            got = tables[n].raw_coefficients[l] - tables[n + 1].raw_coefficients[l]
+            got = raw[n][l] - raw[n + 1][l]
             res_pairs.append(
                 (abs(got - expected) / max(1.0, abs(expected)), {"n": n, "l": l})
             )
-
-    # the central bracket carries the same coefficients scaled by its own
-    # normalization 2 ln q, so the annulus-0 expansion check applies verbatim
-    center0 = laurent_modes(
-        "center",
-        q=q,
-        annulus=AnnulusLabel(0),
-        l_range=(-lmax, lmax),
-        quadrature_points=128,
-        policy=pol,
-    ).raw_coefficients
-    cpref = 2.0 * math.log(q)
-    geo_center = [(abs(center0[0] / cpref - 1.0), {"l": 0})]
-    for j in range(1, lmax // 2 + 1):
-        expect_p = 2.0 * q ** (2 * j) / (1.0 + q ** (2 * j))
-        geo_center.append((abs(center0[2 * j] / cpref - expect_p) / expect_p, {"l": 2 * j}))
 
     meta = {"q": q, "m": m, "k": k, "lmax": lmax}
     return VerificationReport(
@@ -613,72 +561,6 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# registry
-
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    runner: Callable[[VerifyConfig], VerificationReport]
-    description: str
-    aliases: tuple[str, ...] = ()
-
-
-SUITES: dict[str, SuiteSpec] = {
-    "theta": SuiteSpec(
-        suite_theta,
-        "quasi-periodicity, inversion and integer shift law of theta_a",
-    ),
-    "tau-dual": SuiteSpec(
-        suite_tau_dual,
-        "agreement of the theta-quotient and product forms of tau",
-        ("tau",),
-    ),
-    "rmatrix": SuiteSpec(
-        suite_rmatrix,
-        "crossing symmetry, nome-shift covariance and Yang-Baxter for R+",
-        ("crossing",),
-    ),
-    "f-two-path": SuiteSpec(
-        suite_f_two_path,
-        "closed form of F(m, x) vs the iterated shift-factor product",
-        ("theorem4",),
-    ),
-    "y-two-path": SuiteSpec(
-        suite_y_two_path,
-        "closed form of Y vs the F-ratio construction",
-        ("theorem5",),
-    ),
-    "feigin-frenkel": SuiteSpec(
-        suite_feigin_frenkel,
-        "Y(x q^2) = Y(x) and Y(x q) = Y(1/x)",
-    ),
-    "commuting-points": SuiteSpec(
-        suite_commuting_points,
-        "F = 1 at p = q^(2k) for odd k, even-k closed form, and Y = 1",
-        ("theorem6",),
-    ),
-    "p-periodicity": SuiteSpec(
-        suite_p_periodicity,
-        "invariance of F and Y under the nome shift p -> p q^4",
-        ("remark3",),
-    ),
-    "beta-limit": SuiteSpec(
-        suite_beta_limit,
-        "first-order approach of ln(Y)/beta to the k-labeled structure function",
-        ("theorem7", "limit"),
-    ),
-    "coincidence": SuiteSpec(
-        suite_coincidence,
-        "central bracket matches the k-labeled series after one-point normalization",
-    ),
-    "mode-brackets": SuiteSpec(
-        suite_mode_brackets,
-        "contour structure constants: expansions, antisymmetry, residue steps",
-        ("modes",),
-    ),
-}
-
 _ALIAS_INDEX = {alias: name for name, spec in SUITES.items() for alias in spec.aliases}
 
 
@@ -686,16 +568,10 @@ def resolve_suites(names: Iterable[str]) -> list[str]:
     out: list[str] = []
     for raw in names:
         name = raw.strip().lower()
-        if name == "all":
-            for n in SUITES:
-                if n not in out:
-                    out.append(n)
-            continue
-        canonical = name if name in SUITES else _ALIAS_INDEX.get(name)
-        if canonical is None:
+        name = _ALIAS_INDEX.get(name, name)
+        if name != "all" and name not in SUITES:
             raise DomainError(f"unknown suite {raw!r}; see 'verify --list'")
-        if canonical not in out:
-            out.append(canonical)
+        out += [n for n in (SUITES if name == "all" else [name]) if n not in out]
     return out
 
 
@@ -705,7 +581,8 @@ def run_suite(name: str, cfg: VerifyConfig) -> VerificationReport:
 
 def run_suites(names: Iterable[str], cfg: VerifyConfig) -> VerificationReport:
     resolved = resolve_suites(names)
-    reports = [run_suite(n, cfg) for n in resolved]
+    with _shared_pool(cfg.parallel):
+        reports = [run_suite(n, cfg) for n in resolved]
     if len(reports) == 1:
         return reports[0]
     merged = merge_reports(reports, suite="+".join(resolved))

@@ -7,6 +7,7 @@ passing runs). The full module completes in well under two minutes.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -161,9 +162,15 @@ def test_c11_mode_brackets():
     _conclude("11 (mode structure constants)", rep)
 
 
+# each seed-7 check's point count and worst residual, recorded from the
+# report; a change may keep or lower a residual, never raise it
+SEED7_CHECKS = Path(__file__).parent / "data" / "seed7_checks.json"
+
+
 def test_c12_determinism_byte_identical(tmp_path, capsys):
     # two runs of `verify --suite all` with identical config produce
-    # byte-identical JSON reports
+    # byte-identical JSON reports, with the pinned checks, counts and
+    # precision
     paths = [tmp_path / "run1.json", tmp_path / "run2.json"]
     for path in paths:
         code = cli_main(
@@ -175,4 +182,10 @@ def test_c12_determinism_byte_identical(tmp_path, capsys):
     b1, b2 = paths[0].read_bytes(), paths[1].read_bytes()
     payload = json.loads(b1)
     assert payload["aggregate_pass"] is True
+    pinned = json.loads(SEED7_CHECKS.read_text())
+    got = {c["check_id"]: c for c in payload["checks"]}
+    assert list(got) == list(pinned)
+    for check_id, pin in pinned.items():
+        assert got[check_id]["params"].get("count") == pin["count"], check_id
+        assert got[check_id]["max_abs_error"] <= pin["max_abs_error"], check_id
     _conclude("12 (byte-identical reports)", b1 == b2, f"{len(b1)} bytes each")

@@ -113,14 +113,25 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_rmatrix_gives_up_when_no_point_is_valid(capsys):
+@pytest.mark.parametrize(
+    "suite, extra, check_id",
+    [
+        pytest.param("rmatrix", ("--p", "0.69"), "crossing-symmetry", id="rmatrix"),
+        pytest.param("theorem6", (), "f-equals-one(k=+1)", id="theorem6"),
+        pytest.param("p-periodicity", (), "f-invariant-under-p-shift", id="p-periodicity"),
+        pytest.param("f-two-path", (), "f-two-path(m=-3)", id="f-two-path"),
+        pytest.param("y-two-path", (), "y-two-path(m=-3)", id="y-two-path"),
+        pytest.param("feigin-frenkel", (), "y-q2-shift(m=+1)", id="feigin-frenkel"),
+    ],
+)
+def test_verify_rmatrix_gives_up_when_no_point_is_valid(capsys, suite, extra, check_id):
     # at q = 0.999 every candidate exceeds max_terms, so sampling can never
     # fill the grid; the capped retries end in a typed error, exit code 2
     code, _, err = run(
-        capsys, "verify", "--suite", "rmatrix", "--p", "0.69", "--q", "0.999", "--max-terms", "8"
+        capsys, "verify", "--suite", suite, *extra, "--q", "0.999", "--max-terms", "8"
     )
     assert code == 2
-    assert "crossing-symmetry" in err and "candidates" in err
+    assert check_id in err and "candidates" in err
 
 
 def test_verify_report_bytes_deterministic(capsys, tmp_path):

@@ -151,8 +151,7 @@ def test_p_periodicity_check_and_domain_guard():
     res = check_p_periodicity(level, 1.2 + 0.1j)
     assert res.passed and res.max_abs_error <= 1e-10
 
-    # |p q^4| >= 1 is reported as a domain skip rather than a failure
+    # |p q^4| >= 1 is outside the domain: an error, never a silent pass
     big = CommutingPoint(-3).exact_nome(0.8)  # p = 0.8^-6, p q^4 = 0.8^-2
-    level_big = LevelParams(1, big)
-    res_big = check_p_periodicity(level_big, 1.2)
-    assert res_big.passed and "skipped" in res_big.info
+    with pytest.raises(DomainError):
+        check_p_periodicity(LevelParams(1, big), 1.2)
