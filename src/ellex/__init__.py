@@ -53,7 +53,6 @@ from .poisson import (
 )
 from .qseries import (
     DEFAULT_POLICY,
-    BaseSet,
     TruncationPolicy,
     log_deriv_theta,
     near_theta_zero,
@@ -83,7 +82,6 @@ __all__ = [
     "__version__",
     # policy and q-series
     "TruncationPolicy",
-    "BaseSet",
     "DEFAULT_POLICY",
     "qpochhammer",
     "theta",

@@ -42,6 +42,7 @@ from .rmatrix import kappa_inv, mu_inv, tau_fn
 from .suites import VerifyConfig, list_suites, run_suites
 
 _SYMBOLIC = re.compile(r"q\^(-?\d+)(?:-exact)?$")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -333,6 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp: argparse.ArgumentParser) -> None:
+        # argparse reads only plain negative reals as values; a token that starts
+        # like a number, as in --q -0.3+0.2j, is a value too
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         sp.add_argument("--tail-tol", type=float, default=None,
                         help="truncation tail tolerance (default 1e-15 or ELLEX_DEFAULT_TOL)")
         sp.add_argument("--max-terms", type=int, default=512)

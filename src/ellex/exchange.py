@@ -32,14 +32,8 @@ import time
 from dataclasses import dataclass
 
 from .elliptic import NomeParams
-from .errors import DomainError, NearSingularity
-from .qseries import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
-    _as_complex,
-    near_theta_zero,
-    theta,
-)
+from .errors import DomainError
+from .qseries import DEFAULT_POLICY, TruncationPolicy, _as_complex, _theta_quotient
 from .report import CheckResult
 from .rmatrix import tau_fn
 
@@ -132,24 +126,6 @@ def shift_factor_F(
     )
 
 
-def _theta_ratio_guarded(
-    q4: complex,
-    num_args: tuple[complex, ...],
-    den_args: tuple[complex, ...],
-    policy: TruncationPolicy,
-) -> complex:
-    for arg in den_args:
-        if near_theta_zero(q4, arg):
-            raise NearSingularity(f"theta denominator zero near argument {arg!r}")
-    num = 1.0 + 0j
-    den = 1.0 + 0j
-    for arg in num_args:
-        num *= theta(q4, arg, policy)
-    for arg in den_args:
-        den *= theta(q4, arg, policy)
-    return num / den
-
-
 def exchange_F(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
@@ -167,7 +143,7 @@ def exchange_F(
         ps = 1.0 + 0j
         for _ in range(1, 2 * level.m + 1):
             ps *= p  # p^s
-            result *= _theta_ratio_guarded(
+            result *= _theta_quotient(
                 q4,
                 (x2 * q2 / ps, ix2 * q2 * ps),
                 (ix2 * ps, x2 / ps),
@@ -178,7 +154,7 @@ def exchange_F(
         for s in range(0, 2 * abs(level.m)):
             if s:
                 ps *= p
-            result *= q * _theta_ratio_guarded(
+            result *= q * _theta_quotient(
                 q4,
                 (x2 * ps, ix2 / ps),
                 (x2 * q2 * ps, ix2 * q2 / ps),
@@ -236,7 +212,7 @@ def exchange_Y(
     ps = 1.0 + 0j
     for _ in range(1, upper + 1):
         ps *= p
-        inner *= x2 * _theta_ratio_guarded(
+        inner *= x2 * _theta_quotient(
             q4,
             (ix2 * ps, x2 * q2 * ps),
             (x2 * ps, ix2 * q2 * ps),
@@ -284,11 +260,8 @@ def commuting_F(
         raise DomainError("commuting_F needs x != 0")
     if cp.k % 2:
         return 1.0 + 0j
-    q4 = qv**4
     x2 = xv * xv
-    if near_theta_zero(q4, x2):
-        raise NearSingularity(f"theta_{{q^4}}(x^2) vanishes near x = {xv!r}")
-    ratio = theta(q4, x2 * qv * qv, policy) / theta(q4, x2, policy)
+    ratio = _theta_quotient(qv**4, (x2 * qv * qv,), (x2,), policy)
     return qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
 
 

@@ -12,6 +12,11 @@ theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
     theta_a(a*x)   = theta_a(1/x) = -theta_a(x)/x
     theta_a(a^s*x) = (-1)^s * a^(-s(s-1)/2) * x^(-s) * theta_a(x)
 
+``qpochhammer`` takes a tuple of one or two bases.  One loop, ``_product``,
+evaluates every one-base product, theta's three included, and one guarded
+quotient, ``_theta_quotient``, the theta quotients of tau, mu, the exchange
+functions and the nome-shift factor.
+
 Everything here is a pure function of its arguments; safe for concurrent
 use without synchronization.
 """
@@ -21,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import (
     DomainError,
@@ -32,7 +36,6 @@ from .errors import (
 
 __all__ = [
     "TruncationPolicy",
-    "BaseSet",
     "DEFAULT_POLICY",
     "qpochhammer",
     "theta",
@@ -75,41 +78,31 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
     return w
 
 
-@dataclass(frozen=True)
-class BaseSet:
-    """Ordered bases (b,) or (a, b) of a q-Pochhammer product, each 0 < |b| < 1."""
-
-    bases: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bases) not in (1, 2):
-            raise DomainError(f"need one or two bases, got {len(self.bases)}")
-        for b in self.bases:
-            bb = _as_complex(b, "base")
-            if not (0.0 < abs(bb) < 1.0):
-                raise NonConvergentBase(
-                    f"base {bb!r} has modulus {abs(bb):.6g}, need 0 < |b| < 1"
-                )
-
-    @classmethod
-    def of(cls, *bases: complex) -> "BaseSet":
-        return cls(tuple(complex(b) for b in bases))
-
-
-def _coerce_bases(bases: BaseSet | complex | Iterable[complex]) -> tuple[complex, ...]:
-    if isinstance(bases, BaseSet):
-        return bases.bases
-    if isinstance(bases, (complex, float, int)):
-        return BaseSet.of(bases).bases
-    return BaseSet(tuple(complex(b) for b in bases)).bases
+def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
+    """(x; b)_inf for a base already checked to satisfy 0 < |b| < 1."""
+    big = abs(b)
+    headroom = (1.0 + abs(x)) / (1.0 - big)
+    power = result = 1.0 + 0j
+    for degree in range(policy.max_terms + 1):
+        if headroom * big**degree < policy.tail_tol:
+            return result
+        result *= 1.0 - x * power
+        if result == 0:
+            return result
+        power *= b
+    raise TruncationExceeded(
+        f"tail bound {policy.tail_tol:g} not reached within max_terms="
+        f"{policy.max_terms} (base moduli {big:.4g})"
+    )
 
 
 def qpochhammer(
     x: complex,
-    bases: BaseSet | complex | Iterable[complex],
+    bases: tuple[complex, ...],
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Evaluate (x; b)_inf, or (x; a, b)_inf = prod_n (x a^n; b)_inf by rows n.
+    """Evaluate (x; b)_inf, or (x; a, b)_inf = prod_n (x a^n; b)_inf by rows n,
+    for a tuple of bases (b,) or (a, b), each 0 < |b| < 1.
 
     One base: stops before factor d once (1 + |x|) |b|^d / (1 - |b|) < tail_tol.
     Two bases: the rows run over the larger base a, and 1 - x a^n b^k is
@@ -120,38 +113,35 @@ def qpochhammer(
     t = tail_tol (1-|a|)(1-|b|)/(4 (N+1)).  Past ``max_terms``: TruncationExceeded.
     """
     xv = _as_complex(x, "x")
-    bs = _coerce_bases(bases)
+    bs = tuple(_as_complex(b, "base") for b in bases)
+    if len(bs) not in (1, 2):
+        raise DomainError(f"need one or two bases, got {len(bs)}")
+    for b in bs:
+        if not (0.0 < abs(b) < 1.0):
+            raise NonConvergentBase(
+                f"base {b!r} has modulus {abs(b):.6g}, need 0 < |b| < 1"
+            )
     if len(bs) == 1:
-        b, big = bs[0], abs(bs[0])
-        headroom = (1.0 + abs(xv)) / (1.0 - big)
-        power = result = 1.0 + 0j
-        for degree in range(policy.max_terms + 1):
-            if headroom * big**degree < policy.tail_tol:
-                return result
-            result *= 1.0 - xv * power
-            if result == 0:
-                return result
-            power *= b
-    else:
-        a, b = sorted(bs, key=abs, reverse=True)
-        amag, bmag, xmag = abs(a), abs(b), abs(xv)
-        scale = policy.tail_tol * (1.0 - amag) * (1.0 - bmag) / 4.0
-        # smallest N with |x| |a|^N < scale/(N+1), from a start that is no larger
-        rows = int(math.log(xmag / scale) / -math.log(amag)) if xmag > scale else 0
-        while rows <= policy.max_terms and xmag * amag**rows >= scale / (rows + 1):
-            rows += 1
-        t = scale / (rows + 1)
-        if rows <= policy.max_terms and xmag * bmag**policy.max_terms < t:
-            result = 1.0 + 0j
-            for _ in range(rows):
-                z, zmag = xv, xmag
-                while zmag >= t:
-                    result *= 1.0 - z
-                    z *= b
-                    zmag *= bmag
-                xv *= a
-                xmag *= amag
-            return result
+        return _product(xv, bs[0], policy)
+    a, b = sorted(bs, key=abs, reverse=True)
+    amag, bmag, xmag = abs(a), abs(b), abs(xv)
+    scale = policy.tail_tol * (1.0 - amag) * (1.0 - bmag) / 4.0
+    # smallest N with |x| |a|^N < scale/(N+1), from a start that is no larger
+    rows = int(math.log(xmag / scale) / -math.log(amag)) if xmag > scale else 0
+    while rows <= policy.max_terms and xmag * amag**rows >= scale / (rows + 1):
+        rows += 1
+    t = scale / (rows + 1)
+    if rows <= policy.max_terms and xmag * bmag**policy.max_terms < t:
+        result = 1.0 + 0j
+        for _ in range(rows):
+            z, zmag = xv, xmag
+            while zmag >= t:
+                result *= 1.0 - z
+                z *= b
+                zmag *= bmag
+            xv *= a
+            xmag *= amag
+        return result
     raise TruncationExceeded(
         f"tail bound {policy.tail_tol:g} not reached within max_terms="
         f"{policy.max_terms} (base moduli {', '.join(f'{abs(b):.4g}' for b in bs)})"
@@ -168,11 +158,10 @@ def theta(
         raise DomainError(f"theta base needs 0 < |a| < 1, got |a| = {abs(av):.6g}")
     if xv == 0:
         raise DomainError("theta argument x must be nonzero")
-    base = (av,)
     return (
-        qpochhammer(xv, base, policy)
-        * qpochhammer(av / xv, base, policy)
-        * qpochhammer(av, base, policy)
+        _product(xv, av, policy)
+        * _product(av / xv, av, policy)
+        * _product(av, av, policy)
     )
 
 
@@ -213,6 +202,27 @@ def near_theta_zero(a: complex, x: complex, rtol: float = 1e-8) -> bool:
         if abs(ratio - 1.0) < rtol:
             return True
     return False
+
+
+def _theta_quotient(
+    a: complex,
+    num_args: tuple[complex, ...],
+    den_args: tuple[complex, ...],
+    policy: TruncationPolicy,
+    scale: complex = 1.0,
+) -> complex:
+    """prod theta_a(num_args) / (scale * prod theta_a(den_args)), each product
+    formed in argument order.  Raises NearSingularity first when a denominator
+    argument is near a zero of theta_a (near_theta_zero at its default rtol)."""
+    for arg in den_args:
+        if near_theta_zero(a, arg):
+            raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
+    num = den = 1.0 + 0j
+    for arg in num_args:
+        num *= theta(a, arg, policy)
+    for arg in den_args:
+        den *= theta(a, arg, policy)
+    return num / (scale * den)
 
 
 def log_deriv_theta(

@@ -35,9 +35,8 @@ from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _as_complex,
-    near_theta_zero,
+    _theta_quotient,
     qpochhammer,
-    theta,
 )
 from .report import CheckResult
 
@@ -145,11 +144,7 @@ def tau_fn(
     qv = _as_complex(q, "q")
     if xv == 0:
         raise DomainError("tau needs x != 0")
-    q4 = qv**4
-    den_arg = qv / (xv * xv)
-    if near_theta_zero(q4, den_arg):
-        raise NearSingularity(f"tau denominator zero near x = {xv!r}")
-    return theta(q4, xv * xv * qv, policy) / (xv * theta(q4, den_arg, policy))
+    return _theta_quotient(qv**4, (xv * xv * qv,), (qv / (xv * xv),), policy, xv)
 
 
 def tau_fn_pochhammer(
@@ -223,15 +218,8 @@ def mu_inv(
         raise DomainError("mu_inv needs x != 0")
     x2 = xv * xv
     p2 = pv * pv
-    den_arg = qv * qv * x2
-    if near_theta_zero(p2, den_arg):
-        raise NearSingularity(f"mu denominator zero near x = {xv!r}")
+    quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy)
     const = qpochhammer(p2, (p2,), policy) / qpochhammer(pv, (pv,), policy) ** 2
-    quotient = (
-        theta(p2, pv * x2, policy)
-        * theta(p2, qv * qv, policy)
-        / theta(p2, den_arg, policy)
-    )
     return kappa_inv(x2, pv, qv, policy) * const * quotient
 
 
@@ -331,21 +319,15 @@ def pshift_scalar(
     if xv == 0:
         raise DomainError("pshift_scalar needs x != 0")
     p, q = nome.p, nome.q
-    q4 = q**4
     x2 = xv * xv
     ix2 = 1.0 / x2
-    num_args = (x2 * q * q, ix2 * q * q, x2 * q * q * p, ix2 * q * q / p)
-    den_args = (ix2, x2, ix2 / p, x2 * p)
-    for arg in den_args:
-        if near_theta_zero(q4, arg):
-            raise NearSingularity(f"p-shift factor singular at x = {xv!r}")
-    num = 1.0 + 0j
-    den = 1.0 + 0j
-    for arg in num_args:
-        num *= theta(q4, arg, policy)
-    for arg in den_args:
-        den *= theta(q4, arg, policy)
-    return num / (q * q * den)
+    return _theta_quotient(
+        q**4,
+        (x2 * q * q, ix2 * q * q, x2 * q * q * p, ix2 * q * q / p),
+        (ix2, x2, ix2 / p, x2 * p),
+        policy,
+        q * q,
+    )
 
 
 def _timed(check_id: str, params: dict, err: float, tol: float, t0: float, **info):

@@ -206,3 +206,24 @@ def test_modes_accepts_spec_alias(capsys):
     )
     assert code == 0
     assert json.loads(out)["which"] == "klimit"
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (("verify", "--suite", "tau-dual", "--format", "json"), "--q", "-0.3+0.2j"),
+        (("eval", "--fn", "tau", "--q", "0.45", "--format", "json"), "--x", "-1.1-0.2j"),
+        (("eval", "--fn", "theta", "--x", "1.1", "--format", "json"), "--a", "-0.3+0.6j"),
+        (
+            ("eval", "--fn", "F", "--m", "1", "--q", "0.5", "--x", "1.1", "--format", "json"),
+            "--p",
+            "-0.2+0.1j",
+        ),
+    ],
+)
+def test_complex_value_with_leading_minus_after_flag(capsys, argv, flag, value):
+    # argparse reads a value like -0.3+0.2j as a flag unless it is joined by "="
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 0, err
+    ref_code, ref, _ = run(capsys, *argv, f"{flag}={value}")
+    assert ref_code == 0 and out == ref

@@ -2,6 +2,7 @@
 construction paths, the commuting special points, and nome periodicity."""
 
 import cmath
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from ellex.exchange import (
     shift_factor_F,
 )
 from ellex.qseries import near_theta_zero
+from ellex.rmatrix import mu_inv, pshift_scalar, tau_fn
 
 NOME = NomeParams(0.18, -0.45)
 X = 1.3 + 0.2j
@@ -140,10 +142,27 @@ def test_commuting_even_k_closed_form(k, m):
     assert abs(exchange_Y(level, 1.3) - 1.0) <= 1e-10
 
 
-def test_commuting_f_guards_x_one_for_even_k():
-    # theta_{q^4}(x^2) vanishes at x = 1, so the even-k form excludes it
+# one point per guarded theta quotient, each on a zero of a denominator factor
+THETA_QUOTIENT_ZEROS = {
+    # theta_{q^4}(q x^-2) = 0 at x^2 = q
+    "tau": lambda: tau_fn(0.5, 0.25),
+    # theta_{q^4}(x^2) = 0 at x = 1
+    "p-shift": lambda: pshift_scalar(1.0, NomeParams(0.2, 0.5)),
+    # theta_{q^4}(x^-2 p) = 0 at x^2 = p
+    "F": lambda: exchange_F(LevelParams(1, NomeParams(0.2, 0.5)), math.sqrt(0.2)),
+    # theta_{q^4}(x^2 p) = 0 at x^2 = 1/p
+    "Y": lambda: exchange_Y(LevelParams(1, NomeParams(0.2, 0.5)), 1 / math.sqrt(0.2)),
+    # theta_{p^2}(q^2 x^2) = 0 at q^2 x^2 = p^2
+    "mu": lambda: mu_inv(0.5, 0.2, 0.4),
+    # theta_{q^4}(x^2) = 0 at x = 1, which the even-k closed form excludes
+    "commuting-F": lambda: commuting_F(1, CommutingPoint(2), 1.0, 0.6),
+}
+
+
+@pytest.mark.parametrize("site", sorted(THETA_QUOTIENT_ZEROS))
+def test_theta_quotient_guard_raises_at_denominator_zero(site):
     with pytest.raises(NearSingularity):
-        commuting_F(1, CommutingPoint(2), 1.0, 0.6)
+        THETA_QUOTIENT_ZEROS[site]()
 
 
 def test_p_periodicity_check_and_domain_guard():

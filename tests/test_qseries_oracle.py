@@ -1,8 +1,10 @@
-"""Two-base q-Pochhammer products and kappa_inv against a 40-digit oracle.
+"""q-Pochhammer products, theta and kappa_inv against a 40-digit oracle.
 
-The oracle is mpmath's one-base ``qp`` nested over rows of the larger base,
-(x; a, b) = prod_n (x a^n; b), for the rows with |x a^n| > 1/2.  The rows
-after them are summed exactly through
+One-base products and theta are compared with mpmath's ``qp``, which sums
+the q-binomial series rather than multiplying factors.  The two-base oracle
+is ``qp`` nested over rows of the larger base, (x; a, b) = prod_n (x a^n; b),
+for the rows with |x a^n| > 1/2.  The rows after them are summed exactly
+through
 
     log (z; a, b)_inf = -sum_{j >= 1} z^j / (j (1 - a^j) (1 - b^j)),  |z| <= 1/2,
 
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import pytest
 
-from ellex.qseries import TruncationPolicy, qpochhammer
+from ellex.qseries import TruncationPolicy, qpochhammer, theta
 from ellex.rmatrix import kappa_inv
 
 mpmath = pytest.importorskip("mpmath")
@@ -127,3 +129,87 @@ def test_kappa_inv_within_claim(y, p, q, tail_tol):
     # seven multiplications and one division that combine them
     claim = sum(claimed_error(z, p, q4, tail_tol) for z in args) + 8 * 5**0.5 * EPS
     assert abs(val - ref) / abs(ref) <= claim
+
+
+# --- one base and theta --------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def qp1_oracle(x, b):
+    with mp.workdps(40):
+        return complex(mp.qp(mp.mpc(x), mp.mpc(b)))
+
+
+@lru_cache(maxsize=None)
+def theta_oracle(a, x):
+    with mp.workdps(40):
+        a, x = mp.mpc(a), mp.mpc(x)
+        return complex(mp.qp(x, a) * mp.qp(a / x, a) * mp.qp(a, a))
+
+
+def claimed_error_one_base(x, b, tail_tol):
+    """Relative error that qpochhammer(x, (b,)) claims: tail_tol plus roundoff.
+
+    The loop keeps factor n, 1 - z with z = x b^n, while
+    (1 + |x|) |b|^n / (1 - |b|) >= tail_tol.  Each kept factor costs sqrt(5)+1
+    roundings for the subtraction and the multiplication into the product,
+    plus (n+1)(sqrt(5)+4)+4 roundings of z (its n+1 multiplications and up to
+    four roundings of x when the caller formed it), amplified by the factor's
+    condition |z| / |1 - z|.  The factor nearest a zero b^-n of the product
+    carries the point's condition 1 / |x b^n - 1| (to within 1), so near a
+    zero the budget grows with the point's condition.
+    """
+    bmag = abs(b)
+    t_min = tail_tol * (1 - bmag) / (1 + abs(x))
+    budget, z, n = 0.0, complex(x), 0
+    while bmag**n >= t_min:
+        steps = (n + 1) * (5**0.5 + 4) + 4
+        budget += 5**0.5 + 1 + steps * abs(z) / abs(1 - z)
+        z, n = z * b, n + 1
+    return tail_tol + budget * EPS
+
+
+def claimed_error_theta(a, x, tail_tol):
+    """theta_a(x) = (x; a)(a/x; a)(a; a): the three claims add, plus the two
+    multiplications that combine them.  A zero x = a^m of theta is a zero of
+    the first product for m <= 0 and of the second for m >= 1."""
+    return (
+        claimed_error_one_base(x, a, tail_tol)
+        + claimed_error_one_base(a / x, a, tail_tol)
+        + claimed_error_one_base(a, a, tail_tol)
+        + 2 * 5**0.5 * EPS
+    )
+
+
+ONE_BASES = [0.3j, cis(0.6, 1.0), -0.9, cis(0.92, 2.0)]
+GENERIC_X = X_POINTS + [cis(3.0, -0.5)]
+# (relative distance to a zero, phase) of the points placed near one
+NEAR_ZERO = [(1e-7, 0.3), (1e-6, 1.1), (1e-5, 2.0), (1e-4, -1.2)]
+
+
+def _one_base_points(b):
+    """Generic points, and points near the zeros x = b^-n of (x; b)_inf."""
+    near = zip((0, 1, 2, 5), NEAR_ZERO)
+    return GENERIC_X + [b**-n * (1 + cis(d, phi)) for n, (d, phi) in near]
+
+
+def _theta_points(a):
+    """Generic points, and points near the zeros x = a^m of theta_a."""
+    near = zip((-2, 0, 1, 3), NEAR_ZERO)
+    return GENERIC_X + [a**m * (1 + cis(d, phi)) for m, (d, phi) in near]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("b,x", [(b, x) for b in ONE_BASES for x in _one_base_points(b)])
+def test_qpochhammer_one_base_within_claim(b, x, tail_tol):
+    val = qpochhammer(x, (b,), TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = qp1_oracle(x, b)
+    assert abs(val - ref) / abs(ref) <= claimed_error_one_base(x, b, tail_tol)
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("a,x", [(a, x) for a in ONE_BASES for x in _theta_points(a)])
+def test_theta_within_claim(a, x, tail_tol):
+    val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = theta_oracle(a, x)
+    assert abs(val - ref) / abs(ref) <= claimed_error_theta(a, x, tail_tol)
