@@ -284,7 +284,7 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         args.which,
         q=q,
         annulus=AnnulusLabel(args.annulus),
-        l_range=(-args.lmax, args.lmax),
+        l_max=args.lmax,
         quadrature_points=args.nodes,
         m=args.m,
         k=args.k,
@@ -307,6 +307,11 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         out = (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    elif args.format == "csv":
+        lines = ["l,structure_constant,raw_coefficient"]
+        for l, g in sorted(table.coefficients.items()):
+            lines.append(f"{l},{g!r},{table.raw_coefficients[l]!r}")
+        out = ("\n".join(lines) + "\n").encode()
     else:
         lines = [f"structure constants on annulus {table.annulus.n_ann} "
                  f"(radius {table.params['radius']:.6g}, {table.params['nodes']} nodes):"]

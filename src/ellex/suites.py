@@ -503,7 +503,8 @@ def _coincidence_table(cfg: VerifyConfig) -> list[Identity]:
 
 def _expansion_errors(raw: dict, pref: float, q: float, lmax: int, negative: bool) -> list:
     # closed-form raw coefficients on annulus 0 (per even l = 2j, j >= 1):
-    #   g_0 = 1, g_{2j} = 2 q^(2j)/(1 + q^(2j)), g_{-2j} = 2/(1 + q^(2j))
+    #   g_0 = 1, g_{2j} = 2 q^(2j)/(1 + q^(2j)), g_{-2j} = 2/(1 + q^(2j));
+    # g is even in x, so every odd g_l vanishes (error relative to |pref|)
     errs = [(abs(raw[0] / pref - 1.0), {"l": 0})]
     for j in range(1, lmax // 2 + 1):
         expect_p = 2.0 * q ** (2 * j) / (1.0 + q ** (2 * j))
@@ -511,6 +512,9 @@ def _expansion_errors(raw: dict, pref: float, q: float, lmax: int, negative: boo
         if negative:
             expect_m = 2.0 / (1.0 + q ** (2 * j))
             errs.append((abs(raw[-2 * j] / pref - expect_m) / expect_m, {"l": -2 * j}))
+    for l in range(1, lmax + 1, 2):
+        for odd in (l, -l) if negative else (l,):
+            errs.append((abs(raw[odd]) / abs(pref), {"l": odd}))
     return errs
 
 
@@ -529,7 +533,7 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
     m, k = 1, 1
     pref = 2.0 * k * m * math.log(q)
     lmax = 6
-    modes = partial(laurent_modes, q=q, l_range=(-lmax, lmax), quadrature_points=128, policy=pol)
+    modes = partial(laurent_modes, q=q, l_max=lmax, quadrature_points=128, policy=pol)
     tables = {n: modes("klimit", annulus=AnnulusLabel(n), m=m, k=k) for n in (0, 1, 2)}
     raw = {n: tab.raw_coefficients for n, tab in tables.items()}
     # the central bracket carries the same coefficients scaled by its own

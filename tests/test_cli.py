@@ -198,6 +198,21 @@ def test_modes_command_json(capsys):
     assert payload["brackets"][1]["text"] == "{t[2], t[2]} = 0"
 
 
+def test_modes_csv_format(capsys):
+    argv = ("modes", "--q", "0.5", "--m", "1", "--k", "1", "--lmax", "3")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "l,structure_constant,raw_coefficient"
+    _, ref, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(ref)
+    assert [int(r.split(",")[0]) for r in rows] == list(range(-3, 4))
+    for row in rows:
+        l, g, raw = row.split(",")
+        assert complex(g) == complex(payload["structure_constants"][l])
+        assert complex(raw) == complex(payload["raw_coefficients"][l])
+
+
 def test_modes_accepts_spec_alias(capsys):
     code, out, _ = run(
         capsys,

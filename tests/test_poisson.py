@@ -148,29 +148,49 @@ def klimit_table(annulus, lmax=6, nodes=128, q=0.5):
         "klimit",
         q=q,
         annulus=AnnulusLabel(annulus),
-        l_range=(-lmax, lmax),
+        l_max=lmax,
         quadrature_points=nodes,
         m=1,
         k=1,
     )
 
 
-def test_modes_match_geometric_expansion():
+# the prefactor over ln q: 2km for odd k, -2km(2m - 1) for even k, 2 for the center
+@pytest.mark.parametrize(
+    "which,m,k,pref_over_lnq",
+    [("klimit", 1, 1, 2), ("klimit", 2, 2, -24), ("klimit", -1, 3, -6), ("center", None, None, 2)],
+)
+@pytest.mark.parametrize("q", [0.5, 0.7])
+@pytest.mark.parametrize("annulus", [0, 1])
+def test_modes_match_geometric_expansion(which, m, k, pref_over_lnq, q, annulus):
     # analytic annulus-0 expansion of g: coefficient 1 at l = 0,
-    # 2 q^(2j)/(1 + q^(2j)) at l = 2j and 2/(1 + q^(2j)) at l = -2j
-    q = 0.5
-    pref = 2 * math.log(q)
-    raw = klimit_table(0).raw_coefficients
-    assert raw[0] / pref == pytest.approx(1.0, abs=1e-10)
-    for j in (1, 2, 3):
-        assert raw[2 * j] / pref == pytest.approx(
-            2 * q ** (2 * j) / (1 + q ** (2 * j)), rel=1e-10
-        )
-        assert raw[-2 * j] / pref == pytest.approx(
-            2 / (1 + q ** (2 * j)), rel=1e-10
-        )
-    for l in (-5, -3, -1, 1, 3, 5):  # even function of x: odd modes vanish
-        assert abs(raw[l]) < 1e-12
+    # 2 q^(2j)/(1 + q^(2j)) at l = 2j, 2/(1 + q^(2j)) at l = -2j and 0 at odd l
+    # (g is even in x); annulus 1 is the mirror, raw_1[l] = -raw_0[-l]
+    lmax = 32
+    pref = pref_over_lnq * math.log(q)
+    sign = 1 if annulus == 0 else -1
+    raw = laurent_modes(
+        which, q=q, annulus=AnnulusLabel(annulus), l_max=lmax, quadrature_points=512, m=m, k=k
+    ).raw_coefficients
+    for l, got in raw.items():
+        j = sign * l
+        if j == 0:
+            expect = 1.0
+        elif j % 2:
+            expect = 0.0
+        elif j > 0:
+            expect = 2 * q**j / (1 + q**j)
+        else:
+            expect = 2 / (1 + q**-j)
+        expect *= sign * pref
+        assert abs(got - expect) <= 1e-11 * (abs(expect) or abs(pref)), l
+
+
+@pytest.mark.parametrize("lmax", [0, 5])
+def test_modes_keys_are_minus_lmax_to_lmax(lmax):
+    tab = klimit_table(0, lmax=lmax)
+    assert list(tab.raw_coefficients) == list(range(-lmax, lmax + 1))
+    assert list(tab.coefficients) == list(range(-lmax, lmax + 1))
 
 
 def test_modes_structure_constants_antisymmetric():
@@ -200,7 +220,7 @@ def test_modes_residue_step_between_annuli():
 def test_modes_center_variant_scales_identically():
     q = 0.5
     raw = laurent_modes(
-        "center", q=q, annulus=AnnulusLabel(0), l_range=(-4, 4), quadrature_points=128
+        "center", q=q, annulus=AnnulusLabel(0), l_max=4, quadrature_points=128
     ).raw_coefficients
     pref = 2 * math.log(q)
     assert raw[2] / pref == pytest.approx(2 * q**2 / (1 + q**2), rel=1e-9)
@@ -208,14 +228,16 @@ def test_modes_center_variant_scales_identically():
 
 def test_modes_guards():
     with pytest.raises(DomainError):
-        laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(0), l_range=(-8, 8),
+        laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(0), l_max=8,
                       quadrature_points=16, m=1, k=1)
+    with pytest.raises(DomainError):
+        laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(0), l_max=-1, m=1, k=1)
     with pytest.raises(DomainError):
         laurent_modes("nope", q=0.5, annulus=AnnulusLabel(0))
     with pytest.raises(AnnulusContainsPole):
         laurent_modes("klimit", q=0.999999, annulus=AnnulusLabel(0), m=1, k=1)
     with pytest.raises(QuadratureUnresolved):
-        laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(0), l_range=(-4, 4),
+        laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(0), l_max=4,
                       quadrature_points=64, m=1, k=1)
 
 

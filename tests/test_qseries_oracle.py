@@ -1,4 +1,5 @@
-"""q-Pochhammer products, theta and kappa_inv against a 40-digit oracle.
+"""q-Pochhammer products, theta, kappa_inv, complete_K and jacobi_snh against
+a 40-digit oracle.
 
 One-base products and theta are compared with mpmath's ``qp``, which sums
 the q-binomial series rather than multiplying factors.  The two-base oracle
@@ -8,16 +9,19 @@ through
 
     log (z; a, b)_inf = -sum_{j >= 1} z^j / (j (1 - a^j) (1 - b^j)),  |z| <= 1/2,
 
-so the oracle truncates nothing beyond its 40 digits.  Each comparison
+so the oracle truncates nothing beyond its 40 digits.  K and snh are
+compared with mpmath's ``ellipk`` and ``ellipfun``.  Each comparison
 asserts the error the library claims: ``tail_tol`` (which bounds four times
 the dropped sum) plus a first-order roundoff budget, not a fixed constant.
 """
 
 import cmath
+import math
 from functools import lru_cache
 
 import pytest
 
+from ellex.elliptic import complete_K, jacobi_snh
 from ellex.qseries import TruncationPolicy, qpochhammer, theta
 from ellex.rmatrix import kappa_inv
 
@@ -213,3 +217,91 @@ def test_theta_within_claim(a, x, tail_tol):
     val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
     ref = theta_oracle(a, x)
     assert abs(val - ref) / abs(ref) <= claimed_error_theta(a, x, tail_tol)
+
+
+# --- elliptic layer: complete_K and jacobi_snh -----------------------------------
+
+
+def agm_steps(k):
+    """AGM steps from (1, k') until the iterates agree to a unit roundoff."""
+    with mp.workdps(40):
+        a, b, n = mp.one, mp.sqrt(1 - mp.mpf(k) ** 2), 0
+        while abs(a - b) > EPS * a:
+            a, b, n = (a + b) / 2, mp.sqrt(a * b), n + 1
+    return n
+
+
+def claimed_error_K(k):
+    """Relative error that complete_K(k) claims; the AGM truncates nothing.
+
+    b = sqrt(1 - k^2) costs 1/(2(1 - k^2)) + 3/2 roundings.  The AGM limit
+    is homogeneous and increasing in both arguments, so its relative error
+    is at most the largest relative error of an iterate: 3/2 roundings per
+    step, charged 2, over the steps until the iterates meet and one more.
+    After that they stay within two ulps (4 roundings), and pi / (2a)
+    costs 2 more.
+    """
+    return EPS * (1 / (2 * (1 - k * k)) + 1.5 + 2 * (agm_steps(k) + 1) + 6)
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+def test_complete_K_within_claim(k):
+    with mp.workdps(40):
+        ref = mp.ellipk(mp.mpf(k) ** 2)
+        assert abs(complete_K(k) - ref) / ref <= claimed_error_K(k)
+
+
+def _snh_oracle_form(y, p):
+    """p^(1/4) y theta_{p^2}(y^-2) / theta_{p^2}(p y^-2), at the working precision."""
+    p2, w = p * p, 1 / (y * y)
+    num = mp.qp(w, p2) * mp.qp(p2 / w, p2)
+    den = mp.qp(p * w, p2) * mp.qp(p / w, p2)
+    return p ** mp.mpf(0.25) * y * num / den
+
+
+@lru_cache(maxsize=None)
+def claimed_error_snh(u, k, tail_tol):
+    """Relative error that jacobi_snh(u, k) claims: tail_tol plus roundoff.
+
+    snh = k^(-1/2) S(y, p), S = p^(1/4) T(y), with p = exp(-pi K'/K) and
+    y = exp(pi u / 2K) formed from the computed K and K'.  The relative
+    errors of p and y reach S through its conditions |p dS/dp / S| and
+    |y dS/dy / S|.  K' = complete_K(k') takes the rounded k' = sqrt(1 - k^2),
+    amplified by the condition of K at k'.  The two theta claims carry the
+    tails and their own roundoff, and 8 roundings cover k^(-1/2), p^(1/4)
+    and the products and quotient that combine the factors.
+    """
+    kp = math.sqrt(1.0 - k * k)
+    with mp.workdps(40):
+        mk, mkp = mp.mpf(k), mp.mpf(kp)
+        K, Kp = mp.ellipk(mk**2), mp.ellipk(mkp**2)
+        cond_Kp = abs(mp.diff(lambda t: mp.ellipk(t * t), mkp) * mkp / Kp)
+        p, y = mp.exp(-mp.pi * Kp / K), mp.exp(mp.pi * u / (2 * K))
+        S = _snh_oracle_form(y, p)
+        cond_p = abs(mp.diff(lambda t: _snh_oracle_form(y, t), p) * p / S)
+        cond_y = abs(mp.diff(lambda t: _snh_oracle_form(t, p), y) * y / S)
+        e_K = claimed_error_K(k)
+        e_Kp = claimed_error_K(kp) + cond_Kp * EPS * (1 / (2 * (1 - k * k)) + 1.5)
+        e_p = mp.pi * Kp / K * (e_K + e_Kp + 3 * EPS) + EPS
+        e_y = mp.pi * abs(u) / (2 * K) * (e_K + 3 * EPS) + EPS
+        p2, w = float(p) ** 2, float(1 / (y * y))
+        thetas = claimed_error_theta(p2, w, tail_tol) + claimed_error_theta(
+            p2, float(p) * w, tail_tol
+        )
+        return float(cond_p * e_p + cond_y * e_y) + thetas + 8 * EPS
+
+
+SNH_MODULI = [0.01, 0.1, 0.5, 0.9, 0.99]
+# u as a fraction of K(k'): snh has its pole at u = K(k')
+SNH_FRACTIONS = [-0.8, -0.3, 0.05, 0.4, 0.8]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("frac", SNH_FRACTIONS)
+@pytest.mark.parametrize("k", SNH_MODULI)
+def test_jacobi_snh_within_claim(k, frac, tail_tol):
+    u = frac * complete_K(math.sqrt(1.0 - k * k))
+    val = jacobi_snh(u, k, TruncationPolicy(MAX_TERMS, tail_tol))
+    with mp.workdps(40):
+        ref = complex(-1j * mp.ellipfun("sn", 1j * mp.mpf(u), m=mp.mpf(k) ** 2))
+    assert abs(val - ref) / abs(ref) <= claimed_error_snh(u, k, tail_tol)
