@@ -62,7 +62,6 @@ from .qseries import (
 )
 from .report import CheckResult, VerificationReport
 from .rmatrix import (
-    CentralCharge,
     RMatrix4,
     check_crossing,
     check_pshift,
@@ -72,7 +71,6 @@ from .rmatrix import (
     partial_transpose,
     pshift_scalar,
     r_plus,
-    r_plus_star,
     rmatrix_inverse,
     tau_fn,
     tau_fn_pochhammer,
@@ -98,14 +96,12 @@ __all__ = [
     "modulus_from_nome",
     # R-matrix
     "RMatrix4",
-    "CentralCharge",
     "tau_fn",
     "tau_fn_pochhammer",
     "mu_inv",
     "kappa_inv",
     "pshift_scalar",
     "r_plus",
-    "r_plus_star",
     "partial_transpose",
     "rmatrix_inverse",
     "check_crossing",

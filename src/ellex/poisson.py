@@ -266,10 +266,6 @@ class AnnulusLabel:
         """Geometric-mean radius |q|^(n_ann - 1/2), farthest from both poles."""
         return abs(q) ** (self.n_ann - 0.5)
 
-    def mirror(self) -> "AnnulusLabel":
-        """The annulus reached by x -> 1/x."""
-        return AnnulusLabel(1 - self.n_ann)
-
 
 @dataclass(frozen=True)
 class ModeBracketTable:

@@ -1,10 +1,10 @@
-"""q-series foundations: one- and two-base q-Pochhammer products,
-multiplicative Jacobi theta functions, their quasi-periodicity factors, and
-logarithmic derivatives, all truncated under an explicit certified policy.
+"""q-series foundations: q-Pochhammer products, multiplicative Jacobi theta
+functions, their quasi-periodicity factors, and logarithmic derivatives,
+all truncated under an explicit certified policy.
 
 Conventions (multiplicative notation throughout):
 
-    (x; a, b)_inf = prod_{n,k >= 0} (1 - x a^n b^k) = prod_{n >= 0} (x a^n; b)_inf
+    (x; b)_inf    = prod_{n >= 0} (1 - x b^n)
     theta_a(x)    = (x; a)_inf * (a/x; a)_inf * (a; a)_inf
 
 theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
@@ -12,10 +12,10 @@ theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
     theta_a(a*x)   = theta_a(1/x) = -theta_a(x)/x
     theta_a(a^s*x) = (-1)^s * a^(-s(s-1)/2) * x^(-s) * theta_a(x)
 
-``qpochhammer`` takes a tuple of one or two bases.  One loop, ``_product``,
-evaluates every one-base product, theta's three included, and one guarded
-quotient, ``_theta_quotient``, the theta quotients of tau, mu, the exchange
-functions and the nome-shift factor.
+One loop, ``_product``, evaluates every product, theta's three and the
+head rows of ``rmatrix.kappa_inv`` included, and one guarded quotient,
+``_theta_quotient``, the theta quotients of tau, mu, the exchange functions
+and the nome-shift factor.
 
 Everything here is a pure function of its arguments; safe for concurrent
 use without synchronization.
@@ -49,9 +49,9 @@ __all__ = [
 class TruncationPolicy:
     """Caps for every infinite product/series.
 
-    ``max_terms`` bounds the factors (one base) or the rows and factors per
-    row (two bases) of a product, and the terms of a series; evaluation
-    stops earlier once the certified tail bound drops below ``tail_tol``.
+    ``max_terms`` bounds the factors of a product and the terms of a series;
+    evaluation stops earlier once the certified tail bound drops below
+    ``tail_tol``.
     """
 
     max_terms: int = 512
@@ -78,6 +78,16 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
     return w
 
 
+def _checked_base(b: complex) -> complex:
+    """b as a complex number, checked to satisfy 0 < |b| < 1."""
+    bv = _as_complex(b, "base")
+    if not (0.0 < abs(bv) < 1.0):
+        raise NonConvergentBase(
+            f"base {bv!r} has modulus {abs(bv):.6g}, need 0 < |b| < 1"
+        )
+    return bv
+
+
 def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
     """(x; b)_inf for a base already checked to satisfy 0 < |b| < 1."""
     big = abs(b)
@@ -97,55 +107,14 @@ def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
 
 
 def qpochhammer(
-    x: complex,
-    bases: tuple[complex, ...],
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    x: complex, b: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
-    """Evaluate (x; b)_inf, or (x; a, b)_inf = prod_n (x a^n; b)_inf by rows n,
-    for a tuple of bases (b,) or (a, b), each 0 < |b| < 1.
+    """(x; b)_inf = prod_{n >= 0} (1 - x b^n) for a base 0 < |b| < 1.
 
-    One base: stops before factor d once (1 + |x|) |b|^d / (1 - |b|) < tail_tol.
-    Two bases: the rows run over the larger base a, and 1 - x a^n b^k is
-    dropped exactly when |x a^n b^k| < t.  Rows n < N lose < t/(1-|b|) each
-    and the rows n >= N, where |x a^n| < t, lose < t/((1-|a|)(1-|b|))
-    together, so the dropped sum is S < t (N+1)/((1-|a|)(1-|b|)).  Every
-    dropped |z| < 1/2, so the relative error is <= e^(2S) - 1 <= 4S < tail_tol at
-    t = tail_tol (1-|a|)(1-|b|)/(4 (N+1)).  Past ``max_terms``: TruncationExceeded.
+    Stops before factor d once (1 + |x|) |b|^d / (1 - |b|) < tail_tol; past
+    ``max_terms`` factors it raises TruncationExceeded.
     """
-    xv = _as_complex(x, "x")
-    bs = tuple(_as_complex(b, "base") for b in bases)
-    if len(bs) not in (1, 2):
-        raise DomainError(f"need one or two bases, got {len(bs)}")
-    for b in bs:
-        if not (0.0 < abs(b) < 1.0):
-            raise NonConvergentBase(
-                f"base {b!r} has modulus {abs(b):.6g}, need 0 < |b| < 1"
-            )
-    if len(bs) == 1:
-        return _product(xv, bs[0], policy)
-    a, b = sorted(bs, key=abs, reverse=True)
-    amag, bmag, xmag = abs(a), abs(b), abs(xv)
-    scale = policy.tail_tol * (1.0 - amag) * (1.0 - bmag) / 4.0
-    # smallest N with |x| |a|^N < scale/(N+1), from a start that is no larger
-    rows = int(math.log(xmag / scale) / -math.log(amag)) if xmag > scale else 0
-    while rows <= policy.max_terms and xmag * amag**rows >= scale / (rows + 1):
-        rows += 1
-    t = scale / (rows + 1)
-    if rows <= policy.max_terms and xmag * bmag**policy.max_terms < t:
-        result = 1.0 + 0j
-        for _ in range(rows):
-            z, zmag = xv, xmag
-            while zmag >= t:
-                result *= 1.0 - z
-                z *= b
-                zmag *= bmag
-            xv *= a
-            xmag *= amag
-        return result
-    raise TruncationExceeded(
-        f"tail bound {policy.tail_tol:g} not reached within max_terms="
-        f"{policy.max_terms} (base moduli {', '.join(f'{abs(b):.4g}' for b in bs)})"
-    )
+    return _product(_as_complex(x, "x"), _checked_base(b), policy)
 
 
 def theta(

@@ -39,7 +39,7 @@ class CheckResult:
     wall_time_s: float = 0.0
     info: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "check_id": self.check_id,
             "params": _jsonable(self.params),
@@ -49,8 +49,6 @@ class CheckResult:
         }
         if self.info:
             d["info"] = _jsonable(self.info)
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
         return d
 
 

@@ -30,11 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import NomeParams, snh_core
-from .errors import DomainError, NearSingularity, NonConvergentBase, SingularMatrix
+from .errors import (
+    DomainError,
+    NearSingularity,
+    NonConvergentBase,
+    SingularMatrix,
+    TruncationExceeded,
+)
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _as_complex,
+    _checked_base,
+    _product,
     _theta_quotient,
     qpochhammer,
 )
@@ -42,14 +50,12 @@ from .report import CheckResult
 
 __all__ = [
     "RMatrix4",
-    "CentralCharge",
     "tau_fn",
     "tau_fn_pochhammer",
     "mu_inv",
     "kappa_inv",
     "pshift_scalar",
     "r_plus",
-    "r_plus_star",
     "partial_transpose",
     "rmatrix_inverse",
     "check_crossing",
@@ -108,34 +114,6 @@ class RMatrix4:
         )
 
 
-@dataclass(frozen=True)
-class CentralCharge:
-    """Central charge c, tied to (p, q, m) through q^(c+2) = p^m.
-
-    When built by ``from_level`` the starred nome p q^(-2c) is carried in
-    the exact integer-power form p^(1-2m) q^4.
-    """
-
-    c: complex
-    exact_m: int | None = None
-
-    @classmethod
-    def from_level(cls, m: int, nome: NomeParams) -> "CentralCharge":
-        if int(m) != m or m == 0:
-            raise DomainError("level m must be a nonzero integer")
-        m = int(m)
-        c = m * cmath.log(nome.p) / cmath.log(nome.q) - 2.0
-        resid = abs(nome.q ** (c + 2.0) - nome.p**m)
-        if resid > 1e-12 * max(1.0, abs(nome.p) ** abs(m)):
-            raise DomainError(f"q^(c+2) = p^m violated by {resid:.2e}")
-        return cls(c, m)
-
-    def starred_nome(self, nome: NomeParams) -> complex:
-        if self.exact_m is not None:
-            return nome.p ** (1 - 2 * self.exact_m) * nome.q**4
-        return nome.p * cmath.exp(-2.0 * self.c * cmath.log(nome.q))
-
-
 def tau_fn(
     x: complex, q: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
@@ -160,7 +138,7 @@ def tau_fn_pochhammer(
     qv = _as_complex(q, "q")
     if xv == 0:
         raise DomainError("tau needs x != 0")
-    q4 = (qv**4,)
+    q4 = qv**4
     x2 = xv * xv
     num = qpochhammer(qv * x2, q4, policy) * qpochhammer(qv**3 / x2, q4, policy)
     den = qpochhammer(qv / x2, q4, policy) * qpochhammer(qv**3 * x2, q4, policy)
@@ -175,32 +153,80 @@ def kappa_inv(
     q: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """1/kappa as the eight-fold double-base product in the bases {p, q^4}.
+    """1/kappa = prod_num (z; p, q^4)_inf / prod_den (z; p, q^4)_inf, over
+    z = q^4/y, q^2 y, p/y, p q^2 y (num) and q^4 y, q^2/y, p y, p q^2/y (den).
 
-    Takes the squared argument x^2 directly.
+    Takes the squared argument y = x^2 directly.  With a the larger base of
+    (p, q^4) and b the smaller, (z; a, b) = prod_n (z a^n; b).  The R head
+    rows, those with |z a^n| > 1/2, are one-base products; the tails
+    w = z a^N of all eight arguments go into one series,
+
+        log (w; a, b)_inf = -sum_{j >= 1} w^j / (j (1 - a^j) (1 - b^j)),
+
+    stopped after term J once sum_w |w|^(J+1) / ((J+1)(1-|a|)(1-|b|)(1-|w|)),
+    which bounds the rest, falls below its share.  Every head row and the
+    series get the share tail_tol / (2 (R+1)), so what they drop changes
+    log(1/kappa) by less than 2 tail_tol / 3 and the relative error is below
+    e^(2 tail_tol/3) - 1 < tail_tol.  More than ``max_terms`` rows for one
+    argument, factors in a row or series terms: TruncationExceeded.
     """
     y = _as_complex(x2, "x2")
     pv = _as_complex(p, "p")
     qv = _as_complex(q, "q")
     if y == 0:
         raise DomainError("kappa_inv needs x2 != 0")
-    bases = (pv, qv**4)
-    q2, q4 = qv**2, qv**4
-    num = (
-        qpochhammer(q4 / y, bases, policy)
-        * qpochhammer(q2 * y, bases, policy)
-        * qpochhammer(pv / y, bases, policy)
-        * qpochhammer(pv * q2 * y, bases, policy)
-    )
-    den = (
-        qpochhammer(q4 * y, bases, policy)
-        * qpochhammer(q2 / y, bases, policy)
-        * qpochhammer(pv * y, bases, policy)
-        * qpochhammer(pv * q2 / y, bases, policy)
-    )
+    q2 = qv * qv
+    q4 = q2 * q2
+    a, b = sorted((_checked_base(pv), _checked_base(q4)), key=abs, reverse=True)
+    num_rows: list[complex] = []
+    den_rows: list[complex] = []
+    tails: list[complex] = []  # four numerator tails, then four denominator tails
+    for rows, args in (
+        (num_rows, (q4 / y, q2 * y, pv / y, pv * q2 * y)),
+        (den_rows, (q4 * y, q2 / y, pv * y, pv * q2 / y)),
+    ):
+        for z in args:
+            start = len(rows)
+            while abs(z) > 0.5:
+                if len(rows) - start == policy.max_terms:
+                    raise TruncationExceeded(
+                        f"more than max_terms={policy.max_terms} head rows "
+                        f"(base moduli {abs(a):.4g}, {abs(b):.4g})"
+                    )
+                rows.append(z)
+                z *= a
+            tails.append(z)
+    share = policy.tail_tol / (2 * (len(num_rows) + len(den_rows) + 1))
+    row_policy = TruncationPolicy(policy.max_terms, share)
+    num = den = 1.0 + 0j
+    for z in num_rows:
+        num *= _product(z, b, row_policy)
+    for z in den_rows:
+        den *= _product(z, b, row_policy)
     if den == 0:
         raise NearSingularity(f"kappa_inv denominator vanished at x2 = {y!r}")
-    return num / den
+
+    mags = [abs(w) for w in tails]
+    scale = 1.0 / ((1.0 - abs(a)) * (1.0 - abs(b)))
+    # rest[i] = |w_i|^(j+1) / ((1-|a|)(1-|b|)(1-|w_i|)), from j = 1 on
+    rest = [scale * m * m / (1.0 - m) for m in mags]
+    powers = tails
+    a_j, b_j = a, b
+    log_tail = 0j
+    for j in range(1, policy.max_terms + 1):
+        n1, n2, n3, n4, d1, d2, d3, d4 = powers
+        signed = (n1 + n2 + n3 + n4) - (d1 + d2 + d3 + d4)
+        log_tail -= signed / (j * (1.0 - a_j) * (1.0 - b_j))
+        if sum(rest) < share * (j + 1):
+            return num / den * cmath.exp(log_tail)
+        powers = [v * w for v, w in zip(powers, tails)]
+        rest = [r * m for r, m in zip(rest, mags)]
+        a_j *= a
+        b_j *= b
+    raise TruncationExceeded(
+        f"kappa_inv tail series did not meet {share:g} within "
+        f"max_terms={policy.max_terms} terms"
+    )
 
 
 def mu_inv(
@@ -219,7 +245,7 @@ def mu_inv(
     x2 = xv * xv
     p2 = pv * pv
     quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy)
-    const = qpochhammer(p2, (p2,), policy) / qpochhammer(pv, (pv,), policy) ** 2
+    const = qpochhammer(p2, p2, policy) / qpochhammer(pv, pv, policy) ** 2
     return kappa_inv(x2, pv, qv, policy) * const * quotient
 
 
@@ -258,25 +284,6 @@ def r_plus(
     )
     a, b, c, d = _entries(xv, nome, policy)
     return RMatrix4.from_eight_vertex(a, b, c, d, scale)
-
-
-def r_plus_star(
-    x: complex,
-    nome: NomeParams,
-    charge: CentralCharge,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> RMatrix4:
-    """R+ evaluated at the shifted nome p q^(-2c).
-
-    Raises NonConvergentBase when the shifted nome leaves the unit disk;
-    no analytic continuation is attempted.
-    """
-    p_star = charge.starred_nome(nome)
-    if not (0.0 < abs(p_star) < 1.0):
-        raise NonConvergentBase(
-            f"starred nome p q^(-2c) has modulus {abs(p_star):.6g}, outside (0, 1)"
-        )
-    return r_plus(x, NomeParams(p_star, nome.q), policy)
 
 
 def partial_transpose(mat: RMatrix4 | np.ndarray, slot: int) -> RMatrix4:

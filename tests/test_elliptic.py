@@ -48,6 +48,16 @@ def test_complete_K_agm_oracle():
         assert complete_K(k) == pytest.approx(float(ellipk(k * k)), rel=1e-13)
 
 
+@pytest.mark.parametrize("k", [0.95, 0.999])
+def test_complete_K_stops_once_iterates_agree(k, monkeypatch):
+    # one sqrt for k' and one per AGM step; the AGM needs 6 steps here
+    calls = []
+    sqrt = math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda v: calls.append(v) or sqrt(v))
+    complete_K(k)
+    assert len(calls) <= 8
+
+
 def test_complete_K_domain():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DomainError):

@@ -1,18 +1,18 @@
 """q-Pochhammer products, theta, kappa_inv, complete_K and jacobi_snh against
 a 40-digit oracle.
 
-One-base products and theta are compared with mpmath's ``qp``, which sums
-the q-binomial series rather than multiplying factors.  The two-base oracle
-is ``qp`` nested over rows of the larger base, (x; a, b) = prod_n (x a^n; b),
-for the rows with |x a^n| > 1/2.  The rows after them are summed exactly
-through
+Products and theta are compared with mpmath's ``qp``, which sums the
+q-binomial series rather than multiplying factors.  The kappa_inv oracle
+takes each double-base product (z; a, b) as ``qp`` nested over rows of the
+larger base, (z; a, b) = prod_n (z a^n; b), for the rows with |z a^n| > 1/2.
+The rows after them are summed exactly through
 
-    log (z; a, b)_inf = -sum_{j >= 1} z^j / (j (1 - a^j) (1 - b^j)),  |z| <= 1/2,
+    log (w; a, b)_inf = -sum_{j >= 1} w^j / (j (1 - a^j) (1 - b^j)),  |w| <= 1/2,
 
 so the oracle truncates nothing beyond its 40 digits.  K and snh are
 compared with mpmath's ``ellipk`` and ``ellipfun``.  Each comparison
-asserts the error the library claims: ``tail_tol`` (which bounds four times
-the dropped sum) plus a first-order roundoff budget, not a fixed constant.
+asserts the error the library claims: ``tail_tol`` plus a first-order
+roundoff budget, not a fixed constant.
 """
 
 import cmath
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import pytest
 
-from ellex.elliptic import complete_K, jacobi_snh
+from ellex.elliptic import EllipticParams, complete_K, jacobi_snh
 from ellex.qseries import TruncationPolicy, qpochhammer, theta
 from ellex.rmatrix import kappa_inv
 
@@ -49,12 +49,6 @@ def _nested_oracle(x, a, b):
 
 
 @lru_cache(maxsize=None)
-def qp2_oracle(x, a, b):
-    with mp.workdps(40):
-        return complex(_nested_oracle(mp.mpc(x), mp.mpc(a), mp.mpc(b)))
-
-
-@lru_cache(maxsize=None)
 def kappa_inv_oracle(y, p, q):
     with mp.workdps(40):
         y, p, q = mp.mpc(y), mp.mpc(p), mp.mpc(q)
@@ -67,72 +61,11 @@ def kappa_inv_oracle(y, p, q):
         return complex(num / den)
 
 
-def claimed_error(x, a, b, tail_tol):
-    """Relative error that qpochhammer(x, (a, b)) claims: tail_tol plus roundoff.
-
-    Every factor 1 - z, z = x a^n b^k, that the product can keep has
-    |z| >= tail_tol (1-|a|)(1-|b|) / (4 (MAX_TERMS + 1)).  Over that superset
-    the budget charges each factor sqrt(5)+1 roundings for the subtraction
-    and the complex multiplication into the product, and (n+k)(sqrt(5)+4)+4
-    roundings of z, for its n+k multiplications and for up to four roundings
-    of x, a and b when the caller formed them, amplified by |z| / |1 - z|.
-    """
-    amag, bmag = abs(a), abs(b)
-    t_min = tail_tol * (1 - amag) * (1 - bmag) / (4 * (MAX_TERMS + 1))
-    budget = 0.0
-    head, n = complex(x), 0
-    while abs(head) >= t_min:
-        z, k = head, 0
-        while abs(z) >= t_min:
-            steps = (n + k) * (5**0.5 + 4) + 4
-            budget += 5**0.5 + 1 + steps * abs(z) / abs(1 - z)
-            z, k = z * b, k + 1
-        head, n = head * a, n + 1
-    return tail_tol + budget * EPS
-
-
 def cis(r, phi):
     return r * cmath.exp(1j * phi)
 
 
-BASE_PAIRS = [
-    (0.3, 0.2j),
-    (cis(0.6, 1.0), 0.5),
-    (0.9, cis(0.4, 2.0)),
-    (0.2, 0.9j),  # the larger base second
-    (-0.9, -0.7),
-    (cis(0.85, -0.7), cis(0.9, 2.5)),
-]
 X_POINTS = [0.4 + 0.3j, cis(1.4, 2.7)]
-
-
-@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
-@pytest.mark.parametrize("x", X_POINTS)
-@pytest.mark.parametrize("a,b", BASE_PAIRS)
-def test_qpochhammer_two_base_within_claim(a, b, x, tail_tol):
-    val = qpochhammer(x, (a, b), TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = qp2_oracle(x, a, b)
-    assert abs(val - ref) / abs(ref) <= claimed_error(x, a, b, tail_tol)
-
-
-KAPPA_POINTS = [
-    (1.1 + 0.2j, 0.5, -0.6),
-    (cis(0.7, 2.0), 0.9, cis(0.65, 0.4)),
-    (cis(1.8, -1.0), 0.2, cis(0.5, 2.2)),
-]
-
-
-@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
-@pytest.mark.parametrize("y,p,q", KAPPA_POINTS)
-def test_kappa_inv_within_claim(y, p, q, tail_tol):
-    val = kappa_inv(y, p, q, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = kappa_inv_oracle(y, p, q)
-    q2, q4 = q**2, q**4
-    args = (q4 / y, q2 * y, p / y, p * q2 * y, q4 * y, q2 / y, p * y, p * q2 / y)
-    # first order: the relative errors of the eight products add, plus the
-    # seven multiplications and one division that combine them
-    claim = sum(claimed_error(z, p, q4, tail_tol) for z in args) + 8 * 5**0.5 * EPS
-    assert abs(val - ref) / abs(ref) <= claim
 
 
 # --- one base and theta --------------------------------------------------------
@@ -151,26 +84,31 @@ def theta_oracle(a, x):
         return complex(mp.qp(x, a) * mp.qp(a / x, a) * mp.qp(a, a))
 
 
-def claimed_error_one_base(x, b, tail_tol):
-    """Relative error that qpochhammer(x, (b,)) claims: tail_tol plus roundoff.
+def one_base_roundoff(x, b, tail_tol, formed=4.0):
+    """Roundings, in units of EPS, that qpochhammer(x, b) can make.
 
     The loop keeps factor n, 1 - z with z = x b^n, while
     (1 + |x|) |b|^n / (1 - |b|) >= tail_tol.  Each kept factor costs sqrt(5)+1
     roundings for the subtraction and the multiplication into the product,
-    plus (n+1)(sqrt(5)+4)+4 roundings of z (its n+1 multiplications and up to
-    four roundings of x when the caller formed it), amplified by the factor's
-    condition |z| / |1 - z|.  The factor nearest a zero b^-n of the product
-    carries the point's condition 1 / |x b^n - 1| (to within 1), so near a
-    zero the budget grows with the point's condition.
+    plus (n+1)(sqrt(5)+4) + formed roundings of z (its n+1 multiplications and
+    the roundings of x when the caller formed it, 4 by default), amplified by
+    the factor's condition |z| / |1 - z|.  The factor nearest a zero b^-n of
+    the product carries the point's condition 1 / |x b^n - 1| (to within 1),
+    so near a zero the budget grows with the point's condition.
     """
     bmag = abs(b)
     t_min = tail_tol * (1 - bmag) / (1 + abs(x))
     budget, z, n = 0.0, complex(x), 0
     while bmag**n >= t_min:
-        steps = (n + 1) * (5**0.5 + 4) + 4
+        steps = (n + 1) * (5**0.5 + 4) + formed
         budget += 5**0.5 + 1 + steps * abs(z) / abs(1 - z)
         z, n = z * b, n + 1
-    return tail_tol + budget * EPS
+    return budget
+
+
+def claimed_error_one_base(x, b, tail_tol):
+    """Relative error that qpochhammer(x, b) claims: tail_tol plus roundoff."""
+    return tail_tol + one_base_roundoff(x, b, tail_tol) * EPS
 
 
 def claimed_error_theta(a, x, tail_tol):
@@ -206,7 +144,7 @@ def _theta_points(a):
 @pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
 @pytest.mark.parametrize("b,x", [(b, x) for b in ONE_BASES for x in _one_base_points(b)])
 def test_qpochhammer_one_base_within_claim(b, x, tail_tol):
-    val = qpochhammer(x, (b,), TruncationPolicy(MAX_TERMS, tail_tol))
+    val = qpochhammer(x, b, TruncationPolicy(MAX_TERMS, tail_tol))
     ref = qp1_oracle(x, b)
     assert abs(val - ref) / abs(ref) <= claimed_error_one_base(x, b, tail_tol)
 
@@ -219,29 +157,93 @@ def test_theta_within_claim(a, x, tail_tol):
     assert abs(val - ref) / abs(ref) <= claimed_error_theta(a, x, tail_tol)
 
 
+# --- kappa_inv ------------------------------------------------------------------
+
+
+def claimed_error_kappa(y, p, q, tail_tol):
+    """Relative error that kappa_inv(y, p, q) claims: tail_tol plus roundoff.
+
+    The budget follows the algorithm.  Each of the R head rows z a^n is a
+    one-base product at the share tail_tol / (2 (R+1)), charged by
+    one_base_roundoff with n (sqrt(5)+4) more roundings of its argument for
+    the multiplications by a.  A rounding in series term j,
+    w^j / (j (1-a^j) (1-b^j)), is an absolute error of log(1/kappa) and so a
+    relative one of 1/kappa.  The term is charged j times the roundings of
+    w plus (j-1) sqrt(5) for the power, (j-1) sqrt(5) + 1 for each power of
+    a base amplified by the condition |a^j| / |1 - a^j| of the difference,
+    3 sqrt(5) + 2 for the products and the quotient, and J + 8 for the sums
+    it passes through, J being the terms the series takes.  exp and the
+    R + 2 products and quotient that combine the factors add 4 + (R+2) sqrt(5).
+    """
+    q2 = q * q
+    q4 = q2 * q2
+    a, b = (p, q4) if abs(p) >= abs(q4) else (q4, p)
+    rows, tails = [], []  # (argument, roundings made in forming it)
+    for z in (q4 / y, q2 * y, p / y, p * q2 * y, q4 * y, q2 / y, p * y, p * q2 / y):
+        formed = 4.0
+        while abs(z) > 0.5:
+            rows.append((z, formed))
+            z, formed = z * a, formed + 5**0.5 + 4
+        tails.append((abs(z), formed))
+    share = tail_tol / (2 * (len(rows) + 1))
+    budget = sum(one_base_roundoff(z, b, share, formed) for z, formed in rows)
+    scale = 1 / ((1 - abs(a)) * (1 - abs(b)))
+    terms = 1
+    while sum(w ** (terms + 1) / (1 - w) for w, _ in tails) * scale / (terms + 1) >= share:
+        terms += 1
+    for j in range(1, terms + 1):
+        aj, bj = abs(a) ** j, abs(b) ** j
+        diffs = ((j - 1) * 5**0.5 + 1) * (aj / (1 - aj) + bj / (1 - bj))
+        fixed = (j - 1) * 5**0.5 + diffs + 3 * 5**0.5 + 2 + terms + 8
+        for w, formed in tails:
+            budget += w**j / (j * (1 - aj) * (1 - bj)) * (j * formed + fixed)
+    return tail_tol + (budget + 4 + (len(rows) + 2) * 5**0.5) * EPS
+
+
+KAPPA_POINTS = [
+    (1.1 + 0.2j, 0.5, -0.6),
+    (cis(0.7, 2.0), 0.9, cis(0.65, 0.4)),
+    (cis(1.8, -1.0), 0.2, cis(0.5, 2.2)),
+    (cis(150.0, 0.7), 0.5, -0.6),  # |y| >= 100
+    (cis(0.005, -2.0), 0.3, cis(0.7, 1.0)),  # |y| <= 0.01
+]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("y,p,q", KAPPA_POINTS)
+def test_kappa_inv_within_claim(y, p, q, tail_tol):
+    val = kappa_inv(y, p, q, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = kappa_inv_oracle(y, p, q)
+    assert abs(val - ref) / abs(ref) <= claimed_error_kappa(y, p, q, tail_tol)
+
+
 # --- elliptic layer: complete_K and jacobi_snh -----------------------------------
 
 
-def agm_steps(k):
-    """AGM steps from (1, k') until the iterates agree to a unit roundoff."""
+def agm_steps(b):
+    """AGM steps from (1, b) until the iterates agree to a unit roundoff."""
     with mp.workdps(40):
-        a, b, n = mp.one, mp.sqrt(1 - mp.mpf(k) ** 2), 0
+        a, b, n = mp.one, mp.mpf(b), 0
         while abs(a - b) > EPS * a:
             a, b, n = (a + b) / 2, mp.sqrt(a * b), n + 1
     return n
 
 
-def claimed_error_K(k):
-    """Relative error that complete_K(k) claims; the AGM truncates nothing.
-
-    b = sqrt(1 - k^2) costs 1/(2(1 - k^2)) + 3/2 roundings.  The AGM limit
-    is homogeneous and increasing in both arguments, so its relative error
-    is at most the largest relative error of an iterate: 3/2 roundings per
-    step, charged 2, over the steps until the iterates meet and one more.
-    After that they stay within two ulps (4 roundings), and pi / (2a)
-    costs 2 more.
+def claimed_error_agm(b):
+    """Relative error of pi / (2 AGM(1, b)) for an exact b; the AGM
+    truncates nothing.  The AGM limit is homogeneous and increasing in both
+    arguments, so its relative error is at most the largest relative error
+    of an iterate: 3/2 roundings per step, charged 2, over the steps until
+    the iterates meet and one more.  They stop within one ulp of each other
+    (up to 4 roundings from the limit), and pi / (2a) costs 2 more.
     """
-    return EPS * (1 / (2 * (1 - k * k)) + 1.5 + 2 * (agm_steps(k) + 1) + 6)
+    return EPS * (2 * (agm_steps(b) + 1) + 6)
+
+
+def claimed_error_K(k):
+    """Relative error that complete_K(k) claims: the AGM from (1, k') plus
+    the rounded k' = sqrt(1 - k^2), 1/(2(1 - k^2)) + 3/2 roundings."""
+    return claimed_error_agm(math.sqrt(1 - k * k)) + EPS * (1 / (2 * (1 - k * k)) + 1.5)
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
@@ -249,6 +251,13 @@ def test_complete_K_within_claim(k):
     with mp.workdps(40):
         ref = mp.ellipk(mp.mpf(k) ** 2)
         assert abs(complete_K(k) - ref) / ref <= claimed_error_K(k)
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.01, 0.1, 0.5, 0.9, 0.99])
+def test_K_prime_within_claim(k):
+    with mp.workdps(40):
+        ref = mp.ellipk(1 - mp.mpf(k) ** 2)
+        assert abs(EllipticParams(k, 1.0).K_prime - ref) / ref <= claimed_error_agm(k)
 
 
 def _snh_oracle_form(y, p):
@@ -266,22 +275,20 @@ def claimed_error_snh(u, k, tail_tol):
     snh = k^(-1/2) S(y, p), S = p^(1/4) T(y), with p = exp(-pi K'/K) and
     y = exp(pi u / 2K) formed from the computed K and K'.  The relative
     errors of p and y reach S through its conditions |p dS/dp / S| and
-    |y dS/dy / S|.  K' = complete_K(k') takes the rounded k' = sqrt(1 - k^2),
-    amplified by the condition of K at k'.  The two theta claims carry the
-    tails and their own roundoff, and 8 roundings cover k^(-1/2), p^(1/4)
-    and the products and quotient that combine the factors.
+    |y dS/dy / S|.  K' = pi / (2 AGM(1, k)) takes k itself, so it carries
+    only the AGM's roundings.  The two theta claims carry the tails and their
+    own roundoff, and 8 roundings cover k^(-1/2), p^(1/4) and the products
+    and quotient that combine the factors.
     """
-    kp = math.sqrt(1.0 - k * k)
     with mp.workdps(40):
-        mk, mkp = mp.mpf(k), mp.mpf(kp)
-        K, Kp = mp.ellipk(mk**2), mp.ellipk(mkp**2)
-        cond_Kp = abs(mp.diff(lambda t: mp.ellipk(t * t), mkp) * mkp / Kp)
+        mk = mp.mpf(k)
+        K, Kp = mp.ellipk(mk**2), mp.ellipk(1 - mk**2)
         p, y = mp.exp(-mp.pi * Kp / K), mp.exp(mp.pi * u / (2 * K))
         S = _snh_oracle_form(y, p)
         cond_p = abs(mp.diff(lambda t: _snh_oracle_form(y, t), p) * p / S)
         cond_y = abs(mp.diff(lambda t: _snh_oracle_form(t, p), y) * y / S)
         e_K = claimed_error_K(k)
-        e_Kp = claimed_error_K(kp) + cond_Kp * EPS * (1 / (2 * (1 - k * k)) + 1.5)
+        e_Kp = claimed_error_agm(k)
         e_p = mp.pi * Kp / K * (e_K + e_Kp + 3 * EPS) + EPS
         e_y = mp.pi * abs(u) / (2 * K) * (e_K + 3 * EPS) + EPS
         p2, w = float(p) ** 2, float(1 / (y * y))
@@ -291,7 +298,7 @@ def claimed_error_snh(u, k, tail_tol):
         return float(cond_p * e_p + cond_y * e_y) + thetas + 8 * EPS
 
 
-SNH_MODULI = [0.01, 0.1, 0.5, 0.9, 0.99]
+SNH_MODULI = [1e-3, 0.01, 0.1, 0.5, 0.9, 0.99]
 # u as a fraction of K(k'): snh has its pole at u = K(k')
 SNH_FRACTIONS = [-0.8, -0.3, 0.05, 0.4, 0.8]
 

@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellex.elliptic import EllipticParams, NomeParams, baxter_entries, param_map
-from ellex.errors import NearSingularity, NonConvergentBase, SingularMatrix
+from ellex.errors import (
+    NearSingularity,
+    NonConvergentBase,
+    SingularMatrix,
+    TruncationExceeded,
+)
 from ellex.exchange import shift_factor_F
 from ellex.qseries import TruncationPolicy
 from ellex.rmatrix import (
     EIGHT_VERTEX_PATTERN,
-    CentralCharge,
     RMatrix4,
     check_crossing,
     check_pshift,
@@ -24,7 +28,6 @@ from ellex.rmatrix import (
     partial_transpose,
     pshift_scalar,
     r_plus,
-    r_plus_star,
     rmatrix_inverse,
     tau_fn,
     tau_fn_pochhammer,
@@ -80,6 +83,24 @@ def test_kappa_matches_brute_double_product():
     assert kappa_inv(1.1**2, 0.2, 0.4) == pytest.approx(1.02464040132512, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "y,p,q,stage",
+    [
+        (1.21, 0.2, 0.4, "tail series"),  # no head rows; the series needs ~30 terms
+        (1e-3, 0.5, 0.6, "head rows"),  # |q^4/y| = 130 needs 8 rows of base 0.5
+    ],
+)
+def test_kappa_inv_truncation_exceeded(y, p, q, stage):
+    with pytest.raises(TruncationExceeded, match=stage):
+        kappa_inv(y, p, q, TruncationPolicy(max_terms=5, tail_tol=1e-15))
+
+
+@pytest.mark.parametrize("p", [1.0, -1.2, 0.9j + 0.5])
+def test_kappa_inv_rejects_nome_outside_disk(p):
+    with pytest.raises(NonConvergentBase):
+        kappa_inv(1.21, p, 0.4)
+
+
 def test_mu_inv_finite_nonzero_on_grid():
     for x in (0.55, 0.8, 1.1 + 0.2j, 1.9):
         v = mu_inv(x, 0.2, 0.4)
@@ -117,37 +138,6 @@ def test_r_plus_two_path_assembly():
     independent = RMatrix4.from_eight_vertex(a, b, c, d, scale)
     direct = r_plus(x, nome)
     assert np.max(np.abs(independent.m - direct.m)) < 1e-10
-
-
-def test_r_plus_star_trivial_charge():
-    r0 = r_plus(1.2, NOME)
-    rs = r_plus_star(1.2, NOME, CentralCharge(0.0))
-    assert np.max(np.abs(r0.m - rs.m)) < 1e-13
-
-
-def test_r_plus_star_level_one_explicit_nome():
-    nome = NomeParams(0.15, -0.5)
-    charge = CentralCharge.from_level(1, nome)
-    # p q^(-2c) = p^(1-2m) q^4 = q^4 / p for m = 1
-    expected_nome = nome.q**4 / nome.p
-    rs = r_plus_star(1.1, nome, charge)
-    direct = r_plus(1.1, NomeParams(expected_nome, nome.q))
-    assert np.max(np.abs(rs.m - direct.m)) < 1e-12
-
-
-def test_r_plus_star_c_minus_two_stays_in_disk():
-    # c = -2 shifts the nome to p q^4, strictly inside p < 1
-    starred = CentralCharge(-2.0).starred_nome(NOME)
-    assert starred == pytest.approx(NOME.p * NOME.q**4, rel=1e-12)
-    assert 0 < abs(starred) < abs(NOME.p)
-    r_plus_star(1.2, NOME, CentralCharge(-2.0))  # converges
-
-
-def test_r_plus_star_outside_disk_reports():
-    nome = NomeParams(0.05, -0.7)  # q^4/p = 4.8 > 1
-    charge = CentralCharge.from_level(1, nome)
-    with pytest.raises(NonConvergentBase):
-        r_plus_star(1.1, nome, charge)
 
 
 # --- transposes and inversion --------------------------------------------------
