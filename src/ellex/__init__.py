@@ -62,7 +62,6 @@ from .qseries import (
 )
 from .report import CheckResult, VerificationReport
 from .rmatrix import (
-    RMatrix4,
     check_crossing,
     check_pshift,
     check_ybe,
@@ -95,7 +94,6 @@ __all__ = [
     "baxter_entries",
     "modulus_from_nome",
     # R-matrix
-    "RMatrix4",
     "tau_fn",
     "tau_fn_pochhammer",
     "mu_inv",

@@ -178,7 +178,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for r in rows:
             where = f" at x = {r['x']!r}" if "x" in r else ""
             lines.append(
-                f"{r['fn']}{where}: {r['value']!r}  (truncation error <= {r['trunc_err']:.2e})"
+                f"{r['fn']}{where}: {r['value']!r}  "
+                f"(change at a 100x tighter tail: {r['trunc_err']:.2e})"
             )
         out = ("\n".join(lines) + "\n").encode()
     _emit(out, args.output)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,7 +60,6 @@ from .qseries import (
     log_deriv_theta,
     near_theta_zero,
 )
-from .report import CheckResult
 
 __all__ = [
     "AnnulusLabel",
@@ -76,6 +74,7 @@ __all__ = [
 ]
 
 _POLE_RTOL = 1e-8
+_SUPPRESS_BELOW = 1e-12  # format_mode_bracket omits coefficients this small
 
 
 def _validate_q(q: complex) -> complex:
@@ -88,7 +87,12 @@ def _validate_q(q: complex) -> complex:
 def poisson_series_g(
     x: complex, q: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
-    """The bracketed series g(x); geometric tail, poles at x^2 = q^(2j)."""
+    """The bracketed series g(x), with poles at x^2 = q^(2j).
+
+    Stops after term n once t = q^(4(n+1)) makes |x^2 t| and |x^-2 t| below
+    1/2 and 8 (|x|^2 + |x|^-2) |t| / (1 - |q|^4) < tail_tol, which bounds the
+    absolute value of the dropped terms.
+    """
     xv = _as_complex(x, "x")
     qv = _validate_q(q)
     if xv == 0:
@@ -211,14 +215,14 @@ def beta_limit_check(
     req: BetaLimitRequest,
     x: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
-) -> CheckResult:
+) -> tuple[float, dict]:
     """Compare ln(Y)/beta against the k-labeled structure function.
 
     Runs at beta and beta/10; first-order convergence means the error ratio
-    sits near 10.  Reported error is |log10(ratio) - 1| with tolerance
-    log10(2), i.e. the ratio must land in [5, 20].
+    sits near 10.  Returns the order defect |log10(ratio) - 1| (0 when the
+    fine error is exactly 0) and the values behind it: the target, both
+    ln(Y)/beta, both errors and their ratio.
     """
-    t0 = time.perf_counter()
     xv = _as_complex(x, "x")
     target = poisson_structure(req.m, req.k, xv, req.q, policy)
     d_coarse = _log_y_over_beta(req, xv, policy)
@@ -231,23 +235,14 @@ def beta_limit_check(
     else:
         ratio = err_coarse / err_fine
         order_defect = abs(math.log10(ratio) - 1.0)
-    tol = math.log10(2.0)
-    return CheckResult(
-        check_id="beta-limit",
-        params={"m": req.m, "k": req.k, "beta": req.beta, "q": req.q, "x": xv},
-        max_abs_error=float(order_defect),
-        tolerance=tol,
-        passed=bool(order_defect <= tol and err_fine < err_coarse),
-        wall_time_s=time.perf_counter() - t0,
-        info={
-            "target": target,
-            "lnY_over_beta": d_coarse,
-            "lnY_over_beta_fine": d_fine,
-            "err_beta": err_coarse,
-            "err_beta_over_10": err_fine,
-            "error_ratio": ratio,
-        },
-    )
+    return order_defect, {
+        "target": target,
+        "lnY_over_beta": d_coarse,
+        "lnY_over_beta_fine": d_fine,
+        "err_beta": err_coarse,
+        "err_beta_over_10": err_fine,
+        "error_ratio": ratio,
+    }
 
 
 @dataclass(frozen=True)
@@ -389,7 +384,6 @@ def format_mode_bracket(
     n: int,
     m_mode: int,
     cutoff: int,
-    suppress_below: float = 1e-12,
 ) -> dict:
     """Deterministic rendering of {t_n, t_m} = sum_l g_l t_(n+l) t_(m-l),
     truncated at |l| <= cutoff; coefficients below 1e-12 are suppressed.
@@ -404,7 +398,7 @@ def format_mode_bracket(
     cancelled: list[list[int]] = []
     for l in sorted(l for l in table.coefficients if abs(l) <= cutoff):
         g = table.coefficients[l]
-        if abs(g) <= suppress_below:
+        if abs(g) <= _SUPPRESS_BELOW:
             continue
         if n == m_mode:
             if l > 0:

@@ -69,6 +69,7 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+_ZERO_RTOL = 1e-8  # log_deriv_theta refuses x this close to a zero of theta
 
 
 def _as_complex(z: complex, name: str = "argument") -> complex:
@@ -155,18 +156,28 @@ def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
 def near_theta_zero(a: complex, x: complex, rtol: float = 1e-8) -> bool:
     """True when x lies within relative rtol of a zero a^n of theta_a.
 
-    Scans the integers n for which |a|^n can be within a factor 2 of |x|.
+    |x a^-n - 1| < rtol needs |ln|x| - n ln|a|| < -ln(1 - rtol), so only the
+    integers n in that window are tried, the window widened by a relative
+    1e-9 (and 1e-9 absolute) so that rounding never drops one.  For rtol
+    below about 1 - |a|^(1/2) that is at most one n.  rtol must lie in (0, 1).
     """
+    if not (0.0 < rtol < 1.0):
+        raise DomainError(f"rtol must lie in (0, 1), got {rtol!r}")
     av = _as_complex(a, "a")
     xv = _as_complex(x, "x")
     if xv == 0 or not (0.0 < abs(av) < 1.0):
         return False
     la = math.log(abs(av))
-    n_center = round(math.log(abs(xv)) / la)
-    span = math.ceil(math.log(2.0) / abs(la)) + 1
+    center = math.log(abs(xv)) / la
+    half = math.log1p(-rtol) / la
+    slack = 1e-9 * (1.0 + abs(center) + half)
+    lo = math.ceil(center - half - slack)
+    hi = math.floor(center + half + slack)
+    if lo > hi:
+        return False
     log_x = cmath.log(xv)
     log_a = cmath.log(av)
-    for n in range(n_center - span, n_center + span + 1):
+    for n in range(lo, hi + 1):
         ratio = cmath.exp(log_x - n * log_a)
         if abs(ratio - 1.0) < rtol:
             return True
@@ -198,13 +209,15 @@ def log_deriv_theta(
     a: complex,
     x: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    zero_tol: float = 1e-8,
 ) -> complex:
     """x * d/dx log theta_a(x), via the term-by-term derivative of the product:
 
         sum_{n>=0} [ -x a^n / (1 - x a^n) + (a^(n+1)/x) / (1 - a^(n+1)/x) ]
 
-    Raises NearSingularity when x sits within zero_tol of a zero of theta_a.
+    Stops after term n once |x a^(n+1)| and |a^(n+1)/x| are below 1/2 and
+    2 (|x| + 1/|x| + 1) |a|^(n+1) / (1 - |a|) < tail_tol, which bounds the
+    absolute value of the dropped terms.  Raises NearSingularity when x sits
+    within relative 1e-8 of a zero of theta_a.
     """
     av = _as_complex(a, "a")
     xv = _as_complex(x, "x")
@@ -212,8 +225,8 @@ def log_deriv_theta(
         raise DomainError(f"theta base needs 0 < |a| < 1, got |a| = {abs(av):.6g}")
     if xv == 0:
         raise DomainError("log-derivative needs x != 0")
-    if near_theta_zero(av, xv, zero_tol):
-        raise NearSingularity(f"x = {xv!r} is within {zero_tol:g} of a theta_a zero")
+    if near_theta_zero(av, xv, _ZERO_RTOL):
+        raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a theta_a zero")
 
     amag, xmag = abs(av), abs(xv)
     scale = 2.0 * (xmag + 1.0 / xmag + 1.0)

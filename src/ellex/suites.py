@@ -289,27 +289,33 @@ def _sample_rmatrix(rng, cfg: VerifyConfig, index: int) -> tuple:
     return complex(p), complex(q), x, y
 
 
-def _well_posed(r: CheckResult, max_scale: float, max_cond: float = math.inf) -> tuple:
+def _well_posed(
+    point: dict, err: float, scale: float, max_scale: float,
+    cond: float = 0.0, max_cond: float = math.inf,
+) -> tuple:
     # residuals of well-posed points only: near a determinant-zero spiral the
     # inversion amplifies roundoff by cond * scale regardless of truncation
-    if r.info.get("cond", 0.0) > max_cond or r.info["scale"] > max_scale:
+    if cond > max_cond or scale > max_scale:
         raise SingularMatrix("ill-posed point")
-    return ((r.max_abs_error, r.params),)
+    return ((err, point),)
 
 
 def _eval_crossing(cfg: VerifyConfig, cand: tuple) -> tuple:
     p, q, x, _y = cand
-    return _well_posed(check_crossing(x, NomeParams(p, q), cfg.policy), 1e2, max_cond=1e3)
+    err, scale, cond = check_crossing(x, NomeParams(p, q), cfg.policy)
+    return _well_posed({"x": x, "p": p, "q": q}, err, scale, 1e2, cond, 1e3)
 
 
 def _eval_pshift(cfg: VerifyConfig, cand: tuple) -> tuple:
     p, q, x, _y = cand
-    return _well_posed(check_pshift(x, NomeParams(p, q), cfg.policy), 1e3)
+    err, scale = check_pshift(x, NomeParams(p, q), cfg.policy)
+    return _well_posed({"x": x, "p": p, "q": q}, err, scale, 1e3)
 
 
 def _eval_ybe(cfg: VerifyConfig, cand: tuple) -> tuple:
     p, q, x, y = cand
-    return _well_posed(check_ybe(x, y, NomeParams(p, q), cfg.policy), 50.0)
+    err, scale = check_ybe(x, y, NomeParams(p, q), cfg.policy)
+    return _well_posed({"x": x, "y": y, "p": p, "q": q}, err, scale, 50.0)
 
 
 @_suite(
@@ -441,7 +447,7 @@ def _eval_p_shift(cfg: VerifyConfig, cand: tuple) -> tuple:
     m, p, q, x = cand
     level = LevelParams(m, NomeParams(p, q))
     shifted = LevelParams(m, NomeParams(p * q**4, q, allow_p_outside_disk=True))
-    f_err = check_p_periodicity(level, x, cfg.policy).max_abs_error
+    f_err = check_p_periodicity(level, x, cfg.policy)
     y_err = _rel(exchange_Y(level, x, cfg.policy), exchange_Y(shifted, x, cfg.policy))
     point = {"m": m, "p": p, "q": q, "x": x}
     return ((f_err, point), (y_err, point))
@@ -459,20 +465,27 @@ def _p_periodicity_table(cfg: VerifyConfig) -> list[Identity]:
     ("theorem7", "limit"),
 )
 def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
-    pol = cfg.policy
     cases = [
         (1, 1, 0.5, 1.4),
         (1, 2, 0.5, 1.4),
         (2, 1, 0.45, 1.3),
         (-1, 1, 0.5, 1.25),
     ]
+    tol = math.log10(2.0)
     checks = []
     for m, k, q, x in cases:
-        q = cfg.q if cfg.q is not None else q
-        req = BetaLimitRequest(m=m, k=k, beta=1e-2, q=q)
-        res = beta_limit_check(req, x, pol)
-        res.check_id = f"beta-limit(m={m:+d},k={k:+d})"
-        checks.append(res)
+        t0 = time.perf_counter()
+        req = BetaLimitRequest(m=m, k=k, beta=1e-2, q=cfg.q if cfg.q is not None else q)
+        defect, info = beta_limit_check(req, x, cfg.policy)
+        checks.append(CheckResult(
+            check_id=f"beta-limit(m={m:+d},k={k:+d})",
+            params={"m": m, "k": k, "beta": req.beta, "q": req.q, "x": complex(x)},
+            max_abs_error=defect,
+            tolerance=tol,
+            passed=defect <= tol and info["err_beta_over_10"] < info["err_beta"],
+            wall_time_s=time.perf_counter() - t0,
+            info=info,
+        ))
     return VerificationReport("beta-limit", checks, cfg.to_dict(), __version__)
 
 

@@ -20,7 +20,7 @@ def test_eval_y_prints_value_and_error(capsys):
         capsys, "eval", "--fn", "Y", "--m", "1", "--p", "0.2", "--q", "0.45", "--x", "1.3"
     )
     assert code == 0
-    assert "Y at x" in out and "truncation error" in out
+    assert "Y at x" in out and "change at a 100x tighter tail" in out
 
 
 def test_eval_exact_symbolic_p_hits_commuting_point(capsys):

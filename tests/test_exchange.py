@@ -167,8 +167,7 @@ def test_theta_quotient_guard_raises_at_denominator_zero(site):
 
 def test_p_periodicity_check_and_domain_guard():
     level = LevelParams(1, NomeParams(0.1, 0.5))
-    res = check_p_periodicity(level, 1.2 + 0.1j)
-    assert res.passed and res.max_abs_error <= 1e-10
+    assert check_p_periodicity(level, 1.2 + 0.1j) <= 1e-10
 
     # |p q^4| >= 1 is outside the domain: an error, never a silent pass
     big = CommutingPoint(-3).exact_nome(0.8)  # p = 0.8^-6, p q^4 = 0.8^-2

@@ -134,10 +134,10 @@ def test_beta_limit_request_invariants():
 
 @pytest.mark.parametrize("m,k,x", [(1, 1, 1.4), (1, 2, 1.4), (2, 1, 1.3), (-1, 1, 1.25)])
 def test_beta_limit_first_order_convergence(m, k, x):
-    res = beta_limit_check(BetaLimitRequest(m=m, k=k, beta=1e-2, q=0.5), x)
-    assert res.passed
-    assert 5.0 <= res.info["error_ratio"] <= 20.0
-    assert res.info["err_beta_over_10"] < res.info["err_beta"]
+    defect, info = beta_limit_check(BetaLimitRequest(m=m, k=k, beta=1e-2, q=0.5), x)
+    assert defect <= math.log10(2.0)
+    assert 5.0 <= info["error_ratio"] <= 20.0
+    assert info["err_beta_over_10"] < info["err_beta"]
 
 
 # --- laurent modes ----------------------------------------------------------------

@@ -6,6 +6,7 @@ independent of the library's truncation logic).
 """
 
 import cmath
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -188,3 +189,59 @@ def test_near_theta_zero_detects_zero_set():
     assert near_theta_zero(a, a**3)
     assert near_theta_zero(a, a ** (-2) * (1 + 1e-9))
     assert not near_theta_zero(a, 0.7)
+
+
+def _near_zero_brute(a, x, rtol):
+    log_x, log_a = cmath.log(x), cmath.log(a)
+    return any(abs(cmath.exp(log_x - n * log_a) - 1.0) < rtol for n in range(-200, 201))
+
+
+@given(
+    amag=st.floats(0.05, 0.95),
+    aphase=st.floats(-3.2, 3.2),
+    n0=st.integers(-20, 20),
+    rtol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9]),
+    near_edge=st.booleans(),
+    log_dist=st.floats(-13.0, -0.3),
+    edge_offset=st.floats(-0.1, 0.1),
+    dphase=st.floats(-0.6, 0.6),
+    inward=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_near_theta_zero_equals_brute_force_scan(
+    amag, aphase, n0, rtol, near_edge, log_dist, edge_offset, dphase, inward
+):
+    # x at relative distance d from the zero a^n0: either anywhere in
+    # [1e-13, 0.5], or within 26% of rtol in a nearly radial direction, where
+    # |x a^-n0| crosses the window edge 1 - rtol (inward) or 1 + rtol
+    a = amag * cmath.exp(1j * aphase)
+    d = rtol * 10.0**edge_offset if near_edge else 10.0**log_dist
+    x = a**n0 * (1.0 + d * cmath.exp(1j * (dphase + (math.pi if inward else 0.0))))
+    assert near_theta_zero(a, x, rtol) == _near_zero_brute(a, x, rtol)
+
+
+@pytest.mark.parametrize("amag", [0.05, 0.9])
+@pytest.mark.parametrize("rtol", [1e-10, 1e-8, 1e-4, 1e-3])
+def test_near_theta_zero_tries_at_most_one_n(monkeypatch, amag, rtol):
+    a = amag * cmath.exp(0.7j)
+    halfway = abs(a) ** 0.5  # between two zero circles
+    points = [a**n * (1.0 + d) for n in (-3, 0, 2, 7) for d in (0.0, 0.5 * rtol, 2 * rtol)]
+    points += [halfway * a**n * cmath.exp(0.3j) for n in (-2, 0, 4)]
+    exp_calls = []
+    real_exp = cmath.exp
+
+    def counting_exp(z):
+        exp_calls.append(z)
+        return real_exp(z)
+
+    monkeypatch.setattr(cmath, "exp", counting_exp)
+    for x in points:
+        exp_calls.clear()
+        near_theta_zero(a, x, rtol)
+        assert len(exp_calls) <= 1
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, 2.0])
+def test_near_theta_zero_rejects_rtol_outside_unit_interval(rtol):
+    with pytest.raises(DomainError):
+        near_theta_zero(0.5, 1.1, rtol)

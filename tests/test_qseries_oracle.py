@@ -1,5 +1,5 @@
-"""q-Pochhammer products, theta, kappa_inv, complete_K and jacobi_snh against
-a 40-digit oracle.
+"""q-Pochhammer products, theta, kappa_inv, log_deriv_theta, poisson_series_g,
+complete_K and jacobi_snh against a 40-digit oracle.
 
 Products and theta are compared with mpmath's ``qp``, which sums the
 q-binomial series rather than multiplying factors.  The kappa_inv oracle
@@ -9,8 +9,11 @@ The rows after them are summed exactly through
 
     log (w; a, b)_inf = -sum_{j >= 1} w^j / (j (1 - a^j) (1 - b^j)),  |w| <= 1/2,
 
-so the oracle truncates nothing beyond its 40 digits.  K and snh are
-compared with mpmath's ``ellipk`` and ``ellipfun``.  Each comparison
+so the oracle truncates nothing beyond its 40 digits.  The log-derivative
+oracle is a ratio of two sums of the Jacobi triple-product series, and the
+structure-function oracle g(x) = -1 + 2 L(x^2) + 2 L(q^2 / x^2) takes two such
+log-derivatives in the base q^4.  K and snh are compared with mpmath's
+``ellipk`` and ``ellipfun``.  Each comparison
 asserts the error the library claims: ``tail_tol`` plus a first-order
 roundoff budget, not a fixed constant.
 """
@@ -22,13 +25,16 @@ from functools import lru_cache
 import pytest
 
 from ellex.elliptic import EllipticParams, complete_K, jacobi_snh
-from ellex.qseries import TruncationPolicy, qpochhammer, theta
+from ellex.poisson import poisson_series_g
+from ellex.qseries import TruncationPolicy, log_deriv_theta, qpochhammer, theta
 from ellex.rmatrix import kappa_inv
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 EPS = 2.0**-53  # unit roundoff of a double
+MUL = 5**0.5  # roundings, in units of EPS, of a complex multiplication
+DIV = 5.0  # of a complex division
 MAX_TERMS = 512
 
 
@@ -215,6 +221,148 @@ def test_kappa_inv_within_claim(y, p, q, tail_tol):
     val = kappa_inv(y, p, q, TruncationPolicy(MAX_TERMS, tail_tol))
     ref = kappa_inv_oracle(y, p, q)
     assert abs(val - ref) / abs(ref) <= claimed_error_kappa(y, p, q, tail_tol)
+
+
+# --- log_deriv_theta and poisson_series_g ----------------------------------------
+
+
+def _log_deriv_oracle(a, x):
+    """x d/dx log theta_a(x) at the working precision, from the triple-product
+    series theta_a(x) = sum_n (-1)^n a^(n(n-1)/2) x^n and its x-derivative,
+    summed over the n within reach of the largest term."""
+    la = mp.log(abs(a))
+    peak = int(mp.nint(mp.mpf(0.5) - mp.log(abs(x)) / la))
+    reach = int(mp.ceil(mp.sqrt(2 * (mp.dps + 10) * mp.log(10) / -la))) + 2
+    series = derivative = mp.zero
+    for n in range(peak - reach, peak + reach + 1):
+        term = (-1) ** n * a ** (n * (n - 1) // 2) * x**n
+        series += term
+        derivative += n * term
+    return derivative / series
+
+
+@lru_cache(maxsize=None)
+def log_deriv_oracle(a, x):
+    with mp.workdps(40):
+        return complex(_log_deriv_oracle(mp.mpc(a), mp.mpc(x)))
+
+
+@lru_cache(maxsize=None)
+def series_g_oracle(x, q):
+    with mp.workdps(40):
+        x2, q = mp.mpc(x) ** 2, mp.mpc(q)
+        q4 = q**4
+        g = -1 + 2 * _log_deriv_oracle(q4, x2) + 2 * _log_deriv_oracle(q4, q * q / x2)
+        return complex(g)
+
+
+def _ratio_roundoff(v, formed):
+    """Absolute roundoff of v / (1 - v), in units of EPS, when v carries
+    ``formed`` roundings and its numerator and denominator share them: they
+    reach the quotient through the condition 1 / |1 - v|, and the subtraction
+    and the division round once more."""
+    t = abs(v) / abs(1 - v)
+    return t * (formed / abs(1 - v) + 1 + DIV), t
+
+
+def claimed_error_log_deriv(a, x, tail_tol):
+    """Absolute error that log_deriv_theta(a, x) claims: its tail bound plus roundoff.
+
+    The loop adds -z / (1 - z), z = x a^n, and w / (1 - w), w = a^(n+1) / x,
+    and stops after n once |x a^(n+1)|, |a^(n+1) / x| < 1/2 and
+    2 (|x| + 1/|x| + 1) |a|^(n+1) / (1 - |a|) < tail_tol, which bounds the
+    dropped terms.  z carries (n+1) multiplications, w (n+1) and a division;
+    each of the two additions per step rounds at most the sum of the moduli
+    of the terms so far.
+    """
+    amag, xmag = abs(a), abs(x)
+    scale = 2 * (xmag + 1 / xmag + 1)
+    budget = moduli = 0.0
+    n = 0
+    while True:
+        e1, t1 = _ratio_roundoff(x * a**n, (n + 1) * MUL)
+        e2, t2 = _ratio_roundoff(a ** (n + 1) / x, (n + 1) * MUL + DIV)
+        moduli += t1 + t2
+        budget += e1 + e2 + (t1 + t2) + moduli
+        n += 1
+        an = amag**n
+        if xmag * an < 0.5 and an / xmag < 0.5 and scale * an / (1 - amag) < tail_tol:
+            return tail_tol + budget * EPS
+
+
+def claimed_error_series_g(x, q, tail_tol):
+    """Absolute error that poisson_series_g(x, q) claims: its tail bound plus roundoff.
+
+    With u = x^2, v = 1/u and t = q^(4n), step n adds the four terms
+    2 y / (1 - y) for y = u t, u t q^2, v t, v t q^2, and the loop stops after
+    n once |u t|, |v t| < 1/2 for t = q^(4(n+1)) and
+    8 (|u| + |v|) |t| / (1 - |q^4|) < tail_tol, which bounds the dropped terms.
+    u carries one multiplication, v one more and a division, q^2 one, q^4
+    three and t = q^(4n) 4n; u t and v t one more, u t q^2 and v t q^2 two
+    more.  The four terms and the running total take four additions a step.
+    """
+    u = x * x
+    v = 1 / u
+    q2 = q * q
+    q4 = q2 * q2
+    mag, q4mag = abs(u) + abs(v), abs(q4)
+    e_u, t_u = _ratio_roundoff(u, MUL)
+    e_v, t_v = _ratio_roundoff(v, MUL + DIV)
+    budget, moduli = e_u + e_v, t_u + t_v
+    budget += moduli
+    n = 0
+    while True:
+        t = q4**n
+        u_t, v_t = (4 * n + 2) * MUL, (4 * n + 2) * MUL + DIV
+        terms = [
+            _ratio_roundoff(u * t, u_t),
+            _ratio_roundoff(u * t * q2, u_t + 2 * MUL),
+            _ratio_roundoff(v * t, v_t),
+            _ratio_roundoff(v * t * q2, v_t + 2 * MUL),
+        ]
+        step = 2 * sum(mod for _, mod in terms)
+        moduli += step
+        budget += 2 * sum(err for err, _ in terms) + 3 * step + moduli
+        n += 1
+        tn = q4mag**n
+        if abs(u) * tn < 0.5 and abs(v) * tn < 0.5 and 8 * mag * tn / (1 - q4mag) < tail_tol:
+            return tail_tol + budget * EPS
+
+
+# (relative distance to a zero or pole, phase) of the points placed near one
+NEAR_POLE = [(1e-6, 0.3), (1e-6, 2.5), (1e-4, -1.2)]
+
+
+def _log_deriv_points(a):
+    """Generic points, and points near the zeros x = a^m of theta_a (poles of
+    its log-derivative)."""
+    near = [(m, d, phi) for m in (-1, 0, 2) for d, phi in NEAR_POLE]
+    return GENERIC_X + [a**m * (1 + cis(d, phi)) for m, d, phi in near]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("a,x", [(a, x) for a in ONE_BASES for x in _log_deriv_points(a)])
+def test_log_deriv_theta_within_claim(a, x, tail_tol):
+    val = log_deriv_theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = log_deriv_oracle(a, x)
+    assert abs(val - ref) <= claimed_error_log_deriv(a, x, tail_tol)
+
+
+SERIES_Q = [0.45, cis(0.6, 1.0), -0.9, cis(0.97, 2.0)]  # |q^4| from 0.04 to 0.89
+
+
+def _series_g_points(q):
+    """Generic points, and points whose square is near a pole x^2 = q^(2j)."""
+    near = [(j, d, phi) for j in (-1, 0, 1) for d, phi in NEAR_POLE]
+    return GENERIC_X + [q**j * cmath.sqrt(1 + cis(d, phi)) for j, d, phi in near]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("q,x", [(q, x) for q in SERIES_Q for x in _series_g_points(q)])
+def test_poisson_series_g_within_claim(q, x, tail_tol):
+    val = poisson_series_g(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = series_g_oracle(x, q)
+    assert abs(val - ref) <= claimed_error_series_g(x, q, tail_tol)
 
 
 # --- elliptic layer: complete_K and jacobi_snh -----------------------------------
