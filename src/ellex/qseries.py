@@ -12,10 +12,16 @@ theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
     theta_a(a*x)   = theta_a(1/x) = -theta_a(x)/x
     theta_a(a^s*x) = (-1)^s * a^(-s(s-1)/2) * x^(-s) * theta_a(x)
 
-One loop, ``_product``, evaluates every product, theta's three and the
-head rows of ``rmatrix.kappa_inv`` included, and one guarded quotient,
-``_theta_quotient``, the theta quotients of tau, mu, the exchange functions
-and the nome-shift factor.
+Each product counts its factors once: ``_factor_count`` takes the least n
+with (1 + |x|) |b|^n / (1 - |b|) < tail_tol from a logarithm, corrected
+against that exact test, and the factor loop then runs with no test inside.
+``_product`` evaluates one product (``qpochhammer``, theta's (a; a) and the
+head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
+(x; a) and (a/x; a) in one loop over their shared powers a^n.  One guarded
+quotient, ``_theta_quotient``, forms the theta quotients of tau, mu, the
+exchange functions and the nome-shift factor from one (a; a) per call.
+Every value is bit for bit what a loop testing the bound before each factor
+gives; tests/test_qseries.py keeps that loop as the reference.
 
 Everything here is a pure function of its arguments; safe for concurrent
 use without synchronization.
@@ -26,6 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -89,22 +97,93 @@ def _checked_base(b: complex) -> complex:
     return bv
 
 
-def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
-    """(x; b)_inf for a base already checked to satisfy 0 < |b| < 1."""
-    big = abs(b)
-    headroom = (1.0 + abs(x)) / (1.0 - big)
-    power = result = 1.0 + 0j
-    for degree in range(policy.max_terms + 1):
-        if headroom * big**degree < policy.tail_tol:
-            return result
-        result *= 1.0 - x * power
-        if result == 0:
-            return result
-        power *= b
+def _factor_count(
+    headroom: float, big: float, log_big: float, policy: TruncationPolicy
+) -> int:
+    """Factors a product keeps: the least n with headroom * big**n < tail_tol.
+
+    The estimate ceil(log(tail_tol / headroom) / log(big)), its logarithm
+    taken as a difference so that the ratio cannot underflow, is corrected
+    against that exact predicate, which falls monotonically in n, so the
+    count is the one a per-factor test finds.  No n <= max_terms passing, a
+    non-finite headroom included, gives max_terms + 1.
+    """
+    cap = policy.max_terms + 1
+    if not math.isfinite(headroom):
+        return cap
+    tol = policy.tail_tol
+    n = math.ceil((math.log(tol) - math.log(headroom)) / log_big)
+    if n > cap:
+        n = cap
+    while n > 0 and headroom * big ** (n - 1) < tol:
+        n -= 1
+    while n < cap and not headroom * big**n < tol:
+        n += 1
+    return n
+
+
+def _settled(
+    x: complex, b: complex, count: int, result: complex, policy: TruncationPolicy
+) -> complex:
+    """The counted product's outcome as the per-factor loop decides it.
+
+    That loop returns its first partial product that is exactly zero, and
+    raises TruncationExceeded when ``count`` exceeds ``max_terms``.  Both are
+    rare; only then are the same partial products formed again and searched
+    (a zero ``result`` is itself the last of them).  Once exactly zero a
+    partial product stays zero, since a finite headroom makes every factor
+    finite, so a nonzero ``result`` within the cap is final.
+    """
+    if count <= policy.max_terms and result != 0:
+        return result
+    powers = accumulate(repeat(b, count - 1), mul, initial=1.0 + 0j)
+    factors = (1.0 - x * power for power in powers)
+    for partial in accumulate(factors, mul, initial=1.0 + 0j):
+        if partial == 0:
+            return partial
     raise TruncationExceeded(
         f"tail bound {policy.tail_tol:g} not reached within max_terms="
-        f"{policy.max_terms} (base moduli {big:.4g})"
+        f"{policy.max_terms} (base moduli {abs(b):.4g})"
     )
+
+
+def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
+    """(x; b)_inf for a base already checked to satisfy 0 < |b| < 1: the
+    factor count first, then a loop with no test in it."""
+    big = abs(b)
+    count = _factor_count((1.0 + abs(x)) / (1.0 - big), big, math.log(big), policy)
+    power = result = 1.0 + 0j
+    for _ in range(count):
+        result *= 1.0 - x * power
+        power *= b
+    return _settled(x, b, count, result, policy)
+
+
+def _theta_pair(a: complex, x: complex, policy: TruncationPolicy) -> complex:
+    """(x; a)_inf * (a/x; a)_inf for a checked base and a checked x != 0;
+    theta_a(x) is this times (a; a)_inf.
+
+    Both products run in one loop over the shared powers a^n, each for its
+    own factor count; the longer one then finishes alone.
+    """
+    y = a / x
+    big = abs(a)
+    room = 1.0 - big
+    log_big = math.log(big)
+    nx = _factor_count((1.0 + abs(x)) / room, big, log_big, policy)
+    ny = _factor_count((1.0 + abs(y)) / room, big, log_big, policy)
+    power = rx = ry = 1.0 + 0j
+    for _ in range(min(nx, ny)):
+        rx *= 1.0 - x * power
+        ry *= 1.0 - y * power
+        power *= a
+    for _ in range(nx - ny):
+        rx *= 1.0 - x * power
+        power *= a
+    for _ in range(ny - nx):
+        ry *= 1.0 - y * power
+        power *= a
+    return _settled(x, a, nx, rx, policy) * _settled(y, a, ny, ry, policy)
 
 
 def qpochhammer(
@@ -112,27 +191,35 @@ def qpochhammer(
 ) -> complex:
     """(x; b)_inf = prod_{n >= 0} (1 - x b^n) for a base 0 < |b| < 1.
 
-    Stops before factor d once (1 + |x|) |b|^d / (1 - |b|) < tail_tol; past
-    ``max_terms`` factors it raises TruncationExceeded.
+    Keeps the factors d < n for the least n with
+    (1 + |x|) |b|^n / (1 - |b|) < tail_tol, a count taken once per product;
+    a partial product that is exactly zero is returned as it stands.  When
+    that n exceeds ``max_terms`` it raises TruncationExceeded, unless one of
+    the first max_terms + 1 partial products is zero.
     """
     return _product(_as_complex(x, "x"), _checked_base(b), policy)
+
+
+def _theta_base(a: complex) -> complex:
+    av = _as_complex(a, "a")
+    if not (0.0 < abs(av) < 1.0):
+        raise DomainError(f"theta base needs 0 < |a| < 1, got |a| = {abs(av):.6g}")
+    return av
+
+
+def _theta_arg(x: complex) -> complex:
+    xv = _as_complex(x, "x")
+    if xv == 0:
+        raise DomainError("theta argument x must be nonzero")
+    return xv
 
 
 def theta(
     a: complex, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0."""
-    av = _as_complex(a, "a")
-    xv = _as_complex(x, "x")
-    if not (0.0 < abs(av) < 1.0):
-        raise DomainError(f"theta base needs 0 < |a| < 1, got |a| = {abs(av):.6g}")
-    if xv == 0:
-        raise DomainError("theta argument x must be nonzero")
-    return (
-        _product(xv, av, policy)
-        * _product(av / xv, av, policy)
-        * _product(av, av, policy)
-    )
+    av = _theta_base(a)
+    return _theta_pair(av, _theta_arg(x), policy) * _product(av, av, policy)
 
 
 def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
@@ -192,16 +279,22 @@ def _theta_quotient(
     scale: complex = 1.0,
 ) -> complex:
     """prod theta_a(num_args) / (scale * prod theta_a(den_args)), each product
-    formed in argument order.  Raises NearSingularity first when a denominator
-    argument is near a zero of theta_a (near_theta_zero at its default rtol)."""
+    formed in argument order, bit for bit what the public ``theta`` gives.
+    Raises NearSingularity first when a denominator argument is near a zero
+    of theta_a (near_theta_zero at its default rtol).  (a; a)_inf is formed
+    once per call, after the first argument's check, so that a bad first
+    argument raises DomainError as theta(a, arg) would."""
     for arg in den_args:
         if near_theta_zero(a, arg):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
+    av = _theta_base(a)
+    _theta_arg((num_args + den_args)[0])
+    aa = _product(av, av, policy)
     num = den = 1.0 + 0j
     for arg in num_args:
-        num *= theta(a, arg, policy)
+        num *= _theta_pair(av, _theta_arg(arg), policy) * aa
     for arg in den_args:
-        den *= theta(a, arg, policy)
+        den *= _theta_pair(av, _theta_arg(arg), policy) * aa
     return num / (scale * den)
 
 
@@ -219,10 +312,8 @@ def log_deriv_theta(
     absolute value of the dropped terms.  Raises NearSingularity when x sits
     within relative 1e-8 of a zero of theta_a.
     """
-    av = _as_complex(a, "a")
+    av = _theta_base(a)
     xv = _as_complex(x, "x")
-    if not (0.0 < abs(av) < 1.0):
-        raise DomainError(f"theta base needs 0 < |a| < 1, got |a| = {abs(av):.6g}")
     if xv == 0:
         raise DomainError("log-derivative needs x != 0")
     if near_theta_zero(av, xv, _ZERO_RTOL):

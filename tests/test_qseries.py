@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from ellex.errors import (
     DomainError,
+    EllexError,
     NearSingularity,
     NonConvergentBase,
     TruncationExceeded,
 )
 from ellex.qseries import (
     TruncationPolicy,
+    _theta_quotient,
     log_deriv_theta,
     near_theta_zero,
     qpochhammer,
@@ -41,6 +43,41 @@ def qp1_brute(x, b, terms=800):
 
 def theta_brute(a, x, terms=800):
     return qp1_brute(x, a, terms) * qp1_brute(a / x, a, terms) * qp1_brute(a, a, terms)
+
+
+def product_stepwise(x, b, policy):
+    """(x; b)_inf by the per-factor loop the counted product replaced: one
+    pow and one stop test per factor, and a return at the first partial
+    product that is exactly zero.  The counted loop must equal it bit for bit."""
+    big = abs(b)
+    headroom = (1.0 + abs(x)) / (1.0 - big)
+    power = result = 1.0 + 0j
+    for degree in range(policy.max_terms + 1):
+        if headroom * big**degree < policy.tail_tol:
+            return result
+        result *= 1.0 - x * power
+        if result == 0:
+            return result
+        power *= b
+    raise TruncationExceeded("reference loop ran out of factors")
+
+
+def theta_stepwise(a, x, policy):
+    a, x = complex(a), complex(x)
+    return (
+        product_stepwise(x, a, policy)
+        * product_stepwise(a / x, a, policy)
+        * product_stepwise(a, a, policy)
+    )
+
+
+def outcome(f, *args):
+    """repr of the value f returns (it tells -0.0 from 0.0), or the type of
+    the error it raises."""
+    try:
+        return repr(f(*args))
+    except EllexError as exc:
+        return type(exc)
 
 
 complex_units = st.complex_numbers(
@@ -88,6 +125,81 @@ def test_qpochhammer_truncation_exceeded():
         qpochhammer(0.5, 0.9, TruncationPolicy(max_terms=10, tail_tol=1e-15))
 
 
+# moduli log-spaced over [1e-3, 0.928], each at four phases; |x| over [1e-3, 1e3]
+REF_BASES = [
+    m * cmath.exp(1j * phase)
+    for m in (1e-3, 0.01, 0.07, 0.2, 0.41, 0.6, 0.77, 0.87, 0.928)
+    for phase in (0.0, 0.9, 2.3, math.pi)
+]
+REF_ARGS = [
+    m * cmath.exp(1j * phase)
+    for m in (1e-3, 0.02, 0.3, 0.95, 1.0, 3.7, 60.0, 1e3)
+    for phase in (0.0, -1.4, 2.8)
+]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-15, 1e-10, 1e-6])
+@pytest.mark.parametrize("max_terms", [8, 60, 512])
+def test_counted_products_equal_stepwise_loop(max_terms, tail_tol):
+    # same value bit for bit, and TruncationExceeded exactly where the
+    # per-factor loop raises it
+    policy = TruncationPolicy(max_terms, tail_tol)
+    raised = 0
+    for b in REF_BASES:
+        for x in REF_ARGS:
+            want = outcome(product_stepwise, x, b, policy)
+            assert outcome(qpochhammer, x, b, policy) == want, (x, b)
+            want = outcome(theta_stepwise, b, x, policy)
+            assert outcome(theta, b, x, policy) == want, (b, x)
+            raised += want is TruncationExceeded
+    assert raised > 0 or max_terms == 512
+
+
+@pytest.mark.parametrize("tail_tol", [1e-15, 1e-10, 1e-6])
+def test_counted_products_equal_stepwise_loop_at_the_stop_boundary(tail_tol):
+    # |x| puts (1 + |x|) |b|^n / (1 - |b|) within a few ulps of tail_tol, where
+    # the logarithmic estimate of the factor count can be one off either way
+    policy = TruncationPolicy(512, tail_tol)
+    for mag in (0.013, 0.11, 0.34, 0.52, 0.66, 0.81, 0.9):
+        b = mag * cmath.exp(0.6j)
+        for n in range(1, 200, 7):
+            if mag**n < 1e-280:
+                break
+            xmag = tail_tol * (1.0 - mag) / mag**n - 1.0
+            if xmag <= 0.0:
+                continue
+            for ulps in range(-3, 4):
+                x = xmag * (1.0 + ulps * 2.0**-52) * cmath.exp(-2.1j)
+                want = outcome(product_stepwise, x, b, policy)
+                assert outcome(qpochhammer, x, b, policy) == want, (x, b)
+
+
+def test_theta_overflowing_reflection_raises_truncation():
+    # a/x overflows to inf, so no factor count reaches the tail bound
+    assert outcome(theta_stepwise, 0.5, 1e-320, TruncationPolicy()) is TruncationExceeded
+    with pytest.raises(TruncationExceeded):
+        theta(0.5, 1e-320)
+
+
+@pytest.mark.parametrize("max_terms", [8, 512])
+@pytest.mark.parametrize("x, b", [(4.0, 0.5), (16.0, 0.5j), (-2j, 0.5 + 0.5j)])
+def test_exact_zero_factor_returns_the_first_zero_partial(x, b, max_terms):
+    # x b^k == 1 exactly at k = 2 or 4, while the stop rule would keep dozens
+    # of factors; the product is the stepwise loop's first zero partial
+    # product, signs of its zero parts included
+    policy = TruncationPolicy(max_terms)
+    assert qpochhammer(x, b, policy) == 0
+    want = outcome(product_stepwise, complex(x), complex(b), policy)
+    assert outcome(qpochhammer, x, b, policy) == want
+
+
+def test_exact_zero_factor_at_the_cap():
+    # factor 2 is the last one max_terms=2 lets in; max_terms=1 stops before it
+    assert qpochhammer(4.0, 0.5, TruncationPolicy(max_terms=2)) == 0
+    with pytest.raises(TruncationExceeded):
+        qpochhammer(4.0, 0.5, TruncationPolicy(max_terms=1))
+
+
 # --- theta -------------------------------------------------------------------
 
 
@@ -125,6 +237,56 @@ def test_theta_inversion_property(a, x):
     lhs = theta(a, 1.0 / x)
     rhs = -theta(a, x) / x
     assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
+
+
+# --- guarded theta quotient --------------------------------------------------
+
+
+def theta_quotient_public(a, num_args, den_args, scale):
+    num = den = 1.0 + 0j
+    for u in num_args:
+        num *= theta(a, u)
+    for v in den_args:
+        den *= theta(a, v)
+    return num / (scale * den)
+
+
+@given(
+    amag=st.floats(0.02, 0.9),
+    aphase=st.floats(-3.2, 3.2),
+    num_args=st.lists(complex_units, min_size=1, max_size=4),
+    den_args=st.lists(complex_units, min_size=1, max_size=4),
+    scale=complex_units,
+)
+@settings(max_examples=150, deadline=None)
+def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, scale):
+    a = amag * cmath.exp(1j * aphase)
+    if any(near_theta_zero(a, v) for v in den_args):
+        return
+    num_args, den_args = tuple(num_args), tuple(den_args)
+    got = _theta_quotient(a, num_args, den_args, TruncationPolicy(), scale)
+    assert got == theta_quotient_public(a, num_args, den_args, scale)
+
+
+@pytest.mark.parametrize(
+    "a, num_args, den_args, error",
+    [
+        (1.0, (0.7,), (1.3,), DomainError),
+        (1.2 + 0.3j, (0.7,), (1.3,), DomainError),
+        (0.0, (0.7,), (1.3,), DomainError),
+        (0.4j, (0.7, 0.0), (1.3,), DomainError),
+        (0.4j, (complex("nan"),), (1.3,), DomainError),
+        (0.4j, (0.7, float("inf")), (1.3,), DomainError),
+        (0.4j, (0.7,), (1.3, (0.4j) ** 2 * (1 + 1e-10)), NearSingularity),
+        (0.4j, (0.7,), ((0.4j) ** -1,), NearSingularity),
+        # (a; a) needs more than 512 factors at |a| = 0.95
+        (0.95, (0.0, 0.7), (1.3,), DomainError),
+        (0.95, (0.7,), (0.0,), TruncationExceeded),
+    ],
+)
+def test_theta_quotient_errors_match_public_theta(a, num_args, den_args, error):
+    with pytest.raises(error):
+        _theta_quotient(a, num_args, den_args, TruncationPolicy())
 
 
 # --- shift factor ------------------------------------------------------------
