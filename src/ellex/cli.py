@@ -11,11 +11,18 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 domain error.  The environment variable ELLEX_DEFAULT_TOL overrides the
 default tail tolerance when --tail-tol is not given.  Reports are
 byte-identical across runs for a fixed configuration.
+
+``main(argv)`` may be called any number of times in one process; each call
+gives the output a fresh process would.  The argument parser is built on the
+first call and reused after it: parsing leaves it unchanged, the environment
+is read when a command runs, and ``--help`` measures the terminal when it
+prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,7 +46,6 @@ from .poisson import (
 from .qseries import TruncationPolicy, theta
 from .report import CheckResult, VerificationReport, _jsonable
 from .rmatrix import kappa_inv, mu_inv, tau_fn
-from .suites import VerifyConfig, list_suites, run_suites
 
 _SYMBOLIC = re.compile(r"q\^(-?\d+)(?:-exact)?$")
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -191,9 +197,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here so that eval, limit and modes never load the suites
+    from .suites import VerifyConfig, list_suites, run_suites
+
     if args.list:
         sys.stdout.write(list_suites())
         return 0
+    if args.parallel < 1:
+        raise EllexError(f"--parallel needs at least 1 worker, got {args.parallel}")
     pol = _policy_from(args)
     q = _parse_param(args.q, "q", None)
     p = _parse_param(args.p, "p", q)
@@ -221,6 +232,8 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     betas = sorted((float(b) for b in args.betas.split(",")), reverse=True)
     if any(not (0.0 < b <= 0.1) for b in betas):
         raise EllexError("every beta must lie in (0, 0.1]")
+    if len(set(betas)) < 2:
+        raise EllexError("--betas needs at least two distinct betas to fit an order")
     target = poisson_structure(args.m, args.k, x, q, pol)
     table = []
     for beta in betas:
@@ -276,11 +289,26 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 # modes
 
 
+def _parse_pairs(text: str | None) -> list[tuple[int, int]]:
+    """'1:-1,2:0' as [(1, -1), (2, 0)]."""
+    pairs = []
+    for pair in (text.split(",") if text else []):
+        try:
+            n, m = map(int, pair.split(":"))
+        except ValueError as exc:
+            raise EllexError(
+                f"--pairs entry {pair!r} is not of the form n:m with integers n, m"
+            ) from exc
+        pairs.append((n, m))
+    return pairs
+
+
 def _cmd_modes(args: argparse.Namespace) -> int:
     pol = _policy_from(args)
     q = _parse_param(args.q, "q", None)
     if q is None:
         raise EllexError("modes needs --q")
+    pairs = _parse_pairs(args.pairs)
     table = laurent_modes(
         args.which,
         q=q,
@@ -291,10 +319,7 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         k=args.k,
         policy=pol,
     )
-    brackets = []
-    for pair in (args.pairs.split(",") if args.pairs else []):
-        n_s, m_s = pair.split(":")
-        brackets.append(format_mode_bracket(table, int(n_s), int(m_s), args.cutoff))
+    brackets = [format_mode_bracket(table, n, m, args.cutoff) for n, m in pairs]
     payload = {
         "schema": 1,
         "tool_version": __version__,
@@ -330,7 +355,10 @@ def _cmd_modes(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built once per process; treat
+    it as read-only."""
     parser = argparse.ArgumentParser(
         prog="ellex",
         description="evaluate and verify the structure functions of the "

@@ -24,9 +24,12 @@ from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _as_complex,
+    _product,
+    _theta_arg,
+    _theta_base,
+    _theta_pair,
     near_theta_zero,
     qpochhammer,
-    theta,
 )
 
 __all__ = [
@@ -131,6 +134,8 @@ def snh_core(
 
     The modulus-dependent prefactor k^(-1/2) p^(1/4) is left out; it cancels
     in the entry ratios a, b and contributes only p^(1/2) to the entry d.
+    Both thetas share one (p^2; p^2)_inf, and each step runs in the order
+    two ``theta`` calls would take it, so value and error are theirs.
     """
     yv = _as_complex(y, "y")
     if yv == 0:
@@ -139,7 +144,11 @@ def snh_core(
     den_arg = p / (yv * yv)
     if near_theta_zero(p2, den_arg, _POLE_TOL):
         raise NearSingularity(f"snh pole near multiplicative argument {yv!r}")
-    return yv * theta(p2, 1.0 / (yv * yv), policy) / theta(p2, den_arg, policy)
+    av = _theta_base(p2)
+    num = _theta_pair(av, _theta_arg(1.0 / (yv * yv)), policy)
+    aa = _product(av, av, policy)
+    den = _theta_pair(av, _theta_arg(den_arg), policy)
+    return yv * (num * aa) / (den * aa)
 
 
 def jacobi_snh(

@@ -1,11 +1,19 @@
 """CLI surface tests: flag parsing, exact symbolic parameters, output
 formats, exit codes, and report determinism."""
 
+import argparse
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ellex
+from ellex import cli
 from ellex.cli import main
 
 
@@ -242,3 +250,107 @@ def test_complex_value_with_leading_minus_after_flag(capsys, argv, flag, value):
     assert code == 0, err
     ref_code, ref, _ = run(capsys, *argv, f"{flag}={value}")
     assert ref_code == 0 and out == ref
+
+
+def test_limit_needs_two_distinct_betas(capsys):
+    for betas in ("1e-2,1e-2", "0.1"):
+        code, _, err = run(
+            capsys, "limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4",
+            "--betas", betas,
+        )
+        assert code == 2
+        assert "two distinct betas" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_verify_parallel_below_one_is_usage_error(capsys, degree):
+    code, out, err = run(capsys, "verify", "--suite", "tau", "--parallel", degree)
+    assert code == 2
+    assert out == "" and "--parallel" in err
+
+
+@pytest.mark.parametrize("pairs", ["1-1", "a:1", "1:2:3", "1:-1,2"])
+def test_modes_malformed_pairs_name_the_form(capsys, pairs):
+    code, _, err = run(
+        capsys, "modes", "--q", "0.5", "--m", "1", "--k", "1", "--lmax", "2",
+        f"--pairs={pairs}",
+    )
+    assert code == 2
+    assert "n:m" in err
+
+
+# ---------------------------------------------------------------------------
+# repeated main calls in one process
+
+
+@functools.cache
+def fresh(argv: tuple[str, ...], columns: str | None = None) -> tuple[int, str, str]:
+    """One ellex invocation in a new interpreter: the behaviour every
+    in-process call must reproduce."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ellex.__file__).parents[1]))
+    env.pop("ELLEX_DEFAULT_TOL", None)
+    if columns is not None:
+        env["COLUMNS"] = columns
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellex.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+EVAL_A = ("eval", "--fn", "theta", "--a", "0.4", "--x", "2.0", "--x", "0.5j",
+          "--x", "-1.3", "--format", "json")
+EVAL_B = ("eval", "--fn", "theta", "--a", "0.4", "--x", "1.7", "--format", "json")
+
+
+def test_eval_calls_keep_only_their_own_points(capsys):
+    first, second = run(capsys, *EVAL_A), run(capsys, *EVAL_B)
+    assert first == fresh(EVAL_A) and second == fresh(EVAL_B)
+    assert [r["x"] for r in json.loads(second[1])["results"]] == ["(1.7+0j)"]
+
+
+def test_usage_error_leaves_the_next_call_unchanged(capsys):
+    code, _, err = run(capsys, "eval", "--fn", "theta", "--badflag")
+    assert code == 2 and "unrecognized arguments" in err
+    assert run(capsys, *EVAL_A) == fresh(EVAL_A)
+
+
+def test_help_follows_columns_on_every_call(capsys, monkeypatch):
+    widths = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "--help")
+        assert (code, out) == fresh(("--help",), columns)[:2]
+        widths[columns] = max(len(line) for line in out.splitlines())
+    assert widths["60"] <= 60 < widths["120"]
+
+
+def test_verify_then_eval_match_fresh_processes(capsys):
+    verify = ("verify", "--suite", "theta", "--format", "json")
+    assert run(capsys, *verify) == fresh(verify)
+    assert run(capsys, *EVAL_B) == fresh(EVAL_B)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # one root parser and four subparsers, however many calls follow
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for argv in (
+            EVAL_A,
+            EVAL_B,
+            ("verify", "--suite", "tau", "--format", "json"),
+            ("modes", "--q", "0.5", "--m", "1", "--k", "1", "--lmax", "2"),
+            ("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4",
+             "--betas", "1e-2,1e-3"),
+        ):
+            assert main(list(argv)) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) <= 5

@@ -1,7 +1,10 @@
 """Elliptic-parametrization tests against independent oracles (plain AGM
 loops written here, and scipy's Landen-based ellipj/ellipk)."""
 
+import cmath
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +18,10 @@ from ellex.elliptic import (
     jacobi_snh,
     modulus_from_nome,
     param_map,
+    snh_core,
 )
-from ellex.errors import DomainError, NearSingularity, NonConvergentBase
+from ellex.errors import DomainError, NearSingularity, NonConvergentBase, TruncationExceeded
+from ellex.qseries import DEFAULT_POLICY, TruncationPolicy, theta
 
 
 def agm_oracle(k, iterations=20):
@@ -80,6 +85,40 @@ def test_snh_pole_detection():
     Kp = complete_K(math.sqrt(1.0 - k * k))
     with pytest.raises(NearSingularity):
         jacobi_snh(Kp, k)
+
+
+def _snh_core_two_thetas(y, p, policy):
+    # snh_core as two public theta calls, each forming its own (p^2; p^2)
+    return y * theta(p * p, 1.0 / (y * y), policy) / theta(p * p, p / (y * y), policy)
+
+
+def test_snh_core_matches_two_theta_form_bit_for_bit():
+    rng = random.Random(5)
+    short = TruncationPolicy(max_terms=8)
+    for i in range(300):
+        p = rng.uniform(0.01, 0.95) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        y = math.exp(rng.uniform(math.log(0.03), math.log(30.0))) * cmath.exp(
+            1j * rng.uniform(-math.pi, math.pi)
+        )
+        policy = short if i % 4 == 0 else DEFAULT_POLICY
+        try:
+            ref = _snh_core_two_thetas(y, p, policy)
+        except TruncationExceeded as exc:
+            with pytest.raises(TruncationExceeded, match=re.escape(str(exc))):
+                snh_core(y, p, policy)
+            continue
+        try:
+            got = snh_core(y, p, policy)
+        except NearSingularity:
+            continue
+        assert repr(got) == repr(ref)
+
+
+def test_snh_core_rejects_what_theta_rejects():
+    with pytest.raises(DomainError, match="theta base"):
+        snh_core(1.0, 1.2)
+    with pytest.raises(DomainError, match="theta argument"):
+        snh_core(1e200, 0.5)
 
 
 def test_param_map_trivial_points():
