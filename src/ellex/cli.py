@@ -108,15 +108,11 @@ _EVAL_FNS = {
     "kappa": (("p", "q", "x"), lambda p, q, x, pol: kappa_inv(x * x, p, q, pol)),
     "F": (
         ("m", "p", "q", "x"),
-        lambda m, p, q, x, pol: exchange_F(
-            LevelParams(m, NomeParams(p, q, allow_p_outside_disk=True)), x, pol
-        ),
+        lambda m, p, q, x, pol: exchange_F(LevelParams(m, NomeParams(p, q)), x, pol),
     ),
     "Y": (
         ("m", "p", "q", "x"),
-        lambda m, p, q, x, pol: exchange_Y(
-            LevelParams(m, NomeParams(p, q, allow_p_outside_disk=True)), x, pol
-        ),
+        lambda m, p, q, x, pol: exchange_Y(LevelParams(m, NomeParams(p, q)), x, pol),
     ),
     "g": (("q", "x"), lambda q, x, pol: poisson_series_g(x, q, pol)),
     "center": (("q", "x"), lambda q, x, pol: poisson_structure_center(x, q, pol)),

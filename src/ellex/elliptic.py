@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, NearSingularity, NonConvergentBase
+from .errors import DomainError, NearSingularity
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
-    _as_complex,
+    _in_disk,
+    _nonzero,
     _product,
-    _theta_arg,
-    _theta_base,
     _theta_pair,
     near_theta_zero,
     qpochhammer,
@@ -43,7 +42,9 @@ __all__ = [
     "modulus_from_nome",
 ]
 
-_POLE_TOL = 1e-10  # absolute tolerance for snh denominators
+# snh_core's pole guard (a relative distance to a zero of its denominator
+# theta) and baxter_entries' absolute floor on |snh(lambda)|
+_POLE_TOL = 1e-10
 
 
 def _quarter_period(b: float) -> float:
@@ -105,26 +106,18 @@ class EllipticParams:
 class NomeParams:
     """The base pair (p, q) of the multiplicative parametrization.
 
-    |q| < 1 always; |p| < 1 as well unless ``allow_p_outside_disk`` is set,
-    which is legitimate only for functions that use p purely as a theta
-    *argument* (never as a product base).
+    0 < |q| < 1 and p != 0.  |p| may be 1 or more: the exchange functions
+    use p only inside theta arguments, and every function that uses p as a
+    product base (``r_plus``, ``kappa_inv``, ``mu_inv``, ``snh_core``,
+    ``modulus_from_nome``) checks |p| < 1 itself and raises NonConvergentBase.
     """
 
     p: complex
     q: complex
-    allow_p_outside_disk: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        pv = _as_complex(self.p, "p")
-        qv = _as_complex(self.q, "q")
-        if not (0.0 < abs(qv) < 1.0):
-            raise NonConvergentBase(f"|q| must lie in (0, 1), got {abs(qv):.6g}")
-        if pv == 0:
-            raise DomainError("p must be nonzero")
-        if not self.allow_p_outside_disk and not (abs(pv) < 1.0):
-            raise NonConvergentBase(f"|p| must lie in (0, 1), got {abs(pv):.6g}")
-        object.__setattr__(self, "p", pv)
-        object.__setattr__(self, "q", qv)
+        object.__setattr__(self, "p", _nonzero(self.p, "p"))
+        object.__setattr__(self, "q", _in_disk(self.q, "q"))
 
 
 def snh_core(
@@ -137,17 +130,14 @@ def snh_core(
     Both thetas share one (p^2; p^2)_inf, and each step runs in the order
     two ``theta`` calls would take it, so value and error are theirs.
     """
-    yv = _as_complex(y, "y")
-    if yv == 0:
-        raise DomainError("snh argument must be nonzero")
-    p2 = p * p
+    yv = _nonzero(y, "y")
+    av = _in_disk(p * p, "p^2")
     den_arg = p / (yv * yv)
-    if near_theta_zero(p2, den_arg, _POLE_TOL):
+    if near_theta_zero(av, den_arg, _POLE_TOL):
         raise NearSingularity(f"snh pole near multiplicative argument {yv!r}")
-    av = _theta_base(p2)
-    num = _theta_pair(av, _theta_arg(1.0 / (yv * yv)), policy)
+    num = _theta_pair(av, _nonzero(1.0 / (yv * yv), "theta argument"), policy)
     aa = _product(av, av, policy)
-    den = _theta_pair(av, _theta_arg(den_arg), policy)
+    den = _theta_pair(av, _nonzero(den_arg, "theta argument"), policy)
     return yv * (num * aa) / (den * aa)
 
 
@@ -205,9 +195,7 @@ def modulus_from_nome(
 
         k(p) = 4 p^(1/2) [ (-p^2; p^2)_inf / (-p; p^2)_inf ]^4
     """
-    pv = _as_complex(p, "p")
-    if not (0.0 < abs(pv) < 1.0):
-        raise DomainError(f"nome needs 0 < |p| < 1, got |p| = {abs(pv):.6g}")
+    pv = _in_disk(p, "p")
     p2 = pv * pv
     ratio = qpochhammer(-p2, p2, policy) / qpochhammer(-pv, p2, policy)
     return 4.0 * cmath.sqrt(pv) * ratio**4

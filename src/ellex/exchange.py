@@ -3,10 +3,11 @@
 F(m, x) is the scalar factor exchanged between the trace generator and the
 algebra generators; Y(x) is the factor closing the quadratic algebra of the
 trace generators themselves.  Both are finite products of theta quotients
-in the base q^4, so they remain evaluable for any nonzero p (p enters only
-through theta *arguments*); |p| < 1 is required only where p also serves
-as a product base.  This matters at the commuting points p = q^(2k) with
-k < 0, where |p| > 1.
+in the base q^4, so they are defined for any nonzero p (p enters only
+through theta *arguments*), and nothing here checks |p| < 1: NomeParams
+accepts any p != 0, and only the functions that use p as a product base
+(R+, mu, kappa) raise NonConvergentBase for |p| >= 1.  This matters at the
+commuting points p = q^(2k) with k < 0, where |p| > 1.
 
 Closed forms implemented (th = theta_{q^4}):
 
@@ -32,7 +33,15 @@ from dataclasses import dataclass
 
 from .elliptic import NomeParams
 from .errors import DomainError
-from .qseries import DEFAULT_POLICY, TruncationPolicy, _as_complex, _theta_quotient
+from .qseries import (
+    DEFAULT_POLICY,
+    TruncationPolicy,
+    _as_complex,
+    _in_disk,
+    _nonzero,
+    _nonzero_int,
+    _theta_quotient,
+)
 from .rmatrix import tau_fn
 
 __all__ = [
@@ -61,9 +70,7 @@ class LevelParams:
     nome: NomeParams
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m == 0:
-            raise DomainError("level m must be a nonzero integer (m = 0 disregarded)")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _nonzero_int(self.m, "m"))
 
     @property
     def c(self) -> complex:
@@ -86,9 +93,7 @@ class CommutingPoint:
     k: int
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or self.k == 0:
-            raise DomainError("k must be a nonzero integer (k = 0 excluded)")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _nonzero_int(self.k, "k"))
 
     @property
     def parity(self) -> str:
@@ -96,7 +101,7 @@ class CommutingPoint:
 
     def exact_nome(self, q: complex) -> NomeParams:
         qv = _as_complex(q, "q")
-        return NomeParams(qv ** (2 * self.k), qv, allow_p_outside_disk=True)
+        return NomeParams(qv ** (2 * self.k), qv)
 
 
 def shift_factor_F(
@@ -111,9 +116,7 @@ def shift_factor_F(
     The rmatrix module carries the collapsed branch-free form of the same
     quantity as an independent code path.
     """
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("shift factor needs x != 0")
+    xv = _nonzero(x, "x")
     sq = cmath.sqrt(nome.q)
     sp = cmath.sqrt(nome.p)
     return (
@@ -128,9 +131,7 @@ def exchange_F(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """Closed theta-product form of F(m, x)."""
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("exchange_F needs x != 0")
+    xv = _nonzero(x, "x")
     p, q = level.nome.p, level.nome.q
     q4 = q**4
     q2 = q * q
@@ -197,9 +198,7 @@ def exchange_Y(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """Closed form of the quadratic exchange function Y(x)."""
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("exchange_Y needs x != 0")
+    xv = _nonzero(x, "x")
     p, q = level.nome.p, level.nome.q
     q4 = q**4
     q2 = q * q
@@ -247,15 +246,9 @@ def commuting_F(
 
     with th = theta_{q^4}. Serves as the oracle for exchange_F there.
     """
-    if int(m) != m or m == 0:
-        raise DomainError("level m must be a nonzero integer")
-    m = int(m)
-    qv = _as_complex(q, "q")
-    if not (0.0 < abs(qv) < 1.0):
-        raise DomainError(f"|q| must lie in (0, 1), got {abs(qv):.6g}")
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("commuting_F needs x != 0")
+    m = _nonzero_int(m, "m")
+    qv = _in_disk(q, "q")
+    xv = _nonzero(x, "x")
     if cp.k % 2:
         return 1.0 + 0j
     x2 = xv * xv
@@ -268,17 +261,11 @@ def check_p_periodicity(
 ) -> float:
     """Invariance of F(m, x) under p -> p q^4: |F - F_shifted| / max(1, |F|).
 
-    Raises DomainError when |p q^4| >= 1, outside the domain of the check.
+    Raises NonConvergentBase when |p q^4| >= 1, outside the domain of the check.
     """
     xv = _as_complex(x, "x")
-    p, q = level.nome.p, level.nome.q
-    shifted_p = p * q**4
-    if abs(shifted_p) >= 1.0:
-        raise DomainError(f"shifted nome |p q^4| = {abs(shifted_p):.6g} >= 1")
+    q = level.nome.q
+    shifted_p = _in_disk(level.nome.p * q**4, "p q^4")
     base = exchange_F(level, xv, policy)
-    shifted = exchange_F(
-        LevelParams(level.m, NomeParams(shifted_p, q, allow_p_outside_disk=True)),
-        xv,
-        policy,
-    )
+    shifted = exchange_F(LevelParams(level.m, NomeParams(shifted_p, q)), xv, policy)
     return abs(base - shifted) / max(1.0, abs(base))

@@ -56,7 +56,11 @@ from .exchange import LevelParams, exchange_Y
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
+    _ZERO_RTOL,
     _as_complex,
+    _in_disk,
+    _nonzero,
+    _nonzero_int,
     log_deriv_theta,
     near_theta_zero,
 )
@@ -73,15 +77,7 @@ __all__ = [
     "format_mode_bracket",
 ]
 
-_POLE_RTOL = 1e-8
 _SUPPRESS_BELOW = 1e-12  # format_mode_bracket omits coefficients this small
-
-
-def _validate_q(q: complex) -> complex:
-    qv = _as_complex(q, "q")
-    if not (0.0 < abs(qv) < 1.0):
-        raise DomainError(f"|q| must lie in (0, 1), got {abs(qv):.6g}")
-    return qv
 
 
 def poisson_series_g(
@@ -93,14 +89,12 @@ def poisson_series_g(
     1/2 and 8 (|x|^2 + |x|^-2) |t| / (1 - |q|^4) < tail_tol, which bounds the
     absolute value of the dropped terms.
     """
-    xv = _as_complex(x, "x")
-    qv = _validate_q(q)
-    if xv == 0:
-        raise DomainError("g needs x != 0")
+    xv = _nonzero(x, "x")
+    qv = _in_disk(q, "q")
     a = xv * xv
     b = 1.0 / a
-    if near_theta_zero(qv * qv, a, _POLE_RTOL):
-        raise NearSingularity(f"x = {xv!r} is within {_POLE_RTOL:g} of a pole x^2 = q^(2j)")
+    if near_theta_zero(qv * qv, a):
+        raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a pole x^2 = q^(2j)")
     q2 = qv * qv
     q4 = q2 * q2
     total = a / (1.0 - a) - b / (1.0 - b)
@@ -126,14 +120,6 @@ def poisson_series_g(
     )
 
 
-def _check_mode_ints(m: int, k: int) -> tuple[int, int]:
-    if int(m) != m or m == 0:
-        raise DomainError("m must be a nonzero integer")
-    if int(k) != k or k == 0:
-        raise DomainError("k must be a nonzero integer")
-    return int(m), int(k)
-
-
 def poisson_structure(
     m: int,
     k: int,
@@ -142,8 +128,8 @@ def poisson_structure(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Full k-labeled structure function: parity-dependent prefactor times g."""
-    m, k = _check_mode_ints(m, k)
-    qv = _validate_q(q)
+    m, k = _nonzero_int(m, "m"), _nonzero_int(k, "k")
+    qv = _in_disk(q, "q")
     lnq = cmath.log(qv)
     if k % 2:
         prefactor = 2.0 * k * m * lnq
@@ -165,10 +151,8 @@ def poisson_structure_center(
 
         -2 ln(q) [ L(q^2 x^2) + L(x^-2) - L(q^2 x^-2) - L(x^2) ].
     """
-    xv = _as_complex(x, "x")
-    qv = _validate_q(q)
-    if xv == 0:
-        raise DomainError("needs x != 0")
+    xv = _nonzero(x, "x")
+    qv = _in_disk(q, "q")
     q4 = qv**4
     x2 = xv * xv
     q2 = qv * qv
@@ -190,8 +174,9 @@ class BetaLimitRequest:
     q: complex
 
     def __post_init__(self) -> None:
-        _check_mode_ints(self.m, self.k)
-        _validate_q(self.q)
+        _nonzero_int(self.m, "m")
+        _nonzero_int(self.k, "k")
+        _in_disk(self.q, "q")
         if not (0.0 < self.beta <= 0.1):
             raise DomainError(f"beta must lie in (0, 0.1], got {self.beta!r}")
         if not (abs(self.p) < 1.0):
@@ -206,7 +191,7 @@ class BetaLimitRequest:
 
 
 def _log_y_over_beta(req: BetaLimitRequest, x: complex, policy: TruncationPolicy) -> complex:
-    nome = NomeParams(req.p, req.q, allow_p_outside_disk=True)
+    nome = NomeParams(req.p, req.q)
     y = exchange_Y(LevelParams(req.m, nome), x, policy)
     return cmath.log(y) / req.beta
 
@@ -331,7 +316,7 @@ def laurent_modes(
     more than 1e-9, AnnulusContainsPole when r is within 1e-6 of a pole
     circle |q|^j.
     """
-    qv = _validate_q(q)
+    qv = _in_disk(q, "q")
     kind, f = _structure_integrand(which, qv, m, k, policy)
     if int(l_max) != l_max or l_max < 0:
         raise DomainError(f"l_max must be a non-negative integer, got {l_max!r}")

@@ -77,7 +77,10 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-_ZERO_RTOL = 1e-8  # log_deriv_theta refuses x this close to a zero of theta
+# relative distance at which x counts as a zero of theta_a: near_theta_zero's
+# default, so the theta quotients, log_deriv_theta and the poisson series
+# all refuse the same points
+_ZERO_RTOL = 1e-8
 
 
 def _as_complex(z: complex, name: str = "argument") -> complex:
@@ -87,14 +90,28 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
     return w
 
 
-def _checked_base(b: complex) -> complex:
-    """b as a complex number, checked to satisfy 0 < |b| < 1."""
-    bv = _as_complex(b, "base")
-    if not (0.0 < abs(bv) < 1.0):
-        raise NonConvergentBase(
-            f"base {bv!r} has modulus {abs(bv):.6g}, need 0 < |b| < 1"
-        )
-    return bv
+def _nonzero(z: complex, name: str) -> complex:
+    """z as a finite, nonzero complex number, else DomainError naming it."""
+    w = _as_complex(z, name)
+    if w == 0:
+        raise DomainError(f"{name} must be nonzero")
+    return w
+
+
+def _in_disk(b: complex, name: str) -> complex:
+    """b as a complex number with 0 < |b| < 1, the domain of a product base;
+    else NonConvergentBase (a DomainError) naming it."""
+    w = _as_complex(b, name)
+    if not (0.0 < abs(w) < 1.0):
+        raise NonConvergentBase(f"|{name}| must lie in (0, 1), got {abs(w):.6g}")
+    return w
+
+
+def _nonzero_int(n: int, name: str) -> int:
+    """n as a nonzero integer, else DomainError naming it."""
+    if int(n) != n or n == 0:
+        raise DomainError(f"{name} must be a nonzero integer")
+    return int(n)
 
 
 def _factor_count(
@@ -197,29 +214,15 @@ def qpochhammer(
     that n exceeds ``max_terms`` it raises TruncationExceeded, unless one of
     the first max_terms + 1 partial products is zero.
     """
-    return _product(_as_complex(x, "x"), _checked_base(b), policy)
-
-
-def _theta_base(a: complex) -> complex:
-    av = _as_complex(a, "a")
-    if not (0.0 < abs(av) < 1.0):
-        raise DomainError(f"theta base needs 0 < |a| < 1, got |a| = {abs(av):.6g}")
-    return av
-
-
-def _theta_arg(x: complex) -> complex:
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("theta argument x must be nonzero")
-    return xv
+    return _product(_as_complex(x, "x"), _in_disk(b, "b"), policy)
 
 
 def theta(
     a: complex, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0."""
-    av = _theta_base(a)
-    return _theta_pair(av, _theta_arg(x), policy) * _product(av, av, policy)
+    av = _in_disk(a, "a")
+    return _theta_pair(av, _nonzero(x, "x"), policy) * _product(av, av, policy)
 
 
 def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
@@ -229,9 +232,7 @@ def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
     every exponent is an integer and no fractional-power branch is chosen.
     """
     av = _as_complex(a, "a")
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("shift factor needs x != 0")
+    xv = _nonzero(x, "x")
     if int(s) != s:
         raise DomainError("shift order s must be an integer")
     s = int(s)
@@ -240,7 +241,7 @@ def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
     return sign * av ** (-half) * xv ** (-s)
 
 
-def near_theta_zero(a: complex, x: complex, rtol: float = 1e-8) -> bool:
+def near_theta_zero(a: complex, x: complex, rtol: float = _ZERO_RTOL) -> bool:
     """True when x lies within relative rtol of a zero a^n of theta_a.
 
     |x a^-n - 1| < rtol needs |ln|x| - n ln|a|| < -ln(1 - rtol), so only the
@@ -287,14 +288,14 @@ def _theta_quotient(
     for arg in den_args:
         if near_theta_zero(a, arg):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
-    av = _theta_base(a)
-    _theta_arg((num_args + den_args)[0])
+    av = _in_disk(a, "a")
+    _nonzero((num_args + den_args)[0], "theta argument")
     aa = _product(av, av, policy)
     num = den = 1.0 + 0j
     for arg in num_args:
-        num *= _theta_pair(av, _theta_arg(arg), policy) * aa
+        num *= _theta_pair(av, _nonzero(arg, "theta argument"), policy) * aa
     for arg in den_args:
-        den *= _theta_pair(av, _theta_arg(arg), policy) * aa
+        den *= _theta_pair(av, _nonzero(arg, "theta argument"), policy) * aa
     return num / (scale * den)
 
 
@@ -312,11 +313,9 @@ def log_deriv_theta(
     absolute value of the dropped terms.  Raises NearSingularity when x sits
     within relative 1e-8 of a zero of theta_a.
     """
-    av = _theta_base(a)
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("log-derivative needs x != 0")
-    if near_theta_zero(av, xv, _ZERO_RTOL):
+    av = _in_disk(a, "a")
+    xv = _nonzero(x, "x")
+    if near_theta_zero(av, xv):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a theta_a zero")
 
     amag, xmag = abs(av), abs(xv)

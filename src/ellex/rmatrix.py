@@ -30,18 +30,13 @@ import cmath
 import numpy as np
 
 from .elliptic import NomeParams, snh_core
-from .errors import (
-    DomainError,
-    NearSingularity,
-    NonConvergentBase,
-    SingularMatrix,
-    TruncationExceeded,
-)
+from .errors import DomainError, NearSingularity, SingularMatrix, TruncationExceeded
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _as_complex,
-    _checked_base,
+    _in_disk,
+    _nonzero,
     _product,
     _theta_quotient,
     qpochhammer,
@@ -68,10 +63,8 @@ def tau_fn(
     x: complex, q: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """tau(x) = x^-1 theta_{q^4}(x^2 q) / theta_{q^4}(x^-2 q)."""
-    xv = _as_complex(x, "x")
-    qv = _as_complex(q, "q")
-    if xv == 0:
-        raise DomainError("tau needs x != 0")
+    xv = _nonzero(x, "x")
+    qv = _in_disk(q, "q")
     return _theta_quotient(qv**4, (xv * xv * qv,), (qv / (xv * xv),), policy, xv)
 
 
@@ -84,10 +77,8 @@ def tau_fn_pochhammer(
 
     kept as an independent code path from the theta-quotient form.
     """
-    xv = _as_complex(x, "x")
-    qv = _as_complex(q, "q")
-    if xv == 0:
-        raise DomainError("tau needs x != 0")
+    xv = _nonzero(x, "x")
+    qv = _in_disk(q, "q")
     q4 = qv**4
     x2 = xv * xv
     num = qpochhammer(qv * x2, q4, policy) * qpochhammer(qv**3 / x2, q4, policy)
@@ -120,14 +111,12 @@ def kappa_inv(
     e^(2 tail_tol/3) - 1 < tail_tol.  More than ``max_terms`` rows for one
     argument, factors in a row or series terms: TruncationExceeded.
     """
-    y = _as_complex(x2, "x2")
-    pv = _as_complex(p, "p")
+    y = _nonzero(x2, "x2")
+    pv = _in_disk(p, "p")
     qv = _as_complex(q, "q")
-    if y == 0:
-        raise DomainError("kappa_inv needs x2 != 0")
     q2 = qv * qv
     q4 = q2 * q2
-    a, b = sorted((_checked_base(pv), _checked_base(q4)), key=abs, reverse=True)
+    a, b = sorted((pv, _in_disk(q4, "q^4")), key=abs, reverse=True)
     num_rows: list[complex] = []
     den_rows: list[complex] = []
     tails: list[complex] = []  # four numerator tails, then four denominator tails
@@ -187,11 +176,9 @@ def mu_inv(
 ) -> complex:
     """1/mu(x) = 1/kappa(x^2) * (p^2;p^2)/(p;p)^2
     * theta_{p^2}(p x^2) theta_{p^2}(q^2) / theta_{p^2}(q^2 x^2)."""
-    xv = _as_complex(x, "x")
-    pv = _as_complex(p, "p")
+    xv = _nonzero(x, "x")
+    pv = _in_disk(p, "p")
     qv = _as_complex(q, "q")
-    if xv == 0:
-        raise DomainError("mu_inv needs x != 0")
     x2 = xv * xv
     p2 = pv * pv
     quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy)
@@ -222,14 +209,11 @@ def r_plus(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Normalized matrix R+(x) at nome pair (p, q), as a 4x4 complex array
-    (rows and columns ++, +-, -+, --); DomainError if an entry is not finite."""
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("r_plus needs x != 0")
-    if not (abs(nome.p) < 1.0):
-        raise NonConvergentBase(
-            f"|p| = {abs(nome.p):.6g} >= 1: normalization products diverge"
-        )
+    (rows and columns ++, +-, -+, --).  Its normalization uses p as a product
+    base, so |p| >= 1 raises NonConvergentBase; an entry that is not finite
+    raises DomainError."""
+    xv = _nonzero(x, "x")
+    _in_disk(nome.p, "p")
     scale = tau_fn(cmath.sqrt(nome.q) / xv, nome.q, policy) * mu_inv(
         xv, nome.p, nome.q, policy
     )
@@ -287,9 +271,7 @@ def pshift_scalar(
     exactly, so this form is branch-free; the exchange module evaluates the
     literal four-tau product as an independent path.
     """
-    xv = _as_complex(x, "x")
-    if xv == 0:
-        raise DomainError("pshift_scalar needs x != 0")
+    xv = _nonzero(x, "x")
     p, q = nome.p, nome.q
     x2 = xv * xv
     ix2 = 1.0 / x2

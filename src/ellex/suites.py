@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -119,7 +120,12 @@ def _suite(name: str, description: str, aliases: tuple = (), seed_offset: int | 
 
 @contextmanager
 def _shared_pool(degree: int):
-    """Let one process pool serve every sampled suite run inside the block."""
+    """Let one process pool serve every sampled suite run inside the block.
+
+    The pool has at most one worker per usable CPU: under fork every worker
+    starts at the first submit, and more of them only cost memory.  Reports
+    do not depend on the worker count.
+    """
     if degree <= 1 or _POOL.get() is not None:
         yield
         return
@@ -127,7 +133,11 @@ def _shared_pool(degree: int):
     # serial process that imports this module
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=degree) as pool:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(degree, cpus)) as pool:
         token = _POOL.set(pool)
         try:
             yield
@@ -446,7 +456,7 @@ def _sample_p_shift(rng, cfg: VerifyConfig, index: int):
 def _eval_p_shift(cfg: VerifyConfig, cand: tuple) -> tuple:
     m, p, q, x = cand
     level = LevelParams(m, NomeParams(p, q))
-    shifted = LevelParams(m, NomeParams(p * q**4, q, allow_p_outside_disk=True))
+    shifted = LevelParams(m, NomeParams(p * q**4, q))
     f_err = check_p_periodicity(level, x, cfg.policy)
     y_err = _rel(exchange_Y(level, x, cfg.policy), exchange_Y(shifted, x, cfg.policy))
     point = {"m": m, "p": p, "q": q, "x": x}

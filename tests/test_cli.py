@@ -68,6 +68,25 @@ def test_eval_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_eval_mu_outside_p_disk_names_p(capsys):
+    # mu uses p as a product base; the error names p, not mu's theta base p^2
+    code, out, err = run(
+        capsys, "eval", "--fn", "mu", "--p", "q^-2", "--q", "0.5", "--x", "1.1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: |p| must lie in (0, 1), got 4\n"
+
+
+def test_verify_exchange_suite_accepts_p_outside_disk(capsys):
+    # F uses p only inside theta arguments, as eval --fn F does
+    code, out, _ = run(
+        capsys, "verify", "--suite", "f-two-path", "--p", "q^-2", "--q", "0.5",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["aggregate_pass"] is True
+
+
 def test_malformed_flag_usage_exit(capsys):
     assert main(["eval", "--fn", "F", "--badflag"]) == 2
 
@@ -169,6 +188,43 @@ def test_verify_parallel_matches_serial(capsys, tmp_path):
         outs[degree] = json.loads(path.read_text())
         outs[degree]["config"].pop("parallel")
     assert outs["1"] == outs["2"]
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_verify_parallel_pool_capped_at_usable_cpus(monkeypatch):
+    import concurrent.futures
+
+    from ellex.suites import VerifyConfig, run_suites
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    wide = json.loads(run_suites(["theta"], VerifyConfig(parallel=10**6)).to_json_bytes())
+    assert _InProcessPool.requested and max(_InProcessPool.requested) <= cpus
+    serial = json.loads(run_suites(["theta"], VerifyConfig()).to_json_bytes())
+    assert wide["config"].pop("parallel") == 10**6
+    serial["config"].pop("parallel")
+    assert wide == serial
 
 
 def test_verify_csv_format(capsys):

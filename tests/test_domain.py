@@ -1,0 +1,96 @@
+"""Domain checks: every public function rejects a bad base or a zero argument
+with the error type of that condition and a message naming the parameter
+its caller passed, not an internal theta base."""
+
+import pytest
+
+from ellex.elliptic import NomeParams
+from ellex.errors import DomainError, NonConvergentBase
+from ellex.exchange import (
+    CommutingPoint,
+    LevelParams,
+    commuting_F,
+    exchange_F,
+    exchange_Y,
+    shift_factor_F,
+)
+from ellex.poisson import poisson_series_g, poisson_structure, poisson_structure_center
+from ellex.qseries import log_deriv_theta, qpochhammer, theta, theta_shift_factor
+from ellex.rmatrix import kappa_inv, mu_inv, pshift_scalar, r_plus, tau_fn, tau_fn_pochhammer
+
+NOME = NomeParams(0.18, -0.45)
+LEVEL = LevelParams(2, NOME)
+
+OUTSIDE_DISK = {
+    "tau_fn q": ("q", lambda b: tau_fn(1.1, b)),
+    "poisson_series_g q": ("q", lambda b: poisson_series_g(1.1, b)),
+    "commuting_F q": ("q", lambda b: commuting_F(2, CommutingPoint(2), 1.1, b)),
+    "mu_inv p": ("p", lambda b: mu_inv(1.1, b, 0.5)),
+    "kappa_inv p": ("p", lambda b: kappa_inv(1.21, b, 0.5)),
+    "r_plus p": ("p", lambda b: r_plus(1.1, NomeParams(b, 0.5))),
+    "qpochhammer b": ("b", lambda b: qpochhammer(0.5, b)),
+    "theta a": ("a", lambda b: theta(b, 1.1)),
+}
+
+
+@pytest.mark.parametrize("base", [1.0, 4.0, -1.5j])
+@pytest.mark.parametrize("site", sorted(OUTSIDE_DISK))
+def test_base_outside_disk_names_the_callers_parameter(site, base):
+    name, call = OUTSIDE_DISK[site]
+    with pytest.raises(NonConvergentBase, match=rf"^\|{name}\| must lie in \(0, 1\)"):
+        call(base)
+
+
+ZERO_X = {
+    "theta": lambda: theta(0.5, 0),
+    "theta_shift_factor": lambda: theta_shift_factor(0.5, 2, 0),
+    "log_deriv_theta": lambda: log_deriv_theta(0.5, 0),
+    "tau_fn": lambda: tau_fn(0, 0.5),
+    "tau_fn_pochhammer": lambda: tau_fn_pochhammer(0, 0.5),
+    "mu_inv": lambda: mu_inv(0, 0.2, 0.5),
+    "r_plus": lambda: r_plus(0, NOME),
+    "pshift_scalar": lambda: pshift_scalar(0, NOME),
+    "shift_factor_F": lambda: shift_factor_F(0, NOME),
+    "exchange_F": lambda: exchange_F(LEVEL, 0),
+    "exchange_Y": lambda: exchange_Y(LEVEL, 0),
+    "commuting_F": lambda: commuting_F(2, CommutingPoint(2), 0, 0.5),
+    "poisson_series_g": lambda: poisson_series_g(0, 0.5),
+    "poisson_structure": lambda: poisson_structure(1, 1, 0, 0.5),
+    "poisson_structure_center": lambda: poisson_structure_center(0, 0.5),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ZERO_X))
+def test_zero_x_names_x(site):
+    with pytest.raises(DomainError, match="^x must be nonzero$"):
+        ZERO_X[site]()
+
+
+def test_zero_squared_argument_names_x2():
+    with pytest.raises(DomainError, match="^x2 must be nonzero$"):
+        kappa_inv(0, 0.2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: LevelParams(0, NOME), "m"),
+        (lambda: LevelParams(1.5, NOME), "m"),
+        (lambda: CommutingPoint(0), "k"),
+        (lambda: commuting_F(0, CommutingPoint(2), 1.1, 0.5), "m"),
+        (lambda: poisson_structure(1, 0, 1.1, 0.5), "k"),
+    ],
+)
+def test_levels_must_be_nonzero_integers(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a nonzero integer$"):
+        call()
+
+
+def test_nome_p_outside_disk_is_a_valid_exchange_point():
+    # p = q^-2 is the commuting point k = -1, where F = 1 and Y = 1
+    q = 0.5
+    level = LevelParams(1, CommutingPoint(-1).exact_nome(q))
+    assert abs(exchange_F(level, 1.1) - 1.0) < 1e-12
+    assert abs(exchange_Y(level, 1.1) - 1.0) < 1e-12
+    with pytest.raises(NonConvergentBase, match=r"^\|p\|"):
+        mu_inv(1.1, level.nome.p, q)

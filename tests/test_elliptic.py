@@ -22,6 +22,7 @@ from ellex.elliptic import (
 )
 from ellex.errors import DomainError, NearSingularity, NonConvergentBase, TruncationExceeded
 from ellex.qseries import DEFAULT_POLICY, TruncationPolicy, theta
+from ellex.rmatrix import r_plus
 
 
 def agm_oracle(k, iterations=20):
@@ -115,9 +116,10 @@ def test_snh_core_matches_two_theta_form_bit_for_bit():
 
 
 def test_snh_core_rejects_what_theta_rejects():
-    with pytest.raises(DomainError, match="theta base"):
+    # its theta base is p^2, checked under that name
+    with pytest.raises(NonConvergentBase, match=r"^\|p\^2\| must lie in \(0, 1\)"):
         snh_core(1.0, 1.2)
-    with pytest.raises(DomainError, match="theta argument"):
+    with pytest.raises(DomainError, match="^theta argument must be nonzero"):
         snh_core(1e200, 0.5)
 
 
@@ -178,11 +180,12 @@ def test_baxter_entries_against_sn_oracle():
 def test_nome_params_validation():
     with pytest.raises(NonConvergentBase):
         NomeParams(0.5, 1.1)
-    with pytest.raises(NonConvergentBase):
-        NomeParams(1.5, 0.5)
-    # theta-argument-only contexts may open the p disk explicitly
-    np_ok = NomeParams(1.5, 0.5, allow_p_outside_disk=True)
-    assert np_ok.p == 1.5
+    # |p| >= 1 is a valid nome for the exchange functions; what uses p as a
+    # product base rejects it there
+    outside = NomeParams(1.5, 0.5)
+    assert outside.p == 1.5
+    with pytest.raises(NonConvergentBase, match=r"^\|p\|"):
+        r_plus(1.1, outside)
     with pytest.raises(DomainError):
         NomeParams(0.0, 0.5)
 

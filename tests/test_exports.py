@@ -47,3 +47,30 @@ def _imported(tree: ast.Module) -> set[str]:
 def test_math_modules_do_not_import_upper_layers(name):
     source = Path(ellex.__file__).with_name(f"{name}.py").read_text()
     assert _imported(ast.parse(source)) & UPPER_LAYERS == set()
+
+
+SOURCES = sorted(Path(ellex.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import statement binds that the module never reads; names
+    in ``__all__`` and ``__future__`` imports count as used."""
+    bound: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

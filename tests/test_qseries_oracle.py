@@ -1,5 +1,6 @@
-"""q-Pochhammer products, theta, kappa_inv, log_deriv_theta, poisson_series_g,
-complete_K and jacobi_snh against a 40-digit oracle.
+"""q-Pochhammer products, theta, tau_fn, kappa_inv, log_deriv_theta,
+poisson_series_g, poisson_structure_center, complete_K and jacobi_snh
+against a 40-digit oracle.
 
 Products and theta are compared with mpmath's ``qp``, which sums the
 q-binomial series rather than multiplying factors.  The kappa_inv oracle
@@ -12,10 +13,13 @@ The rows after them are summed exactly through
 so the oracle truncates nothing beyond its 40 digits.  The log-derivative
 oracle is a ratio of two sums of the Jacobi triple-product series, and the
 structure-function oracle g(x) = -1 + 2 L(x^2) + 2 L(q^2 / x^2) takes two such
-log-derivatives in the base q^4.  K and snh are compared with mpmath's
-``ellipk`` and ``ellipfun``.  Each comparison
-asserts the error the library claims: ``tail_tol`` plus a first-order
-roundoff budget, not a fixed constant.
+log-derivatives in the base q^4.  tau and the central bracket are a theta
+quotient and a sum of four log-derivatives; their oracles take the same
+quotient and sum at 40 digits, at the arguments the library forms, so each
+claim is the theta or log-derivative claims plus the roundings that combine
+them.  K and snh are compared with mpmath's ``ellipk`` and ``ellipfun``.
+Each comparison asserts the error the library claims: ``tail_tol`` plus a
+first-order roundoff budget, not a fixed constant.
 """
 
 import cmath
@@ -25,9 +29,9 @@ from functools import lru_cache
 import pytest
 
 from ellex.elliptic import EllipticParams, complete_K, jacobi_snh
-from ellex.poisson import poisson_series_g
+from ellex.poisson import poisson_series_g, poisson_structure_center
 from ellex.qseries import TruncationPolicy, log_deriv_theta, qpochhammer, theta
-from ellex.rmatrix import kappa_inv
+from ellex.rmatrix import kappa_inv, tau_fn
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -83,11 +87,16 @@ def qp1_oracle(x, b):
         return complex(mp.qp(mp.mpc(x), mp.mpc(b)))
 
 
+def _theta_mp(a, x):
+    """theta_a(x) at the working precision."""
+    a, x = mp.mpc(a), mp.mpc(x)
+    return mp.qp(x, a) * mp.qp(a / x, a) * mp.qp(a, a)
+
+
 @lru_cache(maxsize=None)
 def theta_oracle(a, x):
     with mp.workdps(40):
-        a, x = mp.mpc(a), mp.mpc(x)
-        return complex(mp.qp(x, a) * mp.qp(a / x, a) * mp.qp(a, a))
+        return complex(_theta_mp(a, x))
 
 
 def one_base_roundoff(x, b, tail_tol, formed=4.0):
@@ -363,6 +372,89 @@ def test_poisson_series_g_within_claim(q, x, tail_tol):
     val = poisson_series_g(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
     ref = series_g_oracle(x, q)
     assert abs(val - ref) <= claimed_error_series_g(x, q, tail_tol)
+
+
+# --- tau_fn and poisson_structure_center ----------------------------------------
+
+QUOTIENT_Q = [cis(0.3, 0.7), cis(0.6, -2.0), -0.6, cis(0.9, 2.4)]  # |q^4| to 0.66
+
+
+def _tau_args(x, q):
+    """The base and the two theta arguments tau_fn(x, q) forms."""
+    x, q = complex(x), complex(q)
+    return q**4, x * x * q, q / (x * x)
+
+
+@lru_cache(maxsize=None)
+def tau_oracle(x, q):
+    a, num, den = _tau_args(x, q)
+    with mp.workdps(40):
+        return complex(_theta_mp(a, num) / (mp.mpc(x) * _theta_mp(a, den)))
+
+
+def claimed_error_tau(x, q, tail_tol):
+    """Relative error that tau_fn(x, q) claims: the claims of its two thetas,
+    plus the product by x and the quotient that combine them."""
+    a, num, den = _tau_args(x, q)
+    return (
+        claimed_error_theta(a, num, tail_tol)
+        + claimed_error_theta(a, den, tail_tol)
+        + (MUL + DIV) * EPS
+    )
+
+
+def _tau_points(q):
+    """Generic points, and points whose square is near a pole x^2 = q^(1-4n),
+    a zero of the denominator theta_{q^4}(q / x^2)."""
+    near = [(n, d, phi) for n in (-1, 0, 1) for d, phi in NEAR_POLE]
+    return GENERIC_X + [cmath.sqrt(q ** (1 - 4 * n) * (1 + cis(d, phi))) for n, d, phi in near]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("q,x", [(q, x) for q in QUOTIENT_Q for x in _tau_points(q)])
+def test_tau_fn_within_claim(q, x, tail_tol):
+    val = tau_fn(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = tau_oracle(x, q)
+    assert abs(val - ref) / abs(ref) <= claimed_error_tau(x, q, tail_tol)
+
+
+def _center_args(x, q):
+    """The base q^4 and the four log-derivative arguments q^2 x^2, x^-2,
+    q^2 x^-2 and x^2 (signs +, +, -, -) that poisson_structure_center forms."""
+    x, q = complex(x), complex(q)
+    x2, q2 = x * x, q * q
+    return q**4, (q2 * x2, 1 / x2, q2 / x2, x2)
+
+
+@lru_cache(maxsize=None)
+def center_oracle(x, q):
+    a, (l1, l2, l3, l4) = _center_args(x, q)
+    with mp.workdps(40):
+        a = mp.mpc(a)
+        L = [_log_deriv_oracle(a, mp.mpc(y)) for y in (l1, l2, l3, l4)]
+        return complex(-2 * mp.log(mp.mpc(q)) * (L[0] + L[1] - L[2] - L[3]))
+
+
+def claimed_error_center(x, q, tail_tol):
+    """Absolute error that poisson_structure_center(x, q) claims.
+
+    The four log-derivative claims add, and each of the three additions
+    rounds at most the sum of the moduli.  The sum S is then multiplied by
+    -2 ln q: the claim on S scales by |2 ln q|, and the rounded log (charged
+    4 roundings) and the product add (4 + sqrt(5)) roundings of the result.
+    """
+    a, args = _center_args(x, q)
+    moduli = sum(abs(log_deriv_oracle(a, y)) for y in args)
+    sum_error = sum(claimed_error_log_deriv(a, y, tail_tol) for y in args) + 3 * moduli * EPS
+    scale = abs(2 * cmath.log(q))
+    return scale * sum_error + abs(center_oracle(x, q)) * (4 + MUL) * EPS
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("q,x", [(q, x) for q in QUOTIENT_Q for x in _series_g_points(q)])
+def test_poisson_structure_center_within_claim(q, x, tail_tol):
+    val = poisson_structure_center(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
+    assert abs(val - center_oracle(x, q)) <= claimed_error_center(x, q, tail_tol)
 
 
 # --- elliptic layer: complete_K and jacobi_snh -----------------------------------
