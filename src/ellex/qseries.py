@@ -230,8 +230,9 @@ def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
 
     Evaluated as (-1)^s * a^(-s(s-1)/2) * x^(-s); s(s-1) is always even, so
     every exponent is an integer and no fractional-power branch is chosen.
+    The base needs 0 < |a| < 1, as in theta.
     """
-    av = _as_complex(a, "a")
+    av = _in_disk(a, "a")
     xv = _nonzero(x, "x")
     if int(s) != s:
         raise DomainError("shift order s must be an integer")

@@ -7,10 +7,13 @@ an ``evaluate(cfg, candidate)`` that returns one ``(error, point)`` per check
 or raises an ``EllexError`` to reject the point. One runner draws the entries
 in table order from one rng seeded per suite. Every candidate, rejected or
 not, costs one of ``_TRIES_PER_POINT`` tries per point asked for, and an
-exhausted budget raises ``SamplingExhausted`` (exit code 2). Under
-``parallel > 1`` one process pool per ``run_suites`` call evaluates the
-candidates, merged in candidate order, so reports are byte-for-byte
-reproducible. ``beta-limit`` and ``mode-brackets`` sample nothing.
+exhausted budget raises ``SamplingExhausted`` (exit code 2).
+``beta-limit`` and ``mode-brackets`` sample nothing.
+
+Under ``parallel = N > 1``, ``run_suites`` sends whole suites to a process
+pool of ``min(N, suites, usable CPUs)`` workers and merges the reports in
+suite order; a run of one suite stays serial.  Each suite seeds its own rng,
+so reports are byte-for-byte those of a serial run.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import cmath
 import math
 import os
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable
 
 import numpy as np
@@ -58,8 +60,6 @@ __all__ = ["VerifyConfig", "SUITES", "resolve_suites", "run_suite", "run_suites"
 _GRID_REJECT_TOL = 1e-3  # log-radial clearance from zero/pole spirals
 _TRIES_PER_POINT = 10  # candidate budget of an identity, per point asked for
 _LEVELS = (-3, -2, -1, 1, 2, 3)  # levels m of the exchange checks; shift orders of theta
-
-_POOL: ContextVar = ContextVar("ellex_suites_pool", default=None)  # of the running run_suites
 
 
 @dataclass(frozen=True)
@@ -118,82 +118,37 @@ def _suite(name: str, description: str, aliases: tuple = (), seed_offset: int | 
     return register
 
 
-@contextmanager
-def _shared_pool(degree: int):
-    """Let one process pool serve every sampled suite run inside the block.
-
-    The pool has at most one worker per usable CPU: under fork every worker
-    starts at the first submit, and more of them only cost memory.  Reports
-    do not depend on the worker count.
-    """
-    if degree <= 1 or _POOL.get() is not None:
-        yield
-        return
-    # imported here: the pool's multiprocessing modules add ~2 MB to every
-    # serial process that imports this module
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    with ProcessPoolExecutor(max_workers=min(degree, cpus)) as pool:
-        token = _POOL.set(pool)
-        try:
-            yield
-        finally:
-            _POOL.reset(token)
-
-
-def _evaluate(job: tuple):
-    evaluate, cfg, candidate = job
-    try:
-        return evaluate(cfg, candidate)
-    except EllexError:
-        return None
-
-
-def _evaluate_batch(batch: list) -> list:
-    pool = _POOL.get()
-    rows = map(_evaluate, batch) if pool is None else pool.map(_evaluate, batch)
-    return [row for row in rows if row is not None]
-
-
 def _run_sampled(
     suite: str,
     seed_offset: int,
     table: Callable[[VerifyConfig], list[Identity]],
     cfg: VerifyConfig,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed + seed_offset)
     index = 0
     checks: list[CheckResult] = []
-    with _shared_pool(cfg.parallel):
-        for ident in table(cfg):
-            rows: list = []
-            batch: list = []
-            for _ in range(_TRIES_PER_POINT * ident.count):
-                candidate = ident.sample(rng, cfg, index)
-                if candidate is not None:
-                    index += 1
-                    batch.append((ident.evaluate, cfg, candidate))
-                # evaluate once the batch could complete the grid, so exactly
-                # the candidates a one-at-a-time loop would draw are drawn
-                if len(rows) + len(batch) == ident.count:
-                    rows += _evaluate_batch(batch)
-                    batch = []
-                    if len(rows) == ident.count:
-                        break
-            rows += _evaluate_batch(batch)
-            if len(rows) < ident.count:
-                raise SamplingExhausted(
-                    f"{', '.join(ident.checks)}: only {len(rows)} of {ident.count} points "
-                    f"valid after {_TRIES_PER_POINT * ident.count} candidates"
-                )
-            for j, check_id in enumerate(ident.checks):
-                pairs = [row[j] for row in rows]
-                checks.append(_aggregate(check_id, pairs, ident.tolerance, t0, ident.params))
+    for ident in table(cfg):
+        t0 = time.perf_counter()
+        rows: list = []
+        for _ in range(_TRIES_PER_POINT * ident.count):
+            candidate = ident.sample(rng, cfg, index)
+            if candidate is None:
+                continue
+            index += 1
+            try:
+                rows.append(ident.evaluate(cfg, candidate))
+            except EllexError:
+                continue
+            if len(rows) == ident.count:
+                break
+        else:
+            raise SamplingExhausted(
+                f"{', '.join(ident.checks)}: only {len(rows)} of {ident.count} points "
+                f"valid after {_TRIES_PER_POINT * ident.count} candidates"
+            )
+        for j, check_id in enumerate(ident.checks):
+            pairs = [row[j] for row in rows]
+            checks.append(_aggregate(check_id, pairs, ident.tolerance, t0, ident.params))
     return VerificationReport(suite, checks, cfg.to_dict(), __version__)
 
 
@@ -616,8 +571,24 @@ def run_suite(name: str, cfg: VerifyConfig) -> VerificationReport:
 
 def run_suites(names: Iterable[str], cfg: VerifyConfig) -> VerificationReport:
     resolved = resolve_suites(names)
-    with _shared_pool(cfg.parallel):
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cfg.parallel, len(resolved), cpus)
+    if workers <= 1:
         reports = [run_suite(n, cfg) for n in resolved]
+    else:
+        # imported here: the pool's multiprocessing modules add ~2 MB to every
+        # serial process that imports this module
+        from concurrent.futures import ProcessPoolExecutor
+
+        # suites seed their own rngs, so each is one task; the worker looks
+        # the runner up by name and the reports come back in suite order.
+        # Under fork every worker starts at the first submit, so workers
+        # beyond the suites or the CPUs would only cost memory.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(run_suite, resolved, repeat(cfg)))
     if len(reports) == 1:
         return reports[0]
     merged = merge_reports(reports, suite="+".join(resolved))

@@ -174,20 +174,30 @@ def test_verify_report_bytes_deterministic(capsys, tmp_path):
 
 
 def test_verify_parallel_matches_serial(capsys, tmp_path):
-    # grid evaluation across processes merges in candidate order, so the
+    # whole suites run in the workers and merge in suite order, so the
     # checks are identical; only the echoed parallel degree differs
     outs = {}
     for degree in ("1", "2"):
         path = tmp_path / f"par{degree}.json"
         code, _, _ = run(
             capsys,
-            "verify", "--suite", "rmatrix", "--seed", "9", "--parallel", degree,
+            "verify", "--suite", "all", "--seed", "7", "--parallel", degree,
             "--format", "json", "--output", str(path),
         )
         assert code == 0
         outs[degree] = json.loads(path.read_text())
         outs[degree]["config"].pop("parallel")
     assert outs["1"] == outs["2"]
+
+
+def test_verify_parallel_worker_error_matches_serial(capsys):
+    # an error raised in a worker reaches the CLI as the serial run's error
+    argv = ("verify", "--suite", "tau", "--suite", "theorem6", "--q", "0.999", "--max-terms", "8")
+    results = [run(capsys, *argv, "--parallel", degree) for degree in ("1", "2")]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 2 and out == ""
+    assert "tau-two-representations: only 0 of 50 points" in err
 
 
 class _InProcessPool:
@@ -204,8 +214,8 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_verify_parallel_pool_capped_at_usable_cpus(monkeypatch):
@@ -219,12 +229,15 @@ def test_verify_parallel_pool_capped_at_usable_cpus(monkeypatch):
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    wide = json.loads(run_suites(["theta"], VerifyConfig(parallel=10**6)).to_json_bytes())
-    assert _InProcessPool.requested and max(_InProcessPool.requested) <= cpus
-    serial = json.loads(run_suites(["theta"], VerifyConfig()).to_json_bytes())
+    suites = ["theta", "tau", "p-periodicity"]
+    wide = json.loads(run_suites(suites, VerifyConfig(parallel=10**6)).to_json_bytes())
+    assert _InProcessPool.requested == ([min(cpus, len(suites))] if cpus > 1 else [])
+    serial = json.loads(run_suites(suites, VerifyConfig()).to_json_bytes())
     assert wide["config"].pop("parallel") == 10**6
     serial["config"].pop("parallel")
     assert wide == serial
+    run_suites(["tau"], VerifyConfig(parallel=2))  # one suite runs serially
+    assert len(_InProcessPool.requested) == (1 if cpus > 1 else 0)
 
 
 def test_verify_csv_format(capsys):

@@ -30,6 +30,7 @@ OUTSIDE_DISK = {
     "r_plus p": ("p", lambda b: r_plus(1.1, NomeParams(b, 0.5))),
     "qpochhammer b": ("b", lambda b: qpochhammer(0.5, b)),
     "theta a": ("a", lambda b: theta(b, 1.1)),
+    "theta_shift_factor a": ("a", lambda b: theta_shift_factor(b, 2, 1.1)),
 }
 
 
@@ -39,6 +40,14 @@ def test_base_outside_disk_names_the_callers_parameter(site, base):
     name, call = OUTSIDE_DISK[site]
     with pytest.raises(NonConvergentBase, match=rf"^\|{name}\| must lie in \(0, 1\)"):
         call(base)
+
+
+@pytest.mark.parametrize("site", sorted(OUTSIDE_DISK))
+def test_zero_base_is_a_domain_error(site):
+    # a typed error naming the base, never a ZeroDivisionError from a^(-n)
+    name, call = OUTSIDE_DISK[site]
+    with pytest.raises(DomainError, match=rf"^\|?{name}\|? must"):
+        call(0.0)
 
 
 ZERO_X = {
