@@ -42,7 +42,6 @@ from .exchange import (
 )
 from .poisson import (
     AnnulusLabel,
-    BetaLimitRequest,
     ModeBracketTable,
     beta_limit_check,
     format_mode_bracket,
@@ -118,7 +117,6 @@ __all__ = [
     "check_p_periodicity",
     # poisson
     "AnnulusLabel",
-    "BetaLimitRequest",
     "ModeBracketTable",
     "poisson_series_g",
     "poisson_structure",

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
+import time
 
 from . import __version__
 from .elliptic import NomeParams, complete_K, jacobi_snh
@@ -35,8 +35,7 @@ from .errors import EllexError
 from .exchange import LevelParams, exchange_F, exchange_Y
 from .poisson import (
     AnnulusLabel,
-    BetaLimitRequest,
-    _log_y_over_beta,
+    beta_limit_check,
     format_mode_bracket,
     laurent_modes,
     poisson_series_g,
@@ -44,7 +43,7 @@ from .poisson import (
     poisson_structure_center,
 )
 from .qseries import TruncationPolicy, theta
-from .report import CheckResult, VerificationReport, _jsonable
+from .report import CheckResult, VerificationReport, _jsonable, json_bytes
 from .rmatrix import kappa_inv, mu_inv, tau_fn
 
 _SYMBOLIC = re.compile(r"q\^(-?\d+)(?:-exact)?$")
@@ -167,7 +166,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = {"schema": 1, "tool_version": __version__, "results": _jsonable(rows)}
-        out = (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        out = json_bytes(payload)
     elif args.format == "csv":
         lines = ["fn,x,value,trunc_err"]
         for r in rows:
@@ -225,46 +224,19 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     if q is None:
         raise EllexError("limit needs --q")
     x = _parse_complex(args.x, "x")
-    betas = sorted((float(b) for b in args.betas.split(",")), reverse=True)
-    if any(not (0.0 < b <= 0.1) for b in betas):
-        raise EllexError("every beta must lie in (0, 0.1]")
-    if len(set(betas)) < 2:
-        raise EllexError("--betas needs at least two distinct betas to fit an order")
-    target = poisson_structure(args.m, args.k, x, q, pol)
-    table = []
-    for beta in betas:
-        d = _log_y_over_beta(BetaLimitRequest(m=args.m, k=args.k, beta=beta, q=q), x, pol)
-        table.append((beta, d, abs(d - target)))
-    # least-squares slope of log err vs log beta
-    logs = [(math.log(b), math.log(e)) for b, _, e in table if e > 0]
-    n = len(logs)
-    if n >= 2:
-        sx = sum(u for u, _ in logs)
-        sy = sum(v for _, v in logs)
-        sxx = sum(u * u for u, _ in logs)
-        sxy = sum(u * v for u, v in logs)
-        order = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    else:
-        order = float("nan")
-    pair_ratio = None
-    errs = {b: e for b, _, e in table}
-    if 1e-2 in errs and 1e-3 in errs and errs[1e-3] > 0:
-        pair_ratio = errs[1e-2] / errs[1e-3]
-    defect = abs(math.log10(pair_ratio) - 1.0) if pair_ratio else abs(order - 1.0)
+    t0 = time.perf_counter()
+    defect, info = beta_limit_check(
+        args.m, args.k, q, x, [float(b) for b in args.betas.split(",")], pol
+    )
+    betas = [row["beta"] for row in info["table"]]
     check = CheckResult(
         check_id="beta-ladder",
         params={"m": args.m, "k": args.k, "q": q, "x": x, "betas": betas},
         max_abs_error=float(defect),
         tolerance=math.log10(2.0),
         passed=bool(defect <= math.log10(2.0)),
-        info={
-            "target": target,
-            "table": [
-                {"beta": b, "lnY_over_beta": d, "abs_error": e} for b, d, e in table
-            ],
-            "fitted_order": order,
-            "ratio_1e-2_to_1e-3": pair_ratio,
-        },
+        wall_time_s=time.perf_counter() - t0,
+        info=info,
     )
     report = VerificationReport(
         "beta-ladder",
@@ -275,9 +247,12 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     )
     _emit(_report_bytes(report, args.format), args.output)
     if args.format == "text" or args.output:
-        for b, d, e in table:
-            sys.stdout.write(f"  beta={b:<8g} lnY/beta={d!r}  |err|={e:.6e}\n")
-        sys.stdout.write(f"  fitted order: {order:.4f}\n")
+        for row in info["table"]:
+            sys.stdout.write(
+                f"  beta={row['beta']:<8g} lnY/beta={row['lnY_over_beta']!r}  "
+                f"|err|={row['abs_error']:.6e}\n"
+            )
+        sys.stdout.write(f"  fitted order: {info['fitted_order']:.4f}\n")
     return 0 if check.passed else 1
 
 
@@ -328,7 +303,7 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         "antisymmetry_violation": table.antisymmetry_violation(),
     }
     if args.format == "json":
-        out = (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        out = json_bytes(payload)
     elif args.format == "csv":
         lines = ["l,structure_constant,raw_coefficient"]
         for l, g in sorted(table.coefficients.items()):

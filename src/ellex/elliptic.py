@@ -26,6 +26,7 @@ from .qseries import (
     _in_disk,
     _nonzero,
     _product,
+    _square,
     _theta_pair,
     near_theta_zero,
     qpochhammer,
@@ -132,12 +133,13 @@ def snh_core(
     """
     yv = _nonzero(y, "y")
     av = _in_disk(p * p, "p^2")
-    den_arg = p / (yv * yv)
+    y2 = _square(yv, "y^2")
+    den_arg = _nonzero(p / y2, "theta argument")
     if near_theta_zero(av, den_arg, _POLE_TOL):
         raise NearSingularity(f"snh pole near multiplicative argument {yv!r}")
-    num = _theta_pair(av, _nonzero(1.0 / (yv * yv), "theta argument"), policy)
+    num = _theta_pair(av, _nonzero(1.0 / y2, "theta argument"), policy)
     aa = _product(av, av, policy)
-    den = _theta_pair(av, _nonzero(den_arg, "theta argument"), policy)
+    den = _theta_pair(av, den_arg, policy)
     return yv * (num * aa) / (den * aa)
 
 

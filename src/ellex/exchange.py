@@ -40,6 +40,7 @@ from .qseries import (
     _in_disk,
     _nonzero,
     _nonzero_int,
+    _square,
     _theta_quotient,
 )
 from .rmatrix import tau_fn
@@ -135,7 +136,7 @@ def exchange_F(
     p, q = level.nome.p, level.nome.q
     q4 = q**4
     q2 = q * q
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     ix2 = 1.0 / x2
     result = 1.0 + 0j
     if level.m > 0:
@@ -202,7 +203,7 @@ def exchange_Y(
     p, q = level.nome.p, level.nome.q
     q4 = q**4
     q2 = q * q
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     ix2 = 1.0 / x2
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
     inner = 1.0 + 0j
@@ -251,7 +252,7 @@ def commuting_F(
     xv = _nonzero(x, "x")
     if cp.k % 2:
         return 1.0 + 0j
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     ratio = _theta_quotient(qv**4, (x2 * qv * qv,), (x2,), policy)
     return qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
 

@@ -1,7 +1,8 @@
 """Classical limits: the k-labeled Poisson structure function, the central
-(c = -2) bracket via logarithmic derivatives of tau, the finite-step limit
-check connecting them to the quadratic exchange function, and mode-bracket
-structure constants from annulus-resolved Laurent coefficients.
+(c = -2) bracket via logarithmic derivatives of tau, the beta-ladder
+``beta_limit_check`` connecting them to the quadratic exchange function
+(p = q^(4k/(2 - beta)), any nonzero k), and mode-bracket structure
+constants from annulus-resolved Laurent coefficients.
 
 Structure function conventions (x stands for the ratio w/z throughout):
 
@@ -18,6 +19,7 @@ Structure function conventions (x stands for the ratio w/z throughout):
                                             - (1/x) d/d(1/x) ln tau(q^(1/2)/x) ]
 
 g(x) is odd under x -> 1/x and has simple poles on every circle |x| = |q|^j.
+The central bracket equals 2 ln(q) g(x) identically in x.
 
 Mode extraction: on the annulus |x| in (|q|^n, |q|^(n-1)) the raw Laurent
 coefficients of the structure function are taken by trapezoidal quadrature
@@ -40,7 +42,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,13 +64,13 @@ from .qseries import (
     _in_disk,
     _nonzero,
     _nonzero_int,
+    _square,
     log_deriv_theta,
     near_theta_zero,
 )
 
 __all__ = [
     "AnnulusLabel",
-    "BetaLimitRequest",
     "ModeBracketTable",
     "poisson_series_g",
     "poisson_structure",
@@ -91,7 +94,7 @@ def poisson_series_g(
     """
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
-    a = xv * xv
+    a = _square(xv, "x^2")
     b = 1.0 / a
     if near_theta_zero(qv * qv, a):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a pole x^2 = q^(2j)")
@@ -154,7 +157,7 @@ def poisson_structure_center(
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
     q4 = qv**4
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     q2 = qv * qv
 
     def L(y: complex) -> complex:
@@ -163,70 +166,65 @@ def poisson_structure_center(
     return -2.0 * cmath.log(qv) * (L(q2 * x2) + L(1.0 / x2) - L(q2 / x2) - L(x2))
 
 
-@dataclass(frozen=True)
-class BetaLimitRequest:
-    """Finite-step approach to the commuting point: q^(2k) = p^(1 - beta/2),
-    so p = q^(4k / (2 - beta)), with beta in (0, 0.1] and |p| < 1."""
-
-    m: int
-    k: int
-    beta: float
-    q: complex
-
-    def __post_init__(self) -> None:
-        _nonzero_int(self.m, "m")
-        _nonzero_int(self.k, "k")
-        _in_disk(self.q, "q")
-        if not (0.0 < self.beta <= 0.1):
-            raise DomainError(f"beta must lie in (0, 0.1], got {self.beta!r}")
-        if not (abs(self.p) < 1.0):
-            raise DomainError(
-                f"derived nome |p| = {abs(self.p):.6g} >= 1 (k must be positive here)"
-            )
-
-    @property
-    def p(self) -> complex:
-        exponent = 4.0 * self.k / (2.0 - self.beta)
-        return cmath.exp(exponent * cmath.log(complex(self.q)))
-
-
-def _log_y_over_beta(req: BetaLimitRequest, x: complex, policy: TruncationPolicy) -> complex:
-    nome = NomeParams(req.p, req.q)
-    y = exchange_Y(LevelParams(req.m, nome), x, policy)
-    return cmath.log(y) / req.beta
-
-
 def beta_limit_check(
-    req: BetaLimitRequest,
+    m: int,
+    k: int,
+    q: complex,
     x: complex,
+    betas: Sequence[float] = (1e-2, 1e-3),
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[float, dict]:
-    """Compare ln(Y)/beta against the k-labeled structure function.
+    """Compare ln(Y)/beta against the k-labeled structure function on a
+    ladder of finite steps beta -> 0.
 
-    Runs at beta and beta/10; first-order convergence means the error ratio
-    sits near 10.  Returns the order defect |log10(ratio) - 1| (0 when the
-    fine error is exactly 0) and the values behind it: the target, both
-    ln(Y)/beta, both errors and their ratio.
+    At each beta the nome is p = q^(4k / (2 - beta)), so that
+    q^(2k) = p^(1 - beta/2); Y takes any p != 0, so k may be negative.
+    Every beta must lie in (0, 0.1] and at least two must differ; the
+    ladder runs in descending order, duplicates kept.  First-order
+    convergence makes the error fall tenfold per decade of beta: the order
+    defect is |log10(err(1e-2) / err(1e-3)) - 1| when the ladder holds both
+    steps (0 when err(1e-3) is exactly 0), else |fitted order - 1|, the
+    least-squares slope of log err against log beta over nonzero errors.
+    Returns the defect and its data: the target, one row per step, the
+    fitted order and the 1e-2 to 1e-3 error ratio (None without the pair).
     """
+    ladder = sorted(map(float, betas), reverse=True)
+    if not all(0.0 < beta <= 0.1 for beta in ladder):
+        raise DomainError(f"every beta must lie in (0, 0.1], got {ladder!r}")
+    if len(set(ladder)) < 2:
+        raise DomainError("the ladder needs at least two distinct betas to fit an order")
     xv = _as_complex(x, "x")
-    target = poisson_structure(req.m, req.k, xv, req.q, policy)
-    d_coarse = _log_y_over_beta(req, xv, policy)
-    d_fine = _log_y_over_beta(replace(req, beta=req.beta / 10.0), xv, policy)
-    err_coarse = abs(d_coarse - target)
-    err_fine = abs(d_fine - target)
-    if err_fine == 0.0:
-        order_defect = 0.0
-        ratio = math.inf
+    target = poisson_structure(m, k, xv, q, policy)
+    lnq = cmath.log(q)
+    rows = []
+    for beta in ladder:
+        nome = NomeParams(cmath.exp(4.0 * k / (2.0 - beta) * lnq), q)
+        value = cmath.log(exchange_Y(LevelParams(m, nome), xv, policy)) / beta
+        rows.append((beta, value, abs(value - target)))
+    logs = [(math.log(b), math.log(e)) for b, _, e in rows if e > 0]
+    n = len(logs)
+    order = math.nan  # a slope needs two distinct betas with nonzero errors
+    if len({u for u, _ in logs}) >= 2:
+        sx = sum(u for u, _ in logs)
+        sy = sum(v for _, v in logs)
+        sxx = sum(u * u for u, _ in logs)
+        sxy = sum(u * v for u, v in logs)
+        order = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    errs = {b: e for b, _, e in rows}
+    ratio = None
+    if 1e-2 in errs and 1e-3 in errs:
+        if errs[1e-3] == 0.0:
+            ratio, defect = math.inf, 0.0
+        else:
+            ratio = errs[1e-2] / errs[1e-3]
+            defect = abs(math.log10(ratio) - 1.0)
     else:
-        ratio = err_coarse / err_fine
-        order_defect = abs(math.log10(ratio) - 1.0)
-    return order_defect, {
+        defect = abs(order - 1.0)
+    return defect, {
         "target": target,
-        "lnY_over_beta": d_coarse,
-        "lnY_over_beta_fine": d_fine,
-        "err_beta": err_coarse,
-        "err_beta_over_10": err_fine,
-        "error_ratio": ratio,
+        "table": [{"beta": b, "lnY_over_beta": d, "abs_error": e} for b, d, e in rows],
+        "fitted_order": order,
+        "ratio_1e-2_to_1e-3": ratio,
     }
 
 

@@ -98,6 +98,13 @@ def _nonzero(z: complex, name: str) -> complex:
     return w
 
 
+def _square(z: complex, name: str) -> complex:
+    """z * z as a finite, nonzero complex number, else DomainError naming the
+    square: a finite z below about 1e-162 or above 1e154 underflows or
+    overflows it."""
+    return _nonzero(z * z, name)
+
+
 def _in_disk(b: complex, name: str) -> complex:
     """b as a complex number with 0 < |b| < 1, the domain of a product base;
     else NonConvergentBase (a DomainError) naming it."""
@@ -239,7 +246,13 @@ def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
     s = int(s)
     half = (s * (s - 1)) // 2
     sign = -1.0 if s % 2 else 1.0
-    return sign * av ** (-half) * xv ** (-s)
+    try:
+        factor = sign * av ** (-half) * xv ** (-s)
+    except (ZeroDivisionError, OverflowError):
+        factor = 0j
+    if factor == 0 or not cmath.isfinite(factor):
+        raise DomainError(f"theta shift factor out of floating-point range at s = {s}, x = {xv!r}")
+    return factor
 
 
 def near_theta_zero(a: complex, x: complex, rtol: float = _ZERO_RTOL) -> bool:
@@ -282,12 +295,13 @@ def _theta_quotient(
 ) -> complex:
     """prod theta_a(num_args) / (scale * prod theta_a(den_args)), each product
     formed in argument order, bit for bit what the public ``theta`` gives.
-    Raises NearSingularity first when a denominator argument is near a zero
-    of theta_a (near_theta_zero at its default rtol).  (a; a)_inf is formed
-    once per call, after the first argument's check, so that a bad first
-    argument raises DomainError as theta(a, arg) would."""
+    Checks the denominator arguments first: DomainError when one is not
+    finite (naming a "theta argument", not the caller's x), NearSingularity
+    when one is near a zero of theta_a (near_theta_zero at its default rtol).
+    (a; a)_inf is formed once per call, after the first argument's check, so
+    that a bad first argument raises DomainError as theta(a, arg) would."""
     for arg in den_args:
-        if near_theta_zero(a, arg):
+        if near_theta_zero(a, _as_complex(arg, "theta argument")):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
     av = _in_disk(a, "a")
     _nonzero((num_args + den_args)[0], "theta argument")

@@ -27,6 +27,12 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+def json_bytes(payload: dict) -> bytes:
+    """The canonical JSON encoding of every machine-readable output: sorted
+    keys, no spaces, ASCII, one trailing newline."""
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
 @dataclass
 class CheckResult:
     """Outcome of one named identity check at one parameter point."""
@@ -80,8 +86,7 @@ class VerificationReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return (text + "\n").encode("ascii")
+        return json_bytes(self.to_dict())
 
     def to_csv_text(self) -> str:
         lines = ["suite,check_id,max_abs_error,tolerance,pass,params"]

@@ -38,6 +38,7 @@ from .qseries import (
     _in_disk,
     _nonzero,
     _product,
+    _square,
     _theta_quotient,
     qpochhammer,
 )
@@ -65,7 +66,8 @@ def tau_fn(
     """tau(x) = x^-1 theta_{q^4}(x^2 q) / theta_{q^4}(x^-2 q)."""
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
-    return _theta_quotient(qv**4, (xv * xv * qv,), (qv / (xv * xv),), policy, xv)
+    x2 = _square(xv, "x^2")
+    return _theta_quotient(qv**4, (x2 * qv,), (qv / x2,), policy, xv)
 
 
 def tau_fn_pochhammer(
@@ -80,7 +82,7 @@ def tau_fn_pochhammer(
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
     q4 = qv**4
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     num = qpochhammer(qv * x2, q4, policy) * qpochhammer(qv**3 / x2, q4, policy)
     den = qpochhammer(qv / x2, q4, policy) * qpochhammer(qv**3 * x2, q4, policy)
     if den == 0:
@@ -179,7 +181,7 @@ def mu_inv(
     xv = _nonzero(x, "x")
     pv = _in_disk(p, "p")
     qv = _as_complex(q, "q")
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     p2 = pv * pv
     quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy)
     const = qpochhammer(p2, p2, policy) / qpochhammer(pv, pv, policy) ** 2
@@ -213,6 +215,7 @@ def r_plus(
     base, so |p| >= 1 raises NonConvergentBase; an entry that is not finite
     raises DomainError."""
     xv = _nonzero(x, "x")
+    _square(xv, "x^2")  # tau below takes q^(1/2)/x, whose square is q/x^2
     _in_disk(nome.p, "p")
     scale = tau_fn(cmath.sqrt(nome.q) / xv, nome.q, policy) * mu_inv(
         xv, nome.p, nome.q, policy
@@ -273,7 +276,7 @@ def pshift_scalar(
     """
     xv = _nonzero(x, "x")
     p, q = nome.p, nome.q
-    x2 = xv * xv
+    x2 = _square(xv, "x^2")
     ix2 = 1.0 / x2
     return _theta_quotient(
         q**4,

@@ -45,7 +45,6 @@ from .exchange import (
 )
 from .poisson import (
     AnnulusLabel,
-    BetaLimitRequest,
     beta_limit_check,
     laurent_modes,
     poisson_series_g,
@@ -440,43 +439,43 @@ def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
     checks = []
     for m, k, q, x in cases:
         t0 = time.perf_counter()
-        req = BetaLimitRequest(m=m, k=k, beta=1e-2, q=cfg.q if cfg.q is not None else q)
-        defect, info = beta_limit_check(req, x, cfg.policy)
+        q = cfg.q if cfg.q is not None else q
+        defect, ladder = beta_limit_check(m, k, q, x, (1e-2, 1e-3), cfg.policy)
+        coarse, fine = ladder["table"]
         checks.append(CheckResult(
             check_id=f"beta-limit(m={m:+d},k={k:+d})",
-            params={"m": m, "k": k, "beta": req.beta, "q": req.q, "x": complex(x)},
+            params={"m": m, "k": k, "beta": coarse["beta"], "q": q, "x": complex(x)},
             max_abs_error=defect,
             tolerance=tol,
-            passed=defect <= tol and info["err_beta_over_10"] < info["err_beta"],
+            passed=defect <= tol and fine["abs_error"] < coarse["abs_error"],
             wall_time_s=time.perf_counter() - t0,
-            info=info,
+            info={
+                "target": ladder["target"],
+                "lnY_over_beta": coarse["lnY_over_beta"],
+                "lnY_over_beta_fine": fine["lnY_over_beta"],
+                "err_beta": coarse["abs_error"],
+                "err_beta_over_10": fine["abs_error"],
+                "error_ratio": ladder["ratio_1e-2_to_1e-3"],
+            },
         ))
     return VerificationReport("beta-limit", checks, cfg.to_dict(), __version__)
 
 
-def _eval_coincidence(q: complex, norm: complex, cfg: VerifyConfig, x: complex) -> tuple:
+def _eval_coincidence(q: complex, cfg: VerifyConfig, x: complex) -> tuple:
     lhs = poisson_structure_center(x, q, cfg.policy)
-    rhs = norm * poisson_series_g(x, q, cfg.policy)
+    rhs = 2.0 * cmath.log(q) * poisson_series_g(x, q, cfg.policy)
     return ((abs(lhs - rhs) / max(1.0, abs(lhs)), {"x": x}),)
 
 
-@_suite(
-    "coincidence",
-    "central bracket matches the k-labeled series after one-point normalization",
-    seed_offset=8,
-)
+@_suite("coincidence", "central bracket equals 2 ln(q) times the series g", seed_offset=8)
 def _coincidence_table(cfg: VerifyConfig) -> list[Identity]:
-    pol = cfg.policy
-    x_ref = 1.37
-    table = []
-    for q in [cfg.q] if cfg.q is not None else [0.45 + 0j, 0.3 * cmath.exp(0.4j)]:
-        norm = poisson_structure_center(x_ref, q, pol) / poisson_series_g(x_ref, q, pol)
-        params = {"q": q, "x_ref": x_ref, "norm": norm, "norm_over_2lnq": norm / (2 * cmath.log(q))}
-        table.append(Identity(
+    return [
+        Identity(
             (f"center-vs-series(q={q!r})",), partial(_sample_x, 0.6, 1.6, q),
-            partial(_eval_coincidence, q, norm), 1e-8, 50, params,
-        ))
-    return table
+            partial(_eval_coincidence, q), 1e-8, 50, {"q": q},
+        )
+        for q in ([cfg.q] if cfg.q is not None else [0.45 + 0j, 0.3 * cmath.exp(0.4j)])
+    ]
 
 
 def _expansion_errors(raw: dict, pref: float, q: float, lmax: int, negative: bool) -> list:

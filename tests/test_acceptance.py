@@ -141,8 +141,8 @@ def test_c09_beta_limit_first_order():
 
 
 def test_c10_center_series_coincidence():
-    # after one-point normalization the central bracket and the k-labeled
-    # series agree as functions, rel <= 1e-8 on 50-point grids
+    # the central bracket equals 2 ln q times the k-labeled series g, with no
+    # fitted constant, rel <= 1e-8 on 50-point grids
     rep = suite("coincidence")
     for c in rep.checks:
         assert c.tolerance == 1e-8

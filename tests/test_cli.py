@@ -247,11 +247,12 @@ def test_verify_csv_format(capsys):
     assert header == "suite,check_id,max_abs_error,tolerance,pass,params"
 
 
-def test_limit_command(capsys, tmp_path):
+@pytest.mark.parametrize("k", ["1", "-1"])  # k < 0 puts |p| above 1
+def test_limit_command(capsys, tmp_path, k):
     path = tmp_path / "limit.json"
     code, out, _ = run(
         capsys,
-        "limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4",
+        "limit", "--m", "1", "--k", k, "--q", "0.5", "--x", "1.4",
         "--betas", "1e-2,1e-3", "--format", "json", "--output", str(path),
     )
     assert code == 0
@@ -319,6 +320,13 @@ def test_complex_value_with_leading_minus_after_flag(capsys, argv, flag, value):
     assert code == 0, err
     ref_code, ref, _ = run(capsys, *argv, f"{flag}={value}")
     assert ref_code == 0 and out == ref
+
+
+def test_eval_tiny_x_is_a_domain_error(capsys):
+    # x^2 underflows to 0: a typed error with exit code 2, not a traceback
+    code, out, err = run(capsys, "eval", "--fn", "tau", "--q", "0.5", "--x", "1e-200")
+    assert code == 2
+    assert out == "" and err == "error: x^2 must be nonzero\n"
 
 
 def test_limit_needs_two_distinct_betas(capsys):

@@ -4,8 +4,8 @@ its caller passed, not an internal theta base."""
 
 import pytest
 
-from ellex.elliptic import NomeParams
-from ellex.errors import DomainError, NonConvergentBase
+from ellex.elliptic import NomeParams, snh_core
+from ellex.errors import DomainError, EllexError, NonConvergentBase
 from ellex.exchange import (
     CommutingPoint,
     LevelParams,
@@ -51,28 +51,52 @@ def test_zero_base_is_a_domain_error(site):
 
 
 ZERO_X = {
-    "theta": lambda: theta(0.5, 0),
-    "theta_shift_factor": lambda: theta_shift_factor(0.5, 2, 0),
-    "log_deriv_theta": lambda: log_deriv_theta(0.5, 0),
-    "tau_fn": lambda: tau_fn(0, 0.5),
-    "tau_fn_pochhammer": lambda: tau_fn_pochhammer(0, 0.5),
-    "mu_inv": lambda: mu_inv(0, 0.2, 0.5),
-    "r_plus": lambda: r_plus(0, NOME),
-    "pshift_scalar": lambda: pshift_scalar(0, NOME),
-    "shift_factor_F": lambda: shift_factor_F(0, NOME),
-    "exchange_F": lambda: exchange_F(LEVEL, 0),
-    "exchange_Y": lambda: exchange_Y(LEVEL, 0),
-    "commuting_F": lambda: commuting_F(2, CommutingPoint(2), 0, 0.5),
-    "poisson_series_g": lambda: poisson_series_g(0, 0.5),
-    "poisson_structure": lambda: poisson_structure(1, 1, 0, 0.5),
-    "poisson_structure_center": lambda: poisson_structure_center(0, 0.5),
+    "theta": lambda x: theta(0.5, x),
+    "theta_shift_factor": lambda x: theta_shift_factor(0.5, 2, x),
+    "log_deriv_theta": lambda x: log_deriv_theta(0.5, x),
+    "tau_fn": lambda x: tau_fn(x, 0.5),
+    "tau_fn_pochhammer": lambda x: tau_fn_pochhammer(x, 0.5),
+    "mu_inv": lambda x: mu_inv(x, 0.2, 0.5),
+    "r_plus": lambda x: r_plus(x, NOME),
+    "pshift_scalar": lambda x: pshift_scalar(x, NOME),
+    "shift_factor_F": lambda x: shift_factor_F(x, NOME),
+    "exchange_F": lambda x: exchange_F(LEVEL, x),
+    "exchange_Y": lambda x: exchange_Y(LEVEL, x),
+    "commuting_F": lambda x: commuting_F(2, CommutingPoint(2), x, 0.5),
+    "poisson_series_g": lambda x: poisson_series_g(x, 0.5),
+    "poisson_structure": lambda x: poisson_structure(1, 1, x, 0.5),
+    "poisson_structure_center": lambda x: poisson_structure_center(x, 0.5),
 }
 
 
 @pytest.mark.parametrize("site", sorted(ZERO_X))
 def test_zero_x_names_x(site):
     with pytest.raises(DomainError, match="^x must be nonzero$"):
-        ZERO_X[site]()
+        ZERO_X[site](0)
+
+
+@pytest.mark.parametrize("x", [1e-200, 1e200])
+@pytest.mark.parametrize("site", sorted(ZERO_X))
+def test_tiny_or_huge_x_is_an_ellex_error(site, x):
+    # x^2 underflows or overflows; the error is typed, and a derived argument
+    # is not reported as x itself
+    with pytest.raises(EllexError) as info:
+        ZERO_X[site](x)
+    assert not str(info.value).startswith("x must be finite")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tau_fn(1e-200, 0.5), r"^x\^2 must be nonzero$"),
+        (lambda: exchange_Y(LEVEL, 1e200), r"^x\^2 must be finite"),
+        (lambda: snh_core(1e-200, 0.2), r"^y\^2 must be nonzero$"),
+        (lambda: snh_core(1e200, 0.2), r"^y\^2 must be finite"),
+    ],
+)
+def test_underflowing_or_overflowing_square_is_named(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_zero_squared_argument_names_x2():

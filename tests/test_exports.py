@@ -1,6 +1,7 @@
 """Every name in a module's ``__all__`` resolves, and the math modules stay
-below the report, suite and CLI layers.  Tracing tools walk ``__all__`` with
-getattr, so a stale entry breaks them at import time."""
+below the report, suite and CLI layers, which import only their public
+names.  Tracing tools walk ``__all__`` with getattr, so a stale entry breaks
+them at import time."""
 
 import ast
 import importlib
@@ -47,6 +48,26 @@ def _imported(tree: ast.Module) -> set[str]:
 def test_math_modules_do_not_import_upper_layers(name):
     source = Path(ellex.__file__).with_name(f"{name}.py").read_text()
     assert _imported(ast.parse(source)) & UPPER_LAYERS == set()
+
+
+def _private_math_imports(tree: ast.Module) -> list[str]:
+    """``M.n`` for every name n starting with an underscore that an import
+    statement takes from a math module M."""
+    names: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # ``from .poisson import`` and ``from ellex.poisson import`` alike
+            module = (node.module or "").removeprefix("ellex.")
+            if module in MATH_MODULES:
+                names += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_LAYERS))
+def test_upper_layers_use_only_public_math_names(name):
+    # the report, the suites and the CLI reach the math through public names
+    source = Path(ellex.__file__).with_name(f"{name.split('.')[1]}.py").read_text()
+    assert _private_math_imports(ast.parse(source)) == []
 
 
 SOURCES = sorted(Path(ellex.__file__).parent.glob("*.py"))

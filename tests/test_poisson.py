@@ -8,15 +8,17 @@ import math
 
 import pytest
 
+from ellex import suites
+from ellex.elliptic import NomeParams
 from ellex.errors import (
     AnnulusContainsPole,
     DomainError,
     NearSingularity,
     QuadratureUnresolved,
 )
+from ellex.exchange import LevelParams, exchange_Y
 from ellex.poisson import (
     AnnulusLabel,
-    BetaLimitRequest,
     ModeBracketTable,
     beta_limit_check,
     format_mode_bracket,
@@ -94,16 +96,25 @@ def test_center_structure_antisymmetric():
         assert abs(total) < 1e-11
 
 
-def test_center_structure_matches_series_functionally():
-    # one-point normalization, then a functional identity across the grid
-    q = 0.45
-    norm = poisson_structure_center(1.37, q) / poisson_series_g(1.37, q)
-    for x in (0.7, 1.1 + 0.2j, 1.8, 0.85 - 0.4j):
+@pytest.mark.parametrize("q", [0.45, 0.7, -0.5, 0.3 * cmath.exp(0.4j)])
+def test_center_structure_matches_series_functionally(q):
+    # no fitted constant: the central bracket is 2 ln q times g
+    for x in (0.75, 1.1 + 0.2j, 1.37, 1.8, 0.85 - 0.4j):
         lhs = poisson_structure_center(x, q)
-        rhs = norm * poisson_series_g(x, q)
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
-    # the fitted constant is the bracket normalization 2 ln q
-    assert norm == pytest.approx(2 * math.log(q), rel=1e-10)
+        rhs = 2 * cmath.log(q) * poisson_series_g(x, q)
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("scale", [-1.0, 1.0 + 1e-6])
+def test_coincidence_suite_fails_on_a_scaled_series(monkeypatch, scale):
+    # the suite fixes the constant at 2 ln q, so a series off by any constant
+    # factor fails it; a constant fitted at one point would absorb the factor
+    def scaled(x, q, policy):
+        return scale * poisson_series_g(x, q, policy)
+
+    monkeypatch.setattr(suites, "poisson_series_g", scaled)
+    report = suites.run_suites(["coincidence"], suites.VerifyConfig(seed=7))
+    assert report.checks and not any(c.passed for c in report.checks)
 
 
 def test_center_structure_matches_finite_difference():
@@ -122,22 +133,48 @@ def test_center_structure_matches_finite_difference():
 # --- beta limit -----------------------------------------------------------------
 
 
-def test_beta_limit_request_invariants():
-    req = BetaLimitRequest(m=1, k=1, beta=1e-2, q=0.5)
-    # q^(2k) = p^(1 - beta/2)
-    assert req.p ** (1 - req.beta / 2) == pytest.approx(0.5**2, rel=1e-12)
-    with pytest.raises(DomainError):
-        BetaLimitRequest(m=1, k=1, beta=0.0, q=0.5)
-    with pytest.raises(DomainError):
-        BetaLimitRequest(m=1, k=-1, beta=1e-2, q=0.5)  # |p| > 1
+@pytest.mark.parametrize(
+    "betas, message",
+    [
+        ((0.0, 1e-2), r"^every beta must lie in \(0, 0.1\], got \[0.01, 0.0\]$"),
+        ((0.2, 1e-2), r"^every beta must lie in \(0, 0.1\], got \[0.2, 0.01\]$"),
+        ((1e-2, 1e-2), "two distinct betas"),
+    ],
+)
+def test_beta_ladder_refuses_bad_steps(betas, message):
+    with pytest.raises(DomainError, match=message):
+        beta_limit_check(1, 1, 0.5, 1.4, betas)
 
 
-@pytest.mark.parametrize("m,k,x", [(1, 1, 1.4), (1, 2, 1.4), (2, 1, 1.3), (-1, 1, 1.25)])
+@pytest.mark.parametrize(
+    "m,k,x", [(1, 1, 1.4), (1, 2, 1.4), (2, 1, 1.3), (-1, 1, 1.25), (1, -1, 1.4)]
+)
 def test_beta_limit_first_order_convergence(m, k, x):
-    defect, info = beta_limit_check(BetaLimitRequest(m=m, k=k, beta=1e-2, q=0.5), x)
+    # k < 0 puts |p| = |q|^(4k/(2 - beta)) above 1, which Y accepts
+    defect, info = beta_limit_check(m, k, 0.5, x)
+    coarse, fine = info["table"]
+    assert (coarse["beta"], fine["beta"]) == (1e-2, 1e-3)
     assert defect <= math.log10(2.0)
-    assert 5.0 <= info["error_ratio"] <= 20.0
-    assert info["err_beta_over_10"] < info["err_beta"]
+    assert 5.0 <= info["ratio_1e-2_to_1e-3"] <= 20.0
+    assert fine["abs_error"] < coarse["abs_error"]
+
+
+def test_beta_ladder_nome_solves_the_step():
+    # at each step q^(2k) = p^(1 - beta/2), so ln(Y)/beta is Y at that p
+    q, beta = 0.5, 1e-2
+    _, info = beta_limit_check(1, 1, q, 1.4, (0.1, beta))
+    p = cmath.exp(4.0 / (2.0 - beta) * cmath.log(q))
+    assert p ** (1 - beta / 2) == pytest.approx(q**2, rel=1e-12)
+    y = exchange_Y(LevelParams(1, NomeParams(p, q)), 1.4)
+    assert info["table"][1]["lnY_over_beta"] == cmath.log(y) / beta
+
+
+def test_beta_ladder_without_the_pair_uses_the_fitted_order():
+    defect, info = beta_limit_check(1, 1, 0.5, 1.4, (1e-3, 0.1, 1e-2 / 3))
+    assert [row["beta"] for row in info["table"]] == [0.1, 1e-2 / 3, 1e-3]
+    assert info["ratio_1e-2_to_1e-3"] is None
+    assert defect == abs(info["fitted_order"] - 1.0)
+    assert defect <= math.log10(2.0)
 
 
 # --- laurent modes ----------------------------------------------------------------
