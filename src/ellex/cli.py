@@ -22,6 +22,7 @@ prints.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import os
@@ -31,7 +32,7 @@ import time
 
 from . import __version__
 from .elliptic import NomeParams, complete_K, jacobi_snh
-from .errors import EllexError
+from .errors import DomainError, EllexError
 from .exchange import LevelParams, exchange_F, exchange_Y
 from .poisson import (
     AnnulusLabel,
@@ -125,6 +126,15 @@ _EVAL_FNS = {
 }
 
 
+def _finite(value: complex, fn: str, x: complex | None = None) -> complex:
+    """value, or DomainError when it is not finite: an overflow that the
+    layers below let through as inf or nan."""
+    if not cmath.isfinite(value):
+        where = "" if x is None else f" at x = {x!r}"
+        raise DomainError(f"{fn}{where} is not finite: {value!r}")
+    return value
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     pol = _policy_from(args)
     fn = args.fn
@@ -156,12 +166,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     fine = pol.tighter(100.0)
     if "x" in needed:
         for x in xs:
-            val = impl(*fixed, x, pol)
-            ref = impl(*fixed, x, fine)
+            val = _finite(impl(*fixed, x, pol), fn, x)
+            ref = _finite(impl(*fixed, x, fine), fn, x)
             rows.append({"fn": fn, "x": x, "value": val, "trunc_err": abs(val - ref)})
     else:
-        val = impl(*fixed, pol)
-        ref = impl(*fixed, fine)
+        val = _finite(impl(*fixed, pol), fn)
+        ref = _finite(impl(*fixed, fine), fn)
         rows.append({"fn": fn, "value": val, "trunc_err": abs(val - ref)})
 
     if args.format == "json":

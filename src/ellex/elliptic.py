@@ -24,11 +24,11 @@ from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _in_disk,
+    _near_zero,
     _nonzero,
     _product,
     _square,
     _theta_pair,
-    near_theta_zero,
     qpochhammer,
 )
 
@@ -129,13 +129,14 @@ def snh_core(
     The modulus-dependent prefactor k^(-1/2) p^(1/4) is left out; it cancels
     in the entry ratios a, b and contributes only p^(1/2) to the entry d.
     Both thetas share one (p^2; p^2)_inf, and each step runs in the order
-    two ``theta`` calls would take it, so value and error are theirs.
+    two ``theta`` calls would take it, so value and error are theirs; each
+    argument and the base is checked once.
     """
     yv = _nonzero(y, "y")
     av = _in_disk(p * p, "p^2")
     y2 = _square(yv, "y^2")
     den_arg = _nonzero(p / y2, "theta argument")
-    if near_theta_zero(av, den_arg, _POLE_TOL):
+    if _near_zero(av, den_arg, _POLE_TOL):
         raise NearSingularity(f"snh pole near multiplicative argument {yv!r}")
     num = _theta_pair(av, _nonzero(1.0 / y2, "theta argument"), policy)
     aa = _product(av, av, policy)

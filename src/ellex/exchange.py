@@ -246,6 +246,7 @@ def commuting_F(
         q^(-2m) x^(4m) [ th(x^2 q^2) / th(x^2) ]^(4m)       for k even,
 
     with th = theta_{q^4}. Serves as the oracle for exchange_F there.
+    A value out of floating-point range raises DomainError.
     """
     m = _nonzero_int(m, "m")
     qv = _in_disk(q, "q")
@@ -254,7 +255,13 @@ def commuting_F(
         return 1.0 + 0j
     x2 = _square(xv, "x^2")
     ratio = _theta_quotient(qv**4, (x2 * qv * qv,), (x2,), policy)
-    return qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
+    try:
+        value = qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):  # complex ** n on overflow, 0 ** -n
+        pass
+    raise DomainError(f"commuting_F is not finite at x = {xv!r}, m = {m}")
 
 
 def check_p_periodicity(

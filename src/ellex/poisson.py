@@ -62,11 +62,11 @@ from .qseries import (
     _ZERO_RTOL,
     _as_complex,
     _in_disk,
+    _near_zero,
     _nonzero,
     _nonzero_int,
     _square,
     log_deriv_theta,
-    near_theta_zero,
 )
 
 __all__ = [
@@ -96,7 +96,7 @@ def poisson_series_g(
     qv = _in_disk(q, "q")
     a = _square(xv, "x^2")
     b = 1.0 / a
-    if near_theta_zero(qv * qv, a):
+    if _near_zero(qv * qv, a, _ZERO_RTOL):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a pole x^2 = q^(2j)")
     q2 = qv * qv
     q4 = q2 * q2

@@ -21,16 +21,37 @@ head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
 quotient, ``_theta_quotient``, forms the theta quotients of tau, mu, the
 exchange functions and the nome-shift factor from one (a; a) per call.
 Every value is bit for bit what a loop testing the bound before each factor
-gives; tests/test_qseries.py keeps that loop as the reference.
+gives; tests/test_qseries.py keeps that loop as the reference.  A product
+that overflows raises DomainError instead of returning inf or nan.
 
-Everything here is a pure function of its arguments; safe for concurrent
-use without synchronization.
+Inside ``point_scope()`` the two products, ``_theta_pair`` and ``_product``,
+remember their values: the key is the function, the exact bits of its two
+complex arguments and the policy, and a call that raises stores nothing.
+The verification suites open one scope per sampled point, so each distinct
+theta factor of a point is formed once (the exchange functions at several
+levels share most of theirs) and nothing carries over to the next point.
+Outside a scope every call computes afresh, at the cost of one ContextVar
+lookup.
+
+Each argument is checked once.  ``_theta_quotient`` and
+``elliptic.snh_core`` validate every argument and the base a single time.
+Their near-zero test is ``_near_zero``, the unchecked core that the public
+``near_theta_zero`` wraps.  Each error is still raised where the equivalent
+sequence of public calls would raise it.
+
+Everything here is a pure function of its arguments.  The memo lives in a
+ContextVar, so each thread sees only its own, and concurrent use needs no
+synchronization.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
@@ -50,6 +71,7 @@ __all__ = [
     "theta_shift_factor",
     "log_deriv_theta",
     "near_theta_zero",
+    "point_scope",
 ]
 
 
@@ -82,6 +104,45 @@ DEFAULT_POLICY = TruncationPolicy()
 # all refuse the same points
 _ZERO_RTOL = 1e-8
 
+# The memo of the open point scope, None outside one.  Its keys are the
+# computing function, the policy's max_terms, and the exact bits of the two
+# complex arguments and of tail_tol (so 0.0 and -0.0 stay apart).
+_MEMO: ContextVar[dict | None] = ContextVar("ellex_point_memo", default=None)
+_BITS = struct.Struct("5d").pack
+
+
+@contextmanager
+def point_scope():
+    """Evaluate the block with a fresh memo: each theta factor and product
+    it forms at one (base, argument, policy) is computed once.  Meant for the
+    calls at one sampled point; whatever was in force before is back when
+    the block exits, raised or not."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(compute):
+    """compute(first, second, policy), its value remembered in the open point
+    scope and evaluated afresh outside one.  A call that raises stores
+    nothing, so a repeated call raises again."""
+
+    @functools.wraps(compute)
+    def recall(first: complex, second: complex, policy: TruncationPolicy) -> complex:
+        memo = _MEMO.get()
+        if memo is None:
+            return compute(first, second, policy)
+        bits = _BITS(first.real, first.imag, second.real, second.imag, policy.tail_tol)
+        key = (compute, policy.max_terms, bits)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute(first, second, policy)
+        return value
+
+    return recall
+
 
 def _as_complex(z: complex, name: str = "argument") -> complex:
     w = complex(z)
@@ -108,7 +169,11 @@ def _square(z: complex, name: str) -> complex:
 def _in_disk(b: complex, name: str) -> complex:
     """b as a complex number with 0 < |b| < 1, the domain of a product base;
     else NonConvergentBase (a DomainError) naming it."""
-    w = _as_complex(b, name)
+    return _disk(_as_complex(b, name), name)
+
+
+def _disk(w: complex, name: str) -> complex:
+    """_in_disk for a w already checked to be a finite complex number."""
     if not (0.0 < abs(w) < 1.0):
         raise NonConvergentBase(f"|{name}| must lie in (0, 1), got {abs(w):.6g}")
     return w
@@ -156,9 +221,12 @@ def _settled(
     rare; only then are the same partial products formed again and searched
     (a zero ``result`` is itself the last of them).  Once exactly zero a
     partial product stays zero, since a finite headroom makes every factor
-    finite, so a nonzero ``result`` within the cap is final.
+    finite, so a nonzero ``result`` within the cap is final; if it is not
+    finite, the product overflowed and DomainError is raised.
     """
     if count <= policy.max_terms and result != 0:
+        if not cmath.isfinite(result):
+            raise DomainError(f"(x; b)_inf overflows at x = {x!r}, b = {b!r}")
         return result
     powers = accumulate(repeat(b, count - 1), mul, initial=1.0 + 0j)
     factors = (1.0 - x * power for power in powers)
@@ -171,6 +239,7 @@ def _settled(
     )
 
 
+@_memoized
 def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
     """(x; b)_inf for a base already checked to satisfy 0 < |b| < 1: the
     factor count first, then a loop with no test in it."""
@@ -183,6 +252,7 @@ def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
     return _settled(x, b, count, result, policy)
 
 
+@_memoized
 def _theta_pair(a: complex, x: complex, policy: TruncationPolicy) -> complex:
     """(x; a)_inf * (a/x; a)_inf for a checked base and a checked x != 0;
     theta_a(x) is this times (a; a)_inf.
@@ -265,8 +335,12 @@ def near_theta_zero(a: complex, x: complex, rtol: float = _ZERO_RTOL) -> bool:
     """
     if not (0.0 < rtol < 1.0):
         raise DomainError(f"rtol must lie in (0, 1), got {rtol!r}")
-    av = _as_complex(a, "a")
-    xv = _as_complex(x, "x")
+    return _near_zero(_as_complex(a, "a"), _as_complex(x, "x"), rtol)
+
+
+def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
+    """near_theta_zero for arguments already checked: finite complex av and
+    xv, and rtol in (0, 1).  False for xv = 0 and for |av| outside (0, 1)."""
     if xv == 0 or not (0.0 < abs(av) < 1.0):
         return False
     la = math.log(abs(av))
@@ -299,18 +373,32 @@ def _theta_quotient(
     finite (naming a "theta argument", not the caller's x), NearSingularity
     when one is near a zero of theta_a (near_theta_zero at its default rtol).
     (a; a)_inf is formed once per call, after the first argument's check, so
-    that a bad first argument raises DomainError as theta(a, arg) would."""
+    that a bad first argument raises DomainError as theta(a, arg) would.
+    Each argument and the base is checked once, and each error is raised
+    where that sequence of public calls would raise it."""
+    av = None
+    dens = []
     for arg in den_args:
-        if near_theta_zero(a, _as_complex(arg, "theta argument")):
+        w = _as_complex(arg, "theta argument")
+        if av is None:
+            av = _as_complex(a, "a")
+        if _near_zero(av, w, _ZERO_RTOL):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
-    av = _in_disk(a, "a")
-    _nonzero((num_args + den_args)[0], "theta argument")
-    aa = _product(av, av, policy)
+        dens.append(w)
+    av = _in_disk(a, "a") if av is None else _disk(av, "a")
+    aa = None
     num = den = 1.0 + 0j
     for arg in num_args:
-        num *= _theta_pair(av, _nonzero(arg, "theta argument"), policy) * aa
-    for arg in den_args:
-        den *= _theta_pair(av, _nonzero(arg, "theta argument"), policy) * aa
+        xv = _nonzero(arg, "theta argument")
+        if aa is None:
+            aa = _product(av, av, policy)
+        num *= _theta_pair(av, xv, policy) * aa
+    for w in dens:
+        if w == 0:
+            raise DomainError("theta argument must be nonzero")
+        if aa is None:
+            aa = _product(av, av, policy)
+        den *= _theta_pair(av, w, policy) * aa
     return num / (scale * den)
 
 
@@ -326,12 +414,14 @@ def log_deriv_theta(
     Stops after term n once |x a^(n+1)| and |a^(n+1)/x| are below 1/2 and
     2 (|x| + 1/|x| + 1) |a|^(n+1) / (1 - |a|) < tail_tol, which bounds the
     absolute value of the dropped terms.  Raises NearSingularity when x sits
-    within relative 1e-8 of a zero of theta_a.
+    within relative 1e-8 of a zero of theta_a, and DomainError when 1/x
+    overflows.
     """
     av = _in_disk(a, "a")
     xv = _nonzero(x, "x")
-    if near_theta_zero(av, xv):
+    if _near_zero(av, xv, _ZERO_RTOL):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a theta_a zero")
+    _as_complex(1.0 / xv, "1/x")  # a subnormal x: a^(n+1)/x overflows
 
     amag, xmag = abs(av), abs(xv)
     scale = 2.0 * (xmag + 1.0 / xmag + 1.0)

@@ -10,6 +10,12 @@ not, costs one of ``_TRIES_PER_POINT`` tries per point asked for, and an
 exhausted budget raises ``SamplingExhausted`` (exit code 2).
 ``beta-limit`` and ``mode-brackets`` sample nothing.
 
+Each ``evaluate`` call runs inside its own ``qseries.point_scope()``, so
+the checks of one point form each distinct theta factor once (the exchange
+checks evaluate F and Y at several levels of the same x, which share most
+of their factors) and nothing is remembered from one point to the next, or
+from one run to the next.
+
 Under ``parallel = N > 1``, ``run_suites`` sends whole suites to a process
 pool of ``min(N, suites, usable CPUs)`` workers and merges the reports in
 suite order; a run of one suite stays serial.  Each suite seeds its own rng,
@@ -50,7 +56,7 @@ from .poisson import (
     poisson_series_g,
     poisson_structure_center,
 )
-from .qseries import TruncationPolicy, near_theta_zero, theta, theta_shift_factor
+from .qseries import TruncationPolicy, near_theta_zero, point_scope, theta, theta_shift_factor
 from .report import CheckResult, VerificationReport, merge_reports
 from .rmatrix import check_crossing, check_pshift, check_ybe, tau_fn, tau_fn_pochhammer
 
@@ -135,7 +141,8 @@ def _run_sampled(
                 continue
             index += 1
             try:
-                rows.append(ident.evaluate(cfg, candidate))
+                with point_scope():
+                    rows.append(ident.evaluate(cfg, candidate))
             except EllexError:
                 continue
             if len(rows) == ident.count:

@@ -329,6 +329,23 @@ def test_eval_tiny_x_is_a_domain_error(capsys):
     assert out == "" and err == "error: x^2 must be nonzero\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--fn", "theta", "--a", "0.5", "--x", "1e100"),
+         "(x; b)_inf overflows at x = (1e+100+0j), b = (0.5+0j)"),
+        # every row product of kappa_inv is finite; their running products
+        # overflow and the quotient is nan
+        (("--fn", "kappa", "--p", "0.2", "--q", "0.5", "--x", "1e10"),
+         "kappa at x = (10000000000+0j) is not finite: (nan+nanj)"),
+    ],
+)
+def test_eval_overflow_is_a_domain_error(capsys, argv, message):
+    # a typed error with exit code 2, not (nan+nanj) printed with exit code 0
+    code, out, err = run(capsys, "eval", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_limit_needs_two_distinct_betas(capsys):
     for betas in ("1e-2,1e-2", "0.1"):
         code, _, err = run(
@@ -431,3 +448,38 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     finally:
         cli.build_parser.cache_clear()
     assert len(built) <= 5
+
+
+def test_verify_memo_lives_for_one_point(capsys, monkeypatch):
+    # each sampled point starts from an empty memo, so two identical runs in
+    # one process compute the same theta factors, and no memo outlives a run,
+    # whether it passes or exits 2
+    from ellex import qseries, suites
+
+    pair = qseries._theta_pair.__wrapped__
+    evaluate = suites._eval_commuting
+    computed = []
+
+    def fresh_memo_evaluate(*args):
+        memo = qseries._MEMO.get()
+        assert memo == {}
+        try:
+            return evaluate(*args)
+        finally:
+            computed.append(sum(key[0] is pair for key in memo))
+
+    monkeypatch.setattr(suites, "_eval_commuting", fresh_memo_evaluate)
+    counts = []
+    for _ in range(2):
+        computed.clear()
+        code, _, err = run(capsys, "verify", "--suite", "commuting-points", "--k", "2")
+        assert code == 0, err
+        assert qseries._MEMO.get() is None
+        counts.append(sum(computed))
+    assert counts[0] == counts[1] > 0
+    computed.clear()
+    code, _, err = run(
+        capsys, "verify", "--suite", "commuting-points", "--q", "0.999", "--max-terms", "8"
+    )
+    assert code == 2 and "candidates" in err
+    assert computed and qseries._MEMO.get() is None

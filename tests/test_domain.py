@@ -2,6 +2,8 @@
 with the error type of that condition and a message naming the parameter
 its caller passed, not an internal theta base."""
 
+import cmath
+
 import pytest
 
 from ellex.elliptic import NomeParams, snh_core
@@ -95,6 +97,29 @@ def test_tiny_or_huge_x_is_an_ellex_error(site, x):
     ],
 )
 def test_underflowing_or_overflowing_square_is_named(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a theta product overflows before x^(4m) is formed
+        (lambda: commuting_F(2, CommutingPoint(2), 1e40, 0.5), r"^\(x; b\)_inf overflows"),
+        # the products stay finite and x^(4m) overflows, or 0 ** -12 is asked for
+        (lambda: commuting_F(3, CommutingPoint(2), 1e26, 0.01), r"^commuting_F is not finite"),
+        (lambda: commuting_F(-3, CommutingPoint(2), 1e26, 0.01), r"^commuting_F is not finite"),
+        # a subnormal x: a^(n+1)/x overflows
+        (lambda: log_deriv_theta(0.5, 1e-311 * cmath.exp(0.7j)), r"^1/x must be finite"),
+        (lambda: log_deriv_theta(0.5, 1e-311), r"^1/x must be finite"),
+        # (x; a) overflows to nan while every factor is finite
+        (lambda: theta(0.5, 1e100), r"^\(x; b\)_inf overflows"),
+        (lambda: qpochhammer(1e100, 0.5), r"^\(x; b\)_inf overflows"),
+    ],
+)
+def test_value_out_of_floating_point_range_is_a_domain_error(call, message):
+    # a DomainError, never a bare OverflowError or ZeroDivisionError, and
+    # never an inf or nan returned as a value
     with pytest.raises(DomainError, match=message):
         call()
 

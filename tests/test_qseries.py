@@ -7,11 +7,14 @@ independent of the library's truncation logic).
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellex import qseries
+from ellex.elliptic import snh_core
 from ellex.errors import (
     DomainError,
     EllexError,
@@ -24,10 +27,12 @@ from ellex.qseries import (
     _theta_quotient,
     log_deriv_theta,
     near_theta_zero,
+    point_scope,
     qpochhammer,
     theta,
     theta_shift_factor,
 )
+from ellex.rmatrix import kappa_inv
 
 # --- independent oracles -----------------------------------------------------
 
@@ -48,12 +53,15 @@ def theta_brute(a, x, terms=800):
 def product_stepwise(x, b, policy):
     """(x; b)_inf by the per-factor loop the counted product replaced: one
     pow and one stop test per factor, and a return at the first partial
-    product that is exactly zero.  The counted loop must equal it bit for bit."""
+    product that is exactly zero.  A product that overflows is refused.  The
+    counted loop must equal it bit for bit."""
     big = abs(b)
     headroom = (1.0 + abs(x)) / (1.0 - big)
     power = result = 1.0 + 0j
     for degree in range(policy.max_terms + 1):
         if headroom * big**degree < policy.tail_tol:
+            if not cmath.isfinite(result):
+                raise DomainError("reference product overflowed")
             return result
         result *= 1.0 - x * power
         if result == 0:
@@ -287,6 +295,128 @@ def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, s
 def test_theta_quotient_errors_match_public_theta(a, num_args, den_args, error):
     with pytest.raises(error):
         _theta_quotient(a, num_args, den_args, TruncationPolicy())
+
+
+def theta_quotient_checked_thrice(a, num_args, den_args, policy, scale=1.0):
+    """_theta_quotient as it was before it checked each argument once: each
+    denominator argument is checked three times and the base once per
+    denominator argument.  Its errors are the reference for type, message
+    and order."""
+    for arg in den_args:
+        if near_theta_zero(a, qseries._as_complex(arg, "theta argument")):
+            raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
+    av = qseries._in_disk(a, "a")
+    qseries._nonzero((num_args + den_args)[0], "theta argument")
+    aa = qseries._product(av, av, policy)
+    num = den = 1.0 + 0j
+    for arg in num_args:
+        num *= qseries._theta_pair(av, qseries._nonzero(arg, "theta argument"), policy) * aa
+    for arg in den_args:
+        den *= qseries._theta_pair(av, qseries._nonzero(arg, "theta argument"), policy) * aa
+    return num / (scale * den)
+
+
+def outcome_and_message(f, *args):
+    try:
+        return repr(f(*args))
+    except EllexError as exc:
+        return type(exc), str(exc)
+
+
+def test_theta_quotient_checks_once_and_raises_as_before():
+    # bases and arguments that break each check, alone and together, in
+    # every position; max_terms 8 adds TruncationExceeded between them
+    rng = random.Random(11)
+    nan, inf = float("nan"), float("inf")
+    bases = [0.4j, -0.3 + 0.2j, 0.95, 1.0, 1.2 + 0.3j, 0.0, complex(nan, 0.0), inf]
+    special = [0.0, nan, complex(0.5, inf), 0.4j**2 * (1 + 1e-10), (0.4j) ** -1]
+
+    def pick():
+        if rng.random() < 0.3:
+            return rng.choice(special)
+        return cmath.rect(math.exp(rng.uniform(-1, 1)), rng.uniform(-3, 3))
+
+    compared = set()
+    for _ in range(3000):
+        a = rng.choice(bases)
+        num_args = tuple(pick() for _ in range(rng.randint(0, 3)))
+        den_args = tuple(pick() for _ in range(rng.randint(1 if not num_args else 0, 3)))
+        policy = rng.choice((TruncationPolicy(), TruncationPolicy(8)))
+        want = outcome_and_message(theta_quotient_checked_thrice, a, num_args, den_args, policy)
+        assert outcome_and_message(_theta_quotient, a, num_args, den_args, policy) == want
+        compared.add(want[0] if isinstance(want, tuple) else str)
+    assert compared == {str, DomainError, NonConvergentBase, NearSingularity, TruncationExceeded}
+
+
+# --- point-scoped memo -------------------------------------------------------
+
+# same arguments under three policies: a memo key without the policy hands a
+# later call the first one's value or error
+MEMO_POLICIES = (TruncationPolicy(), TruncationPolicy(512, 1e-6), TruncationPolicy(8))
+
+
+def memo_calls(seed, draws):
+    """Calls that share bases and arguments: real and complex bases, complex
+    arguments next to real and imaginary ones whose zero part has either
+    sign, each argument in several calls and under every policy."""
+    rng = random.Random(seed)
+    calls = []
+    for i in range(draws):
+        mag = rng.uniform(0.05, 0.9)
+        if i % 2:
+            base = cmath.rect(mag, rng.uniform(-math.pi, math.pi))
+        else:
+            base = complex(mag if i % 4 else -mag, -0.0 if i % 3 else 0.0)
+        r = math.exp(rng.uniform(-1.2, 1.2))
+        u = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+        pool = [u, complex(r, 0.0), complex(r, -0.0), complex(0.0, -r), complex(-0.0, -r)]
+        q = rng.uniform(0.3, 0.8)
+        for policy in MEMO_POLICIES:
+            for arg in pool:
+                calls.append((theta, (base, arg, policy)))
+                calls.append((snh_core, (arg, base, policy)))
+                calls.append((kappa_inv, (arg, base, q, policy)))
+            calls.append((_theta_quotient, (base, (pool[1], u), (pool[2], u), policy, u)))
+            calls.append((_theta_quotient, (base, (pool[3],), (pool[4], pool[1]), policy)))
+    return calls
+
+
+def test_point_scope_changes_no_value():
+    calls = memo_calls(2024, 16)
+    outside = [outcome(fn, *args) for fn, args in calls]
+    assert sum(isinstance(o, str) for o in outside) > len(outside) // 2
+    with point_scope():
+        inside = [outcome(fn, *args) for fn, args in calls + calls]
+    assert inside == outside + outside
+    assert qseries._MEMO.get() is None
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: theta(0.5, 1.1, TruncationPolicy(8)), TruncationExceeded),
+        (lambda: kappa_inv(1.21, 0.5, 0.9, TruncationPolicy(8)), TruncationExceeded),
+        (lambda: _theta_quotient(0.4j, (0.7,), ((0.4j) ** -1,), TruncationPolicy()),
+         NearSingularity),
+        (lambda: snh_core(0.5**0.5, 0.5), NearSingularity),
+    ],
+)
+def test_point_scope_raises_again_on_a_repeated_call(monkeypatch, call, error):
+    # a call that raises stores nothing: the repeat raises after the same work
+    factor_count = qseries._factor_count
+    counts = []
+
+    def counting(*args):
+        counts[-1] += 1
+        return factor_count(*args)
+
+    monkeypatch.setattr(qseries, "_factor_count", counting)
+    with point_scope():
+        for _ in range(2):
+            counts.append(0)
+            with pytest.raises(error):
+                call()
+    assert counts[0] == counts[1]
 
 
 # --- shift factor ------------------------------------------------------------
