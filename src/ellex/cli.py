@@ -8,9 +8,11 @@ Subcommands:
     modes   annulus-resolved mode structure constants and bracket rendering
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-domain error.  The environment variable ELLEX_DEFAULT_TOL overrides the
-default tail tolerance when --tail-tol is not given.  Reports are
-byte-identical across runs for a fixed configuration.
+domain error (an ``EllexError``).  The environment variable ELLEX_DEFAULT_TOL
+overrides the default tail tolerance when --tail-tol is not given.  Each
+command builds its rows once and renders them through ``_emit``, the one
+--format switch; ``report.json_bytes`` builds every JSON envelope.  Outputs
+are byte-identical across runs for a fixed configuration, text timings aside.
 
 ``main(argv)`` may be called any number of times in one process; each call
 gives the output a fresh process would.  The argument parser is built on the
@@ -24,17 +26,18 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import math
 import os
 import re
 import sys
 import time
+from typing import Callable, Iterable
 
 from . import __version__
 from .elliptic import NomeParams, complete_K, jacobi_snh
 from .errors import DomainError, EllexError
 from .exchange import LevelParams, exchange_F, exchange_Y
 from .poisson import (
+    ORDER_DEFECT_TOL,
     AnnulusLabel,
     beta_limit_check,
     format_mode_bracket,
@@ -44,19 +47,21 @@ from .poisson import (
     poisson_structure_center,
 )
 from .qseries import TruncationPolicy, theta
-from .report import CheckResult, VerificationReport, _jsonable, json_bytes
+from .report import CheckResult, VerificationReport, json_bytes
 from .rmatrix import kappa_inv, mu_inv, tau_fn
 
 _SYMBOLIC = re.compile(r"q\^(-?\d+)(?:-exact)?$")
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-def _parse_complex(text: str, name: str) -> complex:
+def _parse_number(text: str, name: str, kind: type = complex) -> complex:
+    """text as a finite complex (or float) number, else EllexError naming it."""
     try:
-        val = complex(text.replace(" ", ""))
+        val = kind(text.replace(" ", ""))
     except ValueError as exc:
-        raise EllexError(f"cannot parse {name} = {text!r} as a complex number") from exc
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        what = "a complex" if kind is complex else "a real"
+        raise EllexError(f"cannot parse {name} = {text!r} as {what} number") from exc
+    if not cmath.isfinite(val):
         raise EllexError(f"{name} must be finite, got {text!r}")
     return val
 
@@ -70,32 +75,37 @@ def _parse_param(text: str | None, name: str, q: complex | None) -> complex | No
     if m:
         if q is None:
             raise EllexError(f"{name} = {text!r} needs --q to be given")
-        return q ** int(m.group(1))
-    return _parse_complex(text, name)
+        try:
+            return q ** int(m.group(1))
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise EllexError(f"{name} = {text!r} is out of floating-point range") from exc
+    return _parse_number(text, name)
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
     tail = args.tail_tol
     if tail is None:
         env = os.environ.get("ELLEX_DEFAULT_TOL")
-        tail = float(env) if env else 1e-15
+        tail = _parse_number(env, "ELLEX_DEFAULT_TOL", float) if env else 1e-15
     return TruncationPolicy(max_terms=args.max_terms, tail_tol=tail)
 
 
-def _emit(payload_bytes: bytes, output: str | None) -> None:
-    if output:
-        with open(output, "wb") as f:
-            f.write(payload_bytes)
+def _emit(args: argparse.Namespace, json: Callable, csv: Callable, text: Callable) -> None:
+    """The output switch of every command: call only the renderer --format
+    names (json gives bytes, csv and text give str) and write what it
+    returns to --output, or to stdout."""
+    out = {"json": json, "csv": csv, "text": text}[args.format]()
+    if isinstance(out, bytes):
+        out = out.decode()
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as f:
+            f.write(out)
     else:
-        sys.stdout.write(payload_bytes.decode())
+        sys.stdout.write(out)
 
 
-def _report_bytes(report: VerificationReport, fmt: str) -> bytes:
-    if fmt == "json":
-        return report.to_json_bytes()
-    if fmt == "csv":
-        return report.to_csv_text().encode()
-    return report.to_text().encode()
+def _lines(lines: Iterable[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -151,49 +161,35 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "u": args.u,
         "modulus": args.modulus,
     }
-    fixed = []
     for name in needed:
-        if name == "x":
-            continue
-        if values.get(name) is None:
+        if name != "x" and values[name] is None:
             raise EllexError(f"function {fn!r} needs --{name}")
-        fixed.append(values[name])
-    xs = [_parse_complex(t, "x") for t in (args.x or [])]
+    fixed = [values[name] for name in needed if name != "x"]
+    xs = [_parse_number(t, "x") for t in (args.x or [])]
     if "x" in needed and not xs:
         raise EllexError(f"function {fn!r} needs at least one --x")
 
     rows = []
     fine = pol.tighter(100.0)
-    if "x" in needed:
-        for x in xs:
-            val = _finite(impl(*fixed, x, pol), fn, x)
-            ref = _finite(impl(*fixed, x, fine), fn, x)
-            rows.append({"fn": fn, "x": x, "value": val, "trunc_err": abs(val - ref)})
-    else:
-        val = _finite(impl(*fixed, pol), fn)
-        ref = _finite(impl(*fixed, fine), fn)
-        rows.append({"fn": fn, "value": val, "trunc_err": abs(val - ref)})
+    for x in xs if "x" in needed else [None]:
+        at = fixed if x is None else [*fixed, x]
+        val = _finite(impl(*at, pol), fn, x)
+        ref = _finite(impl(*at, fine), fn, x)
+        where = {} if x is None else {"x": x}
+        rows.append({"fn": fn, **where, "value": val, "trunc_err": abs(val - ref)})
 
-    if args.format == "json":
-        payload = {"schema": 1, "tool_version": __version__, "results": _jsonable(rows)}
-        out = json_bytes(payload)
-    elif args.format == "csv":
-        lines = ["fn,x,value,trunc_err"]
-        for r in rows:
-            lines.append(
-                f"{r['fn']},{r.get('x', '')!r},{r['value']!r},{r['trunc_err']!r}"
-            )
-        out = ("\n".join(lines) + "\n").encode()
-    else:
-        lines = []
-        for r in rows:
-            where = f" at x = {r['x']!r}" if "x" in r else ""
-            lines.append(
-                f"{r['fn']}{where}: {r['value']!r}  "
-                f"(change at a 100x tighter tail: {r['trunc_err']:.2e})"
-            )
-        out = ("\n".join(lines) + "\n").encode()
-    _emit(out, args.output)
+    def text(r: dict) -> str:
+        where = f" at x = {r['x']!r}" if "x" in r else ""
+        return f"{fn}{where}: {r['value']!r}  (change at a 100x tighter tail: {r['trunc_err']:.2e})"
+
+    _emit(
+        args,
+        lambda: json_bytes({"results": rows}),
+        lambda: _lines(["fn,x,value,trunc_err"] + [
+            f"{fn},{r.get('x', '')!r},{r['value']!r},{r['trunc_err']!r}" for r in rows
+        ]),
+        lambda: _lines(map(text, rows)),
+    )
     return 0
 
 
@@ -210,6 +206,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
     if args.parallel < 1:
         raise EllexError(f"--parallel needs at least 1 worker, got {args.parallel}")
+    if args.seed < 0:
+        raise EllexError(f"--seed must be a non-negative integer, got {args.seed}")
     pol = _policy_from(args)
     q = _parse_param(args.q, "q", None)
     p = _parse_param(args.p, "p", q)
@@ -218,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     names = args.suite or ["all"]
     report = run_suites(names, cfg)
-    _emit(_report_bytes(report, args.format), args.output)
+    _emit(args, report.to_json_bytes, report.to_csv_text, report.to_text)
     if args.format != "text" and args.output:
         sys.stdout.write(report.to_text())
     return 0 if report.aggregate_pass else 1
@@ -233,29 +231,24 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     q = _parse_param(args.q, "q", None)
     if q is None:
         raise EllexError("limit needs --q")
-    x = _parse_complex(args.x, "x")
+    x = _parse_number(args.x, "x")
     t0 = time.perf_counter()
-    defect, info = beta_limit_check(
-        args.m, args.k, q, x, [float(b) for b in args.betas.split(",")], pol
-    )
+    ladder = [_parse_number(b, "--betas entry", float) for b in args.betas.split(",")]
+    defect, info = beta_limit_check(args.m, args.k, q, x, ladder, pol)
     betas = [row["beta"] for row in info["table"]]
+    point = {"m": args.m, "k": args.k, "q": q, "x": x, "betas": betas}
     check = CheckResult(
         check_id="beta-ladder",
-        params={"m": args.m, "k": args.k, "q": q, "x": x, "betas": betas},
+        params=point,
         max_abs_error=float(defect),
-        tolerance=math.log10(2.0),
-        passed=bool(defect <= math.log10(2.0)),
+        tolerance=ORDER_DEFECT_TOL,
+        passed=bool(defect <= ORDER_DEFECT_TOL),
         wall_time_s=time.perf_counter() - t0,
         info=info,
     )
-    report = VerificationReport(
-        "beta-ladder",
-        [check],
-        {"m": args.m, "k": args.k, "q": q, "x": x, "betas": betas,
-         "tail_tol": pol.tail_tol, "max_terms": pol.max_terms},
-        __version__,
-    )
-    _emit(_report_bytes(report, args.format), args.output)
+    config = {**point, "tail_tol": pol.tail_tol, "max_terms": pol.max_terms}
+    report = VerificationReport("beta-ladder", [check], config)
+    _emit(args, report.to_json_bytes, report.to_csv_text, report.to_text)
     if args.format == "text" or args.output:
         for row in info["table"]:
             sys.stdout.write(
@@ -301,34 +294,28 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         policy=pol,
     )
     brackets = [format_mode_bracket(table, n, m, args.cutoff) for n, m in pairs]
-    payload = {
-        "schema": 1,
-        "tool_version": __version__,
-        "which": table.which,
-        "annulus": table.annulus.n_ann,
-        "params": _jsonable(table.params),
-        "structure_constants": {str(l): _jsonable(g) for l, g in sorted(table.coefficients.items())},
-        "raw_coefficients": {str(l): _jsonable(g) for l, g in sorted(table.raw_coefficients.items())},
-        "brackets": _jsonable(brackets),
-        "antisymmetry_violation": table.antisymmetry_violation(),
-    }
-    if args.format == "json":
-        out = json_bytes(payload)
-    elif args.format == "csv":
-        lines = ["l,structure_constant,raw_coefficient"]
-        for l, g in sorted(table.coefficients.items()):
-            lines.append(f"{l},{g!r},{table.raw_coefficients[l]!r}")
-        out = ("\n".join(lines) + "\n").encode()
-    else:
-        lines = [f"structure constants on annulus {table.annulus.n_ann} "
-                 f"(radius {table.params['radius']:.6g}, {table.params['nodes']} nodes):"]
-        for l, g in sorted(table.coefficients.items()):
-            if abs(g) > 1e-12:
-                lines.append(f"  g[{l:+d}] = {g!r}")
-        for b in brackets:
-            lines.append(b["text"])
-        out = ("\n".join(lines) + "\n").encode()
-    _emit(out, args.output)
+    coefficients = sorted(table.coefficients.items())
+    _emit(
+        args,
+        lambda: json_bytes({
+            "which": table.which,
+            "annulus": table.annulus.n_ann,
+            "params": table.params,
+            "structure_constants": table.coefficients,
+            "raw_coefficients": table.raw_coefficients,
+            "brackets": brackets,
+            "antisymmetry_violation": table.antisymmetry_violation(),
+        }),
+        lambda: _lines(["l,structure_constant,raw_coefficient"] + [
+            f"{l},{g!r},{table.raw_coefficients[l]!r}" for l, g in coefficients
+        ]),
+        lambda: _lines([
+            f"structure constants on annulus {table.annulus.n_ann} "
+            f"(radius {table.params['radius']:.6g}, {table.params['nodes']} nodes):",
+            *(f"  g[{l:+d}] = {g!r}" for l, g in coefficients if abs(g) > 1e-12),
+            *(b["text"] for b in brackets),
+        ]),
+    )
     return 0
 
 
@@ -418,9 +405,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except EllexError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -155,7 +155,10 @@ def jacobi_snh(
     K = complete_K(modulus)
     Kp = _quarter_period(modulus)
     p = math.exp(-math.pi * Kp / K)
-    y = math.exp(math.pi * u / (2.0 * K))
+    try:
+        y = math.exp(math.pi * u / (2.0 * K))
+    except OverflowError:
+        raise DomainError(f"snh argument e^(pi u / 2K) overflows at u = {u!r}") from None
     val = (p**0.25 / math.sqrt(modulus)) * snh_core(y, p, policy)
     return float(val.real)
 

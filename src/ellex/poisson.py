@@ -76,10 +76,12 @@ __all__ = [
     "poisson_structure",
     "poisson_structure_center",
     "beta_limit_check",
+    "ORDER_DEFECT_TOL",
     "laurent_modes",
     "format_mode_bracket",
 ]
 
+ORDER_DEFECT_TOL = math.log10(2.0)  # passing defect: the error falls 5- to 20-fold per decade
 _SUPPRESS_BELOW = 1e-12  # format_mode_bracket omits coefficients this small
 
 
@@ -241,7 +243,10 @@ class AnnulusLabel:
         object.__setattr__(self, "n_ann", int(self.n_ann))
 
     def radius(self, q: complex) -> float:
-        """Geometric-mean radius |q|^(n_ann - 1/2), farthest from both poles."""
+        """Geometric-mean radius |q|^(n_ann - 1/2), farthest from both poles;
+        DomainError when it leaves the floating-point range."""
+        if not abs((self.n_ann - 0.5) * math.log(abs(q))) < 700.0:
+            raise DomainError(f"radius of annulus {self.n_ann} out of floating-point range")
         return abs(q) ** (self.n_ann - 0.5)
 
 

@@ -145,10 +145,14 @@ def _memoized(compute):
 
 
 def _as_complex(z: complex, name: str = "argument") -> complex:
+    """z as a complex number with finite parts and modulus, else DomainError naming it."""
     w = complex(z)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError(f"{name} must be finite, got {w!r}")
-    return w
+    try:
+        if math.isfinite(abs(w)):
+            return w
+    except OverflowError:
+        raise DomainError(f"|{name}| is out of floating-point range at {name} = {w!r}") from None
+    raise DomainError(f"{name} must be finite, got {w!r}")
 
 
 def _nonzero(z: complex, name: str) -> complex:
@@ -375,7 +379,8 @@ def _theta_quotient(
     (a; a)_inf is formed once per call, after the first argument's check, so
     that a bad first argument raises DomainError as theta(a, arg) would.
     Each argument and the base is checked once, and each error is raised
-    where that sequence of public calls would raise it."""
+    where that sequence of public calls would raise it.  A quotient that is
+    not finite, because a running product overflowed, raises DomainError."""
     av = None
     dens = []
     for arg in den_args:
@@ -399,7 +404,10 @@ def _theta_quotient(
         if aa is None:
             aa = _product(av, av, policy)
         den *= _theta_pair(av, w, policy) * aa
-    return num / (scale * den)
+    result = num / (scale * den)
+    if not cmath.isfinite(result):
+        raise DomainError(f"theta quotient out of floating-point range at a = {av!r}")
+    return result
 
 
 def log_deriv_theta(

@@ -1,8 +1,9 @@
 """Check results and verification reports with deterministic serialization.
 
-The canonical JSON form deliberately excludes wall-clock timings so that two
-runs with identical configuration produce byte-identical files; timings are
-available in the human-readable text rendering.
+``json_bytes`` builds the envelope of every JSON output (verify, limit, eval
+and modes): it alone stamps ``schema`` and ``tool_version``.  The JSON
+excludes wall-clock timings so that two runs with identical configuration
+produce byte-identical files; timings are in the text rendering.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+from . import __version__
 
 SCHEMA_VERSION = 1
 
@@ -28,9 +31,10 @@ def _jsonable(value: Any) -> Any:
 
 
 def json_bytes(payload: dict) -> bytes:
-    """The canonical JSON encoding of every machine-readable output: sorted
-    keys, no spaces, ASCII, one trailing newline."""
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    """The payload made JSON-safe, stamped with ``schema`` and ``tool_version``,
+    in canonical form: sorted keys, no spaces, ASCII, one trailing newline."""
+    doc = {**_jsonable(payload), "schema": SCHEMA_VERSION, "tool_version": __version__}
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
 @dataclass
@@ -48,13 +52,13 @@ class CheckResult:
     def to_dict(self) -> dict:
         d = {
             "check_id": self.check_id,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "max_abs_error": float(self.max_abs_error),
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
         }
         if self.info:
-            d["info"] = _jsonable(self.info)
+            d["info"] = self.info
         return d
 
 
@@ -65,7 +69,6 @@ class VerificationReport:
     suite: str
     checks: list[CheckResult]
     config: dict = field(default_factory=dict)
-    tool_version: str = ""
 
     @property
     def aggregate_pass(self) -> bool:
@@ -75,18 +78,13 @@ class VerificationReport:
     def max_error(self) -> float:
         return max((c.max_abs_error for c in self.checks), default=0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
+    def to_json_bytes(self) -> bytes:
+        return json_bytes({
             "suite": self.suite,
-            "tool_version": self.tool_version,
-            "config": _jsonable(self.config),
+            "config": self.config,
             "checks": [c.to_dict() for c in self.checks],
             "aggregate_pass": self.aggregate_pass,
-        }
-
-    def to_json_bytes(self) -> bytes:
-        return json_bytes(self.to_dict())
+        })
 
     def to_csv_text(self) -> str:
         lines = ["suite,check_id,max_abs_error,tolerance,pass,params"]
@@ -112,13 +110,7 @@ class VerificationReport:
 
 
 def merge_reports(
-    reports: list[VerificationReport], suite: str = "all"
+    reports: list[VerificationReport], suite: str, config: dict
 ) -> VerificationReport:
-    checks: list[CheckResult] = []
-    config: dict = {}
-    version = ""
-    for r in reports:
-        checks.extend(r.checks)
-        config[r.suite] = r.config
-        version = r.tool_version or version
-    return VerificationReport(suite, checks, config, version)
+    """One report of every check of ``reports``, in order, under the run's config."""
+    return VerificationReport(suite, [c for r in reports for c in r.checks], config)

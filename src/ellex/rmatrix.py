@@ -111,7 +111,8 @@ def kappa_inv(
     series get the share tail_tol / (2 (R+1)), so what they drop changes
     log(1/kappa) by less than 2 tail_tol / 3 and the relative error is below
     e^(2 tail_tol/3) - 1 < tail_tol.  More than ``max_terms`` rows for one
-    argument, factors in a row or series terms: TruncationExceeded.
+    argument, factors in a row or series terms: TruncationExceeded.  A
+    running product of head rows that overflows: DomainError.
     """
     y = _nonzero(x2, "x2")
     pv = _in_disk(p, "p")
@@ -144,6 +145,8 @@ def kappa_inv(
         num *= _product(z, b, row_policy)
     for z in den_rows:
         den *= _product(z, b, row_policy)
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+        raise DomainError(f"kappa_inv row products out of floating-point range at x2 = {y!r}")
     if den == 0:
         raise NearSingularity(f"kappa_inv denominator vanished at x2 = {y!r}")
 

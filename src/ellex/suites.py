@@ -35,7 +35,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import __version__
 from .elliptic import NomeParams
 from .errors import DomainError, EllexError, SamplingExhausted, SingularMatrix
 from .exchange import (
@@ -50,6 +49,7 @@ from .exchange import (
     exchange_Y_ratio,
 )
 from .poisson import (
+    ORDER_DEFECT_TOL,
     AnnulusLabel,
     beta_limit_check,
     laurent_modes,
@@ -155,7 +155,7 @@ def _run_sampled(
         for j, check_id in enumerate(ident.checks):
             pairs = [row[j] for row in rows]
             checks.append(_aggregate(check_id, pairs, ident.tolerance, t0, ident.params))
-    return VerificationReport(suite, checks, cfg.to_dict(), __version__)
+    return VerificationReport(suite, checks, cfg.to_dict())
 
 
 def _aggregate(
@@ -442,7 +442,6 @@ def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
         (2, 1, 0.45, 1.3),
         (-1, 1, 0.5, 1.25),
     ]
-    tol = math.log10(2.0)
     checks = []
     for m, k, q, x in cases:
         t0 = time.perf_counter()
@@ -453,8 +452,8 @@ def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
             check_id=f"beta-limit(m={m:+d},k={k:+d})",
             params={"m": m, "k": k, "beta": coarse["beta"], "q": q, "x": complex(x)},
             max_abs_error=defect,
-            tolerance=tol,
-            passed=defect <= tol and fine["abs_error"] < coarse["abs_error"],
+            tolerance=ORDER_DEFECT_TOL,
+            passed=defect <= ORDER_DEFECT_TOL and fine["abs_error"] < coarse["abs_error"],
             wall_time_s=time.perf_counter() - t0,
             info={
                 "target": ladder["target"],
@@ -465,7 +464,7 @@ def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
                 "error_ratio": ladder["ratio_1e-2_to_1e-3"],
             },
         ))
-    return VerificationReport("beta-limit", checks, cfg.to_dict(), __version__)
+    return VerificationReport("beta-limit", checks, cfg.to_dict())
 
 
 def _eval_coincidence(q: complex, cfg: VerifyConfig, x: complex) -> tuple:
@@ -553,7 +552,6 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
             _aggregate("laurent-center-expansion", geo_center, 1e-8, t0, meta),
         ],
         cfg.to_dict(),
-        __version__,
     )
 
 
@@ -597,10 +595,7 @@ def run_suites(names: Iterable[str], cfg: VerifyConfig) -> VerificationReport:
             reports = list(pool.map(run_suite, resolved, repeat(cfg)))
     if len(reports) == 1:
         return reports[0]
-    merged = merge_reports(reports, suite="+".join(resolved))
-    merged.config = {"suites": resolved, **cfg.to_dict()}
-    merged.tool_version = __version__
-    return merged
+    return merge_reports(reports, "+".join(resolved), {"suites": resolved, **cfg.to_dict()})
 
 
 def list_suites() -> str:

@@ -335,15 +335,66 @@ def test_eval_tiny_x_is_a_domain_error(capsys):
         (("--fn", "theta", "--a", "0.5", "--x", "1e100"),
          "(x; b)_inf overflows at x = (1e+100+0j), b = (0.5+0j)"),
         # every row product of kappa_inv is finite; their running products
-        # overflow and the quotient is nan
+        # overflow, which kappa_inv itself reports
         (("--fn", "kappa", "--p", "0.2", "--q", "0.5", "--x", "1e10"),
-         "kappa at x = (10000000000+0j) is not finite: (nan+nanj)"),
+         "kappa_inv row products out of floating-point range at x2 = (1e+20+0j)"),
+        # the same overflow was once reported as a vanished denominator
+        (("--fn", "mu", "--p", "0.2", "--q", "0.5", "--x", "1e6"),
+         "kappa_inv row products out of floating-point range at x2 = (1000000000000+0j)"),
+        # e^(pi u / 2K) overflows math.exp
+        (("--fn", "snh", "--u", "1e4", "--modulus", "0.5"),
+         "snh argument e^(pi u / 2K) overflows at u = 10000.0"),
+        # both parts are finite, the modulus is not
+        (("--fn", "theta", "--a", "0.5", "--x=1.5e308+1.5e308j"),
+         "|x| is out of floating-point range at x = (1.5e+308+1.5e+308j)"),
     ],
 )
 def test_eval_overflow_is_a_domain_error(capsys, argv, message):
     # a typed error with exit code 2, not (nan+nanj) printed with exit code 0
     code, out, err = run(capsys, "eval", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1"), {"ELLEX_DEFAULT_TOL": "abc"},
+         "cannot parse ELLEX_DEFAULT_TOL = 'abc' as a real number"),
+        (("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4", "--betas", "abc"), {},
+         "cannot parse --betas entry = 'abc' as a real number"),
+        (("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4", "--betas", "1e-2,,1e-3"),
+         {}, "cannot parse --betas entry = '' as a real number"),
+        # numpy refuses a negative rng seed
+        (("verify", "--suite", "theta", "--seed", "-1"), {},
+         "--seed must be a non-negative integer, got -1"),
+        # the radius underflows, and math.log(0) would raise
+        (("modes", "--q", "0.5", "--m", "1", "--k", "1", "--annulus", "2000"), {},
+         "radius of annulus 2000 out of floating-point range"),
+        (("modes", "--q", "0.5", "--m", "1", "--k", "1", "--annulus", "-2000"), {},
+         "radius of annulus -2000 out of floating-point range"),
+        (("eval", "--fn", "F", "--m", "1", "--p", "q^-2", "--q", "0", "--x", "1.1"), {},
+         "p = 'q^-2' is out of floating-point range"),
+    ],
+)
+def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_main_reports_only_ellex_errors(monkeypatch):
+    # one error path: any other exception is a bug and propagates
+    def broken(args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "_cmd_limit", broken)
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4"])
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_limit_needs_two_distinct_betas(capsys):

@@ -6,7 +6,7 @@ import cmath
 
 import pytest
 
-from ellex.elliptic import NomeParams, snh_core
+from ellex.elliptic import NomeParams, jacobi_snh, snh_core
 from ellex.errors import DomainError, EllexError, NonConvergentBase
 from ellex.exchange import (
     CommutingPoint,
@@ -115,6 +115,17 @@ def test_underflowing_or_overflowing_square_is_named(call, message):
         # (x; a) overflows to nan while every factor is finite
         (lambda: theta(0.5, 1e100), r"^\(x; b\)_inf overflows"),
         (lambda: qpochhammer(1e100, 0.5), r"^\(x; b\)_inf overflows"),
+        # finite parts whose modulus overflows abs()
+        (lambda: theta(0.5, 1.5e308 + 1.5e308j), r"^\|x\| is out of floating-point range"),
+        (lambda: theta(1.5e308 + 1.5e308j, 1.1), r"^\|a\| is out of floating-point range"),
+        # e^(pi u / 2K) overflows math.exp
+        (lambda: jacobi_snh(1e4, 0.5), r"^snh argument e\^\(pi u / 2K\) overflows"),
+        # each product is finite; the running products of the quotient overflow
+        (lambda: mu_inv(1e6 * cmath.exp(0.3j), 0.2, 0.5), r"^kappa_inv row products out of"),
+        (lambda: kappa_inv(1e20 * cmath.exp(0.6j), 0.2, 0.5), r"^kappa_inv row products out of"),
+        (lambda: pshift_scalar(1e10 * cmath.exp(0.3j), NomeParams(0.2, 0.5)),
+         r"^theta quotient out of floating-point range"),
+        (lambda: mu_inv(1e6, 0.2, 0.5), r"^kappa_inv row products out of"),
     ],
 )
 def test_value_out_of_floating_point_range_is_a_domain_error(call, message):
@@ -122,6 +133,29 @@ def test_value_out_of_floating_point_range_is_a_domain_error(call, message):
     # never an inf or nan returned as a value
     with pytest.raises(DomainError, match=message):
         call()
+
+
+SWEEP = {
+    "mu_inv": lambda x: mu_inv(x, 0.2, 0.5),
+    "kappa_inv": lambda x: kappa_inv(x * x, 0.2, 0.5),
+    "pshift_scalar": lambda x: pshift_scalar(x, NomeParams(0.2, 0.5)),
+    "tau_fn": lambda x: tau_fn(x, 0.5),
+    "exchange_F": lambda x: exchange_F(LevelParams(2, NomeParams(0.2, 0.5)), x),
+    "exchange_Y": lambda x: exchange_Y(LevelParams(-2, NomeParams(0.2, 0.5)), x),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SWEEP))
+def test_quotients_are_finite_or_raise_over_every_decade(site):
+    # |x| = 10^e at p 0.2, q 0.5: a value is finite, or the call raises a
+    # typed error; nan and inf are never returned
+    for e in range(-20, 21):
+        for x in (10.0**e, 10.0**e * cmath.exp(0.3j)):
+            try:
+                value = SWEEP[site](x)
+            except EllexError:
+                continue
+            assert cmath.isfinite(value), (e, x, value)
 
 
 def test_zero_squared_argument_names_x2():
