@@ -98,10 +98,20 @@ def _emit(args: argparse.Namespace, json: Callable, csv: Callable, text: Callabl
     if isinstance(out, bytes):
         out = out.decode()
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as f:
-            f.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as f:
+                f.write(out)
+        except OSError as exc:
+            raise EllexError(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(out)
+
+
+def _check_output(path: str) -> None:
+    """EllexError unless --output names a file in a directory that exists,
+    checked before a command runs so that a bad path fails at once."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise EllexError(f"cannot write --output {path!r}: not a file in an existing directory")
 
 
 def _lines(lines: Iterable[str]) -> str:
@@ -403,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses 2 for usage errors and 0 for --help/--version
         return int(exc.code or 0)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except EllexError as exc:
         sys.stderr.write(f"error: {exc}\n")

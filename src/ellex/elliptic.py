@@ -23,6 +23,7 @@ from .errors import DomainError, NearSingularity
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
+    _ZERO_RTOL,
     _in_disk,
     _near_zero,
     _nonzero,
@@ -43,8 +44,8 @@ __all__ = [
     "modulus_from_nome",
 ]
 
-# snh_core's pole guard (a relative distance to a zero of its denominator
-# theta) and baxter_entries' absolute floor on |snh(lambda)|
+# the absolute floor on |snh(lambda)| below which the entries a and b,
+# divided by it, are refused
 _POLE_TOL = 1e-10
 
 
@@ -128,15 +129,15 @@ def snh_core(
 
     The modulus-dependent prefactor k^(-1/2) p^(1/4) is left out; it cancels
     in the entry ratios a, b and contributes only p^(1/2) to the entry d.
-    Both thetas share one (p^2; p^2)_inf, and each step runs in the order
-    two ``theta`` calls would take it, so value and error are theirs; each
-    argument and the base is checked once.
+    Checks y, the base p^2 and both theta arguments before any product,
+    refusing a pole of T at relative _ZERO_RTOL as ``_theta_quotient`` does;
+    both thetas share one (p^2; p^2)_inf, each bit for bit ``theta``'s.
     """
     yv = _nonzero(y, "y")
     av = _in_disk(p * p, "p^2")
     y2 = _square(yv, "y^2")
     den_arg = _nonzero(p / y2, "theta argument")
-    if _near_zero(av, den_arg, _POLE_TOL):
+    if _near_zero(av, den_arg, _ZERO_RTOL):
         raise NearSingularity(f"snh pole near multiplicative argument {yv!r}")
     num = _theta_pair(av, _nonzero(1.0 / y2, "theta argument"), policy)
     aa = _product(av, av, policy)

@@ -316,8 +316,9 @@ def laurent_modes(
     2N nodes (N = quadrature_points); np.fft.fft of those samples gives the
     2N-node rule and of the even nodes alone the N-node rule.  Raises
     QuadratureUnresolved when the two rules differ in any coefficient by
-    more than 1e-9, AnnulusContainsPole when r is within 1e-6 of a pole
-    circle |q|^j.
+    more than 1e-9, AnnulusContainsPole when r is within relative 1e-6 of a
+    pole circle |q|^j, and DomainError when some r^l, |l| <= l_max, leaves
+    the floating-point range; every input is checked before f is sampled.
     """
     qv = _in_disk(q, "q")
     kind, f = _structure_integrand(which, qv, m, k, policy)
@@ -329,12 +330,10 @@ def laurent_modes(
             f"quadrature_points = {quadrature_points} < 4 (l_max + 1) = {4 * (l_max + 1)}"
         )
     r = annulus.radius(qv)
-    jc = round(math.log(r) / math.log(abs(qv)))
-    for j in (jc - 1, jc, jc + 1):
-        if abs(r - abs(qv) ** j) < 1e-6:
-            raise AnnulusContainsPole(
-                f"radius {r:.8g} within 1e-6 of pole circle |q|^{j}"
-            )
+    if _near_zero(abs(qv), r, 1e-6):
+        raise AnnulusContainsPole(f"radius {r:.8g} within relative 1e-6 of a circle |q|^j")
+    if not l_max * abs(math.log(r)) < 700.0:
+        raise DomainError(f"r^l for |l| <= {l_max} out of floating-point range at radius {r:.8g}")
     nodes = 2 * quadrature_points
     vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
 

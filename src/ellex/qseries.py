@@ -33,11 +33,10 @@ levels share most of theirs) and nothing carries over to the next point.
 Outside a scope every call computes afresh, at the cost of one ContextVar
 lookup.
 
-Each argument is checked once.  ``_theta_quotient`` and
-``elliptic.snh_core`` validate every argument and the base a single time.
-Their near-zero test is ``_near_zero``, the unchecked core that the public
-``near_theta_zero`` wraps.  Each error is still raised where the equivalent
-sequence of public calls would raise it.
+Check first, then compute: ``_theta_quotient`` and ``elliptic.snh_core``
+check the base, each denominator argument (finite, nonzero, and clear of a
+theta zero by ``_near_zero`` at ``_ZERO_RTOL``) and each numerator argument,
+once each and in that order, before they form any product.
 
 Everything here is a pure function of its arguments.  The memo lives in a
 ContextVar, so each thread sees only its own, and concurrent use needs no
@@ -100,8 +99,8 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 # relative distance at which x counts as a zero of theta_a: near_theta_zero's
-# default, so the theta quotients, log_deriv_theta and the poisson series
-# all refuse the same points
+# default, so the theta quotients, snh_core, log_deriv_theta and the poisson
+# series all refuse the same points
 _ZERO_RTOL = 1e-8
 
 # The memo of the open point scope, None outside one.  Its keys are the
@@ -173,11 +172,7 @@ def _square(z: complex, name: str) -> complex:
 def _in_disk(b: complex, name: str) -> complex:
     """b as a complex number with 0 < |b| < 1, the domain of a product base;
     else NonConvergentBase (a DomainError) naming it."""
-    return _disk(_as_complex(b, name), name)
-
-
-def _disk(w: complex, name: str) -> complex:
-    """_in_disk for a w already checked to be a finite complex number."""
+    w = _as_complex(b, name)
     if not (0.0 < abs(w) < 1.0):
         raise NonConvergentBase(f"|{name}| must lie in (0, 1), got {abs(w):.6g}")
     return w
@@ -373,36 +368,25 @@ def _theta_quotient(
 ) -> complex:
     """prod theta_a(num_args) / (scale * prod theta_a(den_args)), each product
     formed in argument order, bit for bit what the public ``theta`` gives.
-    Checks the denominator arguments first: DomainError when one is not
-    finite (naming a "theta argument", not the caller's x), NearSingularity
-    when one is near a zero of theta_a (near_theta_zero at its default rtol).
-    (a; a)_inf is formed once per call, after the first argument's check, so
-    that a bad first argument raises DomainError as theta(a, arg) would.
-    Each argument and the base is checked once, and each error is raised
-    where that sequence of public calls would raise it.  A quotient that is
-    not finite, because a running product overflowed, raises DomainError."""
-    av = None
+    Checks come first: the base (NonConvergentBase unless 0 < |a| < 1), each
+    denominator argument (DomainError unless finite and nonzero, naming a
+    "theta argument", not the caller's x; NearSingularity within relative
+    _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Only
+    then are (a; a)_inf, once, and the pairs formed.  A quotient that is not
+    finite, because a running product overflowed, raises DomainError."""
+    av = _in_disk(a, "a")
     dens = []
     for arg in den_args:
-        w = _as_complex(arg, "theta argument")
-        if av is None:
-            av = _as_complex(a, "a")
+        w = _nonzero(arg, "theta argument")
         if _near_zero(av, w, _ZERO_RTOL):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
         dens.append(w)
-    av = _in_disk(a, "a") if av is None else _disk(av, "a")
-    aa = None
+    nums = [_nonzero(arg, "theta argument") for arg in num_args]
+    aa = _product(av, av, policy)
     num = den = 1.0 + 0j
-    for arg in num_args:
-        xv = _nonzero(arg, "theta argument")
-        if aa is None:
-            aa = _product(av, av, policy)
+    for xv in nums:
         num *= _theta_pair(av, xv, policy) * aa
     for w in dens:
-        if w == 0:
-            raise DomainError("theta argument must be nonzero")
-        if aa is None:
-            aa = _product(av, av, policy)
         den *= _theta_pair(av, w, policy) * aa
     result = num / (scale * den)
     if not cmath.isfinite(result):

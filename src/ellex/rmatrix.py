@@ -29,7 +29,7 @@ import cmath
 
 import numpy as np
 
-from .elliptic import NomeParams, snh_core
+from .elliptic import NomeParams, _POLE_TOL, snh_core
 from .errors import DomainError, NearSingularity, SingularMatrix, TruncationExceeded
 from .qseries import (
     DEFAULT_POLICY,
@@ -198,7 +198,7 @@ def _entries(
     y_lam = -1.0 / nome.q
     y_a = y_lam / x
     t_lam = snh_core(y_lam, nome.p, policy)
-    if abs(t_lam) < 1e-10:
+    if abs(t_lam) < _POLE_TOL:
         raise NearSingularity("snh(lambda) below tolerance in entry assembly")
     t_a = snh_core(y_a, nome.p, policy)
     t_x = snh_core(x, nome.p, policy)

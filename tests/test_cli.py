@@ -374,6 +374,9 @@ def test_eval_overflow_is_a_domain_error(capsys, argv, message):
          "radius of annulus -2000 out of floating-point range"),
         (("eval", "--fn", "F", "--m", "1", "--p", "q^-2", "--q", "0", "--x", "1.1"), {},
          "p = 'q^-2' is out of floating-point range"),
+        # the radius 1e150 is in range, but r^-8 underflows to 0
+        (("modes", "--q", "1e-300", "--m", "1", "--k", "1"), {},
+         "r^l for |l| <= 8 out of floating-point range at radius 1e+150"),
     ],
 )
 def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):
@@ -381,6 +384,38 @@ def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, m
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_output_into_a_missing_directory_fails_before_eval(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    evaluated = []
+    monkeypatch.setattr(cli, "complete_K", evaluated.append)
+    code, out, err = run(capsys, "eval", "--fn", "K", "--modulus", "0.5", "--output", str(path))
+    message = f"error: cannot write --output {str(path)!r}: not a file in an existing directory\n"
+    assert (code, out, err, evaluated) == (2, "", message, [])
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("name", ["missing/report.json", "."])
+def test_output_that_is_not_writable_fails_before_any_suite_runs(
+    capsys, monkeypatch, tmp_path, name
+):
+    from ellex import suites
+
+    ran = []
+    monkeypatch.setattr(suites, "run_suites", lambda *args: ran.append(args))
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "verify", "--suite", "theta", "--format", "json", "--output", path)
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: cannot write --output {path!r}: not a file in an existing directory\n"
+
+
+def test_output_write_error_is_an_ellex_error(capsys, tmp_path):
+    # the directory exists, but the name is longer than a file name may be
+    path = str(tmp_path / ("x" * 300))
+    code, out, err = run(capsys, "eval", "--fn", "K", "--modulus", "0.5", "--output", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --output {path!r}: ")
 
 
 def test_main_reports_only_ellex_errors(monkeypatch):

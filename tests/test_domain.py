@@ -3,11 +3,18 @@ with the error type of that condition and a message naming the parameter
 its caller passed, not an internal theta base."""
 
 import cmath
+from functools import partial
 
 import pytest
 
 from ellex.elliptic import NomeParams, jacobi_snh, snh_core
-from ellex.errors import DomainError, EllexError, NonConvergentBase
+from ellex.errors import (
+    AnnulusContainsPole,
+    DomainError,
+    EllexError,
+    NearSingularity,
+    NonConvergentBase,
+)
 from ellex.exchange import (
     CommutingPoint,
     LevelParams,
@@ -16,8 +23,21 @@ from ellex.exchange import (
     exchange_Y,
     shift_factor_F,
 )
-from ellex.poisson import poisson_series_g, poisson_structure, poisson_structure_center
-from ellex.qseries import log_deriv_theta, qpochhammer, theta, theta_shift_factor
+from ellex.poisson import (
+    AnnulusLabel,
+    laurent_modes,
+    poisson_series_g,
+    poisson_structure,
+    poisson_structure_center,
+)
+from ellex.qseries import (
+    TruncationPolicy,
+    _theta_quotient,
+    log_deriv_theta,
+    qpochhammer,
+    theta,
+    theta_shift_factor,
+)
 from ellex.rmatrix import kappa_inv, mu_inv, pshift_scalar, r_plus, tau_fn, tau_fn_pochhammer
 
 NOME = NomeParams(0.18, -0.45)
@@ -186,3 +206,41 @@ def test_nome_p_outside_disk_is_a_valid_exchange_point():
     assert abs(exchange_Y(level, 1.1) - 1.0) < 1e-12
     with pytest.raises(NonConvergentBase, match=r"^\|p\|"):
         mu_inv(1.1, level.nome.p, q)
+
+
+def _relative(f):
+    """f at relative distance 1e-9 from a zero of its denominator theta (to
+    be refused) and at 1e-7 (to be evaluated)."""
+    return partial(f, 1e-9), lambda: [f(1e-7)]
+
+
+def _center_modes(q):
+    table = laurent_modes("center", q=q, annulus=AnnulusLabel(4), l_max=1, quadrature_points=128)
+    assert table.params["radius"] == q**3.5
+    return list(table.raw_coefficients.values())
+
+
+# every theta denominator refuses a point within relative 1e-8 of a zero;
+# laurent_modes puts its radius against the pole circles |q|^j by the same
+# relative test at 1e-6, so a radius 7 times the nearest circle's is fine
+ONE_RULE = {
+    "_theta_quotient": (NearSingularity, *_relative(
+        lambda d: _theta_quotient(0.4j, (0.7,), ((0.4j) ** 2 * (1 + d),), TruncationPolicy())
+    )),
+    "snh_core": (NearSingularity, *_relative(lambda d: snh_core((0.5 / (1 + d)) ** 0.5, 0.5))),
+    "log_deriv_theta": (NearSingularity, *_relative(lambda d: log_deriv_theta(0.3, 0.09 * (1 + d)))),
+    "poisson_series_g": (NearSingularity, *_relative(
+        lambda d: poisson_series_g((0.25 * (1 + d)) ** 0.5, 0.5)
+    )),
+    "laurent_modes": (
+        AnnulusContainsPole, partial(_center_modes, 0.999999), partial(_center_modes, 0.02)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ONE_RULE))
+def test_every_denominator_guard_is_one_relative_rule(site):
+    error, refused, evaluated = ONE_RULE[site]
+    with pytest.raises(error):
+        refused()
+    assert all(cmath.isfinite(v) for v in evaluated())

@@ -8,6 +8,7 @@ independent of the library's truncation logic).
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -287,9 +288,11 @@ def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, s
         (0.4j, (0.7, float("inf")), (1.3,), DomainError),
         (0.4j, (0.7,), (1.3, (0.4j) ** 2 * (1 + 1e-10)), NearSingularity),
         (0.4j, (0.7,), ((0.4j) ** -1,), NearSingularity),
-        # (a; a) needs more than 512 factors at |a| = 0.95
+        # (a; a) needs more than 512 factors at |a| = 0.95, but a zero
+        # argument is refused before any product is formed
         (0.95, (0.0, 0.7), (1.3,), DomainError),
-        (0.95, (0.7,), (0.0,), TruncationExceeded),
+        (0.95, (0.7,), (0.0,), DomainError),
+        (0.95, (0.7,), (1.3,), TruncationExceeded),
     ],
 )
 def test_theta_quotient_errors_match_public_theta(a, num_args, den_args, error):
@@ -297,22 +300,30 @@ def test_theta_quotient_errors_match_public_theta(a, num_args, den_args, error):
         _theta_quotient(a, num_args, den_args, TruncationPolicy())
 
 
-def theta_quotient_checked_thrice(a, num_args, den_args, policy, scale=1.0):
-    """_theta_quotient as it was before it checked each argument once: each
-    denominator argument is checked three times and the base once per
-    denominator argument.  Its errors are the reference for type, message
-    and order."""
-    for arg in den_args:
-        if near_theta_zero(a, qseries._as_complex(arg, "theta argument")):
-            raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
+def check_quotient_inputs(a, num_args, den_args):
+    """The checks _theta_quotient makes before it forms any product, in its
+    order: the base, then each denominator argument (finite and nonzero,
+    then clear of a theta zero by the public near_theta_zero), then each
+    numerator argument.  Returns the checked base."""
     av = qseries._in_disk(a, "a")
-    qseries._nonzero((num_args + den_args)[0], "theta argument")
+    for arg in den_args:
+        if near_theta_zero(av, qseries._nonzero(arg, "theta argument")):
+            raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
+    for arg in num_args:
+        qseries._nonzero(arg, "theta argument")
+    return av
+
+
+def theta_quotient_checked_first(a, num_args, den_args, policy, scale=1.0):
+    """The reference for _theta_quotient's values and errors (type, message
+    and order): every check first, then (a; a) and the pairs."""
+    av = check_quotient_inputs(a, num_args, den_args)
     aa = qseries._product(av, av, policy)
     num = den = 1.0 + 0j
     for arg in num_args:
-        num *= qseries._theta_pair(av, qseries._nonzero(arg, "theta argument"), policy) * aa
+        num *= qseries._theta_pair(av, complex(arg), policy) * aa
     for arg in den_args:
-        den *= qseries._theta_pair(av, qseries._nonzero(arg, "theta argument"), policy) * aa
+        den *= qseries._theta_pair(av, complex(arg), policy) * aa
     return num / (scale * den)
 
 
@@ -323,9 +334,9 @@ def outcome_and_message(f, *args):
         return type(exc), str(exc)
 
 
-def test_theta_quotient_checks_once_and_raises_as_before():
-    # bases and arguments that break each check, alone and together, in
-    # every position; max_terms 8 adds TruncationExceeded between them
+def quotient_draws(count):
+    """Bases and arguments that break each check, alone and together, in
+    every position; max_terms 8 adds TruncationExceeded between them."""
     rng = random.Random(11)
     nan, inf = float("nan"), float("inf")
     bases = [0.4j, -0.3 + 0.2j, 0.95, 1.0, 1.2 + 0.3j, 0.0, complex(nan, 0.0), inf]
@@ -336,16 +347,43 @@ def test_theta_quotient_checks_once_and_raises_as_before():
             return rng.choice(special)
         return cmath.rect(math.exp(rng.uniform(-1, 1)), rng.uniform(-3, 3))
 
-    compared = set()
-    for _ in range(3000):
+    for _ in range(count):
         a = rng.choice(bases)
         num_args = tuple(pick() for _ in range(rng.randint(0, 3)))
         den_args = tuple(pick() for _ in range(rng.randint(1 if not num_args else 0, 3)))
         policy = rng.choice((TruncationPolicy(), TruncationPolicy(8)))
-        want = outcome_and_message(theta_quotient_checked_thrice, a, num_args, den_args, policy)
+        yield a, num_args, den_args, policy
+
+
+def test_theta_quotient_checks_first_and_raises_as_the_reference():
+    compared = set()
+    for a, num_args, den_args, policy in quotient_draws(3000):
+        want = outcome_and_message(theta_quotient_checked_first, a, num_args, den_args, policy)
         assert outcome_and_message(_theta_quotient, a, num_args, den_args, policy) == want
         compared.add(want[0] if isinstance(want, tuple) else str)
     assert compared == {str, DomainError, NonConvergentBase, NearSingularity, TruncationExceeded}
+
+
+def test_theta_quotient_forms_no_product_before_a_check_fails(monkeypatch):
+    factor_count = qseries._factor_count
+    counts = [0]
+
+    def counting(*args):
+        counts[0] += 1
+        return factor_count(*args)
+
+    monkeypatch.setattr(qseries, "_factor_count", counting)
+    rejected = 0
+    for a, num_args, den_args, policy in quotient_draws(3000):
+        try:
+            check_quotient_inputs(a, num_args, den_args)
+        except EllexError as exc:
+            counts[0] = 0
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _theta_quotient(a, num_args, den_args, policy)
+            assert counts[0] == 0, (a, num_args, den_args)
+            rejected += 1
+    assert rejected > 1000
 
 
 # --- point-scoped memo -------------------------------------------------------
