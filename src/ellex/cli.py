@@ -314,7 +314,6 @@ def _cmd_modes(args: argparse.Namespace) -> int:
             "structure_constants": table.coefficients,
             "raw_coefficients": table.raw_coefficients,
             "brackets": brackets,
-            "antisymmetry_violation": table.antisymmetry_violation(),
         }),
         lambda: _lines(["l,structure_constant,raw_coefficient"] + [
             f"{l},{g!r},{table.raw_coefficients[l]!r}" for l, g in coefficients

@@ -187,6 +187,9 @@ def beta_limit_check(
     defect is |log10(err(1e-2) / err(1e-3)) - 1| when the ladder holds both
     steps (0 when err(1e-3) is exactly 0), else |fitted order - 1|, the
     least-squares slope of log err against log beta over nonzero errors.
+    A ladder whose finest step's error is not below its coarsest step's
+    does not converge, and its defect is inf, so every caller passes the
+    ladder exactly when the defect is at most ``ORDER_DEFECT_TOL``.
     Returns the defect and its data: the target, one row per step, the
     fitted order and the 1e-2 to 1e-3 error ratio (None without the pair).
     """
@@ -222,6 +225,8 @@ def beta_limit_check(
             defect = abs(math.log10(ratio) - 1.0)
     else:
         defect = abs(order - 1.0)
+    if not rows[-1][2] < rows[0][2]:
+        defect = math.inf
     return defect, {
         "target": target,
         "table": [{"beta": b, "lnY_over_beta": d, "abs_error": e} for b, d, e in rows],
@@ -263,12 +268,6 @@ class ModeBracketTable:
     raw_coefficients: dict[int, complex]
     which: str
     params: dict
-
-    def antisymmetry_violation(self) -> float:
-        worst = 0.0
-        for l, g in self.coefficients.items():
-            worst = max(worst, abs(g + self.coefficients.get(-l, 0.0)))
-        return worst
 
 
 _WHICH_ALIASES = {

@@ -1,14 +1,17 @@
 """Named verification suites driving every identity the library implements.
 
-A sampled suite is a table of ``Identity`` entries built from the config:
-check ids, a ``sample(rng, cfg, index)`` that draws a candidate or returns
-None to reject it (``index`` counts the candidates that passed so far), and
-an ``evaluate(cfg, candidate)`` that returns one ``(error, point)`` per check
+Every suite is a table of ``Identity`` entries built from the config: check
+ids, a ``sample(rng, cfg, index)`` that draws a candidate or returns None to
+reject it (``index`` counts the candidates that passed so far), and an
+``evaluate(cfg, candidate)`` that returns one ``(error, point)`` per check
 or raises an ``EllexError`` to reject the point. One runner draws the entries
 in table order from one rng seeded per suite. Every candidate, rejected or
 not, costs one of ``_TRIES_PER_POINT`` tries per point asked for, and an
 exhausted budget raises ``SamplingExhausted`` (exit code 2).
-``beta-limit`` and ``mode-brackets`` sample nothing.
+
+An identity with fixed ``cases`` (``beta-limit``, ``mode-brackets``) has no
+sampler: each case is evaluated once, draws nothing from the rng and is
+never rejected, so its ``EllexError`` ends the run (exit code 2).
 
 Each ``evaluate`` call runs inside its own ``qseries.point_scope()``, so
 the checks of one point form each distinct theta factor once (the exchange
@@ -92,14 +95,15 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class Identity:
-    """One sampled family of checks; see the module docstring."""
+    """One family of checks, sampled or at fixed cases; see the module docstring."""
 
     checks: tuple[str, ...]
-    sample: Callable  # (rng, cfg, index) -> candidate | None
+    sample: Callable | None  # (rng, cfg, index) -> candidate | None; None with cases
     evaluate: Callable  # (cfg, candidate) -> one (error, point) per check
     tolerance: float
     count: int
     params: dict
+    cases: tuple = ()  # fixed candidates, each evaluated once instead of sampling
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,13 @@ class SuiteSpec:
 SUITES: dict[str, SuiteSpec] = {}  # filled by @_suite, in definition order
 
 
-def _suite(name: str, description: str, aliases: tuple = (), seed_offset: int | None = None):
-    """Register a plain suite runner or, given a seed offset, a table of identities."""
+def _suite(name: str, description: str, seed_offset: int, aliases: tuple = ()):
+    """Register a table of identities, run with the rng seeded at seed + seed_offset."""
 
-    def register(fn: Callable) -> Callable:
-        runner = fn if seed_offset is None else partial(_run_sampled, name, seed_offset, fn)
-        SUITES[name] = SuiteSpec(runner, description, aliases)
-        return fn
+    def register(table: Callable) -> Callable:
+        SUITES[name] = SuiteSpec(partial(_run_sampled, name, seed_offset, table), description,
+                                 aliases)
+        return table
 
     return register
 
@@ -135,7 +139,12 @@ def _run_sampled(
     for ident in table(cfg):
         t0 = time.perf_counter()
         rows: list = []
+        for case in ident.cases:  # never rejected: an EllexError ends the run
+            with point_scope():
+                rows.append(ident.evaluate(cfg, case))
         for _ in range(_TRIES_PER_POINT * ident.count):
+            if len(rows) == ident.count:
+                break
             candidate = ident.sample(rng, cfg, index)
             if candidate is None:
                 continue
@@ -145,9 +154,7 @@ def _run_sampled(
                     rows.append(ident.evaluate(cfg, candidate))
             except EllexError:
                 continue
-            if len(rows) == ident.count:
-                break
-        else:
+        if len(rows) < ident.count:
             raise SamplingExhausted(
                 f"{', '.join(ident.checks)}: only {len(rows)} of {ident.count} points "
                 f"valid after {_TRIES_PER_POINT * ident.count} candidates"
@@ -156,6 +163,12 @@ def _run_sampled(
             pairs = [row[j] for row in rows]
             checks.append(_aggregate(check_id, pairs, ident.tolerance, t0, ident.params))
     return VerificationReport(suite, checks, cfg.to_dict())
+
+
+def _fixed(checks: tuple, evaluate: Callable, tolerance: float, params: dict, cases) -> Identity:
+    """An identity evaluated once at each of the given cases."""
+    cases = tuple(cases)
+    return Identity(checks, None, evaluate, tolerance, len(cases), params, cases)
 
 
 def _aggregate(
@@ -240,7 +253,7 @@ def _eval_tau(cfg: VerifyConfig, cand: tuple) -> tuple:
     return ((err, {"q": q, "x": x}),)
 
 
-@_suite("tau-dual", "agreement of the theta-quotient and product forms of tau", ("tau",), 1)
+@_suite("tau-dual", "agreement of the theta-quotient and product forms of tau", 1, ("tau",))
 def _tau_table(cfg: VerifyConfig) -> list[Identity]:
     checks = ("tau-two-representations",)
     return [Identity(checks, _sample_tau, _eval_tau, 1e-11, 50, {"seed": cfg.seed})]
@@ -290,7 +303,7 @@ def _eval_ybe(cfg: VerifyConfig, cand: tuple) -> tuple:
 
 
 @_suite(
-    "rmatrix", "crossing symmetry, nome-shift covariance and Yang-Baxter for R+", ("crossing",), 2
+    "rmatrix", "crossing symmetry, nome-shift covariance and Yang-Baxter for R+", 2, ("crossing",)
 )
 def _rmatrix_table(cfg: VerifyConfig) -> list[Identity]:
     params = {"|p|<=0.7": True, "|q|<=0.7": True, "zero_clearance": _GRID_REJECT_TOL,
@@ -328,7 +341,7 @@ def _eval_f_two_path(level: LevelParams, cfg: VerifyConfig, x: complex) -> list:
 
 
 @_suite(
-    "f-two-path", "closed form of F(m, x) vs the iterated shift-factor product", ("theorem4",), 3
+    "f-two-path", "closed form of F(m, x) vs the iterated shift-factor product", 3, ("theorem4",)
 )
 def _f_two_path_table(cfg: VerifyConfig) -> list[Identity]:
     # the reciprocity path exists for negative levels only
@@ -342,7 +355,7 @@ def _eval_y_two_path(level: LevelParams, cfg: VerifyConfig, x: complex) -> tuple
     return ((_rel(closed, exchange_Y_ratio(level, x, cfg.policy)), {"x": x}),)
 
 
-@_suite("y-two-path", "closed form of Y vs the F-ratio construction", ("theorem5",), 4)
+@_suite("y-two-path", "closed form of Y vs the F-ratio construction", 4, ("theorem5",))
 def _y_two_path_table(cfg: VerifyConfig) -> list[Identity]:
     return _exchange_table(cfg, ("y-two-path",), _eval_y_two_path, 1e-9, 20, _LEVELS)
 
@@ -387,8 +400,8 @@ def _eval_commuting(cp: CommutingPoint, cfg: VerifyConfig, cand: tuple) -> tuple
 @_suite(
     "commuting-points",
     "F = 1 at p = q^(2k) for odd k, even-k closed form, and Y = 1",
-    ("theorem6",),
     6,
+    ("theorem6",),
 )
 def _commuting_table(cfg: VerifyConfig) -> list[Identity]:
     table = []
@@ -424,47 +437,35 @@ def _eval_p_shift(cfg: VerifyConfig, cand: tuple) -> tuple:
     return ((f_err, point), (y_err, point))
 
 
-@_suite("p-periodicity", "invariance of F and Y under the nome shift p -> p q^4", ("remark3",), 7)
+@_suite("p-periodicity", "invariance of F and Y under the nome shift p -> p q^4", 7, ("remark3",))
 def _p_periodicity_table(cfg: VerifyConfig) -> list[Identity]:
     checks = ("f-invariant-under-p-shift", "y-invariant-under-p-shift")
     return [Identity(checks, _sample_p_shift, _eval_p_shift, 1e-10, 20, {})]
 
 
+def _eval_beta_limit(cfg: VerifyConfig, case: tuple) -> tuple:
+    defect, ladder = beta_limit_check(*case, (1e-2, 1e-3), cfg.policy)
+    coarse, fine = ladder["table"]
+    return ((defect, {
+        "target": ladder["target"], "error_ratio": ladder["ratio_1e-2_to_1e-3"],
+        "lnY_over_beta": coarse["lnY_over_beta"], "lnY_over_beta_fine": fine["lnY_over_beta"],
+        "err_beta": coarse["abs_error"], "err_beta_over_10": fine["abs_error"],
+    }),)
+
+
 @_suite(
     "beta-limit",
     "first-order approach of ln(Y)/beta to the k-labeled structure function",
-    ("theorem7", "limit"),
+    9, ("theorem7", "limit"),
 )
-def suite_beta_limit(cfg: VerifyConfig) -> VerificationReport:
-    cases = [
-        (1, 1, 0.5, 1.4),
-        (1, 2, 0.5, 1.4),
-        (2, 1, 0.45, 1.3),
-        (-1, 1, 0.5, 1.25),
-    ]
-    checks = []
-    for m, k, q, x in cases:
-        t0 = time.perf_counter()
+def _beta_limit_table(cfg: VerifyConfig) -> list[Identity]:
+    table = []
+    for m, k, q, x in ((1, 1, 0.5, 1.4), (1, 2, 0.5, 1.4), (2, 1, 0.45, 1.3), (-1, 1, 0.5, 1.25)):
         q = cfg.q if cfg.q is not None else q
-        defect, ladder = beta_limit_check(m, k, q, x, (1e-2, 1e-3), cfg.policy)
-        coarse, fine = ladder["table"]
-        checks.append(CheckResult(
-            check_id=f"beta-limit(m={m:+d},k={k:+d})",
-            params={"m": m, "k": k, "beta": coarse["beta"], "q": q, "x": complex(x)},
-            max_abs_error=defect,
-            tolerance=ORDER_DEFECT_TOL,
-            passed=defect <= ORDER_DEFECT_TOL and fine["abs_error"] < coarse["abs_error"],
-            wall_time_s=time.perf_counter() - t0,
-            info={
-                "target": ladder["target"],
-                "lnY_over_beta": coarse["lnY_over_beta"],
-                "lnY_over_beta_fine": fine["lnY_over_beta"],
-                "err_beta": coarse["abs_error"],
-                "err_beta_over_10": fine["abs_error"],
-                "error_ratio": ladder["ratio_1e-2_to_1e-3"],
-            },
-        ))
-    return VerificationReport("beta-limit", checks, cfg.to_dict())
+        params = {"m": m, "k": k, "beta": 1e-2, "q": q, "x": complex(x)}
+        table.append(_fixed((f"beta-limit(m={m:+d},k={k:+d})",), _eval_beta_limit,
+                            ORDER_DEFECT_TOL, params, [(m, k, q, x)]))
+    return table
 
 
 def _eval_coincidence(q: complex, cfg: VerifyConfig, x: complex) -> tuple:
@@ -501,14 +502,16 @@ def _expansion_errors(raw: dict, pref: float, q: float, lmax: int, negative: boo
     return errs
 
 
+def _precomputed(cfg: VerifyConfig, row: tuple) -> tuple:
+    return (row,)
+
+
 @_suite(
     "mode-brackets",
-    "contour structure constants: expansions, antisymmetry, residue steps",
-    ("modes",),
+    "contour structure constants: expansions, antisymmetry, residue steps", 10, ("modes",),
 )
-def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    pol = cfg.policy
+def _mode_brackets_table(cfg: VerifyConfig) -> list[Identity]:
+    # the four contour tables are built once; each check's rows are its cases
     q = cfg.q if cfg.q is not None else 0.5
     if abs(complex(q).imag) > 0 or complex(q).real <= 0:
         raise DomainError("mode-bracket suite uses real positive q")
@@ -516,20 +519,18 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
     m, k = 1, 1
     pref = 2.0 * k * m * math.log(q)
     lmax = 6
-    modes = partial(laurent_modes, q=q, l_max=lmax, quadrature_points=128, policy=pol)
-    tables = {n: modes("klimit", annulus=AnnulusLabel(n), m=m, k=k) for n in (0, 1, 2)}
-    raw = {n: tab.raw_coefficients for n, tab in tables.items()}
+    modes = partial(laurent_modes, q=q, l_max=lmax, quadrature_points=128, policy=cfg.policy)
+    raw = {n: modes("klimit", annulus=AnnulusLabel(n), m=m, k=k).raw_coefficients
+           for n in (0, 1, 2)}
     # the central bracket carries the same coefficients scaled by its own
     # normalization 2 ln q, so the annulus-0 expansion check applies verbatim
     center0 = modes("center", annulus=AnnulusLabel(0)).raw_coefficients
     geo = _expansion_errors(raw[0], pref, q, lmax, negative=True)
     geo_center = _expansion_errors(center0, 2.0 * math.log(q), q, lmax, negative=False)
 
-    anti = [(tab.antisymmetry_violation(), {"annulus": n}) for n, tab in tables.items()]
     # functional antisymmetry g(1/x) = -g(x) ties annulus n to its mirror 1-n:
-    # raw_n[l] = -raw_{1-n}[-l]; nontrivial check across the (0, 1) pair
+    # raw_n[l] = -raw_{1-n}[-l], checked across the (0, 1) pair
     mirror = max(abs(raw[0][l] + raw[1][-l]) / max(1.0, abs(raw[0][l])) for l in raw[0])
-    anti.append((mirror, {"annuli": "(0,1) mirror pair"}))
 
     # crossing the pole circle |x| = |q|^n changes raw coefficients by the
     # analytic residue sum: pref * (-1)^n q^(-n l) (1 + (-1)^l)
@@ -543,16 +544,13 @@ def suite_mode_brackets(cfg: VerifyConfig) -> VerificationReport:
             )
 
     meta = {"q": q, "m": m, "k": k, "lmax": lmax}
-    return VerificationReport(
-        "mode-brackets",
-        [
-            _aggregate("laurent-geometric-expansion", geo, 1e-8, t0, meta),
-            _aggregate("laurent-antisymmetry", anti, 1e-10, t0, meta),
-            _aggregate("laurent-residue-step", res_pairs, 1e-8, t0, meta),
-            _aggregate("laurent-center-expansion", geo_center, 1e-8, t0, meta),
-        ],
-        cfg.to_dict(),
-    )
+    return [
+        _fixed(("laurent-geometric-expansion",), _precomputed, 1e-8, meta, geo),
+        _fixed(("laurent-antisymmetry",), _precomputed, 1e-10, meta,
+               [(mirror, {"annuli": "(0,1) mirror pair"})]),
+        _fixed(("laurent-residue-step",), _precomputed, 1e-8, meta, res_pairs),
+        _fixed(("laurent-center-expansion",), _precomputed, 1e-8, meta, geo_center),
+    ]
 
 
 _ALIAS_INDEX = {alias: name for name, spec in SUITES.items() for alias in spec.aliases}

@@ -262,6 +262,65 @@ def test_limit_command(capsys, tmp_path, k):
     assert "fitted order" in out
 
 
+def test_ladder_whose_error_does_not_fall_fails_limit_and_suite(capsys, monkeypatch, tmp_path):
+    # both steps exactly on a zero target: the error does not fall, so the
+    # ladder's defect is inf and both commands apply the one pass rule
+    from ellex import poisson
+
+    monkeypatch.setattr(poisson, "exchange_Y", lambda level, x, policy: 1.0)
+    monkeypatch.setattr(poisson, "poisson_structure", lambda *args: 0j)
+    code, out, _ = run(
+        capsys, "limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4",
+        "--betas", "1e-2,1e-3", "--format", "json",
+    )
+    (check,) = json.loads(out)["checks"]
+    assert (code, check["max_abs_error"], check["pass"]) == (1, math.inf, False)
+    path = tmp_path / "beta.json"
+    code, _, _ = run(
+        capsys, "verify", "--suite", "beta-limit", "--format", "json", "--output", str(path)
+    )
+    report = json.loads(path.read_text())
+    assert (code, report["aggregate_pass"]) == (1, False)
+    assert [(c["max_abs_error"], c["pass"]) for c in report["checks"]] == [(math.inf, False)] * 4
+
+
+@pytest.mark.parametrize(
+    "suite, target, failing",
+    [("beta-limit", "beta_limit_check", 2), ("mode-brackets", "laurent_modes", "center")],
+)
+def test_verify_fixed_case_error_exits_2_without_a_report(
+    capsys, monkeypatch, tmp_path, suite, target, failing
+):
+    # a fixed case is never skipped: one case that raises ends the run, so
+    # no report with fewer checks or a smaller count is written
+    from ellex import suites
+    from ellex.errors import TruncationExceeded
+
+    real = getattr(suites, target)
+
+    def truncated(*args, **kwargs):
+        if args[0] == failing:
+            raise TruncationExceeded("injected truncation failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, target, truncated)
+    path = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--format", "json", "--output", str(path)
+    )
+    assert (code, out, err) == (2, "", "error: injected truncation failure\n")
+    assert not path.exists()
+
+
+def test_every_suite_runs_through_the_one_check_loop():
+    from ellex import suites
+
+    for name, spec in suites.SUITES.items():
+        assert isinstance(spec.runner, functools.partial), name
+        assert spec.runner.func is suites._run_sampled, name
+        assert spec.runner.args[0] == name
+
+
 def test_modes_command_json(capsys):
     code, out, _ = run(
         capsys,
@@ -270,7 +329,6 @@ def test_modes_command_json(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["antisymmetry_violation"] < 1e-10
     g2 = complex(payload["raw_coefficients"]["2"])
     assert g2.real == pytest.approx(2 * math.log(0.5) * 0.4, rel=1e-9)
     assert payload["brackets"][1]["text"] == "{t[2], t[2]} = 0"

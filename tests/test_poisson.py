@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from ellex import suites
+from ellex import poisson, suites
 from ellex.elliptic import NomeParams
 from ellex.errors import (
     AnnulusContainsPole,
@@ -177,6 +177,17 @@ def test_beta_ladder_without_the_pair_uses_the_fitted_order():
     assert defect <= math.log10(2.0)
 
 
+def test_beta_ladder_whose_error_does_not_fall_has_infinite_defect(monkeypatch):
+    # Y = 1 against a zero target leaves both steps exactly 0 apart: the 1e-2
+    # to 1e-3 ratio alone would read as a converged first-order ladder
+    monkeypatch.setattr(poisson, "exchange_Y", lambda level, x, policy: 1.0)
+    monkeypatch.setattr(poisson, "poisson_structure", lambda *args: 0j)
+    for betas in ((1e-2, 1e-3), (0.1, 1e-2, 1e-3)):
+        defect, info = beta_limit_check(1, 1, 0.5, 1.4, betas)
+        assert {row["abs_error"] for row in info["table"]} == {0.0}
+        assert defect == math.inf
+
+
 # --- laurent modes ----------------------------------------------------------------
 
 
@@ -232,7 +243,8 @@ def test_modes_keys_are_minus_lmax_to_lmax(lmax):
 
 def test_modes_structure_constants_antisymmetric():
     tab = klimit_table(0)
-    assert tab.antisymmetry_violation() <= 1e-12
+    for l, g in tab.coefficients.items():
+        assert g == -tab.coefficients[-l]
     # raw coefficients on one annulus are not antisymmetric; the inversion
     # x -> 1/x maps annulus 0 onto annulus 1 instead
     raw0 = tab.raw_coefficients
