@@ -47,7 +47,7 @@ from .poisson import (
     poisson_structure_center,
 )
 from .qseries import TruncationPolicy, theta
-from .report import CheckResult, VerificationReport, json_bytes
+from .report import CheckResult, VerificationReport, csv_text, json_bytes
 from .rmatrix import kappa_inv, mu_inv, tau_fn
 
 _SYMBOLIC = re.compile(r"q\^(-?\d+)(?:-exact)?$")
@@ -195,8 +195,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _emit(
         args,
         lambda: json_bytes({"results": rows}),
-        lambda: _lines(["fn,x,value,trunc_err"] + [
-            f"{fn},{r.get('x', '')!r},{r['value']!r},{r['trunc_err']!r}" for r in rows
+        lambda: csv_text([("fn", "x", "value", "trunc_err")] + [
+            (fn, r.get("x", ""), r["value"], r["trunc_err"]) for r in rows
         ]),
         lambda: _lines(map(text, rows)),
     )
@@ -214,10 +214,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.list:
         sys.stdout.write(list_suites())
         return 0
-    if args.parallel < 1:
-        raise EllexError(f"--parallel needs at least 1 worker, got {args.parallel}")
-    if args.seed < 0:
-        raise EllexError(f"--seed must be a non-negative integer, got {args.seed}")
     pol = _policy_from(args)
     q = _parse_param(args.q, "q", None)
     p = _parse_param(args.p, "p", q)
@@ -239,8 +235,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_limit(args: argparse.Namespace) -> int:
     pol = _policy_from(args)
     q = _parse_param(args.q, "q", None)
-    if q is None:
-        raise EllexError("limit needs --q")
     x = _parse_number(args.x, "x")
     t0 = time.perf_counter()
     ladder = [_parse_number(b, "--betas entry", float) for b in args.betas.split(",")]
@@ -265,7 +259,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
                 f"  beta={row['beta']:<8g} lnY/beta={row['lnY_over_beta']!r}  "
                 f"|err|={row['abs_error']:.6e}\n"
             )
-        sys.stdout.write(f"  fitted order: {info['fitted_order']:.4f}\n")
+        sys.stdout.write(f"  order over the two finest steps: {info['order']:.4f}\n")
     return 0 if check.passed else 1
 
 
@@ -290,9 +284,9 @@ def _parse_pairs(text: str | None) -> list[tuple[int, int]]:
 def _cmd_modes(args: argparse.Namespace) -> int:
     pol = _policy_from(args)
     q = _parse_param(args.q, "q", None)
-    if q is None:
-        raise EllexError("modes needs --q")
     pairs = _parse_pairs(args.pairs)
+    if args.cutoff < 0:
+        raise EllexError(f"--cutoff must be a non-negative integer, got {args.cutoff}")
     table = laurent_modes(
         args.which,
         q=q,
@@ -315,8 +309,8 @@ def _cmd_modes(args: argparse.Namespace) -> int:
             "raw_coefficients": table.raw_coefficients,
             "brackets": brackets,
         }),
-        lambda: _lines(["l,structure_constant,raw_coefficient"] + [
-            f"{l},{g!r},{table.raw_coefficients[l]!r}" for l, g in coefficients
+        lambda: csv_text([("l", "structure_constant", "raw_coefficient")] + [
+            (l, g, table.raw_coefficients[l]) for l, g in coefficients
         ]),
         lambda: _lines([
             f"structure constants on annulus {table.annulus.n_ann} "

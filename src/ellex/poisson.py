@@ -182,22 +182,21 @@ def beta_limit_check(
     At each beta the nome is p = q^(4k / (2 - beta)), so that
     q^(2k) = p^(1 - beta/2); Y takes any p != 0, so k may be negative.
     Every beta must lie in (0, 0.1] and at least two must differ; the
-    ladder runs in descending order, duplicates kept.  First-order
-    convergence makes the error fall tenfold per decade of beta: the order
-    defect is |log10(err(1e-2) / err(1e-3)) - 1| when the ladder holds both
-    steps (0 when err(1e-3) is exactly 0), else |fitted order - 1|, the
-    least-squares slope of log err against log beta over nonzero errors.
-    A ladder whose finest step's error is not below its coarsest step's
-    does not converge, and its defect is inf, so every caller passes the
-    ladder exactly when the defect is at most ``ORDER_DEFECT_TOL``.
-    Returns the defect and its data: the target, one row per step, the
-    fitted order and the 1e-2 to 1e-3 error ratio (None without the pair).
+    ladder runs over the distinct betas in descending order.  First-order
+    convergence makes the error fall tenfold per decade of beta, and the
+    two finest steps b1 > b2 alone decide it: the order is
+    log10(e1 / e2) / log10(b1 / b2) and the defect is |order - 1|.  Unless
+    e1 and e2 are both nonzero and e2 is below the coarsest step's error,
+    the ladder does not converge: the order is nan and the defect inf.
+    Every caller passes the ladder exactly when the defect is at most
+    ``ORDER_DEFECT_TOL``.  Returns the defect and its data: the target,
+    one row per step and the order.
     """
-    ladder = sorted(map(float, betas), reverse=True)
+    ladder = sorted(set(map(float, betas)), reverse=True)
     if not all(0.0 < beta <= 0.1 for beta in ladder):
         raise DomainError(f"every beta must lie in (0, 0.1], got {ladder!r}")
-    if len(set(ladder)) < 2:
-        raise DomainError("the ladder needs at least two distinct betas to fit an order")
+    if len(ladder) < 2:
+        raise DomainError("the ladder needs at least two distinct betas to measure an order")
     xv = _as_complex(x, "x")
     target = poisson_structure(m, k, xv, q, policy)
     lnq = cmath.log(q)
@@ -206,32 +205,15 @@ def beta_limit_check(
         nome = NomeParams(cmath.exp(4.0 * k / (2.0 - beta) * lnq), q)
         value = cmath.log(exchange_Y(LevelParams(m, nome), xv, policy)) / beta
         rows.append((beta, value, abs(value - target)))
-    logs = [(math.log(b), math.log(e)) for b, _, e in rows if e > 0]
-    n = len(logs)
-    order = math.nan  # a slope needs two distinct betas with nonzero errors
-    if len({u for u, _ in logs}) >= 2:
-        sx = sum(u for u, _ in logs)
-        sy = sum(v for _, v in logs)
-        sxx = sum(u * u for u, _ in logs)
-        sxy = sum(u * v for u, v in logs)
-        order = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    errs = {b: e for b, _, e in rows}
-    ratio = None
-    if 1e-2 in errs and 1e-3 in errs:
-        if errs[1e-3] == 0.0:
-            ratio, defect = math.inf, 0.0
-        else:
-            ratio = errs[1e-2] / errs[1e-3]
-            defect = abs(math.log10(ratio) - 1.0)
-    else:
+    (b1, _, e1), (b2, _, e2) = rows[-2:]
+    order, defect = math.nan, math.inf
+    if e1 > 0.0 and 0.0 < e2 < rows[0][2]:
+        order = math.log10(e1 / e2) / math.log10(b1 / b2)
         defect = abs(order - 1.0)
-    if not rows[-1][2] < rows[0][2]:
-        defect = math.inf
     return defect, {
         "target": target,
         "table": [{"beta": b, "lnY_over_beta": d, "abs_error": e} for b, d, e in rows],
-        "fitted_order": order,
-        "ratio_1e-2_to_1e-3": ratio,
+        "order": order,
     }
 
 

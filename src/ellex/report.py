@@ -1,16 +1,18 @@
 """Check results and verification reports with deterministic serialization.
 
 ``json_bytes`` builds the envelope of every JSON output (verify, limit, eval
-and modes): it alone stamps ``schema`` and ``tool_version``.  The JSON
-excludes wall-clock timings so that two runs with identical configuration
-produce byte-identical files; timings are in the text rendering.
+and modes): it alone stamps ``schema`` and ``tool_version``; ``csv_text``
+writes every CSV output.  The JSON excludes wall-clock timings so that two
+runs with identical configuration produce byte-identical files; timings are
+in the text rendering.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
 
@@ -35,6 +37,16 @@ def json_bytes(payload: dict) -> bytes:
     in canonical form: sorted keys, no spaces, ASCII, one trailing newline."""
     doc = {**_jsonable(payload), "schema": SCHEMA_VERSION, "tool_version": __version__}
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """One line per row, the header first, written by the stdlib csv writer,
+    which quotes a field that holds a comma."""
+    import csv  # here, so that the json and text formats never load it
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @dataclass
@@ -87,16 +99,11 @@ class VerificationReport:
         })
 
     def to_csv_text(self) -> str:
-        lines = ["suite,check_id,max_abs_error,tolerance,pass,params"]
-        for c in self.checks:
-            params = ";".join(
-                f"{k}={_jsonable(v)}" for k, v in sorted(c.params.items())
-            )
-            lines.append(
-                f"{self.suite},{c.check_id},{c.max_abs_error!r},"
-                f"{c.tolerance!r},{int(c.passed)},{params}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text([("suite", "check_id", "max_abs_error", "tolerance", "pass", "params")] + [
+            (self.suite, c.check_id, c.max_abs_error, c.tolerance, int(c.passed),
+             ";".join(f"{k}={_jsonable(v)}" for k, v in sorted(c.params.items())))
+            for c in self.checks
+        ])
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite}: {'PASS' if self.aggregate_pass else 'FAIL'}"]

@@ -72,7 +72,7 @@ _LEVELS = (-3, -2, -1, 1, 2, 3)  # levels m of the exchange checks; shift orders
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Configuration shared by all suites; echoed verbatim into reports."""
+    """Configuration shared by all suites: checked on construction, echoed into reports."""
 
     seed: int = 7
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
@@ -80,6 +80,18 @@ class VerifyConfig:
     q: complex | None = None
     p: complex | None = None
     k: int | None = None  # restrict commuting-point checks to one k
+
+    def __post_init__(self) -> None:
+        if self.parallel < 1:
+            raise DomainError(f"--parallel needs at least 1 worker, got {self.parallel}")
+        if self.seed < 0:
+            raise DomainError(f"--seed must be a non-negative integer, got {self.seed}")
+        if self.q is not None and not 0.0 < abs(self.q) < 1.0:
+            raise DomainError(f"--q must satisfy 0 < |q| < 1, got {self.q!r}")
+        if self.p == 0:
+            raise DomainError(f"--p must be nonzero, got {self.p!r}")
+        if self.k == 0:
+            raise DomainError(f"--k must be a nonzero integer, got {self.k}")
 
     def to_dict(self) -> dict:
         return {
@@ -306,6 +318,9 @@ def _eval_ybe(cfg: VerifyConfig, cand: tuple) -> tuple:
     "rmatrix", "crossing symmetry, nome-shift covariance and Yang-Baxter for R+", 2, ("crossing",)
 )
 def _rmatrix_table(cfg: VerifyConfig) -> list[Identity]:
+    # R+ needs a convergent nome; the exchange suites take any p != 0
+    if cfg.p is not None and not abs(cfg.p) < 1.0:
+        raise DomainError(f"the rmatrix suite needs |p| < 1, got p = {cfg.p!r}")
     params = {"|p|<=0.7": True, "|q|<=0.7": True, "zero_clearance": _GRID_REJECT_TOL,
               "seed": cfg.seed}
     return [
@@ -446,8 +461,9 @@ def _p_periodicity_table(cfg: VerifyConfig) -> list[Identity]:
 def _eval_beta_limit(cfg: VerifyConfig, case: tuple) -> tuple:
     defect, ladder = beta_limit_check(*case, (1e-2, 1e-3), cfg.policy)
     coarse, fine = ladder["table"]
+    ratio = coarse["abs_error"] / fine["abs_error"] if fine["abs_error"] else math.inf
     return ((defect, {
-        "target": ladder["target"], "error_ratio": ladder["ratio_1e-2_to_1e-3"],
+        "target": ladder["target"], "error_ratio": ratio,
         "lnY_over_beta": coarse["lnY_over_beta"], "lnY_over_beta_fine": fine["lnY_over_beta"],
         "err_beta": coarse["abs_error"], "err_beta_over_10": fine["abs_error"],
     }),)

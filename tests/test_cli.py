@@ -2,7 +2,9 @@
 formats, exit codes, and report determinism."""
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -247,6 +249,25 @@ def test_verify_csv_format(capsys):
     assert header == "suite,check_id,max_abs_error,tolerance,pass,params"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "all"),
+        ("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4"),
+        ("eval", "--fn", "K", "--modulus", "0.5"),
+    ],
+)
+def test_every_csv_row_parses_to_the_width_of_its_header(capsys, argv):
+    # check ids, params and ladders hold commas; the csv module must read
+    # back every field, and a missing x is an empty field
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    if argv[0] == "eval":
+        assert [row[header.index("x")] for row in rows] == [""]
+
+
 @pytest.mark.parametrize("k", ["1", "-1"])  # k < 0 puts |p| above 1
 def test_limit_command(capsys, tmp_path, k):
     path = tmp_path / "limit.json"
@@ -257,9 +278,10 @@ def test_limit_command(capsys, tmp_path, k):
     )
     assert code == 0
     payload = json.loads(path.read_text())
-    info = payload["checks"][0]["info"]
-    assert 5.0 <= info["ratio_1e-2_to_1e-3"] <= 20.0
-    assert "fitted order" in out
+    coarse, fine = payload["checks"][0]["info"]["table"]
+    assert (coarse["beta"], fine["beta"]) == (1e-2, 1e-3)
+    assert 5.0 <= coarse["abs_error"] / fine["abs_error"] <= 20.0
+    assert "order over the two finest steps: " in out
 
 
 def test_ladder_whose_error_does_not_fall_fails_limit_and_suite(capsys, monkeypatch, tmp_path):
@@ -505,6 +527,47 @@ def test_verify_parallel_below_one_is_usage_error(capsys, degree):
     code, out, err = run(capsys, "verify", "--suite", "tau", "--parallel", degree)
     assert code == 2
     assert out == "" and "--parallel" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--q", "1.5"), "--q must satisfy 0 < |q| < 1, got (1.5+0j)"),
+        (("--q", "0"), "--q must satisfy 0 < |q| < 1, got 0j"),
+        (("--q", "0.5+0.9j"), "--q must satisfy 0 < |q| < 1, got (0.5+0.9j)"),
+        (("--p", "0"), "--p must be nonzero, got 0j"),
+        (("--k", "0"), "--k must be a nonzero integer, got 0"),
+    ],
+    ids=["q=1.5", "q=0", "q=0.5+0.9j", "p=0", "k=0"],
+)
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_verify_config_is_refused_by_name_before_any_suite_runs(
+    capsys, monkeypatch, argv, message, degree
+):
+    from ellex import suites
+
+    ran = []
+    monkeypatch.setattr(suites, "run_suites", lambda *args: ran.append(args))
+    code, out, err = run(capsys, "verify", *argv, "--parallel", degree)
+    assert (code, out, err, ran) == (2, "", f"error: {message}\n", [])
+
+
+def test_verify_rmatrix_suite_refuses_p_outside_the_disk_by_name(capsys):
+    # the exchange suites take |p| >= 1 (see above); R+ does not
+    code, out, err = run(capsys, "verify", "--suite", "rmatrix", "--p", "1.5")
+    message = "error: the rmatrix suite needs |p| < 1, got p = (1.5+0j)\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("pairs", [(), ("--pairs", "1:-1")])
+def test_modes_negative_cutoff_is_refused_before_the_table_is_built(capsys, monkeypatch, pairs):
+    built = []
+    monkeypatch.setattr(cli, "laurent_modes", lambda *args, **kwargs: built.append(args))
+    code, out, err = run(capsys, "modes", "--q", "0.5", "--m", "1", "--k", "1",
+                         "--cutoff", "-1", *pairs)
+    assert (code, out, err, built) == (
+        2, "", "error: --cutoff must be a non-negative integer, got -1\n", []
+    )
 
 
 @pytest.mark.parametrize("pairs", ["1-1", "a:1", "1:2:3", "1:-1,2"])

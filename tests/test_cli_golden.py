@@ -1,4 +1,4 @@
-"""Recorded stdout of eval, modes and limit in every output format.
+"""Recorded stdout of eval, modes, limit and verify in every output format.
 
 Each case runs ``cli.main`` in-process and compares its exit code and stdout
 byte for byte with tests/data/cli_golden.json.  Only the ``(… ms)`` timings
@@ -6,6 +6,8 @@ of text reports are masked.  After a deliberate output change, rewrite the
 recordings with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the names of the recordings it added, changed and removed.
 """
 
 import contextlib
@@ -46,6 +48,9 @@ def _commands() -> dict[str, list[str]]:
                            "--pairs", "1:-1,2:2"]
     base["limit-default"] = ["limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4"]
     base["limit-two-betas"] = [*base["limit-default"], "--betas", "1e-2,1e-3"]
+    # its 1e-2 to 1e-3 order is pre-asymptotic; the two finest steps are not
+    base["limit-late-asymptotics"] = ["limit", "--m", "3", "--k", "3", "--q", "0.6", "--x", "1.1"]
+    base["verify-beta-limit"] = ["verify", "--suite", "beta-limit"]
     return {
         f"{name}.{fmt}": [*argv, "--format", fmt]
         for name, argv in base.items()
@@ -71,7 +76,15 @@ def test_output_matches_recording(name):
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     cases = {name: _run(argv) for name, argv in COMMANDS.items()}
     GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
                       encoding="utf-8")
+    scope = {
+        "added": sorted(cases.keys() - old.keys()),
+        "changed": sorted(n for n in cases.keys() & old.keys() if cases[n] != old[n]),
+        "removed": sorted(old.keys() - cases.keys()),
+    }
+    for what, names in scope.items():
+        sys.stdout.write(f"{what} ({len(names)}): {' '.join(names) or '-'}\n")
     sys.stdout.write(f"recorded {len(cases)} outputs in {GOLDEN}\n")

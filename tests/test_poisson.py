@@ -155,7 +155,7 @@ def test_beta_limit_first_order_convergence(m, k, x):
     coarse, fine = info["table"]
     assert (coarse["beta"], fine["beta"]) == (1e-2, 1e-3)
     assert defect <= math.log10(2.0)
-    assert 5.0 <= info["ratio_1e-2_to_1e-3"] <= 20.0
+    assert 5.0 <= coarse["abs_error"] / fine["abs_error"] <= 20.0
     assert fine["abs_error"] < coarse["abs_error"]
 
 
@@ -169,17 +169,40 @@ def test_beta_ladder_nome_solves_the_step():
     assert info["table"][1]["lnY_over_beta"] == cmath.log(y) / beta
 
 
-def test_beta_ladder_without_the_pair_uses_the_fitted_order():
+def test_beta_ladder_two_finest_steps_decide():
     defect, info = beta_limit_check(1, 1, 0.5, 1.4, (1e-3, 0.1, 1e-2 / 3))
+    assert set(info) == {"target", "table", "order"}
     assert [row["beta"] for row in info["table"]] == [0.1, 1e-2 / 3, 1e-3]
-    assert info["ratio_1e-2_to_1e-3"] is None
-    assert defect == abs(info["fitted_order"] - 1.0)
+    _, mid, fine = info["table"]
+    order = math.log10(mid["abs_error"] / fine["abs_error"]) / math.log10((1e-2 / 3) / 1e-3)
+    assert (info["order"], defect) == (order, abs(order - 1.0))
     assert defect <= math.log10(2.0)
+    # the coarsest step only bounds the finest error; it does not move the order
+    assert beta_limit_check(1, 1, 0.5, 1.4, (1e-2 / 3, 1e-3)) == (defect, {
+        **info, "table": info["table"][1:]
+    })
+
+
+def test_beta_ladder_collapses_duplicate_steps():
+    defect, info = beta_limit_check(1, 1, 0.5, 1.4, (1e-2, 1e-3, 1e-2, 1e-3))
+    assert [row["beta"] for row in info["table"]] == [1e-2, 1e-3]
+    assert (defect, info) == beta_limit_check(1, 1, 0.5, 1.4, (1e-2, 1e-3))
+
+
+def test_beta_ladder_with_an_exactly_zero_finest_error_has_infinite_defect(monkeypatch):
+    # ln(Y)/beta lands exactly on the zero target at the finest step only:
+    # no order can be read from a zero error, so the ladder does not pass
+    values = iter([2.0, 1.0])
+    monkeypatch.setattr(poisson, "exchange_Y", lambda level, x, policy: next(values))
+    monkeypatch.setattr(poisson, "poisson_structure", lambda *args: 0j)
+    defect, info = beta_limit_check(1, 1, 0.5, 1.4, (1e-2, 1e-3))
+    assert [row["abs_error"] for row in info["table"]] == [math.log(2.0) / 1e-2, 0.0]
+    assert defect == math.inf and math.isnan(info["order"])
 
 
 def test_beta_ladder_whose_error_does_not_fall_has_infinite_defect(monkeypatch):
-    # Y = 1 against a zero target leaves both steps exactly 0 apart: the 1e-2
-    # to 1e-3 ratio alone would read as a converged first-order ladder
+    # Y = 1 against a zero target leaves every step exactly 0 apart: an error
+    # that does not fall is no convergence
     monkeypatch.setattr(poisson, "exchange_Y", lambda level, x, policy: 1.0)
     monkeypatch.setattr(poisson, "poisson_structure", lambda *args: 0j)
     for betas in ((1e-2, 1e-3), (0.1, 1e-2, 1e-3)):
