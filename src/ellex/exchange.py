@@ -148,6 +148,7 @@ def exchange_F(
                 (x2 * q2 / ps, ix2 * q2 * ps),
                 (ix2 * ps, x2 / ps),
                 policy,
+                base="q^4",
             ) / q
     else:
         ps = 1.0 + 0j
@@ -159,6 +160,7 @@ def exchange_F(
                 (x2 * ps, ix2 / ps),
                 (x2 * q2 * ps, ix2 * q2 / ps),
                 policy,
+                base="q^4",
             )
     return result
 
@@ -215,6 +217,7 @@ def exchange_Y(
             (ix2 * ps, x2 * q2 * ps),
             (x2 * ps, ix2 * q2 * ps),
             policy,
+            base="q^4",
         )
     return inner * inner
 
@@ -254,7 +257,7 @@ def commuting_F(
     if cp.k % 2:
         return 1.0 + 0j
     x2 = _square(xv, "x^2")
-    ratio = _theta_quotient(qv**4, (x2 * qv * qv,), (x2,), policy)
+    ratio = _theta_quotient(qv**4, (x2 * qv * qv,), (x2,), policy, base="q^4")
     try:
         value = qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
         if cmath.isfinite(value):

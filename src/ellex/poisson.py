@@ -35,7 +35,8 @@ the raw coefficients are kept alongside for expansion and residue checks.
 
 The circle is sampled once, at 2N nodes: np.fft.fft of the samples gives
 the 2N-node rule, np.fft.fft of the even nodes the N-node rule, and the
-two rules must agree to 1e-9.
+two rules must agree to 1e-9.  ``laurent_modes`` imports numpy itself, so
+the scalar functions of this module load without it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .elliptic import NomeParams
 from .errors import (
@@ -158,7 +157,7 @@ def poisson_structure_center(
     """
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
-    q4 = qv**4
+    q4 = _in_disk(qv**4, "q^4")
     x2 = _square(xv, "x^2")
     q2 = qv * qv
 
@@ -315,6 +314,8 @@ def laurent_modes(
         raise AnnulusContainsPole(f"radius {r:.8g} within relative 1e-6 of a circle |q|^j")
     if not l_max * abs(math.log(r)) < 700.0:
         raise DomainError(f"r^l for |l| <= {l_max} out of floating-point range at radius {r:.8g}")
+    import numpy as np
+
     nodes = 2 * quadrature_points
     vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
 

@@ -365,16 +365,19 @@ def _theta_quotient(
     den_args: tuple[complex, ...],
     policy: TruncationPolicy,
     scale: complex = 1.0,
+    *,
+    base: str = "a",
 ) -> complex:
     """prod theta_a(num_args) / (scale * prod theta_a(den_args)), each product
     formed in argument order, bit for bit what the public ``theta`` gives.
-    Checks come first: the base (NonConvergentBase unless 0 < |a| < 1), each
+    Checks come first: the base (NonConvergentBase unless 0 < |a| < 1, naming
+    it as the caller does, e.g. "q^4"), each
     denominator argument (DomainError unless finite and nonzero, naming a
     "theta argument", not the caller's x; NearSingularity within relative
     _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Only
     then are (a; a)_inf, once, and the pairs formed.  A quotient that is not
     finite, because a running product overflowed, raises DomainError."""
-    av = _in_disk(a, "a")
+    av = _in_disk(a, base)
     dens = []
     for arg in den_args:
         w = _nonzero(arg, "theta argument")

@@ -16,7 +16,10 @@ every identity be checked at shifted arguments (x q^-2, x p, products):
 
 with T(y) = y theta_{p^2}(y^-2)/theta_{p^2}(p y^-2) from the elliptic module.
 
-R+ is a plain 4x4 complex ndarray.  It is symmetric and invariant under
+R+ is a plain 4x4 complex ndarray.  numpy is imported inside the functions
+that build or read one (``r_plus``, the transposes and inverse, the checks),
+so the scalar functions here (tau, mu, kappa, the entries and the p-shift
+scalar) load without it.  It is symmetric and invariant under
 conjugation by the slot swap, so R_21 = R_12 and both partial transposes
 coincide on it; the checks below still apply the transposes literally.  The
 checks return residuals, not verdicts: the verification suites decide which
@@ -26,8 +29,7 @@ points are well posed and what passes.
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .elliptic import NomeParams, _POLE_TOL, snh_core
 from .errors import DomainError, NearSingularity, SingularMatrix, TruncationExceeded
@@ -42,6 +44,9 @@ from .qseries import (
     _theta_quotient,
     qpochhammer,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "tau_fn",
@@ -67,7 +72,7 @@ def tau_fn(
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
     x2 = _square(xv, "x^2")
-    return _theta_quotient(qv**4, (x2 * qv,), (qv / x2,), policy, xv)
+    return _theta_quotient(qv**4, (x2 * qv,), (qv / x2,), policy, xv, base="q^4")
 
 
 def tau_fn_pochhammer(
@@ -186,7 +191,7 @@ def mu_inv(
     qv = _as_complex(q, "q")
     x2 = _square(xv, "x^2")
     p2 = pv * pv
-    quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy)
+    quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy, base="p^2")
     const = qpochhammer(p2, p2, policy) / qpochhammer(pv, pv, policy) ** 2
     return kappa_inv(x2, pv, qv, policy) * const * quotient
 
@@ -217,6 +222,8 @@ def r_plus(
     (rows and columns ++, +-, -+, --).  Its normalization uses p as a product
     base, so |p| >= 1 raises NonConvergentBase; an entry that is not finite
     raises DomainError."""
+    import numpy as np
+
     xv = _nonzero(x, "x")
     _square(xv, "x^2")  # tau below takes q^(1/2)/x, whose square is q/x^2
     _in_disk(nome.p, "p")
@@ -236,6 +243,8 @@ def r_plus(
 
 
 def _matrix4(mat: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(mat, dtype=complex)
     if arr.shape != (4, 4):
         raise DomainError(f"need a 4x4 matrix, got shape {arr.shape}")
@@ -254,6 +263,8 @@ def partial_transpose(mat: np.ndarray, slot: int) -> np.ndarray:
 def rmatrix_inverse(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse with condition-number reporting; raises SingularMatrix when
     the condition number exceeds 1e12 or elimination fails."""
+    import numpy as np
+
     arr = _matrix4(mat)
     cond = float(np.linalg.cond(arr))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -287,10 +298,13 @@ def pshift_scalar(
         (ix2, x2, ix2 / p, x2 * p),
         policy,
         q * q,
+        base="q^4",
     )
 
 
 def _max_abs(*mats: np.ndarray) -> float:
+    import numpy as np
+
     return float(max(np.max(np.abs(m)) for m in mats))
 
 
@@ -325,19 +339,6 @@ def check_pshift(
     return _max_abs(lhs - rhs), _max_abs(lhs, rhs)
 
 
-def _swap23() -> np.ndarray:
-    s = np.zeros((8, 8))
-    for s1 in range(2):
-        for s2 in range(2):
-            for s3 in range(2):
-                s[4 * s1 + 2 * s2 + s3, 4 * s1 + 2 * s3 + s2] = 1.0
-    return s
-
-
-_S23 = _swap23()
-_I2 = np.eye(2)
-
-
 def check_ybe(
     x: complex,
     y: complex,
@@ -350,12 +351,20 @@ def check_ybe(
     Embeddings are slot-major (slot 1 varies slowest): R12 = R (x) I,
     R23 = I (x) R, and R13 is R12 conjugated by the swap of slots 2 and 3.
     """
+    import numpy as np
+
     xv = _as_complex(x, "x")
     yv = _as_complex(y, "y")
     rx = r_plus(xv, nome, policy)
     ry = r_plus(yv, nome, policy)
     rxy = r_plus(xv * yv, nome, policy)
-    r12 = np.kron(rx, _I2)
-    r23 = np.kron(_I2, ry)
-    r13 = _S23 @ np.kron(rxy, _I2) @ _S23
+    i2 = np.eye(2)
+    s23 = np.zeros((8, 8))  # swap of slots 2 and 3: |s1 s2 s3> -> |s1 s3 s2>
+    for s1 in range(2):
+        for s2 in range(2):
+            for s3 in range(2):
+                s23[4 * s1 + 2 * s2 + s3, 4 * s1 + 2 * s3 + s2] = 1.0
+    r12 = np.kron(rx, i2)
+    r23 = np.kron(i2, ry)
+    r13 = s23 @ np.kron(rxy, i2) @ s23
     return _max_abs(r12 @ r13 @ r23 - r23 @ r13 @ r12), _max_abs(rx, ry, rxy)

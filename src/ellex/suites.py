@@ -19,6 +19,11 @@ checks evaluate F and Y at several levels of the same x, which share most
 of their factors) and nothing is remembered from one point to the next, or
 from one run to the next.
 
+A suite that cannot run some configs registers a ``refuse`` check:
+rmatrix needs |p| < 1 and mode-brackets a real positive q.  ``run_suites``
+calls the checks of every suite it resolved before the first suite runs, so
+a refused config costs no suite time and starts no worker.
+
 Under ``parallel = N > 1``, ``run_suites`` sends whole suites to a process
 pool of ``min(N, suites, usable CPUs)`` workers and merges the reports in
 suite order; a run of one suite stays serial.  Each suite seeds its own rng,
@@ -123,17 +128,23 @@ class SuiteSpec:
     runner: Callable[[VerifyConfig], VerificationReport]
     description: str
     aliases: tuple[str, ...] = ()
+    # raises DomainError for a config this suite cannot run; called by
+    # run_suites for every suite it resolved, before any of them runs
+    refuse: Callable[[VerifyConfig], None] | None = None
 
 
 SUITES: dict[str, SuiteSpec] = {}  # filled by @_suite, in definition order
 
 
-def _suite(name: str, description: str, seed_offset: int, aliases: tuple = ()):
+def _suite(
+    name: str, description: str, seed_offset: int, aliases: tuple = (),
+    refuse: Callable[[VerifyConfig], None] | None = None,
+):
     """Register a table of identities, run with the rng seeded at seed + seed_offset."""
 
     def register(table: Callable) -> Callable:
         SUITES[name] = SuiteSpec(partial(_run_sampled, name, seed_offset, table), description,
-                                 aliases)
+                                 aliases, refuse)
         return table
 
     return register
@@ -314,13 +325,17 @@ def _eval_ybe(cfg: VerifyConfig, cand: tuple) -> tuple:
     return _well_posed({"x": x, "y": y, "p": p, "q": q}, err, scale, 50.0)
 
 
-@_suite(
-    "rmatrix", "crossing symmetry, nome-shift covariance and Yang-Baxter for R+", 2, ("crossing",)
-)
-def _rmatrix_table(cfg: VerifyConfig) -> list[Identity]:
+def _refuse_rmatrix(cfg: VerifyConfig) -> None:
     # R+ needs a convergent nome; the exchange suites take any p != 0
     if cfg.p is not None and not abs(cfg.p) < 1.0:
         raise DomainError(f"the rmatrix suite needs |p| < 1, got p = {cfg.p!r}")
+
+
+@_suite(
+    "rmatrix", "crossing symmetry, nome-shift covariance and Yang-Baxter for R+", 2,
+    ("crossing",), _refuse_rmatrix,
+)
+def _rmatrix_table(cfg: VerifyConfig) -> list[Identity]:
     params = {"|p|<=0.7": True, "|q|<=0.7": True, "zero_clearance": _GRID_REJECT_TOL,
               "seed": cfg.seed}
     return [
@@ -522,16 +537,19 @@ def _precomputed(cfg: VerifyConfig, row: tuple) -> tuple:
     return (row,)
 
 
+def _refuse_mode_brackets(cfg: VerifyConfig) -> None:
+    if cfg.q is not None and (cfg.q.imag != 0 or cfg.q.real <= 0):
+        raise DomainError("mode-bracket suite uses real positive q")
+
+
 @_suite(
     "mode-brackets",
     "contour structure constants: expansions, antisymmetry, residue steps", 10, ("modes",),
+    _refuse_mode_brackets,
 )
 def _mode_brackets_table(cfg: VerifyConfig) -> list[Identity]:
     # the four contour tables are built once; each check's rows are its cases
-    q = cfg.q if cfg.q is not None else 0.5
-    if abs(complex(q).imag) > 0 or complex(q).real <= 0:
-        raise DomainError("mode-bracket suite uses real positive q")
-    q = complex(q).real
+    q = cfg.q.real if cfg.q is not None else 0.5
     m, k = 1, 1
     pref = 2.0 * k * m * math.log(q)
     lmax = 6
@@ -583,12 +601,22 @@ def resolve_suites(names: Iterable[str]) -> list[str]:
     return out
 
 
+def _refuse(names: list[str], cfg: VerifyConfig) -> None:
+    for name in names:
+        if SUITES[name].refuse is not None:
+            SUITES[name].refuse(cfg)
+
+
 def run_suite(name: str, cfg: VerifyConfig) -> VerificationReport:
+    _refuse([name], cfg)
     return SUITES[name].runner(cfg)
 
 
 def run_suites(names: Iterable[str], cfg: VerifyConfig) -> VerificationReport:
+    """The suites' reports merged in suite order; a config one of them
+    refuses raises DomainError before any suite runs or any worker starts."""
     resolved = resolve_suites(names)
+    _refuse(resolved, cfg)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform

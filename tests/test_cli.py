@@ -537,19 +537,60 @@ def test_verify_parallel_below_one_is_usage_error(capsys, degree):
         (("--q", "0.5+0.9j"), "--q must satisfy 0 < |q| < 1, got (0.5+0.9j)"),
         (("--p", "0"), "--p must be nonzero, got 0j"),
         (("--k", "0"), "--k must be a nonzero integer, got 0"),
+        # refused by the mode-brackets suite, which `all` includes
+        (("--q=-0.45",), "mode-bracket suite uses real positive q"),
+        (("--q", "0.3+0.2j"), "mode-bracket suite uses real positive q"),
     ],
-    ids=["q=1.5", "q=0", "q=0.5+0.9j", "p=0", "k=0"],
+    ids=["q=1.5", "q=0", "q=0.5+0.9j", "p=0", "k=0", "q=-0.45", "q=0.3+0.2j"],
 )
 @pytest.mark.parametrize("degree", ["1", "2"])
 def test_verify_config_is_refused_by_name_before_any_suite_runs(
     capsys, monkeypatch, argv, message, degree
 ):
+    import concurrent.futures
+
     from ellex import suites
 
     ran = []
-    monkeypatch.setattr(suites, "run_suites", lambda *args: ran.append(args))
+
+    def started(*args, **kwargs):
+        ran.append(args)
+        raise AssertionError("a suite ran or a worker pool started")
+
+    monkeypatch.setattr(suites, "run_suite", started)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
     code, out, err = run(capsys, "verify", *argv, "--parallel", degree)
     assert (code, out, err, ran) == (2, "", f"error: {message}\n", [])
+
+
+def test_verify_suites_other_than_mode_brackets_run_at_a_negative_q(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theta", "--suite", "f-two-path",
+                         "--q=-0.45", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["suites"] == ["theta", "f-two-path"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--fn", "tau", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "F", "--m", "1", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "Y", "--m", "1", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "center", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "kappa", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
+        ("limit", "--m", "1", "--k", "1", "--q", "1e-100", "--x", "1.1"),
+    ],
+    ids=["tau", "F", "Y", "center", "kappa", "limit"],
+)
+def test_an_underflowed_base_is_named_q4(capsys, argv):
+    # q = 1e-100 is in the disk, but q^4 underflows to 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: |q^4| must lie in (0, 1), got 0\n")
+
+
+def test_an_underflowed_mu_base_is_named_p2(capsys):
+    code, out, err = run(capsys, "eval", "--fn", "mu", "--p", "1e-200", "--q", "0.5", "--x", "1.1")
+    assert (code, out, err) == (2, "", "error: |p^2| must lie in (0, 1), got 0\n")
 
 
 def test_verify_rmatrix_suite_refuses_p_outside_the_disk_by_name(capsys):
@@ -578,6 +619,63 @@ def test_modes_malformed_pairs_name_the_form(capsys, pairs):
     )
     assert code == 2
     assert "n:m" in err
+
+
+# ---------------------------------------------------------------------------
+# cold start: scalar commands never import numpy
+
+SCALAR_EVALS = {
+    "theta": ("--a", "0.4", "--x", "1.1"),
+    "tau": ("--q", "0.5", "--x", "1.1"),
+    "mu": ("--p", "0.2", "--q", "0.5", "--x", "1.1"),
+    "kappa": ("--p", "0.2", "--q", "0.5", "--x", "1.1"),
+    "F": ("--m", "1", "--p", "0.2", "--q", "0.45", "--x", "1.3"),
+    "Y": ("--m", "1", "--p", "0.2", "--q", "0.45", "--x", "1.3"),
+    "g": ("--q", "0.5", "--x", "1.1"),
+    "center": ("--q", "0.5", "--x", "1.1"),
+    "ps1": ("--q", "0.5", "--x", "1.1"),
+    "gk": ("--m", "1", "--k", "1", "--q", "0.5", "--x", "1.1"),
+    "snh": ("--u", "0.3", "--modulus", "0.5"),
+    "K": ("--modulus", "0.5"),
+}
+
+# one interpreter runs every step in order and prints, per step, its exit
+# code (None for an import) and whether numpy is loaded after it
+COLD_START = """
+import contextlib, io, json, sys
+steps = json.loads(sys.argv[1])
+seen = []
+import ellex
+seen.append(["import ellex", None, "numpy" in sys.modules])
+import ellex.cli
+seen.append(["import ellex.cli", None, "numpy" in sys.modules])
+for label, argv in steps:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = ellex.cli.main(argv)
+    seen.append([label, code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scalar_commands_never_import_numpy():
+    assert set(SCALAR_EVALS) == set(cli._EVAL_FNS)
+    steps = [(f"eval {fn}", ["eval", "--fn", fn, *args]) for fn, args in SCALAR_EVALS.items()]
+    steps += [
+        ("limit", ["limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4"]),
+        ("--version", ["--version"]),
+        ("--help", ["--help"]),
+        ("usage error", ["eval", "--badflag"]),
+        # the one command that builds arrays comes last
+        ("modes", ["modes", "--q", "0.5", "--m", "1", "--k", "1"]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(ellex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(steps)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    expected = [["import ellex", None, False], ["import ellex.cli", None, False]]
+    expected += [[label, 0, False] for label, _ in steps[:-2]]
+    expected += [["usage error", 2, False], ["modes", 0, True]]
+    assert json.loads(proc.stdout) == expected
 
 
 # ---------------------------------------------------------------------------
