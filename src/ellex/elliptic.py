@@ -23,13 +23,10 @@ from .errors import DomainError, NearSingularity
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
-    _ZERO_RTOL,
     _in_disk,
-    _near_zero,
     _nonzero,
-    _product,
     _square,
-    _theta_pair,
+    _theta_quotient,
     qpochhammer,
 )
 
@@ -129,20 +126,13 @@ def snh_core(
 
     The modulus-dependent prefactor k^(-1/2) p^(1/4) is left out; it cancels
     in the entry ratios a, b and contributes only p^(1/2) to the entry d.
-    Checks y, the base p^2 and both theta arguments before any product,
-    refusing a pole of T at relative _ZERO_RTOL as ``_theta_quotient`` does;
-    both thetas share one (p^2; p^2)_inf, each bit for bit ``theta``'s.
+    Checks y and y^2, then forms the quotient in ``_theta_quotient`` with y
+    as its factor, so a pole of T is refused like any theta denominator zero
+    and the value is bit for bit y times the two public ``theta`` calls'.
     """
     yv = _nonzero(y, "y")
-    av = _in_disk(p * p, "p^2")
     y2 = _square(yv, "y^2")
-    den_arg = _nonzero(p / y2, "theta argument")
-    if _near_zero(av, den_arg, _ZERO_RTOL):
-        raise NearSingularity(f"snh pole near multiplicative argument {yv!r}")
-    num = _theta_pair(av, _nonzero(1.0 / y2, "theta argument"), policy)
-    aa = _product(av, av, policy)
-    den = _theta_pair(av, den_arg, policy)
-    return yv * (num * aa) / (den * aa)
+    return _theta_quotient(p * p, (1.0 / y2,), (p / y2,), policy, base="p^2", factor=yv)
 
 
 def jacobi_snh(

@@ -18,8 +18,8 @@ against that exact test, and the factor loop then runs with no test inside.
 ``_product`` evaluates one product (``qpochhammer``, theta's (a; a) and the
 head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
 (x; a) and (a/x; a) in one loop over their shared powers a^n.  One guarded
-quotient, ``_theta_quotient``, forms the theta quotients of tau, mu, the
-exchange functions and the nome-shift factor from one (a; a) per call.
+quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, the
+exchange functions, the nome-shift factor, snh's T(y)) from one (a; a).
 Every value is bit for bit what a loop testing the bound before each factor
 gives; tests/test_qseries.py keeps that loop as the reference.  A product
 that overflows raises DomainError instead of returning inf or nan.
@@ -33,10 +33,10 @@ levels share most of theirs) and nothing carries over to the next point.
 Outside a scope every call computes afresh, at the cost of one ContextVar
 lookup.
 
-Check first, then compute: ``_theta_quotient`` and ``elliptic.snh_core``
-check the base, each denominator argument (finite, nonzero, and clear of a
-theta zero by ``_near_zero`` at ``_ZERO_RTOL``) and each numerator argument,
-once each and in that order, before they form any product.
+Check first, then compute: ``_theta_quotient`` checks the base, each
+denominator argument (finite, nonzero, and clear of a theta zero by
+``_near_zero`` at ``_ZERO_RTOL``) and each numerator argument, once each and
+in that order, before it forms any product.
 
 Everything here is a pure function of its arguments.  The memo lives in a
 ContextVar, so each thread sees only its own, and concurrent use needs no
@@ -99,8 +99,8 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 # relative distance at which x counts as a zero of theta_a: near_theta_zero's
-# default, so the theta quotients, snh_core, log_deriv_theta and the poisson
-# series all refuse the same points
+# default, so the theta quotients (snh_core's among them), log_deriv_theta and
+# the poisson series all refuse the same points
 _ZERO_RTOL = 1e-8
 
 # The memo of the open point scope, None outside one.  Its keys are the
@@ -162,11 +162,17 @@ def _nonzero(z: complex, name: str) -> complex:
     return w
 
 
+def _invertible(w: complex, name: str) -> complex:
+    """w as ``_nonzero`` checks it, with 1/w finite too (|w| > ~5.6e-309), else DomainError."""
+    w = _nonzero(w, name)
+    if not cmath.isfinite(1.0 / w):
+        raise DomainError(f"1/{name} is out of floating-point range at {name} = {w!r}")
+    return w
+
+
 def _square(z: complex, name: str) -> complex:
-    """z * z as a finite, nonzero complex number, else DomainError naming the
-    square: a finite z below about 1e-162 or above 1e154 underflows or
-    overflows it."""
-    return _nonzero(z * z, name)
+    """z * z as ``_invertible`` checks it, naming the square; |z| must lie in ~[7.5e-155, 1e154]."""
+    return _invertible(z * z, name)
 
 
 def _in_disk(b: complex, name: str) -> complex:
@@ -367,16 +373,18 @@ def _theta_quotient(
     scale: complex = 1.0,
     *,
     base: str = "a",
+    factor: complex = 1.0 + 0j,
 ) -> complex:
-    """prod theta_a(num_args) / (scale * prod theta_a(den_args)), each product
-    formed in argument order, bit for bit what the public ``theta`` gives.
+    """factor * prod theta_a(num_args) / (scale * prod theta_a(den_args)),
+    each product formed in argument order, the numerator's from the caller's
+    prefactor ``factor``, bit for bit what the public ``theta`` gives.
     Checks come first: the base (NonConvergentBase unless 0 < |a| < 1, naming
-    it as the caller does, e.g. "q^4"), each
-    denominator argument (DomainError unless finite and nonzero, naming a
-    "theta argument", not the caller's x; NearSingularity within relative
-    _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Only
-    then are (a; a)_inf, once, and the pairs formed.  A quotient that is not
-    finite, because a running product overflowed, raises DomainError."""
+    it as the caller does, e.g. "q^4"), each denominator argument
+    (DomainError unless finite and nonzero, naming a "theta argument", not
+    the caller's x; NearSingularity within relative _ZERO_RTOL of a zero of
+    theta_a), then each numerator argument.  Only then are (a; a)_inf, once,
+    and the pairs formed.  A quotient that is not finite, because a running
+    product overflowed, raises DomainError."""
     av = _in_disk(a, base)
     dens = []
     for arg in den_args:
@@ -386,7 +394,7 @@ def _theta_quotient(
         dens.append(w)
     nums = [_nonzero(arg, "theta argument") for arg in num_args]
     aa = _product(av, av, policy)
-    num = den = 1.0 + 0j
+    num, den = factor, 1.0 + 0j
     for xv in nums:
         num *= _theta_pair(av, xv, policy) * aa
     for w in dens:

@@ -38,6 +38,7 @@ from .qseries import (
     TruncationPolicy,
     _as_complex,
     _in_disk,
+    _invertible,
     _nonzero,
     _product,
     _square,
@@ -119,7 +120,7 @@ def kappa_inv(
     argument, factors in a row or series terms: TruncationExceeded.  A
     running product of head rows that overflows: DomainError.
     """
-    y = _nonzero(x2, "x2")
+    y = _invertible(x2, "x2")
     pv = _in_disk(p, "p")
     qv = _as_complex(q, "q")
     q2 = qv * qv

@@ -17,6 +17,7 @@ import pytest
 import ellex
 from ellex import cli
 from ellex.cli import main
+from ellex.errors import SamplingExhausted
 
 
 def run(capsys, *argv):
@@ -334,6 +335,50 @@ def test_verify_fixed_case_error_exits_2_without_a_report(
     assert not path.exists()
 
 
+def _rejecting_table(rejects):
+    """A table of one identity of three points whose sampler rejects the
+    draws ``rejects(draw)`` names (draws count from 1) and records the
+    ``index`` it is handed; each kept row's error is that index."""
+    from ellex import suites
+
+    seen = []
+
+    def sample(rng, cfg, index):
+        seen.append(index)
+        rng.uniform()
+        return None if rejects(len(seen)) else index
+
+    def evaluate(cfg, index):
+        return ((float(index), {"index": index}),)
+
+    def table(cfg):
+        return [suites.Identity(("alternate",), sample, evaluate, 10.0, 3, {})]
+
+    return table, seen
+
+
+def test_a_rejected_candidate_costs_a_try_but_no_index():
+    from ellex import suites
+
+    table, seen = _rejecting_table(lambda draw: draw % 2 == 1)
+    report = suites._run_sampled("alternate", 0, table, suites.VerifyConfig())
+    (check,) = report.checks
+    assert check.params["count"] == 3
+    assert check.max_abs_error == 2.0 and check.info["worst_point"] == {"index": 2}
+    assert seen == [0, 0, 1, 1, 2, 2]
+
+
+def test_a_sampler_that_always_rejects_exhausts_its_budget():
+    from ellex import suites
+
+    tries = suites._TRIES_PER_POINT * 3
+    table, seen = _rejecting_table(lambda draw: True)
+    message = f"alternate: only 0 of 3 points valid after {tries} candidates"
+    with pytest.raises(SamplingExhausted, match=f"^{message}$"):
+        suites._run_sampled("alternate", 0, table, suites.VerifyConfig())
+    assert seen == [0] * tries
+
+
 def test_every_suite_runs_through_the_one_check_loop():
     from ellex import suites
 
@@ -435,6 +480,9 @@ def test_eval_overflow_is_a_domain_error(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
+
+
 @pytest.mark.parametrize(
     "argv, env, message",
     [
@@ -457,6 +505,35 @@ def test_eval_overflow_is_a_domain_error(capsys, argv, message):
         # the radius 1e150 is in range, but r^-8 underflows to 0
         (("modes", "--q", "1e-300", "--m", "1", "--k", "1"), {},
          "r^l for |l| <= 8 out of floating-point range at radius 1e+150"),
+        (("eval", "--fn", "nope", "--x", "1"), {},
+         "unknown function 'nope'; choose from ['F', 'K', 'Y', 'center', 'g', 'gk', "
+         "'kappa', 'mu', 'ps1', 'snh', 'tau', 'theta']"),
+        (("eval", "--fn", "theta", "--a", "0.5"), {}, "function 'theta' needs at least one --x"),
+        (("eval", "--fn", "F", "--m", "1", "--p", "q^2", "--x", "1.1"), {},
+         "p = 'q^2' needs --q to be given"),
+        (("eval", "--fn", "theta", "--a", "0.5", "--x", "nan"), {}, "x must be finite, got 'nan'"),
+        # x^2 = 1e-310 is subnormal, not zero, and 1/x^2 overflows: the square
+        # is refused where it is formed, not later as a stalled series or an
+        # infinite theta argument
+        (("eval", "--fn", "tau", "--q", "0.5", "--x", "1e-155"), {}, SUBNORMAL_SQUARE),
+        (("eval", "--fn", "F", "--m", "1", "--p", "0.2", "--q", "0.5", "--x", "1e-155"), {},
+         SUBNORMAL_SQUARE),
+        (("eval", "--fn", "Y", "--m", "1", "--p", "0.2", "--q", "0.5", "--x", "1e-155"), {},
+         SUBNORMAL_SQUARE),
+        (("eval", "--fn", "g", "--q", "0.5", "--x", "1e-155"), {}, SUBNORMAL_SQUARE),
+        (("eval", "--fn", "gk", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1e-155"), {},
+         SUBNORMAL_SQUARE),
+        (("eval", "--fn", "center", "--q", "0.5", "--x", "1e-155"), {}, SUBNORMAL_SQUARE),
+        (("eval", "--fn", "mu", "--p", "0.2", "--q", "0.5", "--x", "1e-155"), {},
+         SUBNORMAL_SQUARE),
+        (("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1e-155"), {}, SUBNORMAL_SQUARE),
+        # kappa_inv takes the square itself, under the name x2
+        (("eval", "--fn", "kappa", "--p", "0.2", "--q", "0.5", "--x", "1e-155"), {},
+         "1/x2 is out of floating-point range at x2 = (1e-310+0j)"),
+        # u = K'(0.6) puts p y^-2 on a zero of theta_{p^2}: snh's quotient
+        # refuses its denominator argument as every theta quotient does
+        (("eval", "--fn", "snh", "--u", "1.9953027776647299", "--modulus", "0.6"), {},
+         "theta_a denominator zero near (0.0007764068758774904+0j), a = 0.0007764068758774913"),
     ],
 )
 def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):

@@ -114,6 +114,10 @@ def test_tiny_or_huge_x_is_an_ellex_error(site, x):
         (lambda: exchange_Y(LEVEL, 1e200), r"^x\^2 must be finite"),
         (lambda: snh_core(1e-200, 0.2), r"^y\^2 must be nonzero$"),
         (lambda: snh_core(1e200, 0.2), r"^y\^2 must be finite"),
+        # a subnormal square: nonzero, but its reciprocal overflows
+        (lambda: tau_fn(1e-155, 0.5), r"^1/x\^2 is out of floating-point range at x\^2 = "),
+        (lambda: snh_core(1e-155, 0.2), r"^1/y\^2 is out of floating-point range at y\^2 = "),
+        (lambda: kappa_inv(1e-310, 0.2, 0.5), r"^1/x2 is out of floating-point range at x2 = "),
     ],
 )
 def test_underflowing_or_overflowing_square_is_named(call, message):

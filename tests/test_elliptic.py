@@ -121,6 +121,9 @@ def test_snh_core_rejects_what_theta_rejects():
         snh_core(1.0, 1.2)
     with pytest.raises(DomainError, match=r"^y\^2 must be finite"):
         snh_core(1e200, 0.5)
+    # y and y^2 are checked before the base, so an invalid y^2 is named first
+    with pytest.raises(DomainError, match=r"^y\^2 must be finite"):
+        snh_core(1e200, 1.2)
 
 
 def test_param_map_trivial_points():

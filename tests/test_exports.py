@@ -95,3 +95,28 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """Every underscore name a module imports or reads."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_qseries_forms_theta_factors(path):
+    # one theta kernel: every theta quotient, snh's T(y) included, goes
+    # through qseries._theta_quotient, and elliptic keeps no copy of its
+    # check-then-compute phase
+    names = _private_names(ast.parse(path.read_text()))
+    if path.name != "qseries.py":
+        assert "_theta_pair" not in names
+    if path.name == "elliptic.py":
+        assert names & {"_product", "_near_zero", "_ZERO_RTOL"} == set()
