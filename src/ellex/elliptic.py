@@ -138,7 +138,12 @@ def snh_core(
 def jacobi_snh(
     u: float, modulus: float, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> float:
-    """snh(u) = -i sn(iu) for real u, via the theta-quotient form; odd in u."""
+    """snh(u) = -i sn(iu) for real u, via the theta-quotient form; odd in u.
+
+    The argument y = e^(pi u / 2K) must have a square that ``snh_core`` can
+    invert; a |u| too large for that is refused by name, as overflowing
+    (u > 0) or underflowing (u < 0).
+    """
     if not math.isfinite(u):
         raise DomainError(f"u must be finite, got {u!r}")
     if u == 0.0:
@@ -148,8 +153,10 @@ def jacobi_snh(
     p = math.exp(-math.pi * Kp / K)
     try:
         y = math.exp(math.pi * u / (2.0 * K))
-    except OverflowError:
-        raise DomainError(f"snh argument e^(pi u / 2K) overflows at u = {u!r}") from None
+        _square(y, "y^2")
+    except (OverflowError, DomainError):
+        side = "overflows" if u > 0.0 else "underflows"
+        raise DomainError(f"snh argument e^(pi u / 2K) {side} at u = {u!r}") from None
     val = (p**0.25 / math.sqrt(modulus)) * snh_core(y, p, policy)
     return float(val.real)
 

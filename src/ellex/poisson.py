@@ -64,6 +64,7 @@ from .qseries import (
     _near_zero,
     _nonzero,
     _nonzero_int,
+    _quiet_terms,
     _square,
     log_deriv_theta,
 )
@@ -91,7 +92,11 @@ def poisson_series_g(
 
     Stops after term n once t = q^(4(n+1)) makes |x^2 t| and |x^-2 t| below
     1/2 and 8 (|x|^2 + |x|^-2) |t| / (1 - |q|^4) < tail_tol, which bounds the
-    absolute value of the dropped terms.
+    absolute value of the dropped terms.  The leading terms whose last
+    clause cannot hold, counted by ``qseries._quiet_terms`` with a factor 4
+    and two terms to spare over the roundoff of the repeated power t, skip
+    the test, so the value is bit for bit what testing after every term
+    gives.
     """
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
@@ -104,18 +109,25 @@ def poisson_series_g(
     total = a / (1.0 - a) - b / (1.0 - b)
     t = 1.0 + 0j
     mag = abs(a) + abs(b)
-    for _ in range(policy.max_terms):
+    big = abs(q4)
+    room = 1.0 - big
+    quiet = _quiet_terms(8.0 * mag, room, big, policy)
+    neg_2a, pos_2a, pos_2b = -2.0 * a, 2.0 * a, 2.0 * b
+    tol = policy.tail_tol
+    for n in range(policy.max_terms):
+        at, bt, bt2 = a * t, b * t, pos_2b * t
         total += (
-            -2.0 * a * t / (1.0 - a * t)
-            + 2.0 * a * t * q2 / (1.0 - a * t * q2)
-            + 2.0 * b * t / (1.0 - b * t)
-            - 2.0 * b * t * q2 / (1.0 - b * t * q2)
+            neg_2a * t / (1.0 - at)
+            + pos_2a * t * q2 / (1.0 - at * q2)
+            + bt2 / (1.0 - bt)
+            - bt2 * q2 / (1.0 - bt * q2)
         )
         t *= q4
         if (
-            abs(a * t) < 0.5
+            n >= quiet
+            and abs(a * t) < 0.5
             and abs(b * t) < 0.5
-            and 8.0 * mag * abs(t) / (1.0 - abs(q4)) < policy.tail_tol
+            and 8.0 * mag * abs(t) / room < tol
         ):
             return total
     raise TruncationExceeded(

@@ -24,6 +24,14 @@ Every value is bit for bit what a loop testing the bound before each factor
 gives; tests/test_qseries.py keeps that loop as the reference.  A product
 that overflows raises DomainError instead of returning inf or nan.
 
+Each series counts its quiet terms once, before its loop: ``_quiet_terms``
+takes, from one logarithm, the leading terms of ``log_deriv_theta`` and
+``poisson.poisson_series_g`` whose stop test cannot pass, with a factor 4
+and two terms to spare.  Those skip the test and the rest keep it, so each
+value is bit for bit what testing after every term gives;
+tests/test_qseries.py and tests/test_poisson.py keep those loops as the
+reference.
+
 Inside ``point_scope()`` the two products, ``_theta_pair`` and ``_product``,
 remember their values: the key is the function, the exact bits of its two
 complex arguments and the policy, and a call that raises stores nothing.
@@ -102,6 +110,9 @@ DEFAULT_POLICY = TruncationPolicy()
 # default, so the theta quotients (snh_core's among them), log_deriv_theta and
 # the poisson series all refuse the same points
 _ZERO_RTOL = 1e-8
+# the powers |a|^n after which a series skips its stop test stay above this
+# (_quiet_terms): far from the subnormals, whose relative precision is lost
+_QUIET_FLOOR = 2.0**-960
 
 # The memo of the open point scope, None outside one.  Its keys are the
 # computing function, the policy's max_terms, and the exact bits of the two
@@ -214,6 +225,27 @@ def _factor_count(
     while n < cap and not headroom * big**n < tol:
         n += 1
     return n
+
+
+def _quiet_terms(scale: float, room: float, big: float, policy: TruncationPolicy) -> int:
+    """Leading terms of a series whose stop test cannot pass: those may skip it.
+
+    A series tests scale * |a^(n+1)| / room < tail_tol after its term n, with
+    a^(n+1) formed by repeated multiplication and big = |a|.  The exponents
+    e >= 1 with big**e >= bound = max(4 tail_tol room / scale, 2**-960)
+    number floor(log(bound) / log(big)), a quotient off by far less than one
+    for any count below 1e12, so that count less two, at most max_terms,
+    are terms whose test fails.  The factor 4 is safe: a product of normal
+    complex numbers is exact to a relative sqrt(5) 2**-53, so |a^(n+1)|
+    stays within a relative (n + 1) 3e-16 of big**(n+1), about 1e-13 at
+    n = 512.  The floor keeps those powers normal, since subnormal ones lose
+    that relative precision.
+    """
+    if big < _QUIET_FLOOR:
+        return 0
+    bound = max(4.0 * policy.tail_tol * room / scale, _QUIET_FLOOR)
+    count = math.floor(math.log(bound) / math.log(big)) - 2
+    return min(max(count, 0), policy.max_terms)
 
 
 def _settled(
@@ -416,9 +448,12 @@ def log_deriv_theta(
 
     Stops after term n once |x a^(n+1)| and |a^(n+1)/x| are below 1/2 and
     2 (|x| + 1/|x| + 1) |a|^(n+1) / (1 - |a|) < tail_tol, which bounds the
-    absolute value of the dropped terms.  Raises NearSingularity when x sits
-    within relative 1e-8 of a zero of theta_a, and DomainError when 1/x
-    overflows.
+    absolute value of the dropped terms.  The leading terms whose last
+    clause cannot hold, counted by ``_quiet_terms`` with a factor 4 and two
+    terms to spare over the roundoff of the repeated power a^(n+1), skip
+    the test, so the value is bit for bit what testing after every term
+    gives.  Raises NearSingularity when x sits within relative 1e-8 of a
+    zero of theta_a, and DomainError when 1/x overflows.
     """
     av = _in_disk(a, "a")
     xv = _nonzero(x, "x")
@@ -428,18 +463,18 @@ def log_deriv_theta(
 
     amag, xmag = abs(av), abs(xv)
     scale = 2.0 * (xmag + 1.0 / xmag + 1.0)
+    room = 1.0 - amag
+    quiet = _quiet_terms(scale, room, amag, policy)
+    neg_x = -xv
     total = 0j
     an = 1.0 + 0j
-    for _ in range(policy.max_terms):
-        t1 = -xv * an / (1.0 - xv * an)
+    tol = policy.tail_tol
+    for n in range(policy.max_terms):
+        t1 = neg_x * an / (1.0 - xv * an)
         an = an * av
         w = an / xv
         total += t1 + w / (1.0 - w)
-        if (
-            abs(xv * an) < 0.5
-            and abs(an / xv) < 0.5
-            and scale * abs(an) / (1.0 - amag) < policy.tail_tol
-        ):
+        if n >= quiet and abs(xv * an) < 0.5 and abs(w) < 0.5 and scale * abs(an) / room < tol:
             return total
     raise TruncationExceeded(
         f"log-derivative series did not meet tail {policy.tail_tol:g} "

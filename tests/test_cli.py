@@ -534,6 +534,16 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
         # refuses its denominator argument as every theta quotient does
         (("eval", "--fn", "snh", "--u", "1.9953027776647299", "--modulus", "0.6"), {},
          "theta_a denominator zero near (0.0007764068758774904+0j), a = 0.0007764068758774913"),
+        # snh's argument y = e^(pi u / 2K) is refused by u, whichever of y,
+        # y^2 = 0, a subnormal y^2 or an infinite y^2 is out of range
+        (("eval", "--fn", "snh", "--u=-1e3", "--modulus", "0.5"), {},
+         "snh argument e^(pi u / 2K) underflows at u = -1000.0"),
+        (("eval", "--fn", "snh", "--u=-500", "--modulus", "0.5"), {},
+         "snh argument e^(pi u / 2K) underflows at u = -500.0"),
+        (("eval", "--fn", "snh", "--u=-390", "--modulus", "0.5"), {},
+         "snh argument e^(pi u / 2K) underflows at u = -390.0"),
+        (("eval", "--fn", "snh", "--u", "400", "--modulus", "0.5"), {},
+         "snh argument e^(pi u / 2K) overflows at u = 400.0"),
     ],
 )
 def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):

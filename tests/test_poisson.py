@@ -5,16 +5,20 @@ against analytic expansions and residues."""
 
 import cmath
 import math
+import random
 
 import pytest
+from test_qseries import SERIES_POLICIES, series_outcome, series_point
 
-from ellex import poisson, suites
+from ellex import cli, poisson, qseries, suites
 from ellex.elliptic import NomeParams
 from ellex.errors import (
     AnnulusContainsPole,
     DomainError,
     NearSingularity,
+    NonConvergentBase,
     QuadratureUnresolved,
+    TruncationExceeded,
 )
 from ellex.exchange import LevelParams, exchange_Y
 from ellex.poisson import (
@@ -71,6 +75,60 @@ def test_series_pole_guard():
         poisson_series_g(1.0 + 1e-10, 0.4)
     with pytest.raises(NearSingularity):
         poisson_series_g(0.4, 0.4)  # x = q is a pole
+
+
+def g_stepwise(x, q, policy):
+    """poisson_series_g by the loop that tests its stop rule after every
+    term, checks and messages included.  The series with its test-free
+    leading terms must equal it bit for bit, and raise where it raises."""
+    xv = qseries._nonzero(x, "x")
+    qv = qseries._in_disk(q, "q")
+    a = qseries._square(xv, "x^2")
+    b = 1.0 / a
+    if qseries._near_zero(qv * qv, a, qseries._ZERO_RTOL):
+        raise NearSingularity(
+            f"x = {xv!r} is within {qseries._ZERO_RTOL:g} of a pole x^2 = q^(2j)"
+        )
+    q2 = qv * qv
+    q4 = q2 * q2
+    total = a / (1.0 - a) - b / (1.0 - b)
+    t = 1.0 + 0j
+    mag = abs(a) + abs(b)
+    for _ in range(policy.max_terms):
+        total += (
+            -2.0 * a * t / (1.0 - a * t)
+            + 2.0 * a * t * q2 / (1.0 - a * t * q2)
+            + 2.0 * b * t / (1.0 - b * t)
+            - 2.0 * b * t * q2 / (1.0 - b * t * q2)
+        )
+        t *= q4
+        if (
+            abs(a * t) < 0.5
+            and abs(b * t) < 0.5
+            and 8.0 * mag * abs(t) / (1.0 - abs(q4)) < policy.tail_tol
+        ):
+            return total
+    raise TruncationExceeded(
+        f"structure-function series did not meet tail {policy.tail_tol:g} "
+        f"within {policy.max_terms} terms"
+    )
+
+
+def test_series_equals_the_stepwise_loop():
+    # bases and arguments of every shape under each policy, a tenth of the
+    # arguments within relative 1e-12..1e-6 of a pole x^2 = q^(2j)
+    rng = random.Random(21)
+    seen = set()
+    for i in range(20000):
+        q = series_point(rng, "base")
+        x = series_point(rng, "argument")
+        if rng.random() < 0.1 and isinstance(q, complex) and 1e-3 < abs(q) < 1.0:
+            x = q ** rng.randint(-6, 6) * (1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-12, -6))
+        policy = SERIES_POLICIES[i % len(SERIES_POLICIES)]
+        want = series_outcome(g_stepwise, x, q, policy)
+        assert series_outcome(poisson_series_g, x, q, policy) == want, (x, q, policy)
+        seen.add(want[0] if isinstance(want, tuple) else str)
+    assert seen >= {str, TruncationExceeded, NearSingularity, DomainError, NonConvergentBase}
 
 
 # --- full structure function ---------------------------------------------------
@@ -255,6 +313,36 @@ def test_modes_match_geometric_expansion(which, m, k, pref_over_lnq, q, annulus)
             expect = 2 / (1 + q**-j)
         expect *= sign * pref
         assert abs(got - expect) <= 1e-11 * (abs(expect) or abs(pref)), l
+
+
+@pytest.mark.parametrize(
+    "which, expected",
+    [
+        ("klimit", {"poisson_structure": 1, "poisson_series_g": 1}),
+        ("center", {"poisson_structure_center": 1, "log_deriv_theta": 4}),
+    ],
+)
+def test_a_modes_table_calls_each_public_layer_once_per_node(monkeypatch, capsys, which, expected):
+    # every node goes through the public structure function, and the center
+    # through four log-derivatives, so per-layer spans around these names
+    # count and time what one node costs; --nodes N samples 2N nodes
+    calls = dict.fromkeys(
+        ("poisson_structure", "poisson_structure_center", "poisson_series_g", "log_deriv_theta"), 0
+    )
+    for name in calls:
+        real = getattr(poisson, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(poisson, name, counted)
+    nodes = 2 * 128
+    argv = ["modes", "--which", which, "--q", "0.5", "--nodes", "128", "--lmax", "2", "--m", "1",
+            "--k", "1"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert f"{nodes} nodes" in capsys.readouterr().out
+    assert calls == {name: expected.get(name, 0) * nodes for name in calls}
 
 
 @pytest.mark.parametrize("lmax", [0, 5])

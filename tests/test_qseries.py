@@ -514,6 +514,109 @@ def test_log_deriv_near_zero_raises():
         log_deriv_theta(a, a**2 * (1 + 1e-10))
 
 
+def log_deriv_stepwise(a, x, policy):
+    """log_deriv_theta by the loop that tests its stop rule after every term,
+    checks and messages included.  The series with its test-free leading
+    terms must equal it bit for bit, and raise where it raises."""
+    av = qseries._in_disk(a, "a")
+    xv = qseries._nonzero(x, "x")
+    if qseries._near_zero(av, xv, qseries._ZERO_RTOL):
+        raise NearSingularity(f"x = {xv!r} is within {qseries._ZERO_RTOL:g} of a theta_a zero")
+    qseries._as_complex(1.0 / xv, "1/x")
+    amag, xmag = abs(av), abs(xv)
+    scale = 2.0 * (xmag + 1.0 / xmag + 1.0)
+    total = 0j
+    an = 1.0 + 0j
+    for _ in range(policy.max_terms):
+        t1 = -xv * an / (1.0 - xv * an)
+        an = an * av
+        w = an / xv
+        total += t1 + w / (1.0 - w)
+        if (
+            abs(xv * an) < 0.5
+            and abs(an / xv) < 0.5
+            and scale * abs(an) / (1.0 - amag) < policy.tail_tol
+        ):
+            return total
+    raise TruncationExceeded(
+        f"log-derivative series did not meet tail {policy.tail_tol:g} "
+        f"within {policy.max_terms} terms"
+    )
+
+
+SERIES_POLICIES = [
+    TruncationPolicy(max_terms, tail_tol)
+    for max_terms in (1, 2, 8, 30, 512)
+    for tail_tol in (0.5, 1e-6, 1e-15, 1e-300)
+]
+
+
+def signed_zero_variants(rng, value):
+    """value as a float or as a complex whose zero part, if any, has either
+    sign: the shapes a caller's real, imaginary and complex inputs take."""
+    r = abs(value)
+    return rng.choice(
+        [
+            value,
+            complex(value.real, rng.choice((0.0, -0.0))),
+            complex(rng.choice((0.0, -0.0)), r),
+            complex(-r, rng.choice((0.0, -0.0))),
+            complex(rng.choice((0.0, -0.0)), -r),
+        ]
+        if isinstance(value, float)
+        else [value]
+    )
+
+
+def series_point(rng, kind):
+    """One base or argument for the series references: moduli from tiny to
+    near 1 (a base) or over many decades (an argument), at a random phase or
+    on an axis, now and then an invalid one."""
+    if rng.random() < 0.03:
+        return rng.choice([0.0, -0.0, float("nan"), complex(0.5, float("inf")), 1.0, -1.3, 1e-320])
+    if kind == "base":
+        mag = rng.choice(
+            [
+                rng.random(),
+                10.0 ** rng.uniform(-12.0, 0.0),
+                1.0 - 10.0 ** rng.uniform(-4.0, -0.5),
+                10.0 ** rng.uniform(-320.0, -60.0),
+            ]
+        )
+    else:
+        mag = rng.choice([10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-160.0, 160.0)])
+    if rng.random() < 0.5:
+        return signed_zero_variants(rng, float(mag))
+    return mag * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def series_outcome(f, *args):
+    """repr of the value, or the type and message of the error raised; an
+    ArithmeticError too, which poisson_series_g still lets out at a few
+    extreme points, where both loops must raise alike."""
+    try:
+        return repr(f(*args))
+    except (EllexError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def test_log_deriv_equals_the_stepwise_loop():
+    # bases and arguments of every shape under each policy, a tenth of the
+    # arguments within relative 1e-12..1e-6 of a zero a^k of theta_a
+    rng = random.Random(20)
+    seen = set()
+    for i in range(20000):
+        a = series_point(rng, "base")
+        x = series_point(rng, "argument")
+        if rng.random() < 0.1 and isinstance(a, complex) and 1e-3 < abs(a) < 1.0:
+            x = a ** rng.randint(-6, 6) * (1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-12, -6))
+        policy = SERIES_POLICIES[i % len(SERIES_POLICIES)]
+        want = series_outcome(log_deriv_stepwise, a, x, policy)
+        assert series_outcome(log_deriv_theta, a, x, policy) == want, (a, x, policy)
+        seen.add(want[0] if isinstance(want, tuple) else str)
+    assert seen >= {str, TruncationExceeded, NearSingularity, DomainError, NonConvergentBase}
+
+
 def test_near_theta_zero_detects_zero_set():
     a = 0.5
     assert near_theta_zero(a, a**3)
