@@ -67,7 +67,6 @@ from .rmatrix import (
     kappa_inv,
     mu_inv,
     partial_transpose,
-    pshift_scalar,
     r_plus,
     rmatrix_inverse,
     tau_fn,
@@ -97,7 +96,6 @@ __all__ = [
     "tau_fn_pochhammer",
     "mu_inv",
     "kappa_inv",
-    "pshift_scalar",
     "r_plus",
     "partial_transpose",
     "rmatrix_inverse",

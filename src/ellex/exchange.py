@@ -9,7 +9,8 @@ accepts any p != 0, and only the functions that use p as a product base
 (R+, mu, kappa) raise NonConvergentBase for |p| >= 1.  This matters at the
 commuting points p = q^(2k) with k < 0, where |p| > 1.
 
-Closed forms implemented (th = theta_{q^4}):
+Closed forms implemented (th = theta_{q^4}), held as the tables _F_POS,
+_F_NEG and _Y of one step's factors, which one evaluator reads:
 
     m > 0:  F(m,x) = prod_{s=1..2m}  q^-1 th(x^2 q^2 p^-s) th(x^-2 q^2 p^s)
                                      / [ th(x^-2 p^s) th(x^2 p^-s) ]
@@ -20,10 +21,11 @@ Closed forms implemented (th = theta_{q^4}):
                            / ( th(x^2 p^s) th(x^-2 q^2 p^s) ) ]^2,
     S = 2m - 1 for m > 0 and S = 2|m| for m < 0.
 
-Cross paths kept for verification: F as the iterated product of the
-nome-shift factor, F(m,x) = F(|m|, x^-1 p^(1/2))^-1 for m < 0, and
-Y(x) = F(m, q^c x) / F(m, -p^(1/2) x) with q^c = p^m / q^2 held in exact
-integer-power form.
+Cross paths kept for verification share no table: F as the iterated product
+of the four-tau nome-shift factor, F(m,x) = F(|m|, x^-1 p^(1/2))^-1 for
+m < 0, Y(x) = F(m, q^c x) / F(m, -p^(1/2) x) with q^c = p^m / q^2 in exact
+integer-power form, and commuting_F, exchange_F's oracle at p = q^(2k), which
+on the tables would check them against themselves.
 """
 
 from __future__ import annotations
@@ -105,6 +107,38 @@ class CommutingPoint:
         return NomeParams(qv ** (2 * self.k), qv)
 
 
+# Step s's theta_{q^4} factors, numerator then denominator: (e, k, f) is th(x^(2e) q^(2k) p^(f s))
+_F_POS = (((1, 1, -1), (-1, 1, 1)), ((-1, 0, 1), (1, 0, -1)))  # s = 1..2m
+_F_NEG = (((1, 0, 1), (-1, 0, -1)), ((1, 1, 1), (-1, 1, -1)))  # s = 0..2|m|-1
+_Y = (((-1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1)))  # s = 1..S
+
+
+def _step_quotients(
+    table: tuple, first: int, last: int, nome: NomeParams, x: complex, policy: TruncationPolicy
+) -> tuple[complex, list[complex]]:
+    """x^2 and the quotient of ``table`` at each s = first..last, its arguments
+    head * p^s or head / p^s with the heads x^(+-2) q^(0 or 2) formed once."""
+    xv = _nonzero(x, "x")
+    p, q = nome.p, nome.q
+    q4 = q**4
+    q2 = q * q
+    x2 = _square(xv, "x^2")
+    ix2 = 1.0 / x2
+    heads = (x2, ix2, x2 * q2, ix2 * q2)  # x^(2e) q^(2k) at 2k + (e < 0)
+    (a, a_up), (b, b_up), (c, c_up), (d, d_up) = [
+        (heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side
+    ]
+    ps = 1.0 + 0j
+    quots = []
+    for s in range(first, last + 1):
+        if s:
+            ps *= p
+        nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
+        dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
+        quots.append(_theta_quotient(q4, nums, dens, policy, base="q^4"))
+    return x2, quots
+
+
 def shift_factor_F(
     x: complex, nome: NomeParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
@@ -114,8 +148,7 @@ def shift_factor_F(
                tau(x q^(1/2) p^(1/2)) tau(x^-1 q^(1/2) p^(-1/2)).
 
     Principal square roots; their branch choices cancel in the product.
-    The rmatrix module carries the collapsed branch-free form of the same
-    quantity as an independent code path.
+    The branch-free form of the same quantity is exchange_F(1, x p).
     """
     xv = _nonzero(x, "x")
     sq = cmath.sqrt(nome.q)
@@ -132,36 +165,14 @@ def exchange_F(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """Closed theta-product form of F(m, x)."""
-    xv = _nonzero(x, "x")
-    p, q = level.nome.p, level.nome.q
-    q4 = q**4
-    q2 = q * q
-    x2 = _square(xv, "x^2")
-    ix2 = 1.0 / x2
+    q = level.nome.q
     result = 1.0 + 0j
     if level.m > 0:
-        ps = 1.0 + 0j
-        for _ in range(1, 2 * level.m + 1):
-            ps *= p  # p^s
-            result *= _theta_quotient(
-                q4,
-                (x2 * q2 / ps, ix2 * q2 * ps),
-                (ix2 * ps, x2 / ps),
-                policy,
-                base="q^4",
-            ) / q
+        for quot in _step_quotients(_F_POS, 1, 2 * level.m, level.nome, x, policy)[1]:
+            result *= quot / q
     else:
-        ps = 1.0 + 0j
-        for s in range(0, 2 * abs(level.m)):
-            if s:
-                ps *= p
-            result *= q * _theta_quotient(
-                q4,
-                (x2 * ps, ix2 / ps),
-                (x2 * q2 * ps, ix2 * q2 / ps),
-                policy,
-                base="q^4",
-            )
+        for quot in _step_quotients(_F_NEG, 0, -2 * level.m - 1, level.nome, x, policy)[1]:
+            result *= q * quot
     return result
 
 
@@ -201,24 +212,11 @@ def exchange_Y(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """Closed form of the quadratic exchange function Y(x)."""
-    xv = _nonzero(x, "x")
-    p, q = level.nome.p, level.nome.q
-    q4 = q**4
-    q2 = q * q
-    x2 = _square(xv, "x^2")
-    ix2 = 1.0 / x2
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
+    x2, quots = _step_quotients(_Y, 1, upper, level.nome, x, policy)
     inner = 1.0 + 0j
-    ps = 1.0 + 0j
-    for _ in range(1, upper + 1):
-        ps *= p
-        inner *= x2 * _theta_quotient(
-            q4,
-            (ix2 * ps, x2 * q2 * ps),
-            (x2 * ps, ix2 * q2 * ps),
-            policy,
-            base="q^4",
-        )
+    for quot in quots:
+        inner *= x2 * quot
     return inner * inner
 
 

@@ -18,8 +18,8 @@ against that exact test, and the factor loop then runs with no test inside.
 ``_product`` evaluates one product (``qpochhammer``, theta's (a; a) and the
 head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
 (x; a) and (a/x; a) in one loop over their shared powers a^n.  One guarded
-quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, the
-exchange functions, the nome-shift factor, snh's T(y)) from one (a; a).
+quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, each
+step of the exchange functions' closed forms, snh's T(y)) from one (a; a).
 Every value is bit for bit what a loop testing the bound before each factor
 gives; tests/test_qseries.py keeps that loop as the reference.  A product
 that overflows raises DomainError instead of returning inf or nan.
@@ -174,11 +174,14 @@ def _nonzero(z: complex, name: str) -> complex:
 
 
 def _invertible(w: complex, name: str) -> complex:
-    """w as ``_nonzero`` checks it, with 1/w finite too (|w| > ~5.6e-309), else DomainError."""
+    """w as ``_nonzero`` checks it, with |1/w| finite too (|w| > ~5.6e-309), else DomainError."""
     w = _nonzero(w, name)
-    if not cmath.isfinite(1.0 / w):
-        raise DomainError(f"1/{name} is out of floating-point range at {name} = {w!r}")
-    return w
+    try:
+        if abs(1.0 / w) < math.inf:
+            return w
+    except OverflowError:  # finite parts whose modulus overflows abs()
+        pass
+    raise DomainError(f"1/{name} is out of floating-point range at {name} = {w!r}")
 
 
 def _square(z: complex, name: str) -> complex:
@@ -377,8 +380,11 @@ def near_theta_zero(a: complex, x: complex, rtol: float = _ZERO_RTOL) -> bool:
 
 def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
     """near_theta_zero for arguments already checked: finite complex av and
-    xv, and rtol in (0, 1).  False for xv = 0 and for |av| outside (0, 1)."""
-    if xv == 0 or not (0.0 < abs(av) < 1.0):
+    xv, and rtol in (0, 1).  False for xv = 0 and for |av| outside [0, 1);
+    a base that underflowed to 0 leaves theta_0(x) = 1 - x, zero at x = 1."""
+    if av == 0:
+        return abs(xv - 1.0) < rtol
+    if xv == 0 or abs(av) >= 1.0:
         return False
     la = math.log(abs(av))
     center = math.log(abs(xv)) / la

@@ -18,12 +18,13 @@ with T(y) = y theta_{p^2}(y^-2)/theta_{p^2}(p y^-2) from the elliptic module.
 
 R+ is a plain 4x4 complex ndarray.  numpy is imported inside the functions
 that build or read one (``r_plus``, the transposes and inverse, the checks),
-so the scalar functions here (tau, mu, kappa, the entries and the p-shift
-scalar) load without it.  It is symmetric and invariant under
-conjugation by the slot swap, so R_21 = R_12 and both partial transposes
-coincide on it; the checks below still apply the transposes literally.  The
-checks return residuals, not verdicts: the verification suites decide which
-points are well posed and what passes.
+so the scalar functions here (tau, mu, kappa, the entries) load without it.
+It is symmetric and invariant under conjugation by the slot swap, so R_21 =
+R_12 and both partial transposes coincide on it; the checks below still apply
+the transposes literally.  check_pshift imports the scalar F(x) = F(1, x p)
+of R(x p) = F(x)^-1 R(x) from exchange on use, as exchange imports tau_fn
+from here.  The checks return residuals, not verdicts: the verification
+suites decide which points are well posed and what passes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "tau_fn_pochhammer",
     "mu_inv",
     "kappa_inv",
-    "pshift_scalar",
     "r_plus",
     "partial_transpose",
     "rmatrix_inverse",
@@ -277,32 +277,6 @@ def rmatrix_inverse(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return inv, cond
 
 
-def pshift_scalar(
-    x: complex, nome: NomeParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
-    """The scalar F(x) relating R(x p) = F(x)^-1 R(x), in collapsed form:
-
-        q^-2 * th(x^2 q^2) th(x^-2 q^2) th(x^2 q^2 p) th(x^-2 q^2 / p)
-             / [ th(x^-2) th(x^2) th(x^-2 / p) th(x^2 p) ]
-
-    with th = theta_{q^4}. All square roots of the four-tau definition cancel
-    exactly, so this form is branch-free; the exchange module evaluates the
-    literal four-tau product as an independent path.
-    """
-    xv = _nonzero(x, "x")
-    p, q = nome.p, nome.q
-    x2 = _square(xv, "x^2")
-    ix2 = 1.0 / x2
-    return _theta_quotient(
-        q**4,
-        (x2 * q * q, ix2 * q * q, x2 * q * q * p, ix2 * q * q / p),
-        (ix2, x2, ix2 / p, x2 * p),
-        policy,
-        q * q,
-        base="q^4",
-    )
-
-
 def _max_abs(*mats: np.ndarray) -> float:
     import numpy as np
 
@@ -329,12 +303,15 @@ def check_crossing(
 def check_pshift(
     x: complex, nome: NomeParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> tuple[float, float]:
-    """Nome-shift covariance F(x) R(x p) = R(x).
+    """Nome-shift covariance F(x) R(x p) = R(x), with F(x) = F(1, x p).
 
     Returns (max entry residual, largest entry of the two sides).
     """
+    # on use, not at load: exchange imports tau_fn from this module as it loads
+    from .exchange import LevelParams, exchange_F
+
     xv = _as_complex(x, "x")
-    factor = pshift_scalar(xv, nome, policy)
+    factor = exchange_F(LevelParams(1, nome), xv * nome.p, policy)
     lhs = factor * r_plus(xv * nome.p, nome, policy)
     rhs = r_plus(xv, nome, policy)
     return _max_abs(lhs - rhs), _max_abs(lhs, rhs)

@@ -527,6 +527,16 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
         (("eval", "--fn", "mu", "--p", "0.2", "--q", "0.5", "--x", "1e-155"), {},
          SUBNORMAL_SQUARE),
         (("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1e-155"), {}, SUBNORMAL_SQUARE),
+        # x^2 is normal and 1/x^2 has finite parts, but its modulus overflows abs()
+        (("eval", "--fn", "g", "--q", "0.5",
+          "--x=-2.6856352700903824e-155-6.787535176026949e-155j"), {},
+         "1/x^2 is out of floating-point range at x^2 = "
+         "(-3.88579969618497e-309+3.64576877314342e-309j)"),
+        # q^2 underflows to 0, leaving the one pole x^2 = q^0 = 1
+        (("eval", "--fn", "g", "--q", "1e-200", "--x", "1"), {},
+         "x = (1+0j) is within 1e-08 of a pole x^2 = q^(2j)"),
+        (("eval", "--fn", "g", "--q", "1e-200", "--x=-1"), {},
+         "x = (-1+0j) is within 1e-08 of a pole x^2 = q^(2j)"),
         # kappa_inv takes the square itself, under the name x2
         (("eval", "--fn", "kappa", "--p", "0.2", "--q", "0.5", "--x", "1e-155"), {},
          "1/x2 is out of floating-point range at x2 = (1e-310+0j)"),
@@ -551,6 +561,13 @@ def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, m
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_g_away_from_its_pole_keeps_its_value_when_q_squared_underflows(capsys):
+    code, out, _ = run(capsys, "eval", "--fn", "gk", "--m", "1", "--k", "1", "--q", "1e-200",
+                       "--x", "1.5")
+    value = "(-2394.6884967138076+0j)  (change at a 100x tighter tail: 0.00e+00)"
+    assert (code, out) == (0, f"gk at x = (1.5+0j): {value}\n")
 
 
 def test_output_into_a_missing_directory_fails_before_eval(capsys, monkeypatch, tmp_path):

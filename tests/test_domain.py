@@ -38,7 +38,7 @@ from ellex.qseries import (
     theta,
     theta_shift_factor,
 )
-from ellex.rmatrix import kappa_inv, mu_inv, pshift_scalar, r_plus, tau_fn, tau_fn_pochhammer
+from ellex.rmatrix import kappa_inv, mu_inv, r_plus, tau_fn, tau_fn_pochhammer
 
 NOME = NomeParams(0.18, -0.45)
 LEVEL = LevelParams(2, NOME)
@@ -80,7 +80,6 @@ ZERO_X = {
     "tau_fn_pochhammer": lambda x: tau_fn_pochhammer(x, 0.5),
     "mu_inv": lambda x: mu_inv(x, 0.2, 0.5),
     "r_plus": lambda x: r_plus(x, NOME),
-    "pshift_scalar": lambda x: pshift_scalar(x, NOME),
     "shift_factor_F": lambda x: shift_factor_F(x, NOME),
     "exchange_F": lambda x: exchange_F(LEVEL, x),
     "exchange_Y": lambda x: exchange_Y(LEVEL, x),
@@ -118,6 +117,12 @@ def test_tiny_or_huge_x_is_an_ellex_error(site, x):
         (lambda: tau_fn(1e-155, 0.5), r"^1/x\^2 is out of floating-point range at x\^2 = "),
         (lambda: snh_core(1e-155, 0.2), r"^1/y\^2 is out of floating-point range at y\^2 = "),
         (lambda: kappa_inv(1e-310, 0.2, 0.5), r"^1/x2 is out of floating-point range at x2 = "),
+        # a normal square whose reciprocal has finite parts and a modulus
+        # that overflows abs()
+        (lambda: poisson_series_g(-2.6856352700903824e-155 - 6.787535176026949e-155j, 0.5),
+         r"^1/x\^2 is out of floating-point range at x\^2 = "),
+        (lambda: kappa_inv(-3.88579969618497e-309 + 3.64576877314342e-309j, 0.2, 0.5),
+         r"^1/x2 is out of floating-point range at x2 = "),
     ],
 )
 def test_underflowing_or_overflowing_square_is_named(call, message):
@@ -147,7 +152,7 @@ def test_underflowing_or_overflowing_square_is_named(call, message):
         # each product is finite; the running products of the quotient overflow
         (lambda: mu_inv(1e6 * cmath.exp(0.3j), 0.2, 0.5), r"^kappa_inv row products out of"),
         (lambda: kappa_inv(1e20 * cmath.exp(0.6j), 0.2, 0.5), r"^kappa_inv row products out of"),
-        (lambda: pshift_scalar(1e10 * cmath.exp(0.3j), NomeParams(0.2, 0.5)),
+        (lambda: exchange_F(LevelParams(1, NomeParams(0.2, 0.5)), 2e9 * cmath.exp(0.3j)),
          r"^theta quotient out of floating-point range"),
         (lambda: mu_inv(1e6, 0.2, 0.5), r"^kappa_inv row products out of"),
     ],
@@ -162,7 +167,6 @@ def test_value_out_of_floating_point_range_is_a_domain_error(call, message):
 SWEEP = {
     "mu_inv": lambda x: mu_inv(x, 0.2, 0.5),
     "kappa_inv": lambda x: kappa_inv(x * x, 0.2, 0.5),
-    "pshift_scalar": lambda x: pshift_scalar(x, NomeParams(0.2, 0.5)),
     "tau_fn": lambda x: tau_fn(x, 0.5),
     "exchange_F": lambda x: exchange_F(LevelParams(2, NomeParams(0.2, 0.5)), x),
     "exchange_Y": lambda x: exchange_Y(LevelParams(-2, NomeParams(0.2, 0.5)), x),

@@ -23,7 +23,7 @@ from ellex.exchange import (
     shift_factor_F,
 )
 from ellex.qseries import near_theta_zero
-from ellex.rmatrix import mu_inv, pshift_scalar, tau_fn
+from ellex.rmatrix import mu_inv, tau_fn
 
 NOME = NomeParams(0.18, -0.45)
 X = 1.3 + 0.2j
@@ -52,6 +52,66 @@ def test_exchange_f_two_paths(m):
     closed = exchange_F(level, X)
     iterated = exchange_F_iterated(level, X)
     assert abs(closed - iterated) <= 1e-10 * abs(closed)
+
+
+PIN_Q = 0.5 + 0.2j
+# (m, F(m, X), Y(X)) by repr at three nomes: |p| < 1, |p| > 1, and p = q^-2
+EXCHANGE_PINS = {
+    0.21 - 0.1j: [
+        (-3, "(-0.24972514722820893+0.315491090298292j)",
+         "(-1.3813840963842954+3.659135401424352j)"),
+        (-2, "(-0.09073941659992601-0.37769953379528126j)",
+         "(2.7119339315706408-2.7568465991410225j)"),
+        (-1, "(-0.10689153606884759-0.35184951448101837j)",
+         "(0.5724113182897073+0.8887308788211368j)"),
+        (1, "(0.9208296878836649+0.027259669196085544j)",
+         "(0.5846937052095798+1.0085369122536298j)"),
+        (2, "(-0.02693443798599101+0.21060621997521872j)",
+         "(0.42198671332499804+1.0431061565953557j)"),
+        (3, "(-0.028790922363038308+0.36174275829108404j)",
+         "(-0.19233785515520063+2.5851957635081413j)"),
+    ],
+    1.4 + 0.5j: [
+        (-3, "(0.07274724883734637-0.31025517082196535j)",
+         "(-0.002427527024420306-0.002594902191593806j)"),
+        (-2, "(0.07456236258520332-0.2946317802259816j)",
+         "(-0.0027059869658595274-0.0030348611866642208j)"),
+        (-1, "(0.1296439474242721-0.2824646078428461j)",
+         "(-0.0036236302046118093-0.006762592926778028j)"),
+        (1, "(-139.19998665560578+93.43112905428158j)",
+         "(-0.020226799936769235-0.029956947650595735j)"),
+        (2, "(-295.1926819098326+90.38913187859336j)",
+         "(-0.002773941523438275-0.0038130086097159024j)"),
+        (3, "(-308.6746232494093+73.9633989544256j)",
+         "(-0.002668624710093079-0.0027465413790114875j)"),
+    ],
+    PIN_Q**-2: [
+        (-3, "(0.999999999999997-7.771561172376096e-16j)",
+         "(0.9999999999999996-7.771561172376177e-16j)"),
+        (-2, "(0.9999999999999983-1.1102230246251565e-16j)",
+         "(0.9999999999999989+6.661338147750906e-16j)"),
+        (-1, "(0.9999999999999989+1.1102230246251565e-16j)",
+         "(0.9999999999999993+4.4408920985006217e-16j)"),
+        (1, "(1.0000000000000009-3.3306690738754696e-16j)",
+         "(1.0000000000000013+3.3306690738754716e-16j)"),
+        (2, "(0.9999999999999998-2.7755575615628914e-16j)",
+         "(1.0000000000000009+1.8873791418627665e-15j)"),
+        (3, "(0.9999999999999981+5.551115123125783e-17j)",
+         "(1.0000000000000022+2.1094237467877974e-15j)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("p", list(EXCHANGE_PINS), ids=["p-in-disk", "p-outside-disk", "p-q^-2"])
+def test_exchange_closed_forms_keep_their_bits(p):
+    # every branch of the closed forms (both signs of m, |p| on either side
+    # of 1, complex q and x) pinned by repr
+    got = [
+        (m, repr(exchange_F(LevelParams(m, NomeParams(p, PIN_Q)), X)),
+         repr(exchange_Y(LevelParams(m, NomeParams(p, PIN_Q)), X)))
+        for m, _, _ in EXCHANGE_PINS[p]
+    ]
+    assert got == EXCHANGE_PINS[p]
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1])
@@ -146,8 +206,6 @@ def test_commuting_even_k_closed_form(k, m):
 THETA_QUOTIENT_ZEROS = {
     # theta_{q^4}(q x^-2) = 0 at x^2 = q
     "tau": lambda: tau_fn(0.5, 0.25),
-    # theta_{q^4}(x^2) = 0 at x = 1
-    "p-shift": lambda: pshift_scalar(1.0, NomeParams(0.2, 0.5)),
     # theta_{q^4}(x^-2 p) = 0 at x^2 = p
     "F": lambda: exchange_F(LevelParams(1, NomeParams(0.2, 0.5)), math.sqrt(0.2)),
     # theta_{q^4}(x^2 p) = 0 at x^2 = 1/p

@@ -16,7 +16,7 @@ from ellex.errors import (
     SingularMatrix,
     TruncationExceeded,
 )
-from ellex.exchange import shift_factor_F
+from ellex.exchange import LevelParams, exchange_F, shift_factor_F
 from ellex.qseries import TruncationPolicy
 from ellex.rmatrix import (
     check_crossing,
@@ -25,7 +25,6 @@ from ellex.rmatrix import (
     kappa_inv,
     mu_inv,
     partial_transpose,
-    pshift_scalar,
     r_plus,
     rmatrix_inverse,
     tau_fn,
@@ -223,11 +222,11 @@ def test_pshift_relation_and_scalar_consistency():
     x = 1.21 + 0.14j
     err, scale = check_pshift(x, NOME)
     assert err < 1e-12 and 0.0 < scale < np.inf
-    # F(x) of the matrix relation equals the exchange module's four-tau product
-    f_here = pshift_scalar(x, NOME)
+    # F(x) of the matrix relation, the closed form F(1, x p), equals the
+    # exchange module's four-tau product
+    f_here = exchange_F(LevelParams(1, NOME), x * NOME.p)
     f_other = shift_factor_F(x, NOME)
     assert abs(f_here - f_other) <= 1e-12 * abs(f_here)
-    assert f_here * (1.0 / f_here) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ybe_residual_generic():
