@@ -10,7 +10,7 @@ accepts any p != 0, and only the functions that use p as a product base
 commuting points p = q^(2k) with k < 0, where |p| > 1.
 
 Closed forms implemented (th = theta_{q^4}), held as the tables _F_POS,
-_F_NEG and _Y of one step's factors, which one evaluator reads:
+_F_NEG and _Y of one step's factors, which one loop multiplies out:
 
     m > 0:  F(m,x) = prod_{s=1..2m}  q^-1 th(x^2 q^2 p^-s) th(x^-2 q^2 p^s)
                                      / [ th(x^-2 p^s) th(x^2 p^-s) ]
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 from .elliptic import NomeParams
 from .errors import DomainError
@@ -113,11 +114,14 @@ _F_NEG = (((1, 0, 1), (-1, 0, -1)), ((1, 1, 1), (-1, 1, -1)))  # s = 0..2|m|-1
 _Y = (((-1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1)))  # s = 1..S
 
 
-def _step_quotients(
-    table: tuple, first: int, last: int, nome: NomeParams, x: complex, policy: TruncationPolicy
-) -> tuple[complex, list[complex]]:
-    """x^2 and the quotient of ``table`` at each s = first..last, its arguments
-    head * p^s or head / p^s with the heads x^(+-2) q^(0 or 2) formed once."""
+def _closed_form(
+    table: tuple, first: int, last: int, step: Callable, nome: NomeParams, x: complex,
+    policy: TruncationPolicy,
+) -> complex:
+    """The product from 1 of step(quot, q, x^2) over s = first..last, quot the
+    quotient of ``table`` at s on the arguments head * p^s or head / p^s (heads
+    x^(+-2) q^(0 or 2) formed once); a p^s that underflows to 0 under a
+    division raises DomainError naming it."""
     xv = _nonzero(x, "x")
     p, q = nome.p, nome.q
     q4 = q**4
@@ -128,15 +132,17 @@ def _step_quotients(
     (a, a_up), (b, b_up), (c, c_up), (d, d_up) = [
         (heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side
     ]
-    ps = 1.0 + 0j
-    quots = []
+    ps = result = 1.0 + 0j
     for s in range(first, last + 1):
         if s:
             ps *= p
-        nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
-        dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
-        quots.append(_theta_quotient(q4, nums, dens, policy, base="q^4"))
-    return x2, quots
+        try:
+            nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
+            dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
+        except ZeroDivisionError:
+            raise DomainError(f"p^{s} underflows at p = {p!r}") from None
+        result *= step(_theta_quotient(q4, nums, dens, policy, base="q^4"), q, x2)
+    return result
 
 
 def shift_factor_F(
@@ -165,15 +171,10 @@ def exchange_F(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """Closed theta-product form of F(m, x)."""
-    q = level.nome.q
-    result = 1.0 + 0j
-    if level.m > 0:
-        for quot in _step_quotients(_F_POS, 1, 2 * level.m, level.nome, x, policy)[1]:
-            result *= quot / q
-    else:
-        for quot in _step_quotients(_F_NEG, 0, -2 * level.m - 1, level.nome, x, policy)[1]:
-            result *= q * quot
-    return result
+    m, nome = level.m, level.nome
+    if m > 0:
+        return _closed_form(_F_POS, 1, 2 * m, lambda quot, q, x2: quot / q, nome, x, policy)
+    return _closed_form(_F_NEG, 0, -2 * m - 1, lambda quot, q, x2: q * quot, nome, x, policy)
 
 
 def exchange_F_iterated(
@@ -213,10 +214,7 @@ def exchange_Y(
 ) -> complex:
     """Closed form of the quadratic exchange function Y(x)."""
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
-    x2, quots = _step_quotients(_Y, 1, upper, level.nome, x, policy)
-    inner = 1.0 + 0j
-    for quot in quots:
-        inner *= x2 * quot
+    inner = _closed_form(_Y, 1, upper, lambda quot, q, x2: x2 * quot, level.nome, x, policy)
     return inner * inner
 
 

@@ -18,8 +18,9 @@ against that exact test, and the factor loop then runs with no test inside.
 ``_product`` evaluates one product (``qpochhammer``, theta's (a; a) and the
 head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
 (x; a) and (a/x; a) in one loop over their shared powers a^n.  One guarded
-quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, each
-step of the exchange functions' closed forms, snh's T(y)) from one (a; a).
+quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, snh's
+T(y), and each step of an exchange closed form, which ``exchange`` multiplies
+into that form's running product as it goes) from one (a; a).
 Every value is bit for bit what a loop testing the bound before each factor
 gives; tests/test_qseries.py keeps that loop as the reference.  A product
 that overflows raises DomainError instead of returning inf or nan.
@@ -298,14 +299,20 @@ def _theta_pair(a: complex, x: complex, policy: TruncationPolicy) -> complex:
     theta_a(x) is this times (a; a)_inf.
 
     Both products run in one loop over the shared powers a^n, each for its
-    own factor count; the longer one then finishes alone.
+    own factor count; the longer one then finishes alone.  An a/x whose parts
+    are finite but whose modulus is not raises DomainError.
     """
     y = a / x
     big = abs(a)
     room = 1.0 - big
     log_big = math.log(big)
+    try:
+        ay = abs(y)
+    except OverflowError:  # finite parts whose modulus overflows abs()
+        raise DomainError(f"|a/x| is out of floating-point range at theta argument "
+                          f"x = {x!r}, a = {a!r}") from None
     nx = _factor_count((1.0 + abs(x)) / room, big, log_big, policy)
-    ny = _factor_count((1.0 + abs(y)) / room, big, log_big, policy)
+    ny = _factor_count((1.0 + ay) / room, big, log_big, policy)
     power = rx = ry = 1.0 + 0j
     for _ in range(min(nx, ny)):
         rx *= 1.0 - x * power

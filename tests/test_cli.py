@@ -379,6 +379,33 @@ def test_a_sampler_that_always_rejects_exhausts_its_budget():
     assert seen == [0] * tries
 
 
+def test_per_check_times_split_each_identity_and_add_up(monkeypatch):
+    # a fake clock that only the table build and the evaluations advance:
+    # each identity's time is split evenly over its checks, the first
+    # identity's includes the table build, and the times sum to the run's
+    from ellex import suites
+
+    clock = [100.0]
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: clock[0])
+
+    def identity(checks, costs):
+        def evaluate(cfg, cost):
+            clock[0] += cost
+            return ((0.0, {}),) * len(checks)
+
+        return suites._fixed(checks, evaluate, 1.0, {}, costs)
+
+    def table(cfg):
+        clock[0] += 1.0
+        return [identity(("a1", "a2"), (2.0, 3.0)), identity(("b1", "b2", "b3"), (1.5,))]
+
+    report = suites._run_sampled("timed", 0, table, suites.VerifyConfig())
+    times = [c.wall_time_s for c in report.checks]
+    assert times == [3.0, 3.0, 0.5, 0.5, 0.5]
+    assert sum(times) == clock[0] - 100.0
+    assert "(3000.0 ms)" in report.to_text() and "(500.0 ms)" in report.to_text()
+
+
 def test_every_suite_runs_through_the_one_check_loop():
     from ellex import suites
 
@@ -554,6 +581,15 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
          "snh argument e^(pi u / 2K) underflows at u = -390.0"),
         (("eval", "--fn", "snh", "--u", "400", "--modulus", "0.5"), {},
          "snh argument e^(pi u / 2K) overflows at u = 400.0"),
+        # p^2 underflows to 0, and F divides a head by it
+        (("eval", "--fn", "F", "--m", "2", "--p", "1e-179", "--q", "0.1", "--x", "1e-103"), {},
+         "p^2 underflows at p = (1e-179+0j)"),
+        # a theta argument x with a normal modulus whose a/x has finite parts
+        # but a modulus that overflows abs()
+        (("eval", "--fn", "Y", "--m=-4", "--p=-5.7e-132+4.2e-132j", "--q=-0.095+0.0225j",
+          "--x=4.129478984429438e+90-9.051008705671213e+89j"), {},
+         "|a/x| is out of floating-point range at theta argument "
+         "x = (-3.8799492043e-313+8.006117666e-314j), a = (5.42934765625e-05-7.28353125e-05j)"),
     ],
 )
 def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):

@@ -1,7 +1,7 @@
 """Every name in a module's ``__all__`` resolves, and the math modules stay
 below the report, suite and CLI layers, which import only their public
-names.  Tracing tools walk ``__all__`` with getattr, so a stale entry breaks
-them at import time."""
+names, and import one another at module level.  Tracing tools walk
+``__all__`` with getattr, so a stale entry breaks them at import time."""
 
 import ast
 import importlib
@@ -48,6 +48,47 @@ def _imported(tree: ast.Module) -> set[str]:
 def test_math_modules_do_not_import_upper_layers(name):
     source = Path(ellex.__file__).with_name(f"{name}.py").read_text()
     assert _imported(ast.parse(source)) & UPPER_LAYERS == set()
+
+
+# the math modules import one another at module level, so their layering is
+# fixed at load; each import made inside a function instead, with its reason
+ON_USE_IMPORTS = {
+    # exchange imports rmatrix.tau_fn as it loads, and the per-layer metric
+    # names (module.function) fix both functions' modules
+    "rmatrix": ["check_pshift imports exchange"],
+}
+
+
+def _math_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The math modules an import statement names."""
+    if isinstance(node, ast.ImportFrom) and node.module not in (None, "ellex"):
+        names = [node.module]
+    else:  # import M, from . import M, from ellex import M
+        names = [alias.name for alias in node.names]
+    return [n.removeprefix("ellex.") for n in names if n.removeprefix("ellex.") in MATH_MODULES]
+
+
+def _on_use_math_imports(tree: ast.Module) -> list[str]:
+    """``f imports M`` for each import of a math module M inside a function f."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.extend(f"{function} imports {m}" for m in _math_names(child))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("name", MATH_MODULES)
+def test_math_modules_import_one_another_at_module_level(name):
+    source = Path(ellex.__file__).with_name(f"{name}.py").read_text()
+    assert _on_use_math_imports(ast.parse(source)) == ON_USE_IMPORTS.get(name, [])
 
 
 def _private_math_imports(tree: ast.Module) -> list[str]:
