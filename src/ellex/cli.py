@@ -46,7 +46,7 @@ from .poisson import (
     poisson_structure,
     poisson_structure_center,
 )
-from .qseries import TruncationPolicy, theta
+from .qseries import DEFAULT_POLICY, TruncationPolicy, theta
 from .report import CheckResult, VerificationReport, csv_text, json_bytes
 from .rmatrix import kappa_inv, mu_inv, tau_fn
 
@@ -86,7 +86,7 @@ def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
     tail = args.tail_tol
     if tail is None:
         env = os.environ.get("ELLEX_DEFAULT_TOL")
-        tail = _parse_number(env, "ELLEX_DEFAULT_TOL", float) if env else 1e-15
+        tail = _parse_number(env, "ELLEX_DEFAULT_TOL", float) if env else DEFAULT_POLICY.tail_tol
     return TruncationPolicy(max_terms=args.max_terms, tail_tol=tail)
 
 
@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
         # like a number, as in --q -0.3+0.2j, is a value too
         sp._negative_number_matcher = _NEGATIVE_NUMBER
         sp.add_argument("--tail-tol", type=float, default=None,
-                        help="truncation tail tolerance (default 1e-15 or ELLEX_DEFAULT_TOL)")
-        sp.add_argument("--max-terms", type=int, default=512)
+                        help="truncation tail tolerance "
+                        f"(default {DEFAULT_POLICY.tail_tol} or ELLEX_DEFAULT_TOL)")
+        sp.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms)
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sp.add_argument("--output", default=None, help="write the report to this path")
 

@@ -263,14 +263,15 @@ def partial_transpose(mat: np.ndarray, slot: int) -> np.ndarray:
 
 def rmatrix_inverse(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse with condition-number reporting; raises SingularMatrix when
-    the condition number exceeds 1e12 or elimination fails."""
+    the condition number exceeds 1e12 or LAPACK fails, as the SVD behind it
+    does on a nan entry."""
     import numpy as np
 
     arr = _matrix4(mat)
-    cond = float(np.linalg.cond(arr))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMatrix(f"condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
     try:
+        cond = float(np.linalg.cond(arr))
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SingularMatrix(f"condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
         inv = np.linalg.inv(arr)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc

@@ -499,6 +499,10 @@ def test_eval_tiny_x_is_a_domain_error(capsys):
         # both parts are finite, the modulus is not
         (("--fn", "theta", "--a", "0.5", "--x=1.5e308+1.5e308j"),
          "|x| is out of floating-point range at x = (1.5e+308+1.5e+308j)"),
+        # every step's theta quotient is finite and F's running product
+        # overflows; the CLI refuses the value F returns
+        (("--fn", "F", "--m=-3", "--p", "0.02", "--q", "1e-73", "--x", "1e-70"),
+         "F at x = (1e-70+0j) is not finite: (inf+nanj)"),
     ],
 )
 def test_eval_overflow_is_a_domain_error(capsys, argv, message):
@@ -584,6 +588,17 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
         # p^2 underflows to 0, and F divides a head by it
         (("eval", "--fn", "F", "--m", "2", "--p", "1e-179", "--q", "0.1", "--x", "1e-103"), {},
          "p^2 underflows at p = (1e-179+0j)"),
+        # at Y's step s = 1, p is normal and the arguments x^2 p (a denominator)
+        # and x^2 q^2 p have underflowed to 0: no p^s check could name p here
+        (("eval", "--fn", "Y", "--m", "2", "--p", "1e-179", "--q", "0.1", "--x", "1e-103"), {},
+         "theta argument must be nonzero"),
+        # the truncation policy refuses its fields by name, from flags or environment
+        (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1", "--max-terms", "0"), {},
+         "max_terms must be a positive integer"),
+        (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1", "--tail-tol", "2"), {},
+         "tail_tol must lie in (0, 1)"),
+        (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1"), {"ELLEX_DEFAULT_TOL": "2"},
+         "tail_tol must lie in (0, 1)"),
         # a theta argument x with a normal modulus whose a/x has finite parts
         # but a modulus that overflows abs()
         (("eval", "--fn", "Y", "--m=-4", "--p=-5.7e-132+4.2e-132j", "--q=-0.095+0.0225j",

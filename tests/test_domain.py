@@ -5,26 +5,31 @@ its caller passed, not an internal theta base."""
 import cmath
 from functools import partial
 
+import numpy as np
 import pytest
 
-from ellex.elliptic import NomeParams, jacobi_snh, snh_core
+from ellex.elliptic import EllipticParams, NomeParams, baxter_entries, jacobi_snh, snh_core
 from ellex.errors import (
     AnnulusContainsPole,
     DomainError,
     EllexError,
     NearSingularity,
     NonConvergentBase,
+    SingularMatrix,
 )
 from ellex.exchange import (
     CommutingPoint,
     LevelParams,
     commuting_F,
     exchange_F,
+    exchange_F_negative_by_reciprocity,
     exchange_Y,
     shift_factor_F,
 )
 from ellex.poisson import (
     AnnulusLabel,
+    ModeBracketTable,
+    format_mode_bracket,
     laurent_modes,
     poisson_series_g,
     poisson_structure,
@@ -38,7 +43,15 @@ from ellex.qseries import (
     theta,
     theta_shift_factor,
 )
-from ellex.rmatrix import kappa_inv, mu_inv, r_plus, tau_fn, tau_fn_pochhammer
+from ellex.rmatrix import (
+    kappa_inv,
+    mu_inv,
+    partial_transpose,
+    r_plus,
+    rmatrix_inverse,
+    tau_fn,
+    tau_fn_pochhammer,
+)
 
 NOME = NomeParams(0.18, -0.45)
 LEVEL = LevelParams(2, NOME)
@@ -203,6 +216,46 @@ def test_zero_squared_argument_names_x2():
 )
 def test_levels_must_be_nonzero_integers(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be a nonzero integer$"):
+        call()
+
+
+EMPTY_TABLE = ModeBracketTable(AnnulusLabel(1), {}, {}, "center", {})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: theta_shift_factor(0.5, 1.5, 1.1), DomainError,
+         r"^shift order s must be an integer$"),
+        (lambda: EllipticParams(0.5, 0.3, float("nan")), DomainError,
+         r"^u must be finite, got nan$"),
+        (lambda: jacobi_snh(float("inf"), 0.5), DomainError, r"^u must be finite, got inf$"),
+        # q = -p puts -1/q on a zero of snh's numerator theta_{p^2}(y^-2)
+        (lambda: r_plus(1.1, NomeParams(0.3, -0.3)), NearSingularity,
+         r"^snh\(lambda\) below tolerance in entry assembly$"),
+        (lambda: baxter_entries(EllipticParams(0.5, 1e-12)), NearSingularity,
+         r"^snh\(lambda\) = 9\.999e-13 below tolerance$"),
+        # q x^-2 = 1 exactly, so (q x^-2; q^4) starts with the factor 0
+        (lambda: tau_fn_pochhammer(0.5, 0.25), NearSingularity,
+         r"^tau denominator vanished at x = \(0\.5\+0j\)$"),
+        (lambda: exchange_F_negative_by_reciprocity(LEVEL, 1.1), DomainError,
+         r"^reciprocity path applies to negative m only$"),
+        (lambda: partial_transpose(np.eye(4), 3), DomainError, r"^slot must be 1 or 2, got 3$"),
+        (lambda: rmatrix_inverse(np.diag([1.0, 1.0, 1.0, np.nan])), SingularMatrix,
+         r"^SVD did not converge"),
+        (lambda: AnnulusLabel(0.5), DomainError, r"^annulus label must be an integer$"),
+        (lambda: laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(1)), DomainError,
+         r"^the k-labeled structure function needs m and k$"),
+        (lambda: laurent_modes("nope", q=0.5, annulus=AnnulusLabel(1)), DomainError,
+         r"^unknown structure function 'nope'$"),
+        (lambda: format_mode_bracket(EMPTY_TABLE, 1.5, 2, 3), DomainError,
+         r"^mode indices must be integers and cutoff >= 0$"),
+        (lambda: format_mode_bracket(EMPTY_TABLE, 1, 2, -1), DomainError,
+         r"^mode indices must be integers and cutoff >= 0$"),
+    ],
+)
+def test_argument_outside_its_domain_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 

@@ -1,11 +1,16 @@
 """Every name in a module's ``__all__`` resolves, and the math modules stay
 below the report, suite and CLI layers, which import only their public
 names, and import one another at module level.  Tracing tools walk
-``__all__`` with getattr, so a stale entry breaks them at import time."""
+``__all__`` with getattr, so a stale entry breaks them at import time.
+Each module imports cleanly when it is loaded first, and ``import ellex``
+loads none of them."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,37 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(name)
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+# a fresh interpreter: ``import ellex`` alone, then each module named on the
+# command line with no ellex module loaded before it; check_pshift runs its
+# on-use import of exchange from an rmatrix loaded first
+LOADED_FIRST = """
+import importlib, sys
+
+def unload():
+    for name in [n for n in sys.modules if n.split(".")[0] == "ellex"]:
+        del sys.modules[name]
+
+import ellex
+loaded = sorted(n for n in sys.modules if n.startswith("ellex."))
+assert loaded == [], f"import ellex loaded {loaded}"
+for name in sys.argv[1:]:
+    unload()
+    module = importlib.import_module(name)
+    if name == "ellex.rmatrix":
+        from ellex.elliptic import NomeParams
+        module.check_pshift(1.1, NomeParams(0.2, 0.5))
+"""
+
+
+def test_each_module_imports_when_loaded_first():
+    env = dict(os.environ, PYTHONPATH=str(Path(ellex.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_FIRST, *MODULES[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _imported(tree: ast.Module) -> set[str]:

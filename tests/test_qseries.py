@@ -183,6 +183,30 @@ def test_counted_products_equal_stepwise_loop_at_the_stop_boundary(tail_tol):
                 assert outcome(qpochhammer, x, b, policy) == want, (x, b)
 
 
+def test_factor_count_corrects_its_estimate_both_ways():
+    # headroom * big^n within a few ulps of tail_tol: the logarithmic estimate
+    # of the count is one too high or one too low within a few draws, and the
+    # corrected count is the least n of the exact predicate either way
+    rng = random.Random(23)
+    corrected = set()
+    for _ in range(300):
+        big = rng.uniform(0.05, 0.95)
+        n = rng.randint(1, 400)
+        if big**n < 1e-280:
+            continue
+        tol = 10.0 ** rng.uniform(-15, -3)
+        headroom = tol / big**n * (1.0 + rng.randint(-4, 4) * 2.0**-52)
+        policy = TruncationPolicy(512, tol)
+        log_big = math.log(big)
+        estimate = min(math.ceil((math.log(tol) - math.log(headroom)) / log_big), 513)
+        count = qseries._factor_count(headroom, big, log_big, policy)
+        least = next((k for k in range(513) if headroom * big**k < tol), 513)
+        assert count == least, (headroom, big, tol)
+        if count != estimate:
+            corrected.add("down" if count < estimate else "up")
+    assert corrected == {"down", "up"}
+
+
 def test_theta_overflowing_reflection_raises_truncation():
     # a/x overflows to inf, so no factor count reaches the tail bound
     assert outcome(theta_stepwise, 0.5, 1e-320, TruncationPolicy()) is TruncationExceeded
@@ -622,6 +646,9 @@ def test_near_theta_zero_detects_zero_set():
     assert near_theta_zero(a, a**3)
     assert near_theta_zero(a, a ** (-2) * (1 + 1e-9))
     assert not near_theta_zero(a, 0.7)
+    # theta_a has no zero at x = 0, and none is looked for outside |a| < 1
+    assert not near_theta_zero(a, 0)
+    assert not near_theta_zero(1.5, 1.5)
 
 
 def _near_zero_brute(a, x, rtol):
