@@ -120,8 +120,8 @@ def _closed_form(
 ) -> complex:
     """The product from 1 of step(quot, q, x^2) over s = first..last, quot the
     quotient of ``table`` at s on the arguments head * p^s or head / p^s (heads
-    x^(+-2) q^(0 or 2) formed once); a p^s that underflows to 0 under a
-    division raises DomainError naming it."""
+    x^(+-2) q^(0 or 2) formed once); a p^s that underflows to 0 raises
+    DomainError naming it before that step's arguments are formed."""
     xv = _nonzero(x, "x")
     p, q = nome.p, nome.q
     q4 = q**4
@@ -136,13 +136,20 @@ def _closed_form(
     for s in range(first, last + 1):
         if s:
             ps *= p
-        try:
-            nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
-            dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
-        except ZeroDivisionError:
-            raise DomainError(f"p^{s} underflows at p = {p!r}") from None
+            if ps == 0:
+                raise DomainError(f"p^{s} underflows at p = {p!r}")
+        nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
+        dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
         result *= step(_theta_quotient(q4, nums, dens, policy, base="q^4"), q, x2)
     return result
+
+
+def _finite(value: complex, name: str, level: LevelParams, x: complex) -> complex:
+    """value, or DomainError when a running product overflowed although
+    every step was finite."""
+    if cmath.isfinite(value):
+        return value
+    raise DomainError(f"{name} is not finite at x = {complex(x)!r}, m = {level.m}")
 
 
 def shift_factor_F(
@@ -170,11 +177,14 @@ def shift_factor_F(
 def exchange_F(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
-    """Closed theta-product form of F(m, x)."""
+    """Closed theta-product form of F(m, x); a value out of floating-point
+    range raises DomainError."""
     m, nome = level.m, level.nome
     if m > 0:
-        return _closed_form(_F_POS, 1, 2 * m, lambda quot, q, x2: quot / q, nome, x, policy)
-    return _closed_form(_F_NEG, 0, -2 * m - 1, lambda quot, q, x2: q * quot, nome, x, policy)
+        value = _closed_form(_F_POS, 1, 2 * m, lambda quot, q, x2: quot / q, nome, x, policy)
+    else:
+        value = _closed_form(_F_NEG, 0, -2 * m - 1, lambda quot, q, x2: q * quot, nome, x, policy)
+    return _finite(value, "F", level, x)
 
 
 def exchange_F_iterated(
@@ -212,10 +222,11 @@ def exchange_F_negative_by_reciprocity(
 def exchange_Y(
     level: LevelParams, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
-    """Closed form of the quadratic exchange function Y(x)."""
+    """Closed form of the quadratic exchange function Y(x); a value out of
+    floating-point range raises DomainError."""
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
     inner = _closed_form(_Y, 1, upper, lambda quot, q, x2: x2 * quot, level.nome, x, policy)
-    return inner * inner
+    return _finite(inner * inner, "Y", level, x)
 
 
 def exchange_Y_ratio(

@@ -156,21 +156,36 @@ def kappa_inv(
     if den == 0:
         raise NearSingularity(f"kappa_inv denominator vanished at x2 = {y!r}")
 
-    mags = [abs(w) for w in tails]
+    # the eight tails t_i and their moduli m_i; from j = 1 on, the powers
+    # w_i = t_i^j and the bounds r_i = |t_i|^(j+1) / ((1-|a|)(1-|b|)(1-|t_i|)),
+    # each in a local, the bounds added left to right
+    t1, t2, t3, t4, t5, t6, t7, t8 = w1, w2, w3, w4, w5, w6, w7, w8 = tails
+    m1, m2, m3, m4, m5, m6, m7, m8 = mags = [abs(w) for w in tails]
     scale = 1.0 / ((1.0 - abs(a)) * (1.0 - abs(b)))
-    # rest[i] = |w_i|^(j+1) / ((1-|a|)(1-|b|)(1-|w_i|)), from j = 1 on
-    rest = [scale * m * m / (1.0 - m) for m in mags]
-    powers = tails
+    r1, r2, r3, r4, r5, r6, r7, r8 = [scale * m * m / (1.0 - m) for m in mags]
     a_j, b_j = a, b
     log_tail = 0j
     for j in range(1, policy.max_terms + 1):
-        n1, n2, n3, n4, d1, d2, d3, d4 = powers
-        signed = (n1 + n2 + n3 + n4) - (d1 + d2 + d3 + d4)
+        signed = (w1 + w2 + w3 + w4) - (w5 + w6 + w7 + w8)
         log_tail -= signed / (j * (1.0 - a_j) * (1.0 - b_j))
-        if sum(rest) < share * (j + 1):
+        if r1 + r2 + r3 + r4 + r5 + r6 + r7 + r8 < share * (j + 1):
             return num / den * cmath.exp(log_tail)
-        powers = [v * w for v, w in zip(powers, tails)]
-        rest = [r * m for r, m in zip(rest, mags)]
+        w1 *= t1
+        w2 *= t2
+        w3 *= t3
+        w4 *= t4
+        w5 *= t5
+        w6 *= t6
+        w7 *= t7
+        w8 *= t8
+        r1 *= m1
+        r2 *= m2
+        r3 *= m3
+        r4 *= m4
+        r5 *= m5
+        r6 *= m6
+        r7 *= m7
+        r8 *= m8
         a_j *= a
         b_j *= b
     raise TruncationExceeded(

@@ -500,9 +500,9 @@ def test_eval_tiny_x_is_a_domain_error(capsys):
         (("--fn", "theta", "--a", "0.5", "--x=1.5e308+1.5e308j"),
          "|x| is out of floating-point range at x = (1.5e+308+1.5e+308j)"),
         # every step's theta quotient is finite and F's running product
-        # overflows; the CLI refuses the value F returns
+        # overflows; F refuses it
         (("--fn", "F", "--m=-3", "--p", "0.02", "--q", "1e-73", "--x", "1e-70"),
-         "F at x = (1e-70+0j) is not finite: (inf+nanj)"),
+         "F is not finite at x = (1e-70+0j), m = -3"),
     ],
 )
 def test_eval_overflow_is_a_domain_error(capsys, argv, message):
@@ -592,6 +592,9 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
         # and x^2 q^2 p have underflowed to 0: no p^s check could name p here
         (("eval", "--fn", "Y", "--m", "2", "--p", "1e-179", "--q", "0.1", "--x", "1e-103"), {},
          "theta argument must be nonzero"),
+        # every argument of Y's step 1 is nonzero, and p^2 alone underflows
+        (("eval", "--fn", "Y", "--m", "2", "--p", "1e-162", "--q", "1e-50", "--x", "1"), {},
+         "p^2 underflows at p = (1e-162+0j)"),
         # the truncation policy refuses its fields by name, from flags or environment
         (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1", "--max-terms", "0"), {},
          "max_terms must be a positive integer"),

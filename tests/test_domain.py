@@ -167,6 +167,11 @@ def test_underflowing_or_overflowing_square_is_named(call, message):
         (lambda: kappa_inv(1e20 * cmath.exp(0.6j), 0.2, 0.5), r"^kappa_inv row products out of"),
         (lambda: exchange_F(LevelParams(1, NomeParams(0.2, 0.5)), 2e9 * cmath.exp(0.3j)),
          r"^theta quotient out of floating-point range"),
+        # every step's quotient is finite; the running product overflows
+        (lambda: exchange_F(LevelParams(-3, NomeParams(0.02, 1e-73)), 1e-70),
+         r"^F is not finite at x = \(1e-70\+0j\), m = -3$"),
+        (lambda: exchange_Y(LevelParams(3, NomeParams(1e-21, 1e-73)), 1e26),
+         r"^Y is not finite at x = \(1e\+26\+0j\), m = 3$"),
         (lambda: mu_inv(1e6, 0.2, 0.5), r"^kappa_inv row products out of"),
     ],
 )

@@ -6,6 +6,7 @@ independent of the library's truncation logic).
 """
 
 import cmath
+import contextlib
 import math
 import random
 import re
@@ -164,10 +165,31 @@ def test_counted_products_equal_stepwise_loop(max_terms, tail_tol):
     assert raised > 0 or max_terms == 512
 
 
+@pytest.mark.parametrize("scoped", [False, True])
+@pytest.mark.parametrize("tail_tol", [1e-15, 1e-10, 1e-6])
+@pytest.mark.parametrize("max_terms", [8, 60, 512])
+def test_quotient_path_equals_theta_products(max_terms, tail_tol, scoped):
+    # the cases above through _theta_quotient, each argument once in the
+    # numerator and, clear of a theta zero, once in the denominator; in one
+    # scope the quotients and the theta calls share memo entries
+    policy = TruncationPolicy(max_terms, tail_tol)
+    calls = []
+    for b in REF_BASES:
+        for x in REF_ARGS:
+            calls.append((b, (x,), ()))
+            if not near_theta_zero(b, x):
+                calls.append((b, (), (x,)))
+    with point_scope() if scoped else contextlib.nullcontext():
+        for b, num_args, den_args in calls:
+            got = outcome(_theta_quotient, b, num_args, den_args, policy)
+            assert got == outcome(theta_quotient_public, b, num_args, den_args, 1.0, policy)
+
+
 @pytest.mark.parametrize("tail_tol", [1e-15, 1e-10, 1e-6])
 def test_counted_products_equal_stepwise_loop_at_the_stop_boundary(tail_tol):
     # |x| puts (1 + |x|) |b|^n / (1 - |b|) within a few ulps of tail_tol, where
-    # the logarithmic estimate of the factor count can be one off either way
+    # the logarithmic estimate of the factor count can be one off either way;
+    # theta's pair counts (x; b) and (b/x; b) inline by the same rule
     policy = TruncationPolicy(512, tail_tol)
     for mag in (0.013, 0.11, 0.34, 0.52, 0.66, 0.81, 0.9):
         b = mag * cmath.exp(0.6j)
@@ -181,6 +203,9 @@ def test_counted_products_equal_stepwise_loop_at_the_stop_boundary(tail_tol):
                 x = xmag * (1.0 + ulps * 2.0**-52) * cmath.exp(-2.1j)
                 want = outcome(product_stepwise, x, b, policy)
                 assert outcome(qpochhammer, x, b, policy) == want, (x, b)
+                for arg in (x, b / x):  # the count of (x; b), then of (b/arg; b)
+                    want = outcome(theta_stepwise, b, arg, policy)
+                    assert outcome(theta, b, arg, policy) == want, (b, arg)
 
 
 def test_factor_count_corrects_its_estimate_both_ways():
@@ -275,13 +300,18 @@ def test_theta_inversion_property(a, x):
 # --- guarded theta quotient --------------------------------------------------
 
 
-def theta_quotient_public(a, num_args, den_args, scale):
+def theta_quotient_public(a, num_args, den_args, scale=1.0, policy=TruncationPolicy()):
+    """A one-base theta quotient from the public theta, in _theta_quotient's
+    order of operations; a value that is not finite is refused."""
     num = den = 1.0 + 0j
     for u in num_args:
-        num *= theta(a, u)
+        num *= theta(a, u, policy)
     for v in den_args:
-        den *= theta(a, v)
-    return num / (scale * den)
+        den *= theta(a, v, policy)
+    result = num / (scale * den)
+    if not cmath.isfinite(result):
+        raise DomainError("reference quotient out of floating-point range")
+    return result
 
 
 @given(
@@ -453,6 +483,22 @@ def test_point_scope_changes_no_value():
     assert qseries._MEMO.get() is None
 
 
+def test_theta_and_quotient_share_their_memo_entries():
+    # a quotient looks its factors up under theta's keys: after theta(a, x)
+    # it computes only the pairs of its other arguments, and (a; a) not again
+    pair, product = qseries._theta_pair.__wrapped__, qseries._product.__wrapped__
+    a, x, u, v = 0.3 - 0.2j, 1.1 + 0.2j, 0.7 - 0.4j, complex(1.3, -0.0)
+    with point_scope():
+        memo = qseries._MEMO.get()
+        alone = theta(a, x)
+        assert [key[0] for key in memo] == [pair, product]
+        quotient = _theta_quotient(a, (u, x), (v, x), TruncationPolicy())
+        assert [key[0] for key in memo] == [pair, product, pair, pair]
+        assert theta(a, x) == alone
+        assert len(memo) == 4
+    assert quotient == theta_quotient_public(a, (u, x), (v, x))
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -464,15 +510,20 @@ def test_point_scope_changes_no_value():
     ],
 )
 def test_point_scope_raises_again_on_a_repeated_call(monkeypatch, call, error):
-    # a call that raises stores nothing: the repeat raises after the same work
-    factor_count = qseries._factor_count
+    # a call that raises stores nothing: the repeat raises after the same
+    # work, counted as the factor counts of _product and the _settled calls
+    # that _theta_pair makes when a product does not end within its cap
     counts = []
 
-    def counting(*args):
-        counts[-1] += 1
-        return factor_count(*args)
+    def counting(f):
+        def counted(*args):
+            counts[-1] += 1
+            return f(*args)
 
-    monkeypatch.setattr(qseries, "_factor_count", counting)
+        return counted
+
+    monkeypatch.setattr(qseries, "_factor_count", counting(qseries._factor_count))
+    monkeypatch.setattr(qseries, "_settled", counting(qseries._settled))
     with point_scope():
         for _ in range(2):
             counts.append(0)

@@ -2,6 +2,7 @@
 and the crossing / nome-shift / Yang-Baxter identity checks."""
 
 import cmath
+import random
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from ellex.elliptic import EllipticParams, NomeParams, baxter_entries, param_map
 from ellex.errors import (
     DomainError,
+    EllexError,
     NearSingularity,
     NonConvergentBase,
     SingularMatrix,
     TruncationExceeded,
 )
 from ellex.exchange import LevelParams, exchange_F, shift_factor_F
-from ellex.qseries import TruncationPolicy
+from ellex.qseries import TruncationPolicy, qpochhammer
 from ellex.rmatrix import (
     check_crossing,
     check_pshift,
@@ -98,6 +100,95 @@ def test_kappa_matches_brute_double_product():
 def test_kappa_inv_truncation_exceeded(y, p, q, stage):
     with pytest.raises(TruncationExceeded, match=stage):
         kappa_inv(y, p, q, TruncationPolicy(max_terms=5, tail_tol=1e-15))
+
+
+def kappa_inv_listwise(x2, p, q, policy):
+    """kappa_inv with its tail series on lists: the eight powers and the
+    eight bounds are rebuilt as lists every term, and the bounds are added
+    left to right (the order sum() uses for floats through Python 3.11).
+    kappa_inv keeps them in locals, and must equal this bit for bit."""
+    y, p, q = complex(x2), complex(p), complex(q)
+    q2 = q * q
+    q4 = q2 * q2
+    a, b = sorted((p, q4), key=abs, reverse=True)
+    num_rows, den_rows, tails = [], [], []
+    for rows, args in (
+        (num_rows, (q4 / y, q2 * y, p / y, p * q2 * y)),
+        (den_rows, (q4 * y, q2 / y, p * y, p * q2 / y)),
+    ):
+        for z in args:
+            start = len(rows)
+            while abs(z) > 0.5:
+                if len(rows) - start == policy.max_terms:
+                    raise TruncationExceeded(
+                        f"more than max_terms={policy.max_terms} head rows "
+                        f"(base moduli {abs(a):.4g}, {abs(b):.4g})"
+                    )
+                rows.append(z)
+                z *= a
+            tails.append(z)
+    share = policy.tail_tol / (2 * (len(num_rows) + len(den_rows) + 1))
+    row_policy = TruncationPolicy(policy.max_terms, share)
+    num = den = 1.0 + 0j
+    for z in num_rows:
+        num *= qpochhammer(z, b, row_policy)
+    for z in den_rows:
+        den *= qpochhammer(z, b, row_policy)
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+        raise DomainError(f"kappa_inv row products out of floating-point range at x2 = {y!r}")
+    if den == 0:
+        raise NearSingularity(f"kappa_inv denominator vanished at x2 = {y!r}")
+    mags = [abs(w) for w in tails]
+    scale = 1.0 / ((1.0 - abs(a)) * (1.0 - abs(b)))
+    rest = [scale * m * m / (1.0 - m) for m in mags]
+    powers = tails
+    a_j, b_j = a, b
+    log_tail = 0j
+    for j in range(1, policy.max_terms + 1):
+        n1, n2, n3, n4, d1, d2, d3, d4 = powers
+        signed = (n1 + n2 + n3 + n4) - (d1 + d2 + d3 + d4)
+        log_tail -= signed / (j * (1.0 - a_j) * (1.0 - b_j))
+        bound = 0.0
+        for r in rest:
+            bound += r
+        if bound < share * (j + 1):
+            return num / den * cmath.exp(log_tail)
+        powers = [v * w for v, w in zip(powers, tails)]
+        rest = [r * m for r, m in zip(rest, mags)]
+        a_j *= a
+        b_j *= b
+    raise TruncationExceeded(
+        f"kappa_inv tail series did not meet {share:g} within "
+        f"max_terms={policy.max_terms} terms"
+    )
+
+
+def value_or_error(f, *args):
+    try:
+        return repr(f(*args))
+    except EllexError as exc:
+        return type(exc), str(exc)
+
+
+def test_kappa_inv_equals_the_listwise_loop():
+    # seeded (x^2, p, q), complex q included, at caps small enough to stop
+    # the head rows, the row products and the tail series
+    rng = random.Random(24)
+    seen = set()
+    for i in range(1000):
+        p = cmath.rect(rng.uniform(0.02, 0.9), rng.uniform(-cmath.pi, cmath.pi))
+        if i % 3:
+            q = cmath.rect(rng.uniform(0.1, 0.95), rng.uniform(-cmath.pi, cmath.pi))
+        else:
+            q = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 0.95)
+        x2 = cmath.rect(10.0 ** rng.uniform(-1.5, 1.5), rng.uniform(-cmath.pi, cmath.pi))
+        policy = TruncationPolicy(
+            rng.choice((512, 512, 40, 12, 6, 3)), rng.choice((1e-15, 1e-10, 1e-300))
+        )
+        want = value_or_error(kappa_inv_listwise, x2, p, q, policy)
+        assert value_or_error(kappa_inv, x2, p, q, policy) == want, (x2, p, q, policy)
+        seen.add(want[1].split(" ")[0] if isinstance(want, tuple) else "value")
+    assert seen == {"value", "more", "kappa_inv", "tail"}
 
 
 @pytest.mark.parametrize("p", [1.0, -1.2, 0.9j + 0.5])
