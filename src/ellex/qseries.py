@@ -17,11 +17,10 @@ with (1 + |x|) |b|^n / (1 - |b|) < tail_tol from a logarithm, corrected
 against that exact test, and the factor loop then runs with no test inside.
 ``_product`` evaluates one product (``qpochhammer``, theta's (a; a) and the
 head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
-(x; a) and (a/x; a) in one loop over their shared powers a^n, taking both
-counts inline by the same rule.  One guarded quotient, ``_theta_quotient``,
-forms every theta quotient (tau, mu, snh's T(y), and each step of an
-exchange closed form, which ``exchange`` multiplies into that form's running
-product as it goes) from one (a; a).
+(x; a) and (a/x; a) in one loop over their shared powers a^n.  One guarded
+quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, snh's
+T(y), and each step of an exchange closed form, which ``exchange`` multiplies
+into that form's running product as it goes) from one (a; a).
 Every value is bit for bit what a loop testing the bound before each factor
 gives; tests/test_qseries.py keeps that loop as the reference.  A product
 that overflows raises DomainError instead of returning inf or nan.
@@ -48,9 +47,8 @@ lookup.
 
 Check first, then compute: ``_theta_quotient`` checks the base, each
 denominator argument (finite, nonzero, and clear of a theta zero by
-``_near_power`` at ``_ZERO_RTOL``, the base's logarithms formed once per
-quotient) and each numerator argument, once each and in that order, before
-it forms any product.
+``_near_zero`` at ``_ZERO_RTOL``) and each numerator argument, once each and
+in that order, before it forms any product.
 
 Everything here is a pure function of its arguments.  The memo lives in a
 ContextVar, so each thread sees only its own, and concurrent use needs no
@@ -173,14 +171,10 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
 
 def _nonzero(z: complex, name: str) -> complex:
     """z as a finite, nonzero complex number, else DomainError naming it."""
-    w = complex(z)
-    try:
-        if w and math.isfinite(abs(w)):
-            return w
-    except OverflowError:  # finite parts whose modulus overflows abs()
-        pass
-    _as_complex(w, name)  # raises unless finite
-    raise DomainError(f"{name} must be nonzero")
+    w = _as_complex(z, name)
+    if w == 0:
+        raise DomainError(f"{name} must be nonzero")
+    return w
 
 
 def _invertible(w: complex, name: str) -> complex:
@@ -202,14 +196,10 @@ def _square(z: complex, name: str) -> complex:
 def _in_disk(b: complex, name: str) -> complex:
     """b as a complex number with 0 < |b| < 1, the domain of a product base;
     else NonConvergentBase (a DomainError) naming it."""
-    w = complex(b)
-    try:
-        if 0.0 < abs(w) < 1.0:
-            return w
-    except OverflowError:  # finite parts whose modulus overflows abs()
-        pass
-    _as_complex(w, name)  # raises unless finite
-    raise NonConvergentBase(f"|{name}| must lie in (0, 1), got {abs(w):.6g}")
+    w = _as_complex(b, name)
+    if not (0.0 < abs(w) < 1.0):
+        raise NonConvergentBase(f"|{name}| must lie in (0, 1), got {abs(w):.6g}")
+    return w
 
 
 def _nonzero_int(n: int, name: str) -> int:
@@ -228,8 +218,7 @@ def _factor_count(
     taken as a difference so that the ratio cannot underflow, is corrected
     against that exact predicate, which falls monotonically in n, so the
     count is the one a per-factor test finds.  No n <= max_terms passing, a
-    non-finite headroom included, gives max_terms + 1.  ``_theta_pair``
-    applies this rule inline to both of its products.
+    non-finite headroom included, gives max_terms + 1.
     """
     cap = policy.max_terms + 1
     if not math.isfinite(headroom):
@@ -300,9 +289,9 @@ def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
     factor count first, then a loop with no test in it."""
     big = abs(b)
     count = _factor_count((1.0 + abs(x)) / (1.0 - big), big, math.log(big), policy)
-    one = power = result = 1.0 + 0j
+    power = result = 1.0 + 0j
     for _ in range(count):
-        result *= one - x * power
+        result *= 1.0 - x * power
         power *= b
     return _settled(x, b, count, result, policy)
 
@@ -312,11 +301,9 @@ def _theta_pair(a: complex, x: complex, policy: TruncationPolicy) -> complex:
     """(x; a)_inf * (a/x; a)_inf for a checked base and a checked x != 0;
     theta_a(x) is this times (a; a)_inf.
 
-    Both factor counts are taken here by ``_factor_count``'s rule, then both
-    products run in one loop over the shared powers a^n, each for its own
-    count; the longer one then finishes alone.  Two nonzero finite products
-    within the cap are final; ``_settled`` decides the rest.  An a/x whose
-    parts are finite but whose modulus is not raises DomainError.
+    Both products run in one loop over the shared powers a^n, each for its
+    own factor count; the longer one then finishes alone.  An a/x whose parts
+    are finite but whose modulus is not raises DomainError.
     """
     y = a / x
     big = abs(a)
@@ -327,43 +314,23 @@ def _theta_pair(a: complex, x: complex, policy: TruncationPolicy) -> complex:
     except OverflowError:  # finite parts whose modulus overflows abs()
         raise DomainError(f"|a/x| is out of floating-point range at theta argument "
                           f"x = {x!r}, a = {a!r}") from None
-    cap = policy.max_terms + 1
-    tol = policy.tail_tol
-    log_tol = math.log(tol)
-    hx = (1.0 + abs(x)) / room
-    hy = (1.0 + ay) / room
-    nx = ny = cap
-    if math.isfinite(hx):
-        nx = math.ceil((log_tol - math.log(hx)) / log_big)
-        if nx > cap:
-            nx = cap
-        while nx > 0 and hx * big ** (nx - 1) < tol:
-            nx -= 1
-        while nx < cap and not hx * big**nx < tol:
-            nx += 1
-    if math.isfinite(hy):
-        ny = math.ceil((log_tol - math.log(hy)) / log_big)
-        if ny > cap:
-            ny = cap
-        while ny > 0 and hy * big ** (ny - 1) < tol:
-            ny -= 1
-        while ny < cap and not hy * big**ny < tol:
-            ny += 1
-    # one - t is 1.0 - t bit for bit, and skips float's refused attempt at it
-    one = power = rx = ry = 1.0 + 0j
-    for _ in range(nx if nx < ny else ny):
-        rx *= one - x * power
-        ry *= one - y * power
+    nx = _factor_count((1.0 + abs(x)) / room, big, log_big, policy)
+    ny = _factor_count((1.0 + ay) / room, big, log_big, policy)
+    power = rx = ry = 1.0 + 0j
+    for _ in range(min(nx, ny)):
+        rx *= 1.0 - x * power
+        ry *= 1.0 - y * power
         power *= a
     for _ in range(nx - ny):
-        rx *= one - x * power
+        rx *= 1.0 - x * power
         power *= a
     for _ in range(ny - nx):
-        ry *= one - y * power
+        ry *= 1.0 - y * power
         power *= a
-    if nx < cap and ny < cap and rx and ry:
+    # _settled's common case for both products at once: skips two calls
+    if nx <= policy.max_terms and ny <= policy.max_terms and rx and ry:
         value = rx * ry
-        if cmath.isfinite(value):  # then so are rx and ry, both nonzero
+        if cmath.isfinite(value):  # then so are rx and ry
             return value
     return _settled(x, a, nx, rx, policy) * _settled(y, a, ny, ry, policy)
 
@@ -435,14 +402,8 @@ def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
     if xv == 0 or abs(av) >= 1.0:
         return False
     la = math.log(abs(av))
-    return _near_power(av, la, math.log1p(-rtol) / la, xv, rtol)
-
-
-def _near_power(av: complex, la: float, half: float, xv: complex, rtol: float) -> bool:
-    """_near_zero for 0 < |av| < 1 and xv != 0, given la = ln|av| and the
-    window's half width half = ln(1 - rtol) / la, so that a caller testing
-    several xv against one base forms them once."""
     center = math.log(abs(xv)) / la
+    half = math.log1p(-rtol) / la
     slack = 1e-9 * (1.0 + abs(center) + half)
     lo = math.ceil(center - half - slack)
     hi = math.floor(center + half + slack)
@@ -478,12 +439,10 @@ def _theta_quotient(
     and the pairs formed.  A quotient that is not finite, because a running
     product overflowed, raises DomainError."""
     av = _in_disk(a, base)
-    la = math.log(abs(av))
-    half = math.log1p(-_ZERO_RTOL) / la
     dens = []
     for arg in den_args:
         w = _nonzero(arg, "theta argument")
-        if _near_power(av, la, half, w, _ZERO_RTOL):
+        if _near_zero(av, w, _ZERO_RTOL):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
         dens.append(w)
     nums = [_nonzero(arg, "theta argument") for arg in num_args]

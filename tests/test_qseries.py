@@ -189,7 +189,7 @@ def test_quotient_path_equals_theta_products(max_terms, tail_tol, scoped):
 def test_counted_products_equal_stepwise_loop_at_the_stop_boundary(tail_tol):
     # |x| puts (1 + |x|) |b|^n / (1 - |b|) within a few ulps of tail_tol, where
     # the logarithmic estimate of the factor count can be one off either way;
-    # theta's pair counts (x; b) and (b/x; b) inline by the same rule
+    # theta's pair counts (x; b) and (b/x; b) there too
     policy = TruncationPolicy(512, tail_tol)
     for mag in (0.013, 0.11, 0.34, 0.52, 0.66, 0.81, 0.9):
         b = mag * cmath.exp(0.6j)
@@ -510,20 +510,15 @@ def test_theta_and_quotient_share_their_memo_entries():
     ],
 )
 def test_point_scope_raises_again_on_a_repeated_call(monkeypatch, call, error):
-    # a call that raises stores nothing: the repeat raises after the same
-    # work, counted as the factor counts of _product and the _settled calls
-    # that _theta_pair makes when a product does not end within its cap
+    # a call that raises stores nothing: the repeat raises after the same work
+    factor_count = qseries._factor_count
     counts = []
 
-    def counting(f):
-        def counted(*args):
-            counts[-1] += 1
-            return f(*args)
+    def counting(*args):
+        counts[-1] += 1
+        return factor_count(*args)
 
-        return counted
-
-    monkeypatch.setattr(qseries, "_factor_count", counting(qseries._factor_count))
-    monkeypatch.setattr(qseries, "_settled", counting(qseries._settled))
+    monkeypatch.setattr(qseries, "_factor_count", counting)
     with point_scope():
         for _ in range(2):
             counts.append(0)
