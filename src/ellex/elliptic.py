@@ -23,6 +23,7 @@ from .errors import DomainError, NearSingularity
 from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
+    _base,
     _in_disk,
     _nonzero,
     _square,
@@ -132,7 +133,7 @@ def snh_core(
     """
     yv = _nonzero(y, "y")
     y2 = _square(yv, "y^2")
-    return _theta_quotient(p * p, (1.0 / y2,), (p / y2,), policy, base="p^2", factor=yv)
+    return _theta_quotient(_base(p * p, policy, "p^2"), (1.0 / y2,), (p / y2,), factor=yv)
 
 
 def jacobi_snh(

@@ -40,6 +40,7 @@ from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _as_complex,
+    _base,
     _in_disk,
     _nonzero,
     _nonzero_int,
@@ -120,13 +121,13 @@ def _closed_form(
 ) -> complex:
     """The product from 1 of step(quot, q, x^2) over s = first..last, quot the
     quotient of ``table`` at s on the arguments head * p^s or head / p^s (heads
-    x^(+-2) q^(0 or 2) formed once); a p^s that underflows to 0 raises
-    DomainError naming it before that step's arguments are formed."""
+    x^(+-2) q^(0 or 2) and the base q^4 formed once); a p^s that underflows to
+    0 raises DomainError naming it before that step's arguments are formed."""
     xv = _nonzero(x, "x")
     p, q = nome.p, nome.q
-    q4 = q**4
     q2 = q * q
     x2 = _square(xv, "x^2")
+    q4 = _base(q**4, policy, "q^4")
     ix2 = 1.0 / x2
     heads = (x2, ix2, x2 * q2, ix2 * q2)  # x^(2e) q^(2k) at 2k + (e < 0)
     (a, a_up), (b, b_up), (c, c_up), (d, d_up) = [
@@ -140,7 +141,7 @@ def _closed_form(
                 raise DomainError(f"p^{s} underflows at p = {p!r}")
         nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
         dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
-        result *= step(_theta_quotient(q4, nums, dens, policy, base="q^4"), q, x2)
+        result *= step(_theta_quotient(q4, nums, dens), q, x2)
     return result
 
 
@@ -264,7 +265,7 @@ def commuting_F(
     if cp.k % 2:
         return 1.0 + 0j
     x2 = _square(xv, "x^2")
-    ratio = _theta_quotient(qv**4, (x2 * qv * qv,), (x2,), policy, base="q^4")
+    ratio = _theta_quotient(_base(qv**4, policy, "q^4"), (x2 * qv * qv,), (x2,))
     try:
         value = qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
         if cmath.isfinite(value):

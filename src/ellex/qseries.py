@@ -14,16 +14,16 @@ theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
 
 Each product counts its factors once: ``_factor_count`` takes the least n
 with (1 + |x|) |b|^n / (1 - |b|) < tail_tol from a logarithm, corrected
-against that exact test, and the factor loop then runs with no test inside.
-``_product`` evaluates one product (``qpochhammer``, theta's (a; a) and the
-head rows of ``rmatrix.kappa_inv``); ``_theta_pair`` evaluates theta's
-(x; a) and (a/x; a) in one loop over their shared powers a^n.  One guarded
+against that exact test, and the factor loop then runs with no test inside,
+over the powers of its checked base (a ``_Base`` from ``_base``): a table
+that every product at the base reads.  ``_product`` evaluates one product
+(``qpochhammer``, theta's (a; a), ``rmatrix.kappa_inv``'s head rows);
+``_theta_pair`` theta's (x; a) and (a/x; a).  One guarded
 quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, snh's
-T(y), and each step of an exchange closed form, which ``exchange`` multiplies
-into that form's running product as it goes) from one (a; a).
-Every value is bit for bit what a loop testing the bound before each factor
-gives; tests/test_qseries.py keeps that loop as the reference.  A product
-that overflows raises DomainError instead of returning inf or nan.
+T(y), each step of an exchange closed form, all steps at one base) from its
+base's (a; a).  Every value is bit for bit what a loop testing the bound
+before each factor gives; tests/test_qseries.py keeps that loop as the
+reference.  A product that overflows raises DomainError, not inf or nan.
 
 Each series counts its quiet terms once, before its loop: ``_quiet_terms``
 takes, from one logarithm, the leading terms of ``log_deriv_theta`` and
@@ -33,22 +33,22 @@ value is bit for bit what testing after every term gives;
 tests/test_qseries.py and tests/test_poisson.py keep those loops as the
 reference.
 
-Inside ``point_scope()`` the two products, ``_theta_pair`` and ``_product``,
-remember their values: the key is the function, the exact bits of its two
-complex arguments and the policy, and a call that raises stores nothing.
-``_theta_quotient`` forms its (a; a) and its pairs through those same two
-functions, one memo read each under the same keys, so a ``theta`` call and
-a quotient at one base and argument share one entry.
-The verification suites open one scope per sampled point, so each distinct
-theta factor of a point is formed once (the exchange functions at several
-levels share most of theirs) and nothing carries over to the next point.
-Outside a scope every call computes afresh, at the cost of one ContextVar
-lookup.
+Inside ``point_scope()`` each base is built once and the two products,
+``_theta_pair`` and ``_product``, remember their values: a base's key is the
+policy and the type and exact bits of a, a product's the function, the exact
+bits of x and a and the policy, and a call that raises stores nothing.  So
+every ``theta`` call and quotient at one base and point shares one base, its
+(a; a) and its table, and a call at a base and argument already seen reads
+the memo.  The verification suites open one scope per sampled point, so each
+distinct theta factor of a point is formed once (the exchange functions at
+several levels share most of theirs) and nothing carries over to the next
+point.  Outside a scope a base lives for one call, or one closed form, and
+every call computes afresh, at the cost of one ContextVar lookup.
 
-Check first, then compute: ``_theta_quotient`` checks the base, each
-denominator argument (finite, nonzero, and clear of a theta zero by
-``_near_zero`` at ``_ZERO_RTOL``) and each numerator argument, once each and
-in that order, before it forms any product.
+Check first, then compute: ``_base`` checks the base, then
+``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
+a theta zero at ``_ZERO_RTOL``) and each numerator argument, once each and in
+that order, before it forms any product.
 
 Everything here is a pure function of its arguments.  The memo lives in a
 ContextVar, so each thread sees only its own, and concurrent use needs no
@@ -64,7 +64,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul
 
 from .errors import (
@@ -119,18 +119,18 @@ _ZERO_RTOL = 1e-8
 _QUIET_FLOOR = 2.0**-960
 
 # The memo of the open point scope, None outside one.  Its keys are the
-# computing function, the policy's max_terms, and the exact bits of the two
-# complex arguments and of tail_tol (so 0.0 and -0.0 stay apart).
+# computing function (for a base, _Base and a's type), the policy's max_terms,
+# and the exact bits of the complex arguments and tail_tol (0.0 is not -0.0).
 _MEMO: ContextVar[dict | None] = ContextVar("ellex_point_memo", default=None)
 _BITS = struct.Struct("5d").pack
 
 
 @contextmanager
 def point_scope():
-    """Evaluate the block with a fresh memo: each theta factor and product
-    it forms at one (base, argument, policy) is computed once.  Meant for the
-    calls at one sampled point; whatever was in force before is back when
-    the block exits, raised or not."""
+    """Evaluate the block with a fresh memo: each base, theta factor and
+    product it forms at one (base, argument, policy) is formed once.  Meant
+    for the calls at one sampled point; whatever was in force before is back
+    when the block exits, raised or not."""
     token = _MEMO.set({})
     try:
         yield
@@ -139,20 +139,20 @@ def point_scope():
 
 
 def _memoized(compute):
-    """compute(first, second, policy), its value remembered in the open point
-    scope and evaluated afresh outside one.  A call that raises stores
-    nothing, so a repeated call raises again."""
+    """compute(x, base), its value remembered in the open point scope and
+    evaluated afresh outside one.  A call that raises stores nothing, so a
+    repeated call raises again."""
 
     @functools.wraps(compute)
-    def recall(first: complex, second: complex, policy: TruncationPolicy) -> complex:
+    def recall(x: complex, base: _Base) -> complex:
         memo = _MEMO.get()
         if memo is None:
-            return compute(first, second, policy)
-        bits = _BITS(first.real, first.imag, second.real, second.imag, policy.tail_tol)
-        key = (compute, policy.max_terms, bits)
+            return compute(x, base)
+        a, policy = base.a, base.policy
+        key = (compute, policy.max_terms, _BITS(x.real, x.imag, a.real, a.imag, policy.tail_tol))
         value = memo.get(key)
         if value is None:
-            value = memo[key] = compute(first, second, policy)
+            value = memo[key] = compute(x, base)
         return value
 
     return recall
@@ -209,22 +209,68 @@ def _nonzero_int(n: int, name: str) -> int:
     return int(n)
 
 
-def _factor_count(
-    headroom: float, big: float, log_big: float, policy: TruncationPolicy
-) -> int:
-    """Factors a product keeps: the least n with headroom * big**n < tail_tol.
+class _Base:
+    """A checked base a, 0 < |a| < 1, under one policy, with what every product
+    at it shares: |a|, log|a|, 1 - |a|, log(tail_tol), ``_near_power``'s window
+    at _ZERO_RTOL, (a; a)_inf once used, and the powers a^0, a^1, ... grown
+    by repeated multiplication.  Messages show ``given``, a as passed."""
 
-    The estimate ceil(log(tail_tol / headroom) / log(big)), its logarithm
-    taken as a difference so that the ratio cannot underflow, is corrected
-    against that exact predicate, which falls monotonically in n, so the
-    count is the one a per-factor test finds.  No n <= max_terms passing, a
-    non-finite headroom included, gives max_terms + 1.
+    __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
+                 "powers", "_aa")
+
+    def __init__(self, a: complex, given: complex, policy: TruncationPolicy) -> None:
+        self.a, self.given, self.policy = a, given, policy
+        self.big = big = abs(a)
+        self.log_big = math.log(big)
+        self.room = 1.0 - big
+        self.log_tol = math.log(policy.tail_tol)
+        self.half = math.log1p(-_ZERO_RTOL) / self.log_big
+        self.powers = [1.0 + 0j]
+        self._aa = None
+
+    @property
+    def aa(self) -> complex:
+        if self._aa is None:  # a call that raises stores nothing
+            self._aa = _product(self.a, self)
+        return self._aa
+
+    def upto(self, count: int) -> list[complex]:
+        """The table, grown to hold at least a^0 .. a^(count - 1)."""
+        powers = self.powers
+        power, a = powers[-1], self.a
+        for _ in range(count - len(powers)):
+            power *= a
+            powers.append(power)
+        return powers
+
+
+def _base(a: complex, policy: TruncationPolicy, name: str = "a") -> _Base:
+    """The _Base of a under policy; NonConvergentBase naming it unless
+    0 < |a| < 1.  Inside a point scope, every call with the same policy and
+    the same a, its type and exact bits, gets the same one."""
+    av = _in_disk(a, name)
+    memo = _MEMO.get()
+    if memo is None:
+        return _Base(av, a, policy)
+    key = (_Base, type(a), policy.max_terms, _BITS(av.real, av.imag, 0.0, 0.0, policy.tail_tol))
+    return memo.get(key) or memo.setdefault(key, _Base(av, a, policy))
+
+
+def _factor_count(headroom: float, base: _Base) -> int:
+    """Factors a product at base keeps: the least n with headroom * |a|**n < tail_tol.
+
+    The estimate ceil((log(tail_tol) - log(headroom)) / log|a|), its
+    logarithm taken as a difference so that the ratio cannot underflow, is
+    corrected against that exact predicate, which falls monotonically in n,
+    so the count is the one a per-factor test finds.  No n <= max_terms
+    passing, a non-finite headroom included, gives max_terms + 1.
     """
+    policy = base.policy
     cap = policy.max_terms + 1
     if not math.isfinite(headroom):
         return cap
-    tol = policy.tail_tol
-    n = math.ceil((math.log(tol) - math.log(headroom)) / log_big)
+    tol, big = policy.tail_tol, base.big
+    n = math.ceil((base.log_tol - math.log(headroom)) / base.log_big)
     if n > cap:
         n = cap
     while n > 0 and headroom * big ** (n - 1) < tol:
@@ -255,9 +301,7 @@ def _quiet_terms(scale: float, room: float, big: float, policy: TruncationPolicy
     return min(max(count, 0), policy.max_terms)
 
 
-def _settled(
-    x: complex, b: complex, count: int, result: complex, policy: TruncationPolicy
-) -> complex:
+def _settled(x: complex, base: _Base, count: int, result: complex) -> complex:
     """The counted product's outcome as the per-factor loop decides it.
 
     That loop returns its first partial product that is exactly zero, and
@@ -268,71 +312,62 @@ def _settled(
     finite, so a nonzero ``result`` within the cap is final; if it is not
     finite, the product overflowed and DomainError is raised.
     """
+    policy = base.policy
     if count <= policy.max_terms and result != 0:
         if not cmath.isfinite(result):
-            raise DomainError(f"(x; b)_inf overflows at x = {x!r}, b = {b!r}")
+            raise DomainError(f"(x; b)_inf overflows at x = {x!r}, b = {base.a!r}")
         return result
-    powers = accumulate(repeat(b, count - 1), mul, initial=1.0 + 0j)
-    factors = (1.0 - x * power for power in powers)
+    factors = (1.0 - x * power for power in base.upto(count)[:count])
     for partial in accumulate(factors, mul, initial=1.0 + 0j):
         if partial == 0:
             return partial
     raise TruncationExceeded(
         f"tail bound {policy.tail_tol:g} not reached within max_terms="
-        f"{policy.max_terms} (base moduli {abs(b):.4g})"
+        f"{policy.max_terms} (base moduli {base.big:.4g})"
     )
 
 
 @_memoized
-def _product(x: complex, b: complex, policy: TruncationPolicy) -> complex:
-    """(x; b)_inf for a base already checked to satisfy 0 < |b| < 1: the
-    factor count first, then a loop with no test in it."""
-    big = abs(b)
-    count = _factor_count((1.0 + abs(x)) / (1.0 - big), big, math.log(big), policy)
-    power = result = 1.0 + 0j
-    for _ in range(count):
+def _product(x: complex, base: _Base) -> complex:
+    """(x; a)_inf at a checked base: the factor count first, then a loop over
+    the tabled powers with no test in it."""
+    count = _factor_count((1.0 + abs(x)) / base.room, base)
+    result = 1.0 + 0j
+    for power in base.upto(count)[:count]:
         result *= 1.0 - x * power
-        power *= b
-    return _settled(x, b, count, result, policy)
+    return _settled(x, base, count, result)
 
 
 @_memoized
-def _theta_pair(a: complex, x: complex, policy: TruncationPolicy) -> complex:
-    """(x; a)_inf * (a/x; a)_inf for a checked base and a checked x != 0;
+def _theta_pair(x: complex, base: _Base) -> complex:
+    """(x; a)_inf * (a/x; a)_inf at a checked base and a checked x != 0;
     theta_a(x) is this times (a; a)_inf.
 
-    Both products run in one loop over the shared powers a^n, each for its
-    own factor count; the longer one then finishes alone.  An a/x whose parts
-    are finite but whose modulus is not raises DomainError.
+    Each product runs over the tabled powers a^n for its own factor count.
+    An a/x whose parts are finite but whose modulus is not raises
+    DomainError.
     """
-    y = a / x
-    big = abs(a)
-    room = 1.0 - big
-    log_big = math.log(big)
+    y = base.a / x
     try:
         ay = abs(y)
     except OverflowError:  # finite parts whose modulus overflows abs()
         raise DomainError(f"|a/x| is out of floating-point range at theta argument "
-                          f"x = {x!r}, a = {a!r}") from None
-    nx = _factor_count((1.0 + abs(x)) / room, big, log_big, policy)
-    ny = _factor_count((1.0 + ay) / room, big, log_big, policy)
-    power = rx = ry = 1.0 + 0j
-    for _ in range(min(nx, ny)):
+                          f"x = {x!r}, a = {base.a!r}") from None
+    nx = _factor_count((1.0 + abs(x)) / base.room, base)
+    ny = _factor_count((1.0 + ay) / base.room, base)
+    most = max(nx, ny)
+    powers = base.upto(most)
+    rx = ry = 1.0 + 0j
+    for power in powers[:nx]:
         rx *= 1.0 - x * power
+    for power in powers[:ny]:
         ry *= 1.0 - y * power
-        power *= a
-    for _ in range(nx - ny):
-        rx *= 1.0 - x * power
-        power *= a
-    for _ in range(ny - nx):
-        ry *= 1.0 - y * power
-        power *= a
     # _settled's common case for both products at once: skips two calls
-    if nx <= policy.max_terms and ny <= policy.max_terms and rx and ry:
+    if most <= base.policy.max_terms and rx and ry:
         value = rx * ry
         if cmath.isfinite(value):  # then so are rx and ry
             return value
-    return _settled(x, a, nx, rx, policy) * _settled(y, a, ny, ry, policy)
+    return _settled(x, base, nx, rx) * _settled(y, base, ny, ry)
 
 
 def qpochhammer(
@@ -346,15 +381,15 @@ def qpochhammer(
     that n exceeds ``max_terms`` it raises TruncationExceeded, unless one of
     the first max_terms + 1 partial products is zero.
     """
-    return _product(_as_complex(x, "x"), _in_disk(b, "b"), policy)
+    return _product(_as_complex(x, "x"), _base(b, policy, "b"))
 
 
 def theta(
     a: complex, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0."""
-    av = _in_disk(a, "a")
-    return _theta_pair(av, _nonzero(x, "x"), policy) * _product(av, av, policy)
+    base = _base(a, policy)
+    return _theta_pair(_nonzero(x, "x"), base) * base.aa
 
 
 def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
@@ -402,8 +437,12 @@ def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
     if xv == 0 or abs(av) >= 1.0:
         return False
     la = math.log(abs(av))
+    return _near_power(av, xv, rtol, la, math.log1p(-rtol) / la)
+
+
+def _near_power(av: complex, xv: complex, rtol: float, la: float, half: float) -> bool:
+    """_near_zero at 0 < |av| < 1 and xv != 0, given la = log|av| and half = log1p(-rtol) / la."""
     center = math.log(abs(xv)) / la
-    half = math.log1p(-rtol) / la
     slack = 1e-9 * (1.0 + abs(center) + half)
     lo = math.ceil(center - half - slack)
     hi = math.floor(center + half + slack)
@@ -419,42 +458,39 @@ def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
 
 
 def _theta_quotient(
-    a: complex,
+    base: _Base,
     num_args: tuple[complex, ...],
     den_args: tuple[complex, ...],
-    policy: TruncationPolicy,
     scale: complex = 1.0,
     *,
-    base: str = "a",
     factor: complex = 1.0 + 0j,
 ) -> complex:
-    """factor * prod theta_a(num_args) / (scale * prod theta_a(den_args)),
-    each product formed in argument order, the numerator's from the caller's
-    prefactor ``factor``, bit for bit what the public ``theta`` gives.
-    Checks come first: the base (NonConvergentBase unless 0 < |a| < 1, naming
-    it as the caller does, e.g. "q^4"), each denominator argument
-    (DomainError unless finite and nonzero, naming a "theta argument", not
-    the caller's x; NearSingularity within relative _ZERO_RTOL of a zero of
-    theta_a), then each numerator argument.  Only then are (a; a)_inf, once,
-    and the pairs formed.  A quotient that is not finite, because a running
-    product overflowed, raises DomainError."""
-    av = _in_disk(a, base)
+    """factor * prod theta_a(num_args) / (scale * prod theta_a(den_args)) at
+    a base from ``_base``, which has checked it, each product formed in
+    argument order, the numerator's from the caller's prefactor ``factor``,
+    bit for bit what the public ``theta`` gives.  Checks come first: each
+    denominator argument (DomainError unless finite and nonzero, naming a
+    "theta argument", not the caller's x; NearSingularity within relative
+    _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Only
+    then are the base's (a; a)_inf, once per base, and the pairs formed.  A
+    quotient that is not finite, because a running product overflowed,
+    raises DomainError."""
     dens = []
     for arg in den_args:
         w = _nonzero(arg, "theta argument")
-        if _near_zero(av, w, _ZERO_RTOL):
-            raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {a!r}")
+        if _near_power(base.a, w, _ZERO_RTOL, base.log_big, base.half):
+            raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {base.given!r}")
         dens.append(w)
     nums = [_nonzero(arg, "theta argument") for arg in num_args]
-    aa = _product(av, av, policy)
+    aa = base.aa
     num, den = factor, 1.0 + 0j
     for xv in nums:
-        num *= _theta_pair(av, xv, policy) * aa
+        num *= _theta_pair(xv, base) * aa
     for w in dens:
-        den *= _theta_pair(av, w, policy) * aa
+        den *= _theta_pair(w, base) * aa
     result = num / (scale * den)
     if not cmath.isfinite(result):
-        raise DomainError(f"theta quotient out of floating-point range at a = {av!r}")
+        raise DomainError(f"theta quotient out of floating-point range at a = {base.a!r}")
     return result
 
 

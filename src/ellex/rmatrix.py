@@ -38,6 +38,7 @@ from .qseries import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _as_complex,
+    _base,
     _in_disk,
     _invertible,
     _nonzero,
@@ -73,7 +74,7 @@ def tau_fn(
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
     x2 = _square(xv, "x^2")
-    return _theta_quotient(qv**4, (x2 * qv,), (qv / x2,), policy, xv, base="q^4")
+    return _theta_quotient(_base(qv**4, policy, "q^4"), (x2 * qv,), (qv / x2,), xv)
 
 
 def tau_fn_pochhammer(
@@ -145,12 +146,12 @@ def kappa_inv(
                 z *= a
             tails.append(z)
     share = policy.tail_tol / (2 * (len(num_rows) + len(den_rows) + 1))
-    row_policy = TruncationPolicy(policy.max_terms, share)
+    rows = _base(b, TruncationPolicy(policy.max_terms, share))
     num = den = 1.0 + 0j
     for z in num_rows:
-        num *= _product(z, b, row_policy)
+        num *= _product(z, rows)
     for z in den_rows:
-        den *= _product(z, b, row_policy)
+        den *= _product(z, rows)
     if not (cmath.isfinite(num) and cmath.isfinite(den)):
         raise DomainError(f"kappa_inv row products out of floating-point range at x2 = {y!r}")
     if den == 0:
@@ -206,9 +207,9 @@ def mu_inv(
     pv = _in_disk(p, "p")
     qv = _as_complex(q, "q")
     x2 = _square(xv, "x^2")
-    p2 = pv * pv
-    quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,), policy, base="p^2")
-    const = qpochhammer(p2, p2, policy) / qpochhammer(pv, pv, policy) ** 2
+    p2 = _base(pv * pv, policy, "p^2")
+    quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,))
+    const = p2.aa / qpochhammer(pv, pv, policy) ** 2
     return kappa_inv(x2, pv, qv, policy) * const * quotient
 
 

@@ -734,16 +734,34 @@ def test_verify_suites_other_than_mode_brackets_run_at_a_negative_q(capsys):
         ("eval", "--fn", "tau", "--q", "1e-100", "--x", "1.1"),
         ("eval", "--fn", "F", "--m", "1", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
         ("eval", "--fn", "Y", "--m", "1", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
+        # the closed forms check q^4 once, before their first step: F at
+        # m < 0 starts at s = 0, with no p^s, and Y's steps only multiply by
+        # p^s; at p = 1e-170, p^2 underflows at step 2, after the base check
+        ("eval", "--fn", "F", "--m=-1", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "F", "--m=-2", "--p", "1e-170", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "F", "--m", "2", "--p", "1e-170", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "Y", "--m=-1", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
+        ("eval", "--fn", "Y", "--m", "2", "--p", "1e-170", "--q", "1e-100", "--x", "1.1"),
         ("eval", "--fn", "center", "--q", "1e-100", "--x", "1.1"),
         ("eval", "--fn", "kappa", "--p", "0.2", "--q", "1e-100", "--x", "1.1"),
         ("limit", "--m", "1", "--k", "1", "--q", "1e-100", "--x", "1.1"),
     ],
-    ids=["tau", "F", "Y", "center", "kappa", "limit"],
+    ids=["tau", "F", "Y", "F-m-1", "F-m-2-p2", "F-m2-p2", "Y-m-1", "Y-m2-p2", "center", "kappa",
+         "limit"],
 )
 def test_an_underflowed_base_is_named_q4(capsys, argv):
     # q = 1e-100 is in the disk, but q^4 underflows to 0
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: |q^4| must lie in (0, 1), got 0\n")
+
+
+@pytest.mark.parametrize("fn, m", [("F", "2"), ("F", "-2"), ("Y", "2"), ("Y", "-1")])
+def test_a_subnormal_x2_is_refused_before_an_underflowed_base(capsys, fn, m):
+    # the closed forms check x, then x^2, then the base q^4
+    code, out, err = run(capsys, "eval", "--fn", fn, f"--m={m}", "--p", "1e-170",
+                         "--q", "1e-100", "--x", "1e-160")
+    message = "error: 1/x^2 is out of floating-point range at x^2 = (1e-320+0j)\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_an_underflowed_mu_base_is_named_p2(capsys):

@@ -37,6 +37,7 @@ from ellex.poisson import (
 )
 from ellex.qseries import (
     TruncationPolicy,
+    _base,
     _theta_quotient,
     log_deriv_theta,
     qpochhammer,
@@ -291,7 +292,7 @@ def _center_modes(q):
 # relative test at 1e-6, so a radius 7 times the nearest circle's is fine
 ONE_RULE = {
     "_theta_quotient": (NearSingularity, *_relative(
-        lambda d: _theta_quotient(0.4j, (0.7,), ((0.4j) ** 2 * (1 + d),), TruncationPolicy())
+        lambda d: _theta_quotient(_base(0.4j, TruncationPolicy()), (0.7,), ((0.4j) ** 2 * (1 + d),))
     )),
     "snh_core": (NearSingularity, *_relative(lambda d: snh_core((0.5 / (1 + d)) ** 0.5, 0.5))),
     "log_deriv_theta": (NearSingularity, *_relative(lambda d: log_deriv_theta(0.3, 0.09 * (1 + d)))),

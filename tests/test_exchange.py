@@ -3,13 +3,21 @@ construction paths, the commuting special points, and nome periodicity."""
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellex.elliptic import NomeParams
-from ellex.errors import DomainError, NearSingularity
+from ellex import exchange, qseries
+from ellex.errors import (
+    DomainError,
+    EllexError,
+    NearSingularity,
+    NonConvergentBase,
+    TruncationExceeded,
+)
 from ellex.exchange import (
     CommutingPoint,
     LevelParams,
@@ -22,7 +30,7 @@ from ellex.exchange import (
     exchange_Y_ratio,
     shift_factor_F,
 )
-from ellex.qseries import near_theta_zero
+from ellex.qseries import TruncationPolicy, _theta_quotient, near_theta_zero
 from ellex.rmatrix import mu_inv, tau_fn
 
 NOME = NomeParams(0.18, -0.45)
@@ -112,6 +120,93 @@ def test_exchange_closed_forms_keep_their_bits(p):
         for m, _, _ in EXCHANGE_PINS[p]
     ]
     assert got == EXCHANGE_PINS[p]
+
+
+def closed_form_per_step(table, first, last, step, nome, x, policy):
+    """The closed-form loop as it was before the base was hoisted out of it:
+    every step checks q^4 again and forms (q^4; q^4) and its powers afresh,
+    in a quotient of its own.  exchange._closed_form must equal it."""
+    xv = qseries._nonzero(x, "x")
+    p, q = nome.p, nome.q
+    q4 = q**4
+    q2 = q * q
+    x2 = qseries._square(xv, "x^2")
+    ix2 = 1.0 / x2
+    heads = (x2, ix2, x2 * q2, ix2 * q2)
+    (a, a_up), (b, b_up), (c, c_up), (d, d_up) = [
+        (heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side
+    ]
+    ps = result = 1.0 + 0j
+    for s in range(first, last + 1):
+        if s:
+            ps *= p
+            if ps == 0:
+                raise DomainError(f"p^{s} underflows at p = {p!r}")
+        nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
+        dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
+        quot = _theta_quotient(qseries._base(q4, policy, "q^4"), nums, dens)
+        result *= step(quot, q, x2)
+    return result
+
+
+def exchange_F_per_step(level, x, policy):
+    m, nome = level.m, level.nome
+    if m > 0:
+        value = closed_form_per_step(exchange._F_POS, 1, 2 * m, lambda u, q, x2: u / q, nome, x, policy)
+    else:
+        value = closed_form_per_step(exchange._F_NEG, 0, -2 * m - 1, lambda u, q, x2: q * u, nome, x,
+                                     policy)
+    return exchange._finite(value, "F", level, x)
+
+
+def exchange_Y_per_step(level, x, policy):
+    upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
+    inner = closed_form_per_step(exchange._Y, 1, upper, lambda u, q, x2: x2 * u, level.nome, x, policy)
+    return exchange._finite(inner * inner, "Y", level, x)
+
+
+def outcome_and_message(f, *args):
+    try:
+        return repr(f(*args))
+    except EllexError as exc:
+        return type(exc), str(exc)
+
+
+def per_step_draws(count):
+    """Seeded (level, x, policy): complex q with |q| in [0.05, 0.7], |p| in
+    [0.05, 20] around 1, m cycling over +-1..3; a few draws put x on a
+    denominator zero, q^4 below the floating-point range, p^2 or x^2 out of
+    range, or the cap at 8 factors."""
+    rng = random.Random(2025)
+    for i in range(count):
+        q = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(0.7))), rng.uniform(-3.1, 3.1))
+        p = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(20.0))), rng.uniform(-3.1, 3.1))
+        x = cmath.rect(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(-3.1, 3.1))
+        policy = TruncationPolicy()
+        special = rng.randrange(40)
+        if special == 0:
+            x = cmath.sqrt(p)  # theta(x^-2 p) = 0 at s = 1
+        elif special == 1:
+            q = 1e-100 * q / abs(q)
+        elif special == 2:
+            p = 1e-170 * p / abs(p)
+        elif special == 3:
+            x = 1e-160
+        elif special == 4:
+            policy = TruncationPolicy(8)
+        yield LevelParams((1, -1, 2, -2, 3, -3)[i % 6], NomeParams(p, q)), x, policy
+
+
+def test_closed_forms_equal_the_per_step_quotient_product():
+    # one base per closed form, its (q^4; q^4) and powers shared by every
+    # step, changes no value and no error, nor which error wins
+    seen = set()
+    for level, x, policy in per_step_draws(2400):
+        for closed, per_step in ((exchange_F, exchange_F_per_step), (exchange_Y, exchange_Y_per_step)):
+            want = outcome_and_message(per_step, level, x, policy)
+            assert outcome_and_message(closed, level, x, policy) == want, (level, x)
+            seen.add(want[0] if isinstance(want, tuple) else str)
+    assert seen == {str, DomainError, NearSingularity, TruncationExceeded, NonConvergentBase}
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1])

@@ -187,13 +187,24 @@ def _private_names(tree: ast.Module) -> set[str]:
     return {name for name in names if name.startswith("_")}
 
 
+def _attributes(tree: ast.Module) -> set[str]:
+    """Every attribute name a module reads or writes."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_qseries_forms_theta_factors(path):
     # one theta kernel: every theta quotient, snh's T(y) included, goes
     # through qseries._theta_quotient, and elliptic keeps no copy of its
-    # check-then-compute phase
-    names = _private_names(ast.parse(path.read_text()))
+    # check-then-compute phase.  A module that forms a quotient gets its
+    # checked base from qseries._base, never builds one itself, and leaves
+    # the base's power table to qseries
+    tree = ast.parse(path.read_text())
+    names = _private_names(tree)
     if path.name != "qseries.py":
-        assert "_theta_pair" not in names
+        assert names & {"_theta_pair", "_Base"} == set()
+        assert _attributes(tree) & {"powers", "upto"} == set()
+    if path.name in ("exchange.py", "rmatrix.py", "elliptic.py"):
+        assert {"_base", "_theta_quotient"} <= names
     if path.name == "elliptic.py":
-        assert names & {"_product", "_near_zero", "_ZERO_RTOL"} == set()
+        assert names & {"_product", "_near_zero", "_near_power", "_ZERO_RTOL"} == set()

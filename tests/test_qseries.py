@@ -81,6 +81,12 @@ def theta_stepwise(a, x, policy):
     )
 
 
+def theta_quotient(a, num_args, den_args, policy, scale=1.0):
+    """_theta_quotient at the base a, which qseries._base checks and builds
+    first, as every caller of the kernel does."""
+    return _theta_quotient(qseries._base(a, policy), num_args, den_args, scale)
+
+
 def outcome(f, *args):
     """repr of the value f returns (it tells -0.0 from 0.0), or the type of
     the error it raises."""
@@ -181,7 +187,7 @@ def test_quotient_path_equals_theta_products(max_terms, tail_tol, scoped):
                 calls.append((b, (), (x,)))
     with point_scope() if scoped else contextlib.nullcontext():
         for b, num_args, den_args in calls:
-            got = outcome(_theta_quotient, b, num_args, den_args, policy)
+            got = outcome(theta_quotient, b, num_args, den_args, policy)
             assert got == outcome(theta_quotient_public, b, num_args, den_args, 1.0, policy)
 
 
@@ -224,7 +230,7 @@ def test_factor_count_corrects_its_estimate_both_ways():
         policy = TruncationPolicy(512, tol)
         log_big = math.log(big)
         estimate = min(math.ceil((math.log(tol) - math.log(headroom)) / log_big), 513)
-        count = qseries._factor_count(headroom, big, log_big, policy)
+        count = qseries._factor_count(headroom, qseries._base(big, policy))
         least = next((k for k in range(513) if headroom * big**k < tol), 513)
         assert count == least, (headroom, big, tol)
         if count != estimate:
@@ -256,6 +262,62 @@ def test_exact_zero_factor_at_the_cap():
     assert qpochhammer(4.0, 0.5, TruncationPolicy(max_terms=2)) == 0
     with pytest.raises(TruncationExceeded):
         qpochhammer(4.0, 0.5, TruncationPolicy(max_terms=1))
+
+
+def pair_stepwise(a, x, policy):
+    """theta's pair (x; a) (a/x; a) from two per-factor loops."""
+    a, x = complex(a), complex(x)
+    return product_stepwise(x, a, policy) * product_stepwise(a / x, a, policy)
+
+
+# |x| from 1 up three decades, down to 1e-3 and back: a pair's longer factor
+# count rises with |x| and with |a/x|, so each base's table grows, then serves
+# shorter products from its head; each base's exact zero x a^k = 1 (k = 2, 4,
+# 2) comes first and last
+TABLE_MAGS = [10.0 ** (k / 2) for k in [*range(0, 7), *range(5, -7, -1), *range(-5, 1)]]
+TABLE_ZEROS = {0.5: 4.0, 0.5j: 16.0, 0.5 + 0.5j: -2j}
+TABLE_BASES = [*TABLE_ZEROS, 0.07 * cmath.exp(0.9j), -0.41, 0.87 * cmath.exp(-2.3j)]
+TABLE_POLICIES = [TruncationPolicy(), TruncationPolicy(60, 1e-10), TruncationPolicy(8),
+                  TruncationPolicy(3, 1e-6)]
+
+
+def kind(got):
+    """An outcome_and_message result as ``outcome`` reports it (the stepwise
+    loops' messages are their own): the value's repr, or the error type."""
+    return got if isinstance(got, str) else got[0]
+
+
+@pytest.mark.parametrize("policy", TABLE_POLICIES, ids=lambda p: f"{p.max_terms}-{p.tail_tol:g}")
+def test_a_shared_base_equals_the_stepwise_loop(policy):
+    # every pair and product at one base reads its powers from the base's
+    # table: each equals the per-factor loop by repr or error type, and the
+    # same call on a fresh base by repr or error type and message, whatever
+    # the table held before it
+    def product(b, x, policy):
+        return product_stepwise(x, b, policy)
+
+    seen = set()
+    for b in TABLE_BASES:
+        base = qseries._base(b, policy)
+        zero = [TABLE_ZEROS[b]] if b in TABLE_ZEROS else []
+        xs = zero + [m * cmath.exp(0.7j * k) for k, m in enumerate(TABLE_MAGS)] + zero
+        sizes = []
+        for x in map(complex, xs):
+            for kernel, reference in ((qseries._theta_pair, pair_stepwise), (qseries._product, product)):
+                got = outcome_and_message(kernel, x, base)
+                assert got == outcome_and_message(kernel, x, qseries._base(b, policy)), (b, x)
+                assert kind(got) == outcome(reference, complex(b), x, policy), (b, x)
+                seen.add(kind(got) if not isinstance(got, str) else complex(got) != 0)
+            sizes.append(len(base.powers))
+        got = outcome_and_message(lambda: base.aa)
+        assert kind(got) == outcome(product_stepwise, complex(b), complex(b), policy), b
+        # the table grew only as far as the longest count asked for, and the
+        # last leg, back up from |x| = 1e-3, added nothing to it
+        assert sizes == sorted(sizes) and sizes[-1] == sizes[-8] > 1, sizes
+    # exact zeros under every cap, nonzero values under the roomy ones, and
+    # the TruncationExceeded branch under all but the default
+    assert seen - {True} == ({False} if policy.max_terms == 512 else {False, TruncationExceeded})
+    assert (True in seen) == (policy.max_terms >= 60)
 
 
 # --- theta -------------------------------------------------------------------
@@ -327,7 +389,7 @@ def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, s
     if any(near_theta_zero(a, v) for v in den_args):
         return
     num_args, den_args = tuple(num_args), tuple(den_args)
-    got = _theta_quotient(a, num_args, den_args, TruncationPolicy(), scale)
+    got = theta_quotient(a, num_args, den_args, TruncationPolicy(), scale)
     assert got == theta_quotient_public(a, num_args, den_args, scale)
 
 
@@ -351,7 +413,7 @@ def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, s
 )
 def test_theta_quotient_errors_match_public_theta(a, num_args, den_args, error):
     with pytest.raises(error):
-        _theta_quotient(a, num_args, den_args, TruncationPolicy())
+        theta_quotient(a, num_args, den_args, TruncationPolicy())
 
 
 def check_quotient_inputs(a, num_args, den_args):
@@ -372,12 +434,13 @@ def theta_quotient_checked_first(a, num_args, den_args, policy, scale=1.0):
     """The reference for _theta_quotient's values and errors (type, message
     and order): every check first, then (a; a) and the pairs."""
     av = check_quotient_inputs(a, num_args, den_args)
-    aa = qseries._product(av, av, policy)
+    base = qseries._base(av, policy)
+    aa = qseries._product(av, base)
     num = den = 1.0 + 0j
     for arg in num_args:
-        num *= qseries._theta_pair(av, complex(arg), policy) * aa
+        num *= qseries._theta_pair(complex(arg), base) * aa
     for arg in den_args:
-        den *= qseries._theta_pair(av, complex(arg), policy) * aa
+        den *= qseries._theta_pair(complex(arg), base) * aa
     return num / (scale * den)
 
 
@@ -413,7 +476,7 @@ def test_theta_quotient_checks_first_and_raises_as_the_reference():
     compared = set()
     for a, num_args, den_args, policy in quotient_draws(3000):
         want = outcome_and_message(theta_quotient_checked_first, a, num_args, den_args, policy)
-        assert outcome_and_message(_theta_quotient, a, num_args, den_args, policy) == want
+        assert outcome_and_message(theta_quotient, a, num_args, den_args, policy) == want
         compared.add(want[0] if isinstance(want, tuple) else str)
     assert compared == {str, DomainError, NonConvergentBase, NearSingularity, TruncationExceeded}
 
@@ -434,7 +497,7 @@ def test_theta_quotient_forms_no_product_before_a_check_fails(monkeypatch):
         except EllexError as exc:
             counts[0] = 0
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                _theta_quotient(a, num_args, den_args, policy)
+                theta_quotient(a, num_args, den_args, policy)
             assert counts[0] == 0, (a, num_args, den_args)
             rejected += 1
     assert rejected > 1000
@@ -468,8 +531,8 @@ def memo_calls(seed, draws):
                 calls.append((theta, (base, arg, policy)))
                 calls.append((snh_core, (arg, base, policy)))
                 calls.append((kappa_inv, (arg, base, q, policy)))
-            calls.append((_theta_quotient, (base, (pool[1], u), (pool[2], u), policy, u)))
-            calls.append((_theta_quotient, (base, (pool[3],), (pool[4], pool[1]), policy)))
+            calls.append((theta_quotient, (base, (pool[1], u), (pool[2], u), policy, u)))
+            calls.append((theta_quotient, (base, (pool[3],), (pool[4], pool[1]), policy)))
     return calls
 
 
@@ -484,19 +547,34 @@ def test_point_scope_changes_no_value():
 
 
 def test_theta_and_quotient_share_their_memo_entries():
-    # a quotient looks its factors up under theta's keys: after theta(a, x)
-    # it computes only the pairs of its other arguments, and (a; a) not again
-    pair, product = qseries._theta_pair.__wrapped__, qseries._product.__wrapped__
+    # a quotient looks its base and factors up under theta's keys: after
+    # theta(a, x) it gets theta's base, whose (a; a) is formed, and computes
+    # only the pairs of its other arguments
+    base, pair, product = qseries._Base, qseries._theta_pair.__wrapped__, qseries._product.__wrapped__
     a, x, u, v = 0.3 - 0.2j, 1.1 + 0.2j, 0.7 - 0.4j, complex(1.3, -0.0)
     with point_scope():
         memo = qseries._MEMO.get()
         alone = theta(a, x)
-        assert [key[0] for key in memo] == [pair, product]
-        quotient = _theta_quotient(a, (u, x), (v, x), TruncationPolicy())
-        assert [key[0] for key in memo] == [pair, product, pair, pair]
+        assert [key[0] for key in memo] == [base, pair, product]
+        quotient = theta_quotient(a, (u, x), (v, x), TruncationPolicy())
+        assert [key[0] for key in memo] == [base, pair, product, pair, pair]
         assert theta(a, x) == alone
-        assert len(memo) == 4
+        assert len(memo) == 5
+        assert qseries._base(a, TruncationPolicy()) is next(iter(memo.values()))
     assert quotient == theta_quotient_public(a, (u, x), (v, x))
+
+
+def test_point_scope_keeps_the_base_each_caller_gave():
+    # a float base and the complex one with the same bits share the products
+    # in a scope, but each quotient's message shows a as its caller gave it,
+    # as it does outside a scope (snh_core's p^2 is a float under jacobi_snh)
+    near = (0.4**2 * (1 + 1e-10),)
+    calls = [(a, (0.7,), den) for den in ((1.3,), near) for a in (0.4, 0.4 + 0j, 0.4, 0.4 + 0j)]
+    outside = [outcome_and_message(theta_quotient, *call, TruncationPolicy()) for call in calls]
+    with point_scope():
+        inside = [outcome_and_message(theta_quotient, *call, TruncationPolicy()) for call in calls]
+    assert inside == outside
+    assert [o[1].split("a = ")[-1] for o in outside[4:]] == ["0.4", "(0.4+0j)"] * 2
 
 
 @pytest.mark.parametrize(
@@ -504,7 +582,7 @@ def test_theta_and_quotient_share_their_memo_entries():
     [
         (lambda: theta(0.5, 1.1, TruncationPolicy(8)), TruncationExceeded),
         (lambda: kappa_inv(1.21, 0.5, 0.9, TruncationPolicy(8)), TruncationExceeded),
-        (lambda: _theta_quotient(0.4j, (0.7,), ((0.4j) ** -1,), TruncationPolicy()),
+        (lambda: theta_quotient(0.4j, (0.7,), ((0.4j) ** -1,), TruncationPolicy()),
          NearSingularity),
         (lambda: snh_core(0.5**0.5, 0.5), NearSingularity),
     ],
