@@ -17,10 +17,10 @@ with (1 + |x|) |b|^n / (1 - |b|) < tail_tol from a logarithm, corrected
 against that exact test, and the factor loop then runs with no test inside,
 over the powers of its checked base (a ``_Base`` from ``_base``): a table
 that every product at the base reads.  ``_product`` evaluates one product
-(``qpochhammer``, theta's (a; a), ``rmatrix.kappa_inv``'s head rows);
-``_theta_pair`` theta's (x; a) and (a/x; a).  One guarded
-quotient, ``_theta_quotient``, forms every theta quotient (tau, mu, snh's
-T(y), each step of an exchange closed form, all steps at one base) from its
+(``qpochhammer``, theta's (a; a), ``rmatrix.kappa_inv``'s head rows), and
+``_theta_pair`` theta's (x; a) and (a/x; a).  One guarded quotient,
+``_theta_quotient``, forms every theta quotient (tau, mu, snh's T(y), each
+step of an exchange closed form, all steps at one base) from its
 base's (a; a).  Every value is bit for bit what a loop testing the bound
 before each factor gives; tests/test_qseries.py keeps that loop as the
 reference.  A product that overflows raises DomainError, not inf or nan.

@@ -152,16 +152,16 @@ def closed_form_per_step(table, first, last, step, nome, x, policy):
 def exchange_F_per_step(level, x, policy):
     m, nome = level.m, level.nome
     if m > 0:
-        value = closed_form_per_step(exchange._F_POS, 1, 2 * m, lambda u, q, x2: u / q, nome, x, policy)
+        form = (exchange._F_POS, 1, 2 * m, lambda u, q, x2: u / q)
     else:
-        value = closed_form_per_step(exchange._F_NEG, 0, -2 * m - 1, lambda u, q, x2: q * u, nome, x,
-                                     policy)
-    return exchange._finite(value, "F", level, x)
+        form = (exchange._F_NEG, 0, -2 * m - 1, lambda u, q, x2: q * u)
+    return exchange._finite(closed_form_per_step(*form, nome, x, policy), "F", level, x)
 
 
 def exchange_Y_per_step(level, x, policy):
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
-    inner = closed_form_per_step(exchange._Y, 1, upper, lambda u, q, x2: x2 * u, level.nome, x, policy)
+    form = (exchange._Y, 1, upper, lambda u, q, x2: x2 * u)
+    inner = closed_form_per_step(*form, level.nome, x, policy)
     return exchange._finite(inner * inner, "Y", level, x)
 
 
@@ -179,8 +179,8 @@ def per_step_draws(count):
     range, or the cap at 8 factors."""
     rng = random.Random(2025)
     for i in range(count):
-        q = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(0.7))), rng.uniform(-3.1, 3.1))
-        p = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(20.0))), rng.uniform(-3.1, 3.1))
+        q = cmath.rect(0.05 * 14.0 ** rng.random(), rng.uniform(-3.1, 3.1))
+        p = cmath.rect(0.05 * 400.0 ** rng.random(), rng.uniform(-3.1, 3.1))
         x = cmath.rect(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(-3.1, 3.1))
         policy = TruncationPolicy()
         special = rng.randrange(40)
@@ -202,7 +202,8 @@ def test_closed_forms_equal_the_per_step_quotient_product():
     # step, changes no value and no error, nor which error wins
     seen = set()
     for level, x, policy in per_step_draws(2400):
-        for closed, per_step in ((exchange_F, exchange_F_per_step), (exchange_Y, exchange_Y_per_step)):
+        for closed, per_step in ((exchange_F, exchange_F_per_step),
+                                 (exchange_Y, exchange_Y_per_step)):
             want = outcome_and_message(per_step, level, x, policy)
             assert outcome_and_message(closed, level, x, policy) == want, (level, x)
             seen.add(want[0] if isinstance(want, tuple) else str)

@@ -303,7 +303,8 @@ def test_a_shared_base_equals_the_stepwise_loop(policy):
         xs = zero + [m * cmath.exp(0.7j * k) for k, m in enumerate(TABLE_MAGS)] + zero
         sizes = []
         for x in map(complex, xs):
-            for kernel, reference in ((qseries._theta_pair, pair_stepwise), (qseries._product, product)):
+            for kernel, reference in ((qseries._theta_pair, pair_stepwise),
+                                      (qseries._product, product)):
                 got = outcome_and_message(kernel, x, base)
                 assert got == outcome_and_message(kernel, x, qseries._base(b, policy)), (b, x)
                 assert kind(got) == outcome(reference, complex(b), x, policy), (b, x)
@@ -550,7 +551,8 @@ def test_theta_and_quotient_share_their_memo_entries():
     # a quotient looks its base and factors up under theta's keys: after
     # theta(a, x) it gets theta's base, whose (a; a) is formed, and computes
     # only the pairs of its other arguments
-    base, pair, product = qseries._Base, qseries._theta_pair.__wrapped__, qseries._product.__wrapped__
+    base = qseries._Base
+    pair, product = qseries._theta_pair.__wrapped__, qseries._product.__wrapped__
     a, x, u, v = 0.3 - 0.2j, 1.1 + 0.2j, 0.7 - 0.4j, complex(1.3, -0.0)
     with point_scope():
         memo = qseries._MEMO.get()
