@@ -46,7 +46,7 @@ from .poisson import (
     poisson_structure,
     poisson_structure_center,
 )
-from .qseries import DEFAULT_POLICY, TruncationPolicy, theta
+from .qseries import DEFAULT_POLICY, TruncationPolicy, point_scope, theta
 from .report import CheckResult, VerificationReport, csv_text, json_bytes
 from .rmatrix import kappa_inv, mu_inv, tau_fn
 
@@ -181,12 +181,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     rows = []
     fine = pol.tighter(100.0)
-    for x in xs if "x" in needed else [None]:
-        at = fixed if x is None else [*fixed, x]
-        val = _finite(impl(*at, pol), fn, x)
-        ref = _finite(impl(*at, fine), fn, x)
-        where = {} if x is None else {"x": x}
-        rows.append({"fn": fn, **where, "value": val, "trunc_err": abs(val - ref)})
+    with point_scope():  # the points share one base per policy
+        for x in xs if "x" in needed else [None]:
+            at = fixed if x is None else [*fixed, x]
+            val = _finite(impl(*at, pol), fn, x)
+            ref = _finite(impl(*at, fine), fn, x)
+            where = {} if x is None else {"x": x}
+            rows.append({"fn": fn, **where, "value": val, "trunc_err": abs(val - ref)})
 
     def text(r: dict) -> str:
         where = f" at x = {r['x']!r}" if "x" in r else ""

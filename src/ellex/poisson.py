@@ -52,7 +52,6 @@ from .errors import (
     DomainError,
     NearSingularity,
     QuadratureUnresolved,
-    TruncationExceeded,
 )
 from .exchange import LevelParams, exchange_Y
 from .qseries import (
@@ -60,13 +59,16 @@ from .qseries import (
     TruncationPolicy,
     _ZERO_RTOL,
     _as_complex,
+    _base,
     _in_disk,
     _near_zero,
     _nonzero,
     _nonzero_int,
-    _quiet_terms,
+    _series_powers,
     _square,
+    _unmet,
     log_deriv_theta,
+    point_scope,
 )
 
 __all__ = [
@@ -90,13 +92,14 @@ def poisson_series_g(
 ) -> complex:
     """The bracketed series g(x), with poles at x^2 = q^(2j).
 
-    Stops after term n once t = q^(4(n+1)) makes |x^2 t| and |x^-2 t| below
-    1/2 and 8 (|x|^2 + |x|^-2) |t| / (1 - |q|^4) < tail_tol, which bounds the
-    absolute value of the dropped terms.  The leading terms whose last
-    clause cannot hold, counted by ``qseries._quiet_terms`` with a factor 4
-    and two terms to spare over the roundoff of the repeated power t, skip
-    the test, so the value is bit for bit what testing after every term
-    gives.
+    Keeps the terms n < N for the least N >= 1 with
+    8 (|x|^2 + |x|^-2) |q^(4N)| / (1 - |q|^4) < tail_tol, which bounds the
+    absolute value of the dropped terms and keeps |x^2 q^(4N)| and
+    |x^-2 q^(4N)| below 1/8.  ``qseries._series_powers`` counts them once
+    and gives the powers t = q^(4n) from the table of the checked base q^4,
+    so the loop tests nothing and the value is bit for bit what testing
+    after every term, with t formed by repeated multiplication, gives.  A q^4
+    that underflows to 0 leaves the first term alone.
     """
     xv = _nonzero(x, "x")
     qv = _in_disk(q, "q")
@@ -107,14 +110,15 @@ def poisson_series_g(
     q2 = qv * qv
     q4 = q2 * q2
     total = a / (1.0 - a) - b / (1.0 - b)
-    t = 1.0 + 0j
-    mag = abs(a) + abs(b)
-    big = abs(q4)
-    room = 1.0 - big
-    quiet = _quiet_terms(8.0 * mag, room, big, policy)
+    scale = 8.0 * (abs(a) + abs(b))
+    if q4:
+        powers = _series_powers(scale, _base(q4, policy, "q^4"), "structure-function")
+    elif scale < math.inf:  # q^4 underflowed to 0: the bound holds after one term
+        powers = [1.0 + 0j, 0j]
+    else:
+        raise _unmet("structure-function", policy)
     neg_2a, pos_2a, pos_2b = -2.0 * a, 2.0 * a, 2.0 * b
-    tol = policy.tail_tol
-    for n in range(policy.max_terms):
+    for t in powers[:-1]:
         at, bt, bt2 = a * t, b * t, pos_2b * t
         total += (
             neg_2a * t / (1.0 - at)
@@ -122,18 +126,7 @@ def poisson_series_g(
             + bt2 / (1.0 - bt)
             - bt2 * q2 / (1.0 - bt * q2)
         )
-        t *= q4
-        if (
-            n >= quiet
-            and abs(a * t) < 0.5
-            and abs(b * t) < 0.5
-            and 8.0 * mag * abs(t) / room < tol
-        ):
-            return total
-    raise TruncationExceeded(
-        f"structure-function series did not meet tail {policy.tail_tol:g} "
-        f"within {policy.max_terms} terms"
-    )
+    return total
 
 
 def poisson_structure(
@@ -191,7 +184,8 @@ def beta_limit_check(
     ladder of finite steps beta -> 0.
 
     At each beta the nome is p = q^(4k / (2 - beta)), so that
-    q^(2k) = p^(1 - beta/2); Y takes any p != 0, so k may be negative.
+    q^(2k) = p^(1 - beta/2); Y takes any p != 0, so k may be negative, and
+    a p that overflows raises DomainError.
     Every beta must lie in (0, 0.1] and at least two must differ; the
     ladder runs over the distinct betas in descending order.  First-order
     convergence makes the error fall tenfold per decade of beta, and the
@@ -213,7 +207,11 @@ def beta_limit_check(
     lnq = cmath.log(q)
     rows = []
     for beta in ladder:
-        nome = NomeParams(cmath.exp(4.0 * k / (2.0 - beta) * lnq), q)
+        try:
+            nome = NomeParams(cmath.exp(4.0 * k / (2.0 - beta) * lnq), q)
+        except OverflowError:
+            raise DomainError(f"p = q^(4k / (2 - beta)) overflows at k = {k}, beta = {beta:g}, "
+                              f"q = {q!r}") from None
         value = cmath.log(exchange_Y(LevelParams(m, nome), xv, policy)) / beta
         rows.append((beta, value, abs(value - target)))
     (b1, _, e1), (b2, _, e2) = rows[-2:]
@@ -305,8 +303,9 @@ def laurent_modes(
 
     g_l = (1/2 pi i) oint_{|x| = r} x^(-l-1) f(x) dx by the trapezoidal rule
     on the circle of radius r = |q|^(n_ann - 1/2).  f is sampled once at
-    2N nodes (N = quadrature_points); np.fft.fft of those samples gives the
-    2N-node rule and of the even nodes alone the N-node rule.  Raises
+    2N nodes (N = quadrature_points), in one point scope, so that they share
+    one base q^4; np.fft.fft of those samples gives the 2N-node rule and of
+    the even nodes alone the N-node rule.  Raises
     QuadratureUnresolved when the two rules differ in any coefficient by
     more than 1e-9, AnnulusContainsPole when r is within relative 1e-6 of a
     pole circle |q|^j, and DomainError when some r^l, |l| <= l_max, leaves
@@ -329,7 +328,8 @@ def laurent_modes(
     import numpy as np
 
     nodes = 2 * quadrature_points
-    vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
+    with point_scope():  # every node shares the structure function's base q^4
+        vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
 
     def rule(samples: np.ndarray) -> dict[int, complex]:
         # index l of the transform is frequency l; negative l wraps to the end

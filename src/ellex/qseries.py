@@ -12,26 +12,23 @@ theta_a(x) has simple zeros exactly at x = a^n for integer n, and obeys
     theta_a(a*x)   = theta_a(1/x) = -theta_a(x)/x
     theta_a(a^s*x) = (-1)^s * a^(-s(s-1)/2) * x^(-s) * theta_a(x)
 
-Each product counts its factors once: ``_factor_count`` takes the least n
-with (1 + |x|) |b|^n / (1 - |b|) < tail_tol from a logarithm, corrected
-against that exact test, and the factor loop then runs with no test inside,
-over the powers of its checked base (a ``_Base`` from ``_base``): a table
-that every product at the base reads.  ``_product`` evaluates one product
+Each product and series counts its factors or terms once, at its checked
+base (a ``_Base`` from ``_base``), and then loops with no test inside over
+the base's powers, a table that every product and series at the base reads.
+A product keeps the least n factors with (1 + |x|) |b|^n / (1 - |b|) <
+tail_tol (``_factor_count``); a series sums over the powers a^0 .. a^N that
+``_series_powers`` gives, N the least with scale |a^N| / (1 - |a|) <
+tail_tol, the bound on the terms it drops (``log_deriv_theta`` and
+``poisson.poisson_series_g``).  Each count comes from a logarithm,
+corrected against its exact test.  ``_product`` evaluates one product
 (``qpochhammer``, theta's (a; a), ``rmatrix.kappa_inv``'s head rows), and
 ``_theta_pair`` theta's (x; a) and (a/x; a).  One guarded quotient,
 ``_theta_quotient``, forms every theta quotient (tau, mu, snh's T(y), each
-step of an exchange closed form, all steps at one base) from its
-base's (a; a).  Every value is bit for bit what a loop testing the bound
-before each factor gives; tests/test_qseries.py keeps that loop as the
-reference.  A product that overflows raises DomainError, not inf or nan.
-
-Each series counts its quiet terms once, before its loop: ``_quiet_terms``
-takes, from one logarithm, the leading terms of ``log_deriv_theta`` and
-``poisson.poisson_series_g`` whose stop test cannot pass, with a factor 4
-and two terms to spare.  Those skip the test and the rest keep it, so each
-value is bit for bit what testing after every term gives;
-tests/test_qseries.py and tests/test_poisson.py keep those loops as the
-reference.
+step of an exchange closed form, all steps at one base) from its base's
+(a; a).  Every value is bit for bit what a loop testing the bound before
+each factor, or after each term, gives; tests/test_qseries.py and
+tests/test_poisson.py keep those loops as the reference.  A product that
+overflows raises DomainError, not inf or nan.
 
 Inside ``point_scope()`` each base is built once and the two products,
 ``_theta_pair`` and ``_product``, remember their values: a base's key is the
@@ -42,8 +39,10 @@ every ``theta`` call and quotient at one base and point shares one base, its
 the memo.  The verification suites open one scope per sampled point, so each
 distinct theta factor of a point is formed once (the exchange functions at
 several levels share most of theirs) and nothing carries over to the next
-point.  Outside a scope a base lives for one call, or one closed form, and
-every call computes afresh, at the cost of one ContextVar lookup.
+point.  The CLI's ``eval`` opens one scope for all the points of an
+invocation, and ``poisson.laurent_modes`` one for the nodes of a table.
+Outside a scope a base lives for one call, or one closed form, and every
+call computes afresh, at the cost of one ContextVar lookup.
 
 Check first, then compute: ``_base`` checks the base, then
 ``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
@@ -64,7 +63,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from operator import mul
 
 from .errors import (
@@ -114,9 +113,6 @@ DEFAULT_POLICY = TruncationPolicy()
 # default, so the theta quotients (snh_core's among them), log_deriv_theta and
 # the poisson series all refuse the same points
 _ZERO_RTOL = 1e-8
-# the powers |a|^n after which a series skips its stop test stay above this
-# (_quiet_terms): far from the subnormals, whose relative precision is lost
-_QUIET_FLOOR = 2.0**-960
 
 # The memo of the open point scope, None outside one.  Its keys are the
 # computing function (for a base, _Base and a's type), the policy's max_terms,
@@ -129,8 +125,8 @@ _BITS = struct.Struct("5d").pack
 def point_scope():
     """Evaluate the block with a fresh memo: each base, theta factor and
     product it forms at one (base, argument, policy) is formed once.  Meant
-    for the calls at one sampled point; whatever was in force before is back
-    when the block exits, raised or not."""
+    for the calls at one point, or at the nodes of one modes table; what was
+    in force before is back when the block exits, raised or not."""
     token = _MEMO.set({})
     try:
         yield
@@ -211,9 +207,10 @@ def _nonzero_int(n: int, name: str) -> int:
 
 class _Base:
     """A checked base a, 0 < |a| < 1, under one policy, with what every product
-    at it shares: |a|, log|a|, 1 - |a|, log(tail_tol), ``_near_power``'s window
-    at _ZERO_RTOL, (a; a)_inf once used, and the powers a^0, a^1, ... grown
-    by repeated multiplication.  Messages show ``given``, a as passed."""
+    and series at it shares: |a|, log|a|, 1 - |a|, log(tail_tol), the window
+    of ``_near_power`` at _ZERO_RTOL, (a; a)_inf once used, and the powers
+    a^0, a^1, ... grown by repeated multiplication.  Messages show ``given``,
+    a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
                  "powers", "_aa")
@@ -280,25 +277,33 @@ def _factor_count(headroom: float, base: _Base) -> int:
     return n
 
 
-def _quiet_terms(scale: float, room: float, big: float, policy: TruncationPolicy) -> int:
-    """Leading terms of a series whose stop test cannot pass: those may skip it.
+def _series_powers(scale: float, base: _Base, series: str) -> list[complex]:
+    """The powers a^0 .. a^N a series at base sums over, N the least N >= 1
+    with scale * |a^N| / (1 - |a|) < tail_tol (the bound on the terms it
+    drops, in that order on the tabled a^N): a logarithmic estimate
+    corrected against that test, which the falling |a^N| make monotone.
+    No N <= max_terms passing, a non-finite scale included, raises
+    TruncationExceeded naming the series."""
+    policy = base.policy
+    cap, tol, room = policy.max_terms, policy.tail_tol, base.room
+    estimate = (base.log_tol + math.log(room) - math.log(scale)) / base.log_big
+    n = max(math.ceil(min(estimate, cap + 1)), 1)
+    powers = base.upto(n + 1)
+    while n > 1 and scale * abs(powers[n - 1]) / room < tol:
+        n -= 1
+    while n <= cap and not scale * abs(powers[n]) / room < tol:
+        n += 1
+        powers = base.upto(n + 1)
+    if n > cap:
+        raise _unmet(series, policy)
+    return powers[: n + 1]
 
-    A series tests scale * |a^(n+1)| / room < tail_tol after its term n, with
-    a^(n+1) formed by repeated multiplication and big = |a|.  The exponents
-    e >= 1 with big**e >= bound = max(4 tail_tol room / scale, 2**-960)
-    number floor(log(bound) / log(big)), a quotient off by far less than one
-    for any count below 1e12, so that count less two, at most max_terms,
-    are terms whose test fails.  The factor 4 is safe: a product of normal
-    complex numbers is exact to a relative sqrt(5) 2**-53, so |a^(n+1)|
-    stays within a relative (n + 1) 3e-16 of big**(n+1), about 1e-13 at
-    n = 512.  The floor keeps those powers normal, since subnormal ones lose
-    that relative precision.
-    """
-    if big < _QUIET_FLOOR:
-        return 0
-    bound = max(4.0 * policy.tail_tol * room / scale, _QUIET_FLOOR)
-    count = math.floor(math.log(bound) / math.log(big)) - 2
-    return min(max(count, 0), policy.max_terms)
+
+def _unmet(series: str, policy: TruncationPolicy) -> TruncationExceeded:
+    """The error of a series that meets its tail bound within no max_terms terms."""
+    return TruncationExceeded(
+        f"{series} series did not meet tail {policy.tail_tol:g} within {policy.max_terms} terms"
+    )
 
 
 def _settled(x: complex, base: _Base, count: int, result: complex) -> complex:
@@ -503,37 +508,26 @@ def log_deriv_theta(
 
         sum_{n>=0} [ -x a^n / (1 - x a^n) + (a^(n+1)/x) / (1 - a^(n+1)/x) ]
 
-    Stops after term n once |x a^(n+1)| and |a^(n+1)/x| are below 1/2 and
-    2 (|x| + 1/|x| + 1) |a|^(n+1) / (1 - |a|) < tail_tol, which bounds the
-    absolute value of the dropped terms.  The leading terms whose last
-    clause cannot hold, counted by ``_quiet_terms`` with a factor 4 and two
-    terms to spare over the roundoff of the repeated power a^(n+1), skip
-    the test, so the value is bit for bit what testing after every term
-    gives.  Raises NearSingularity when x sits within relative 1e-8 of a
-    zero of theta_a, and DomainError when 1/x overflows.
+    Keeps the terms n < N for the least N >= 1 with
+    2 (|x| + 1/|x| + 1) |a^N| / (1 - |a|) < tail_tol, which bounds the
+    absolute value of the dropped terms; ``_series_powers`` counts them once,
+    at the checked base, and the loop over its powers tests nothing.  The
+    bound also keeps |x a^N| and |a^N / x| below 1/2 (for any tail_tol
+    short of 1 - 1e-14), so the value is bit for bit what testing all three
+    after every term gives.  Raises NearSingularity when x sits within
+    relative 1e-8 of a zero of theta_a, and DomainError when 1/x overflows.
     """
-    av = _in_disk(a, "a")
+    base = _base(a, policy)
     xv = _nonzero(x, "x")
-    if _near_zero(av, xv, _ZERO_RTOL):
+    if _near_power(base.a, xv, _ZERO_RTOL, base.log_big, base.half):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a theta_a zero")
     _as_complex(1.0 / xv, "1/x")  # a subnormal x: a^(n+1)/x overflows
 
-    amag, xmag = abs(av), abs(xv)
-    scale = 2.0 * (xmag + 1.0 / xmag + 1.0)
-    room = 1.0 - amag
-    quiet = _quiet_terms(scale, room, amag, policy)
+    xmag = abs(xv)
+    powers = _series_powers(2.0 * (xmag + 1.0 / xmag + 1.0), base, "log-derivative")
     neg_x = -xv
     total = 0j
-    an = 1.0 + 0j
-    tol = policy.tail_tol
-    for n in range(policy.max_terms):
-        t1 = neg_x * an / (1.0 - xv * an)
-        an = an * av
-        w = an / xv
-        total += t1 + w / (1.0 - w)
-        if n >= quiet and abs(xv * an) < 0.5 and abs(w) < 0.5 and scale * abs(an) / room < tol:
-            return total
-    raise TruncationExceeded(
-        f"log-derivative series did not meet tail {policy.tail_tol:g} "
-        f"within {policy.max_terms} terms"
-    )
+    for an, an1 in pairwise(powers):
+        w = an1 / xv
+        total += neg_x * an / (1.0 - xv * an) + w / (1.0 - w)
+    return total

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ellex
-from ellex import cli
+from ellex import cli, qseries
 from ellex.cli import main
 from ellex.errors import SamplingExhausted
 
@@ -602,6 +602,9 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
          "tail_tol must lie in (0, 1)"),
         (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1"), {"ELLEX_DEFAULT_TOL": "2"},
          "tail_tol must lie in (0, 1)"),
+        # p = q^(4k / (2 - beta)) overflows at k < 0 and a tiny q
+        (("limit", "--m", "1", "--k=-3", "--q", "1e-110", "--x", "1.4"), {},
+         "p = q^(4k / (2 - beta)) overflows at k = -3, beta = 0.1, q = (1e-110+0j)"),
         # a theta argument x with a normal modulus whose a/x has finite parts
         # but a modulus that overflows abs()
         (("eval", "--fn", "Y", "--m=-4", "--p=-5.7e-132+4.2e-132j", "--q=-0.095+0.0225j",
@@ -615,6 +618,25 @@ def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, m
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_eval_points_share_one_base_per_policy(capsys, monkeypatch):
+    # one scope for the invocation: the values and their 100x tighter
+    # references each share one base, not one per point
+    built = []
+
+    class Counted(qseries._Base):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(qseries, "_Base", Counted)
+    xs = [f"--x={1.1 + 0.05j * j}" for j in range(20)]
+    code, out, err = run(capsys, "eval", "--fn", "theta", "--a", "0.3", *xs)
+    assert (code, len(out.splitlines()), err) == (0, 20, "")
+    assert [policy.tail_tol for policy in built] == [1e-15, 1e-17]
 
 
 def test_g_away_from_its_pole_keeps_its_value_when_q_squared_underflows(capsys):

@@ -131,6 +131,57 @@ def test_series_equals_the_stepwise_loop():
     assert seen >= {str, TruncationExceeded, NearSingularity, DomainError, NonConvergentBase}
 
 
+@pytest.mark.parametrize("tail_tol", [0.5, 1e-6, 1e-15])
+def test_series_equals_the_stepwise_loop_at_the_stop_boundary(tail_tol):
+    # |x| puts 8 (|x^2| + |x^-2|) |t| / (1 - |q^4|) within a few ulps of
+    # tail_tol, t = q^(4n) formed by repeated multiplication as both loops
+    # form it, where the logarithmic estimate of the term count can be one
+    # off either way; x and 1/x share that bound
+    policy = qseries.TruncationPolicy(512, tail_tol)
+    for mag in (0.3, 0.55, 0.7, 0.8, 0.9, 0.95):
+        q = mag * cmath.exp(0.6j)
+        q4 = (q * q) * (q * q)
+        t = 1.0 + 0j
+        for n in range(1, 200):
+            t *= q4
+            if abs(t) < 1e-280:
+                break
+            c = tail_tol * (1.0 - abs(q4)) / abs(t) / 8.0  # |x^2| + |x^-2|
+            if n % 5 != 1 or not 2.0 < c < 1e300:
+                continue
+            xmag = math.sqrt(0.5 * (c + math.sqrt(c * c - 4.0)))
+            for ulps in range(-3, 4):
+                x = xmag * (1.0 + ulps * 2.0**-52) * cmath.exp(-2.1j)
+                for arg in (x, 1.0 / x):
+                    want = series_outcome(g_stepwise, arg, q, policy)
+                    assert series_outcome(poisson_series_g, arg, q, policy) == want, (arg, q)
+
+
+@pytest.mark.parametrize(
+    "x, returns",
+    [(1.1, True), (1e150j, True), (1e-150, True), (1.3e154, False), (1.1e-154, False)],
+)
+@pytest.mark.parametrize("q", [1e-100, 1e-90j, -3e-82])
+def test_series_with_an_underflowed_q4_equals_the_stepwise_loop(x, returns, q):
+    # q^4 underflows to 0 and q^2 does not: the reference returns after one
+    # term, or, where 8 (|x^2| + |x^-2|) overflows, runs out of terms
+    for policy in SERIES_POLICIES:
+        want = series_outcome(g_stepwise, x, q, policy)
+        assert series_outcome(poisson_series_g, x, q, policy) == want, policy
+        assert isinstance(want, str) == returns
+
+
+def test_series_returns_where_its_scale_over_one_less_q4_overflows():
+    # 8 (|x^2| + |x^-2|) is finite and near the largest float, so dividing
+    # it by 1 - |q^4| before the power would overflow
+    x = 1.390000096824062e-154 - 1.650392362939385e-154j
+    q = -0.6814487473270816 - 0.0013672633816457895j
+    policy = qseries.TruncationPolicy(512, 0.5)
+    want = series_outcome(g_stepwise, x, q, policy)
+    assert isinstance(want, str)
+    assert series_outcome(poisson_series_g, x, q, policy) == want
+
+
 # --- full structure function ---------------------------------------------------
 
 
@@ -343,6 +394,24 @@ def test_a_modes_table_calls_each_public_layer_once_per_node(monkeypatch, capsys
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert f"{nodes} nodes" in capsys.readouterr().out
     assert calls == {name: expected.get(name, 0) * nodes for name in calls}
+
+
+@pytest.mark.parametrize("which", ["klimit", "center"])
+def test_a_modes_table_forms_its_base_once(monkeypatch, which):
+    # the nodes are sampled in one point scope: g's and the center's four
+    # log-derivatives all read one base q^4
+    built = []
+
+    class Counted(qseries._Base):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(qseries, "_Base", Counted)
+    laurent_modes(which, q=0.5, annulus=AnnulusLabel(0), l_max=2, quadrature_points=128, m=1, k=1)
+    assert built == [0.0625]
 
 
 @pytest.mark.parametrize("lmax", [0, 5])

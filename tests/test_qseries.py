@@ -767,6 +767,31 @@ def test_log_deriv_equals_the_stepwise_loop():
     assert seen >= {str, TruncationExceeded, NearSingularity, DomainError, NonConvergentBase}
 
 
+@pytest.mark.parametrize("tail_tol", [0.5, 1e-6, 1e-15])
+def test_log_deriv_equals_the_stepwise_loop_at_the_stop_boundary(tail_tol):
+    # |x| puts 2 (|x| + 1/|x| + 1) |a^n| / (1 - |a|) within a few ulps of
+    # tail_tol, a^n formed by repeated multiplication as both loops form it,
+    # where the logarithmic estimate of the term count can be one off either
+    # way; x and 1/x share that bound
+    policy = TruncationPolicy(512, tail_tol)
+    for mag in (0.013, 0.11, 0.34, 0.52, 0.66, 0.81, 0.9):
+        a = mag * cmath.exp(0.6j)
+        an = 1.0 + 0j
+        for n in range(1, 200):
+            an *= a
+            if abs(an) < 1e-280:
+                break
+            c = tail_tol * (1.0 - abs(a)) / abs(an) / 2.0 - 1.0  # |x| + 1/|x|
+            if n % 7 != 1 or not 2.0 < c < 1e300:
+                continue
+            xmag = 0.5 * (c + math.sqrt(c * c - 4.0))
+            for ulps in range(-3, 4):
+                x = xmag * (1.0 + ulps * 2.0**-52) * cmath.exp(-2.1j)
+                for arg in (x, 1.0 / x):
+                    want = series_outcome(log_deriv_stepwise, a, arg, policy)
+                    assert series_outcome(log_deriv_theta, a, arg, policy) == want, (a, arg)
+
+
 def test_near_theta_zero_detects_zero_set():
     a = 0.5
     assert near_theta_zero(a, a**3)
