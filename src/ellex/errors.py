@@ -10,7 +10,8 @@ class DomainError(EllexError, ValueError):
 
 
 class NonConvergentBase(DomainError):
-    """A product base has modulus >= 1, so the expansion diverges."""
+    """A product base has modulus >= 1, so the expansion diverges, or lies
+    so close to 1 that no product at it could be formed."""
 
 
 class TruncationExceeded(EllexError):

@@ -106,7 +106,13 @@ class CommutingPoint:
 
     def exact_nome(self, q: complex) -> NomeParams:
         qv = _as_complex(q, "q")
-        return NomeParams(qv ** (2 * self.k), qv)
+        try:
+            p = qv ** (2 * self.k)
+        except (OverflowError, ZeroDivisionError):  # complex ** n on overflow, 0 ** -n
+            raise DomainError(
+                f"p = q^(2k) is out of floating-point range at k = {self.k}, q = {qv!r}"
+            ) from None
+        return NomeParams(p, qv)
 
 
 # Step s's theta_{q^4} factors, numerator then denominator: (e, k, f) is th(x^(2e) q^(2k) p^(f s))

@@ -27,22 +27,22 @@ corrected against its exact test.  ``_product`` evaluates one product
 step of an exchange closed form, all steps at one base) from its base's
 (a; a).  Every value is bit for bit what a loop testing the bound before
 each factor, or after each term, gives; tests/test_qseries.py and
-tests/test_poisson.py keep those loops as the reference.  A product that
-overflows raises DomainError, not inf or nan.
+tests/test_poisson.py keep those loops as the reference.  A product is zero
+only when one of its factors is exactly zero: one that overflows or
+underflows raises DomainError, not inf, nan or 0.
 
-Inside ``point_scope()`` each base is built once and the two products,
-``_theta_pair`` and ``_product``, remember their values: a base's key is the
-policy and the type and exact bits of a, a product's the function, the exact
-bits of x and a and the policy, and a call that raises stores nothing.  So
-every ``theta`` call and quotient at one base and point shares one base, its
-(a; a) and its table, and a call at a base and argument already seen reads
-the memo.  The verification suites open one scope per sampled point, so each
-distinct theta factor of a point is formed once (the exchange functions at
-several levels share most of theirs) and nothing carries over to the next
-point.  The CLI's ``eval`` opens one scope for all the points of an
-invocation, and ``poisson.laurent_modes`` one for the nodes of a table.
-Outside a scope a base lives for one call, or one closed form, and every
-call computes afresh, at the cost of one ContextVar lookup.
+Each base remembers the values formed at it: its products (x; a)_inf,
+(a; a)_inf among them, and its theta pairs, each under the exact bits of x;
+a call that raises stores nothing.  Inside ``point_scope()`` the scope's
+memo holds the bases, one per policy and type and exact bits of a, so every
+``theta`` call and quotient at one base and point shares one base, its
+(a; a), its table and its pairs.  The verification suites open one scope per
+sampled point, so each distinct theta factor of a point is formed once (the
+exchange functions at several levels share most of theirs) and nothing
+carries over to the next point.  The CLI's ``eval`` opens one scope for all
+the points of an invocation, and ``poisson.laurent_modes`` one for the nodes
+of a table.  Outside a scope a base, and all it remembers, lives for one
+call, or one closed form.
 
 Check first, then compute: ``_base`` checks the base, then
 ``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
@@ -57,14 +57,12 @@ synchronization.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from operator import mul
+from itertools import pairwise
 
 from .errors import (
     DomainError,
@@ -85,13 +83,18 @@ __all__ = [
 ]
 
 
+# the largest tail_tol a policy takes: up to it, log_deriv_theta's count bound
+# keeps |x a^N| and |a^N / x| below 1/2 (see there)
+_MOST_TAIL = 1.0 - 1e-14
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Caps for every infinite product/series.
 
     ``max_terms`` bounds the factors of a product and the terms of a series;
     evaluation stops earlier once the certified tail bound drops below
-    ``tail_tol``.
+    ``tail_tol``, which must not exceed 1 - 1e-14 (see ``log_deriv_theta``).
     """
 
     max_terms: int = 512
@@ -102,6 +105,8 @@ class TruncationPolicy:
             raise DomainError("max_terms must be a positive integer")
         if not (0.0 < self.tail_tol < 1.0):
             raise DomainError("tail_tol must lie in (0, 1)")
+        if self.tail_tol > _MOST_TAIL:
+            raise DomainError(f"tail_tol must be at most 1 - 1e-14, got {self.tail_tol!r}")
 
     def tighter(self, factor: float) -> "TruncationPolicy":
         """Same cap, tail tolerance divided by ``factor`` (floored at 1e-300)."""
@@ -113,45 +118,29 @@ DEFAULT_POLICY = TruncationPolicy()
 # default, so the theta quotients (snh_core's among them), log_deriv_theta and
 # the poisson series all refuse the same points
 _ZERO_RTOL = 1e-8
+# the most powers a^n whose moduli _near_power tries against |x|; see there
+_MOST_CANDIDATES = 1024
 
-# The memo of the open point scope, None outside one.  Its keys are the
-# computing function (for a base, _Base and a's type), the policy's max_terms,
-# and the exact bits of the complex arguments and tail_tol (0.0 is not -0.0).
+# The memo of the open point scope, None outside one.  It maps a's type, the
+# policy's max_terms and the exact bits of a and tail_tol to the one _Base
+# built for them; a base keys its values by the exact bits of x (0.0 is not
+# -0.0).
 _MEMO: ContextVar[dict | None] = ContextVar("ellex_point_memo", default=None)
-_BITS = struct.Struct("5d").pack
+_BASE_BITS = struct.Struct("3d").pack
+_X_BITS = struct.Struct("2d").pack
 
 
 @contextmanager
 def point_scope():
-    """Evaluate the block with a fresh memo: each base, theta factor and
-    product it forms at one (base, argument, policy) is formed once.  Meant
-    for the calls at one point, or at the nodes of one modes table; what was
-    in force before is back when the block exits, raised or not."""
+    """Evaluate the block with a fresh memo: each base it checks under one
+    policy is built once, with every product and theta factor formed at it.
+    Meant for the calls at one point, or at the nodes of one modes table;
+    what was in force before is back when the block exits, raised or not."""
     token = _MEMO.set({})
     try:
         yield
     finally:
         _MEMO.reset(token)
-
-
-def _memoized(compute):
-    """compute(x, base), its value remembered in the open point scope and
-    evaluated afresh outside one.  A call that raises stores nothing, so a
-    repeated call raises again."""
-
-    @functools.wraps(compute)
-    def recall(x: complex, base: _Base) -> complex:
-        memo = _MEMO.get()
-        if memo is None:
-            return compute(x, base)
-        a, policy = base.a, base.policy
-        key = (compute, policy.max_terms, _BITS(x.real, x.imag, a.real, a.imag, policy.tail_tol))
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = compute(x, base)
-        return value
-
-    return recall
 
 
 def _as_complex(z: complex, name: str = "argument") -> complex:
@@ -208,12 +197,13 @@ def _nonzero_int(n: int, name: str) -> int:
 class _Base:
     """A checked base a, 0 < |a| < 1, under one policy, with what every product
     and series at it shares: |a|, log|a|, 1 - |a|, log(tail_tol), the window
-    of ``_near_power`` at _ZERO_RTOL, (a; a)_inf once used, and the powers
-    a^0, a^1, ... grown by repeated multiplication.  Messages show ``given``,
-    a as passed."""
+    of ``_near_power`` at _ZERO_RTOL, the powers a^0, a^1, ... grown by
+    repeated multiplication, and the values formed at it, each under the
+    exact bits of its x: the products (x; a)_inf, (a; a)_inf among them,
+    and the theta pairs.  Messages show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
-                 "powers", "_aa")
+                 "powers", "products", "pairs")
 
     def __init__(self, a: complex, given: complex, policy: TruncationPolicy) -> None:
         self.a, self.given, self.policy = a, given, policy
@@ -223,13 +213,12 @@ class _Base:
         self.log_tol = math.log(policy.tail_tol)
         self.half = math.log1p(-_ZERO_RTOL) / self.log_big
         self.powers = [1.0 + 0j]
-        self._aa = None
+        self.products: dict[bytes, complex] = {}
+        self.pairs: dict[bytes, complex] = {}
 
     @property
     def aa(self) -> complex:
-        if self._aa is None:  # a call that raises stores nothing
-            self._aa = _product(self.a, self)
-        return self._aa
+        return _product(self.a, self)
 
     def upto(self, count: int) -> list[complex]:
         """The table, grown to hold at least a^0 .. a^(count - 1)."""
@@ -249,7 +238,7 @@ def _base(a: complex, policy: TruncationPolicy, name: str = "a") -> _Base:
     memo = _MEMO.get()
     if memo is None:
         return _Base(av, a, policy)
-    key = (_Base, type(a), policy.max_terms, _BITS(av.real, av.imag, 0.0, 0.0, policy.tail_tol))
+    key = (type(a), policy.max_terms, _BASE_BITS(av.real, av.imag, policy.tail_tol))
     return memo.get(key) or memo.setdefault(key, _Base(av, a, policy))
 
 
@@ -309,49 +298,59 @@ def _unmet(series: str, policy: TruncationPolicy) -> TruncationExceeded:
 def _settled(x: complex, base: _Base, count: int, result: complex) -> complex:
     """The counted product's outcome as the per-factor loop decides it.
 
-    That loop returns its first partial product that is exactly zero, and
-    raises TruncationExceeded when ``count`` exceeds ``max_terms``.  Both are
-    rare; only then are the same partial products formed again and searched
-    (a zero ``result`` is itself the last of them).  Once exactly zero a
-    partial product stays zero, since a finite headroom makes every factor
-    finite, so a nonzero ``result`` within the cap is final; if it is not
-    finite, the product overflowed and DomainError is raised.
+    That loop returns its partial product at the first factor that is
+    exactly zero.  With no such factor it raises TruncationExceeded when
+    ``count`` exceeds ``max_terms``, and DomainError when the product
+    overflowed or underflowed to zero.  A finite headroom makes every
+    factor finite, so a zero factor leaves ``result`` zero and a nonzero
+    ``result`` within the cap is final; only a zero or capped one, which is
+    rare, has its partial products formed again and its factors searched.
     """
     policy = base.policy
     if count <= policy.max_terms and result != 0:
         if not cmath.isfinite(result):
             raise DomainError(f"(x; b)_inf overflows at x = {x!r}, b = {base.a!r}")
         return result
-    factors = (1.0 - x * power for power in base.upto(count)[:count])
-    for partial in accumulate(factors, mul, initial=1.0 + 0j):
-        if partial == 0:
+    partial = 1.0 + 0j
+    for power in base.upto(count)[:count]:
+        factor = 1.0 - x * power
+        partial *= factor
+        if factor == 0:
             return partial
+    if count <= policy.max_terms:
+        raise DomainError(f"(x; b)_inf underflows at x = {x!r}, b = {base.a!r}")
     raise TruncationExceeded(
         f"tail bound {policy.tail_tol:g} not reached within max_terms="
         f"{policy.max_terms} (base moduli {base.big:.4g})"
     )
 
 
-@_memoized
 def _product(x: complex, base: _Base) -> complex:
-    """(x; a)_inf at a checked base: the factor count first, then a loop over
-    the tabled powers with no test in it."""
-    count = _factor_count((1.0 + abs(x)) / base.room, base)
-    result = 1.0 + 0j
-    for power in base.upto(count)[:count]:
-        result *= 1.0 - x * power
-    return _settled(x, base, count, result)
+    """(x; a)_inf at a checked base, formed once per base: the factor count
+    first, then a loop over the tabled powers with no test in it."""
+    key = _X_BITS(x.real, x.imag)
+    value = base.products.get(key)
+    if value is None:
+        count = _factor_count((1.0 + abs(x)) / base.room, base)
+        result = 1.0 + 0j
+        for power in base.upto(count)[:count]:
+            result *= 1.0 - x * power
+        value = base.products[key] = _settled(x, base, count, result)
+    return value
 
 
-@_memoized
 def _theta_pair(x: complex, base: _Base) -> complex:
-    """(x; a)_inf * (a/x; a)_inf at a checked base and a checked x != 0;
-    theta_a(x) is this times (a; a)_inf.
+    """(x; a)_inf * (a/x; a)_inf at a checked base and a checked x != 0,
+    formed once per base; theta_a(x) is this times (a; a)_inf.
 
     Each product runs over the tabled powers a^n for its own factor count.
     An a/x whose parts are finite but whose modulus is not raises
     DomainError.
     """
+    key = _X_BITS(x.real, x.imag)
+    value = base.pairs.get(key)
+    if value is not None:
+        return value
     y = base.a / x
     try:
         ay = abs(y)
@@ -367,12 +366,15 @@ def _theta_pair(x: complex, base: _Base) -> complex:
         rx *= 1.0 - x * power
     for power in powers[:ny]:
         ry *= 1.0 - y * power
+    value = rx * ry
     # _settled's common case for both products at once: skips two calls
-    if most <= base.policy.max_terms and rx and ry:
-        value = rx * ry
-        if cmath.isfinite(value):  # then so are rx and ry
-            return value
-    return _settled(x, base, nx, rx) * _settled(y, base, ny, ry)
+    if not (most <= base.policy.max_terms and value and cmath.isfinite(value)):
+        sx, sy = _settled(x, base, nx, rx), _settled(y, base, ny, ry)
+        value = sx * sy
+        if sx and sy and not value:
+            raise DomainError(f"theta pair underflows at x = {x!r}, a = {base.a!r}")
+    base.pairs[key] = value
+    return value
 
 
 def qpochhammer(
@@ -382,9 +384,10 @@ def qpochhammer(
 
     Keeps the factors d < n for the least n with
     (1 + |x|) |b|^n / (1 - |b|) < tail_tol, a count taken once per product;
-    a partial product that is exactly zero is returned as it stands.  When
-    that n exceeds ``max_terms`` it raises TruncationExceeded, unless one of
-    the first max_terms + 1 partial products is zero.
+    at a factor that is exactly zero the partial product is returned as it
+    stands.  When that n exceeds ``max_terms`` it raises TruncationExceeded,
+    unless one of the first max_terms + 1 factors is zero.  A product that
+    overflows, or underflows to zero, raises DomainError.
     """
     return _product(_as_complex(x, "x"), _base(b, policy, "b"))
 
@@ -394,7 +397,11 @@ def theta(
 ) -> complex:
     """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0."""
     base = _base(a, policy)
-    return _theta_pair(_nonzero(x, "x"), base) * base.aa
+    pair = _theta_pair(_nonzero(x, "x"), base)
+    value = pair * base.aa
+    if pair and not value:
+        raise DomainError(f"theta_a(x) underflows at x = {x!r}, a = {a!r}")
+    return value
 
 
 def theta_shift_factor(a: complex, s: int, x: complex) -> complex:
@@ -427,6 +434,9 @@ def near_theta_zero(a: complex, x: complex, rtol: float = _ZERO_RTOL) -> bool:
     integers n in that window are tried, the window widened by a relative
     1e-9 (and 1e-9 absolute) so that rounding never drops one.  For rtol
     below about 1 - |a|^(1/2) that is at most one n.  rtol must lie in (0, 1).
+    A window of more than 1024 integers raises NonConvergentBase: at any
+    rtol up to 1e-3 it needs 1 - |a| < 4e-6, where every product or series
+    at a needs more than 3e6 factors or terms.
     """
     if not (0.0 < rtol < 1.0):
         raise DomainError(f"rtol must lie in (0, 1), got {rtol!r}")
@@ -446,13 +456,19 @@ def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
 
 
 def _near_power(av: complex, xv: complex, rtol: float, la: float, half: float) -> bool:
-    """_near_zero at 0 < |av| < 1 and xv != 0, given la = log|av| and half = log1p(-rtol) / la."""
+    """_near_zero at 0 < |av| < 1 and xv != 0, given la = log|av| and half = log1p(-rtol) / la;
+    NonConvergentBase when the window holds more than _MOST_CANDIDATES integers."""
     center = math.log(abs(xv)) / la
     slack = 1e-9 * (1.0 + abs(center) + half)
     lo = math.ceil(center - half - slack)
     hi = math.floor(center + half + slack)
     if lo > hi:
         return False
+    if hi - lo >= _MOST_CANDIDATES:
+        raise NonConvergentBase(
+            f"|a| = {abs(av)!r} is too close to 1: {hi - lo + 1} powers a^n lie within "
+            f"relative {rtol:g} of |x| = {abs(xv):.6g}, more than {_MOST_CANDIDATES} to try"
+        )
     log_x = cmath.log(xv)
     log_a = cmath.log(av)
     for n in range(lo, hi + 1):
@@ -478,8 +494,9 @@ def _theta_quotient(
     "theta argument", not the caller's x; NearSingularity within relative
     _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Only
     then are the base's (a; a)_inf, once per base, and the pairs formed.  A
-    quotient that is not finite, because a running product overflowed,
-    raises DomainError."""
+    quotient that is not finite, because a running product overflowed, or
+    that is zero with no zero factor, because one underflowed, raises
+    DomainError."""
     dens = []
     for arg in den_args:
         w = _nonzero(arg, "theta argument")
@@ -493,9 +510,14 @@ def _theta_quotient(
         num *= _theta_pair(xv, base) * aa
     for w in dens:
         den *= _theta_pair(w, base) * aa
-    result = num / (scale * den)
+    whole = scale * den
+    if not whole:
+        raise DomainError(f"theta quotient denominator underflows at a = {base.a!r}")
+    result = num / whole
     if not cmath.isfinite(result):
         raise DomainError(f"theta quotient out of floating-point range at a = {base.a!r}")
+    if not result and factor and all(_theta_pair(xv, base) for xv in nums):
+        raise DomainError(f"theta quotient underflows at a = {base.a!r}")
     return result
 
 
@@ -512,9 +534,9 @@ def log_deriv_theta(
     2 (|x| + 1/|x| + 1) |a^N| / (1 - |a|) < tail_tol, which bounds the
     absolute value of the dropped terms; ``_series_powers`` counts them once,
     at the checked base, and the loop over its powers tests nothing.  The
-    bound also keeps |x a^N| and |a^N / x| below 1/2 (for any tail_tol
-    short of 1 - 1e-14), so the value is bit for bit what testing all three
-    after every term gives.  Raises NearSingularity when x sits within
+    bound also keeps |x a^N| and |a^N / x| below 1/2 (for any tail_tol up to
+    1 - 1e-14, the most a policy allows), so the value is bit for bit what
+    testing all three after every term gives.  Raises NearSingularity when x sits within
     relative 1e-8 of a zero of theta_a, and DomainError when 1/x overflows.
     """
     base = _base(a, policy)

@@ -20,6 +20,11 @@ from ellex.cli import main
 from ellex.errors import SamplingExhausted
 
 
+# |q| = 1 - 1.1e-16 at a phase: |q^2| and |q^4| round to within a few ulps
+# of 1
+NEAR_UNIT_Q = "0.9553364891256059+0.2955202066613395j"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -602,6 +607,9 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
          "tail_tol must lie in (0, 1)"),
         (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1"), {"ELLEX_DEFAULT_TOL": "2"},
          "tail_tol must lie in (0, 1)"),
+        # beyond 1 - 1e-14 a series may keep terms near its poles (log_deriv_theta)
+        (("eval", "--fn", "theta", "--a", "0.5", "--x", "1.1", "--tail-tol", "0.999999999999999"),
+         {}, "tail_tol must be at most 1 - 1e-14, got 0.999999999999999"),
         # p = q^(4k / (2 - beta)) overflows at k < 0 and a tiny q
         (("limit", "--m", "1", "--k=-3", "--q", "1e-110", "--x", "1.4"), {},
          "p = q^(4k / (2 - beta)) overflows at k = -3, beta = 0.1, q = (1e-110+0j)"),
@@ -611,6 +619,53 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
           "--x=4.129478984429438e+90-9.051008705671213e+89j"), {},
          "|a/x| is out of floating-point range at theta argument "
          "x = (-3.8799492043e-313+8.006117666e-314j), a = (5.42934765625e-05-7.28353125e-05j)"),
+        # |p^2| rounds to 1 - 2^-53: hundreds of millions of powers p^(2n) lie
+        # within 1e-8 of the denominator argument's modulus, and were all tried
+        (("eval", "--fn", "mu", "--p=q^-2", "--q=1+7.967831128488578e-09j",
+          "--x=-1.2438604811473973e-12"), {},
+         "|a| = 0.9999999999999999 is too close to 1: 1167794305 powers a^n lie within "
+         "relative 1e-08 of |x| = 1.54719e-24, more than 1024 to try"),
+        *[(("eval", "--fn", fn, f"--q={NEAR_UNIT_Q}", "--x", "1.3"), {}, message)
+          for fn, message in (
+              ("center", "|a| = 0.9999999999999996 is too close to 1: 47399164 powers a^n lie "
+                         "within relative 1e-08 of |x| = 1.69, more than 1024 to try"),
+              ("g", "|a| = 0.9999999999999998 is too close to 1: 94798329 powers a^n lie "
+                    "within relative 1e-08 of |x| = 1.69, more than 1024 to try"),
+              ("tau", "|a| = 0.9999999999999996 is too close to 1: 47399165 powers a^n lie "
+                      "within relative 1e-08 of |x| = 0.591716, more than 1024 to try"),
+          )],
+        # the samplers' grid clearance, which has no policy to stop it
+        (("verify", "--suite", "coincidence", f"--q={NEAR_UNIT_Q}"), {},
+         "|a| = 0.9999999999999998 is too close to 1: 9011708905934 powers a^n lie within "
+         "relative 0.001 of |x| = 1.40112, more than 1024 to try"),
+        (("verify", "--suite", "tau-dual", f"--q={NEAR_UNIT_Q}"), {},
+         "|a| = 0.9999999999999996 is too close to 1: 900812170912 powers a^n lie within "
+         "relative 0.0002 of |x| = 0.618948, more than 1024 to try"),
+        # p = q^(2k) overflows, which rejects every point
+        (("verify", "--suite", "commuting-points", "--q=-0.055840228260864135", "--k=-1000"),
+         {}, "f-even-closed-form(k=-1000), y-equals-one(k=-1000): only 0 of 10 points valid "
+         "after 100 candidates"),
+        # a product is zero only at a zero factor: these partial products
+        # underflowed within max_terms + 1 factors and were taken for zeros
+        (("eval", "--fn", "theta", "--a", "0.9999", "--x", "1.1"), {},
+         "tail bound 1e-15 not reached within max_terms=512 (base moduli 0.9999)"),
+        (("eval", "--fn", "tau", "--q=0.999999", "--x=-1"), {},
+         "tail bound 1e-15 not reached within max_terms=512 (base moduli 1)"),
+        # within the cap, a product, a theta pair, theta itself, and a
+        # quotient's numerator or denominator that underflow are refused
+        (("eval", "--fn", "theta", "--a", "0.999", "--x", "1.1", "--max-terms", "100000"), {},
+         "(x; b)_inf underflows at x = (1.1+0j), b = (0.999+0j)"),
+        (("eval", "--fn", "mu", "--p", "0.998", "--q", "0.5", "--x", "1.1",
+          "--max-terms", "100000"), {},
+         "theta pair underflows at x = (1.20758+0j), a = (0.996004+0j)"),
+        (("eval", "--fn", "theta", "--a", "0.994", "--x", "1.1", "--max-terms", "100000"), {},
+         "theta_a(x) underflows at x = (1.1+0j), a = (0.994+0j)"),
+        (("eval", "--fn", "mu", "--p", "0.995", "--q", "0.5", "--x", "1.1",
+          "--max-terms", "100000"), {},
+         "theta quotient underflows at a = (0.990025+0j)"),
+        (("eval", "--fn", "mu", "--p", "0.997", "--q", "0.5", "--x", "2.5",
+          "--max-terms", "100000"), {},
+         "theta quotient denominator underflows at a = (0.994009+0j)"),
     ],
 )
 def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):
@@ -959,7 +1014,6 @@ def test_verify_memo_lives_for_one_point(capsys, monkeypatch):
     # whether it passes or exits 2
     from ellex import qseries, suites
 
-    pair = qseries._theta_pair.__wrapped__
     evaluate = suites._eval_commuting
     computed = []
 
@@ -969,7 +1023,7 @@ def test_verify_memo_lives_for_one_point(capsys, monkeypatch):
         try:
             return evaluate(*args)
         finally:
-            computed.append(sum(key[0] is pair for key in memo))
+            computed.append(sum(len(base.pairs) for base in memo.values()))
 
     monkeypatch.setattr(suites, "_eval_commuting", fresh_memo_evaluate)
     counts = []

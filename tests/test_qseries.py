@@ -54,9 +54,9 @@ def theta_brute(a, x, terms=800):
 
 def product_stepwise(x, b, policy):
     """(x; b)_inf by the per-factor loop the counted product replaced: one
-    pow and one stop test per factor, and a return at the first partial
-    product that is exactly zero.  A product that overflows is refused.  The
-    counted loop must equal it bit for bit."""
+    pow and one stop test per factor, and a return at the first factor that
+    is exactly zero.  A product that overflows, or underflows to zero, is
+    refused.  The counted loop must equal it bit for bit."""
     big = abs(b)
     headroom = (1.0 + abs(x)) / (1.0 - big)
     power = result = 1.0 + 0j
@@ -64,9 +64,12 @@ def product_stepwise(x, b, policy):
         if headroom * big**degree < policy.tail_tol:
             if not cmath.isfinite(result):
                 raise DomainError("reference product overflowed")
+            if result == 0:
+                raise DomainError("reference product underflowed")
             return result
-        result *= 1.0 - x * power
-        if result == 0:
+        factor = 1.0 - x * power
+        result *= factor
+        if factor == 0:
             return result
         power *= b
     raise TruncationExceeded("reference loop ran out of factors")
@@ -249,8 +252,8 @@ def test_theta_overflowing_reflection_raises_truncation():
 @pytest.mark.parametrize("x, b", [(4.0, 0.5), (16.0, 0.5j), (-2j, 0.5 + 0.5j)])
 def test_exact_zero_factor_returns_the_first_zero_partial(x, b, max_terms):
     # x b^k == 1 exactly at k = 2 or 4, while the stop rule would keep dozens
-    # of factors; the product is the stepwise loop's first zero partial
-    # product, signs of its zero parts included
+    # of factors; the product is the stepwise loop's partial product at that
+    # factor, signs of its zero parts included
     policy = TruncationPolicy(max_terms)
     assert qpochhammer(x, b, policy) == 0
     want = outcome(product_stepwise, complex(x), complex(b), policy)
@@ -547,29 +550,38 @@ def test_point_scope_changes_no_value():
     assert qseries._MEMO.get() is None
 
 
-def test_theta_and_quotient_share_their_memo_entries():
-    # a quotient looks its base and factors up under theta's keys: after
-    # theta(a, x) it gets theta's base, whose (a; a) is formed, and computes
-    # only the pairs of its other arguments
-    base = qseries._Base
-    pair, product = qseries._theta_pair.__wrapped__, qseries._product.__wrapped__
+def test_theta_and_quotient_share_their_memo_entries(monkeypatch):
+    # a quotient gets theta's base from the memo, whose (a; a) and pair at x
+    # are formed, and counts the factors of only its other arguments' pairs;
+    # the memo holds the base alone, and the base its values by the bits of x
+    factor_count = qseries._factor_count
+    counts = []
+
+    def counting(*args):
+        counts.append(args[0])
+        return factor_count(*args)
+
+    monkeypatch.setattr(qseries, "_factor_count", counting)
     a, x, u, v = 0.3 - 0.2j, 1.1 + 0.2j, 0.7 - 0.4j, complex(1.3, -0.0)
+    policy = TruncationPolicy()
+    bits = [qseries._X_BITS(z.real, z.imag) for z in (a, x, u, v)]
     with point_scope():
         memo = qseries._MEMO.get()
         alone = theta(a, x)
-        assert [key[0] for key in memo] == [base, pair, product]
-        quotient = theta_quotient(a, (u, x), (v, x), TruncationPolicy())
-        assert [key[0] for key in memo] == [base, pair, product, pair, pair]
-        assert theta(a, x) == alone
-        assert len(memo) == 5
-        assert qseries._base(a, TruncationPolicy()) is next(iter(memo.values()))
+        [base] = memo.values()
+        assert (list(base.products), list(base.pairs), len(counts)) == (bits[:1], bits[1:2], 3)
+        quotient = theta_quotient(a, (u, x), (v, x), policy)
+        assert list(memo.values()) == [base] and base is qseries._base(a, policy)
+        assert (list(base.products), list(base.pairs), len(counts)) == (bits[:1], bits[1:], 7)
+        assert theta(a, x) == alone and len(counts) == 7
     assert quotient == theta_quotient_public(a, (u, x), (v, x))
 
 
 def test_point_scope_keeps_the_base_each_caller_gave():
-    # a float base and the complex one with the same bits share the products
-    # in a scope, but each quotient's message shows a as its caller gave it,
-    # as it does outside a scope (snh_core's p^2 is a float under jacobi_snh)
+    # a float base and the complex one with the same bits give the same
+    # values in a scope, and each quotient's message shows a as its caller
+    # gave it, as it does outside a scope (snh_core's p^2 is a float under
+    # jacobi_snh)
     near = (0.4**2 * (1 + 1e-10),)
     calls = [(a, (0.7,), den) for den in ((1.3,), near) for a in (0.4, 0.4 + 0j, 0.4, 0.4 + 0j)]
     outside = [outcome_and_message(theta_quotient, *call, TruncationPolicy()) for call in calls]
@@ -767,7 +779,7 @@ def test_log_deriv_equals_the_stepwise_loop():
     assert seen >= {str, TruncationExceeded, NearSingularity, DomainError, NonConvergentBase}
 
 
-@pytest.mark.parametrize("tail_tol", [0.5, 1e-6, 1e-15])
+@pytest.mark.parametrize("tail_tol", [1.0 - 1e-14, 0.5, 1e-6, 1e-15])
 def test_log_deriv_equals_the_stepwise_loop_at_the_stop_boundary(tail_tol):
     # |x| puts 2 (|x| + 1/|x| + 1) |a^n| / (1 - |a|) within a few ulps of
     # tail_tol, a^n formed by repeated multiplication as both loops form it,
@@ -790,6 +802,21 @@ def test_log_deriv_equals_the_stepwise_loop_at_the_stop_boundary(tail_tol):
                 for arg in (x, 1.0 / x):
                     want = series_outcome(log_deriv_stepwise, a, arg, policy)
                     assert series_outcome(log_deriv_theta, a, arg, policy) == want, (a, arg)
+
+
+def test_tail_tol_stops_at_the_bound_the_log_derivative_needs():
+    # at tail_tol = 1 - 2^-53 the count's bound held here while |x a| was
+    # still 1/2, and the series kept one term fewer than the stepwise loop;
+    # a policy refuses that tail, and at 1 - 1e-14, the most it allows, the
+    # two agree
+    with pytest.raises(DomainError, match=re.escape("tail_tol must be at most 1 - 1e-14")):
+        TruncationPolicy(512, 1.0 - 2.0**-53)
+    a = 2.9059443883404108e-18 - 1.1879354247624394e-19j
+    x = -1.680550934512656e17 + 3.623696622775556e16j
+    policy = TruncationPolicy(512, 1.0 - 1e-14)
+    want = series_outcome(log_deriv_stepwise, a, x, policy)
+    assert want == "(1.3309370025728542-0.056474465730322734j)"
+    assert series_outcome(log_deriv_theta, a, x, policy) == want
 
 
 def test_near_theta_zero_detects_zero_set():
