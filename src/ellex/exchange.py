@@ -21,6 +21,12 @@ _F_NEG and _Y of one step's factors, which one loop multiplies out:
                            / ( th(x^2 p^s) th(x^-2 q^2 p^s) ) ]^2,
     S = 2m - 1 for m > 0 and S = 2|m| for m < 0.
 
+The levels of F (of one sign of m) and of Y at one point run over the same
+steps.  Inside a ``qseries.point_scope()`` the base q^4 keeps each table's
+running product at one q, p and x, so a lower level reads its step and a
+higher one carries on from the last step formed.  No point shares a step
+with another, and outside a scope no level shares one with another.
+
 Cross paths kept for verification share no table: F as the iterated product
 of the four-tau nome-shift factor, F(m,x) = F(|m|, x^-1 p^(1/2))^-1 for
 m < 0, Y(x) = F(m, q^c x) / F(m, -p^(1/2) x) with q^c = p^m / q^2 in exact
@@ -31,6 +37,7 @@ on the tables would check them against themselves.
 from __future__ import annotations
 
 import cmath
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,44 +126,88 @@ class CommutingPoint:
 _F_POS = (((1, 1, -1), (-1, 1, 1)), ((-1, 0, 1), (1, 0, -1)))  # s = 1..2m
 _F_NEG = (((1, 0, 1), (-1, 0, -1)), ((1, 1, 1), (-1, 1, -1)))  # s = 0..2|m|-1
 _Y = (((-1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1)))  # s = 1..S
+# a run's key beside its table: the exact bits of q, p and x
+_RUN_BITS = struct.Struct("6d").pack
+
+
+class _Run:
+    """One table's steps formed so far at one q, p and x: each factor's head
+    x^(+-2) q^(0 or 2) and whether p^s multiplies or divides it, p^s at the
+    last step formed, the running product after each step, and the first s
+    whose quotient is exactly 0 (None before one)."""
+
+    __slots__ = ("heads", "ps", "products", "zero")
+
+    def __init__(self, heads: list) -> None:
+        self.heads = heads
+        self.ps = 1.0 + 0j
+        self.products: list[complex] = []
+        self.zero: int | None = None
 
 
 def _closed_form(
     table: tuple, first: int, last: int, step: Callable, nome: NomeParams, x: complex,
     policy: TruncationPolicy,
-) -> complex:
+) -> tuple[complex, bool]:
     """The product from 1 of step(quot, q, x^2) over s = first..last, quot the
     quotient of ``table`` at s on the arguments head * p^s or head / p^s (heads
-    x^(+-2) q^(0 or 2) and the base q^4 formed once); a p^s that underflows to
-    0 raises DomainError naming it before that step's arguments are formed."""
+    x^(+-2) q^(0 or 2) and the base q^4 formed once), and whether one of those
+    quotients is exactly 0; a p^s that underflows to 0 raises DomainError
+    naming it before that step's arguments are formed.
+
+    The base q^4 keeps each table's run under the exact bits of q, p and x;
+    a table is always multiplied out from one first step by one step
+    function, so its run serves every level.  A level whose steps are formed
+    reads its running product; a higher one carries on from the last step
+    formed.  Every step goes
+    through ``_theta_quotient`` in the order a fresh evaluation takes, so the
+    value, error and message are that evaluation's.  Inside a point scope the
+    levels at one point share their steps; nothing is shared across points,
+    and outside a scope the base and its runs live for one call."""
     xv = _nonzero(x, "x")
     p, q = nome.p, nome.q
-    q2 = q * q
     x2 = _square(xv, "x^2")
     q4 = _base(q**4, policy, "q^4")
-    ix2 = 1.0 / x2
-    heads = (x2, ix2, x2 * q2, ix2 * q2)  # x^(2e) q^(2k) at 2k + (e < 0)
-    (a, a_up), (b, b_up), (c, c_up), (d, d_up) = [
-        (heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side
-    ]
-    ps = result = 1.0 + 0j
-    for s in range(first, last + 1):
-        if s:
-            ps *= p
-            if ps == 0:
-                raise DomainError(f"p^{s} underflows at p = {p!r}")
-        nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
-        dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
-        result *= step(_theta_quotient(q4, nums, dens), q, x2)
-    return result
+    key = (table, _RUN_BITS(q.real, q.imag, p.real, p.imag, xv.real, xv.imag))
+    run = q4.runs.get(key)
+    if run is None:
+        q2 = q * q
+        ix2 = 1.0 / x2
+        heads = (x2, ix2, x2 * q2, ix2 * q2)  # x^(2e) q^(2k) at 2k + (e < 0)
+        run = q4.runs[key] = _Run(
+            [(heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side]
+        )
+    products = run.products
+    formed = len(products)
+    if first + formed <= last:
+        (a, a_up), (b, b_up), (c, c_up), (d, d_up) = run.heads
+        ps = run.ps
+        result = products[-1] if formed else 1.0 + 0j
+        for s in range(first + formed, last + 1):
+            if s:
+                ps *= p
+                if ps == 0:
+                    raise DomainError(f"p^{s} underflows at p = {p!r}")
+            nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
+            dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
+            quot = _theta_quotient(q4, nums, dens)
+            if not quot and run.zero is None:
+                run.zero = s
+            result *= step(quot, q, x2)
+            products.append(result)
+            run.ps = ps
+    return products[last - first], run.zero is not None and run.zero <= last
 
 
-def _finite(value: complex, name: str, level: LevelParams, x: complex) -> complex:
+def _finite(value: complex, zero: bool, name: str, level: LevelParams, x: complex) -> complex:
     """value, or DomainError when a running product overflowed although
-    every step was finite."""
-    if cmath.isfinite(value):
-        return value
-    raise DomainError(f"{name} is not finite at x = {complex(x)!r}, m = {level.m}")
+    every step was finite, or underflowed to 0 although no step's quotient
+    was 0 (``zero`` is false)."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} is not finite at x = {complex(x)!r}, m = {level.m}")
+    if not (value or zero):
+        raise DomainError(f"{name} underflows to 0 at x = {complex(x)!r}, m = {level.m}")
+    return value
 
 
 def shift_factor_F(
@@ -188,10 +239,12 @@ def exchange_F(
     range raises DomainError."""
     m, nome = level.m, level.nome
     if m > 0:
-        value = _closed_form(_F_POS, 1, 2 * m, lambda quot, q, x2: quot / q, nome, x, policy)
+        value, zero = _closed_form(_F_POS, 1, 2 * m, lambda quot, q, x2: quot / q, nome, x,
+                                   policy)
     else:
-        value = _closed_form(_F_NEG, 0, -2 * m - 1, lambda quot, q, x2: q * quot, nome, x, policy)
-    return _finite(value, "F", level, x)
+        value, zero = _closed_form(_F_NEG, 0, -2 * m - 1, lambda quot, q, x2: q * quot, nome,
+                                   x, policy)
+    return _finite(value, zero, "F", level, x)
 
 
 def exchange_F_iterated(
@@ -232,8 +285,9 @@ def exchange_Y(
     """Closed form of the quadratic exchange function Y(x); a value out of
     floating-point range raises DomainError."""
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
-    inner = _closed_form(_Y, 1, upper, lambda quot, q, x2: x2 * quot, level.nome, x, policy)
-    return _finite(inner * inner, "Y", level, x)
+    inner, zero = _closed_form(_Y, 1, upper, lambda quot, q, x2: x2 * quot, level.nome, x,
+                               policy)
+    return _finite(inner * inner, zero, "Y", level, x)
 
 
 def exchange_Y_ratio(

@@ -20,9 +20,12 @@ tail_tol (``_factor_count``); a series sums over the powers a^0 .. a^N that
 ``_series_powers`` gives, N the least with scale |a^N| / (1 - |a|) <
 tail_tol, the bound on the terms it drops (``log_deriv_theta`` and
 ``poisson.poisson_series_g``).  Each count comes from a logarithm,
-corrected against its exact test.  ``_product`` evaluates one product
-(``qpochhammer``, theta's (a; a), ``rmatrix.kappa_inv``'s head rows), and
-``_theta_pair`` theta's (x; a) and (a/x; a).  One guarded quotient,
+corrected against its exact test; a product's count skips the test where
+the logarithm's rounding cannot move it (``_factor_count``).
+``_product`` evaluates one product (``qpochhammer``, theta's (a; a),
+``rmatrix.kappa_inv``'s head rows), and ``_theta_pair`` theta's (x; a) and
+(a/x; a), both counted in one call and multiplied out in one loop over
+their common powers.  One guarded quotient,
 ``_theta_quotient``, forms every theta quotient (tau, mu, snh's T(y), each
 step of an exchange closed form, all steps at one base) from its base's
 (a; a).  Every value is bit for bit what a loop testing the bound before
@@ -33,16 +36,19 @@ underflows raises DomainError, not inf, nan or 0.
 
 Each base remembers the values formed at it: its products (x; a)_inf,
 (a; a)_inf among them, and its theta pairs, each under the exact bits of x;
-a call that raises stores nothing.  Inside ``point_scope()`` the scope's
-memo holds the bases, one per policy and type and exact bits of a, so every
-``theta`` call and quotient at one base and point shares one base, its
-(a; a), its table and its pairs.  The verification suites open one scope per
-sampled point, so each distinct theta factor of a point is formed once (the
-exchange functions at several levels share most of theirs) and nothing
-carries over to the next point.  The CLI's ``eval`` opens one scope for all
+a call that raises stores nothing.  A base q^4 also keeps the runs of the
+exchange closed forms (``exchange._closed_form``): each one's running
+products and the p^s reached, under its table and the exact bits of q, p
+and x.  Inside ``point_scope()`` the scope's memo holds the bases, one per
+policy and type and exact bits of a, so every ``theta`` call and quotient
+at one base and point shares one base, its (a; a), its table and its pairs,
+and the levels of F and Y at one point share their steps.  The
+verification suites open one scope per sampled point, so each distinct
+theta factor and quotient of a point is formed once and nothing carries
+over to the next point.  The CLI's ``eval`` opens one scope for all
 the points of an invocation, and ``poisson.laurent_modes`` one for the nodes
 of a table.  Outside a scope a base, and all it remembers, lives for one
-call, or one closed form.
+call, or one closed form, so nothing is shared there.
 
 Check first, then compute: ``_base`` checks the base, then
 ``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
@@ -200,10 +206,12 @@ class _Base:
     of ``_near_power`` at _ZERO_RTOL, the powers a^0, a^1, ... grown by
     repeated multiplication, and the values formed at it, each under the
     exact bits of its x: the products (x; a)_inf, (a; a)_inf among them,
-    and the theta pairs.  Messages show ``given``, a as passed."""
+    and the theta pairs.  At a base q^4, ``runs`` holds each exchange closed
+    form's steps formed so far, under its table and the bits of q, p and x
+    (see ``exchange._closed_form``).  Messages show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
-                 "powers", "products", "pairs")
+                 "slack", "powers", "products", "pairs", "runs")
 
     def __init__(self, a: complex, given: complex, policy: TruncationPolicy) -> None:
         self.a, self.given, self.policy = a, given, policy
@@ -212,9 +220,13 @@ class _Base:
         self.room = 1.0 - big
         self.log_tol = math.log(policy.tail_tol)
         self.half = math.log1p(-_ZERO_RTOL) / self.log_big
+        # how far from an integer a factor count's estimate must lie to be
+        # the count itself (see _factor_count)
+        self.slack = 1e-12 / -self.log_big + 1e-15 * (policy.max_terms + 1)
         self.powers = [1.0 + 0j]
         self.products: dict[bytes, complex] = {}
         self.pairs: dict[bytes, complex] = {}
+        self.runs: dict = {}
 
     @property
     def aa(self) -> complex:
@@ -223,10 +235,11 @@ class _Base:
     def upto(self, count: int) -> list[complex]:
         """The table, grown to hold at least a^0 .. a^(count - 1)."""
         powers = self.powers
-        power, a = powers[-1], self.a
-        for _ in range(count - len(powers)):
-            power *= a
-            powers.append(power)
+        if count > len(powers):
+            power, a = powers[-1], self.a
+            for _ in range(count - len(powers)):
+                power *= a
+                powers.append(power)
         return powers
 
 
@@ -242,28 +255,44 @@ def _base(a: complex, policy: TruncationPolicy, name: str = "a") -> _Base:
     return memo.get(key) or memo.setdefault(key, _Base(av, a, policy))
 
 
-def _factor_count(headroom: float, base: _Base) -> int:
-    """Factors a product at base keeps: the least n with headroom * |a|**n < tail_tol.
+def _factor_count(base: _Base, *headrooms: float) -> list[int]:
+    """Factors each product at base keeps, one count per headroom: the least
+    n with headroom * |a|**n < tail_tol, the count a per-factor test finds.
+    No n <= max_terms passing, a non-finite headroom included, gives
+    max_terms + 1.  A theta pair counts both its products in one call.
 
-    The estimate ceil((log(tail_tol) - log(headroom)) / log|a|), its
-    logarithm taken as a difference so that the ratio cannot underflow, is
-    corrected against that exact predicate, which falls monotonically in n,
-    so the count is the one a per-factor test finds.  No n <= max_terms
-    passing, a non-finite headroom included, gives max_terms + 1.
+    The estimate e = (log(tail_tol) - log(headroom)) / log|a|, its
+    logarithm taken as a difference so that the ratio cannot underflow,
+    lies within 5e-13 / |log|a|| + 4e-16 e of the exact boundary.  While
+    tail_tol / headroom > e^-690, the predicate's pow and product round by
+    less than 4e-16 relative wherever |a|^n is normal, which moves its
+    boundary by less than 4e-16 / |log|a||, and a subnormal |a|^n passes
+    it.  So when ceil(e) - e lies farther than ``base.slack`` =
+    1e-12 / |log|a|| + 1e-15 (max_terms + 1) from 0 and from 1, ceil(e) is
+    the count.  Otherwise, or at the cap, ceil(e) is corrected against the
+    exact predicate, which falls monotonically in n.
     """
     policy = base.policy
     cap = policy.max_terms + 1
-    if not math.isfinite(headroom):
-        return cap
-    tol, big = policy.tail_tol, base.big
-    n = math.ceil((base.log_tol - math.log(headroom)) / base.log_big)
-    if n > cap:
-        n = cap
-    while n > 0 and headroom * big ** (n - 1) < tol:
-        n -= 1
-    while n < cap and not headroom * big**n < tol:
-        n += 1
-    return n
+    tol, big, log_tol, log_big, slack = (policy.tail_tol, base.big, base.log_tol,
+                                         base.log_big, base.slack)
+    counts = []
+    for headroom in headrooms:
+        if not math.isfinite(headroom):
+            counts.append(cap)
+            continue
+        exponent = log_tol - math.log(headroom)
+        estimate = exponent / log_big
+        n = math.ceil(estimate)
+        if not (exponent > -690.0 and slack < n - estimate < 1.0 - slack and n < cap):
+            if n > cap:
+                n = cap
+            while n > 0 and headroom * big ** (n - 1) < tol:
+                n -= 1
+            while n < cap and not headroom * big**n < tol:
+                n += 1
+        counts.append(n)
+    return counts
 
 
 def _series_powers(scale: float, base: _Base, series: str) -> list[complex]:
@@ -331,10 +360,10 @@ def _product(x: complex, base: _Base) -> complex:
     key = _X_BITS(x.real, x.imag)
     value = base.products.get(key)
     if value is None:
-        count = _factor_count((1.0 + abs(x)) / base.room, base)
-        result = 1.0 + 0j
+        [count] = _factor_count(base, (1.0 + abs(x)) / base.room)
+        one = result = 1.0 + 0j  # see _theta_pair
         for power in base.upto(count)[:count]:
-            result *= 1.0 - x * power
+            result *= one - x * power
         value = base.products[key] = _settled(x, base, count, result)
     return value
 
@@ -343,9 +372,10 @@ def _theta_pair(x: complex, base: _Base) -> complex:
     """(x; a)_inf * (a/x; a)_inf at a checked base and a checked x != 0,
     formed once per base; theta_a(x) is this times (a; a)_inf.
 
-    Each product runs over the tabled powers a^n for its own factor count.
-    An a/x whose parts are finite but whose modulus is not raises
-    DomainError.
+    One ``_factor_count`` call counts both products; one loop runs them over
+    the tabled powers a^n they share, and the longer one goes on alone, each
+    product's factors in the order of its own loop.  An a/x whose parts are
+    finite but whose modulus is not raises DomainError.
     """
     key = _X_BITS(x.real, x.imag)
     value = base.pairs.get(key)
@@ -357,15 +387,20 @@ def _theta_pair(x: complex, base: _Base) -> complex:
     except OverflowError:  # finite parts whose modulus overflows abs()
         raise DomainError(f"|a/x| is out of floating-point range at theta argument "
                           f"x = {x!r}, a = {base.a!r}") from None
-    nx = _factor_count((1.0 + abs(x)) / base.room, base)
-    ny = _factor_count((1.0 + ay) / base.room, base)
-    most = max(nx, ny)
+    room = base.room
+    nx, ny = _factor_count(base, (1.0 + abs(x)) / room, (1.0 + ay) / room)
+    most, both = (nx, ny) if nx > ny else (ny, nx)
     powers = base.upto(most)
-    rx = ry = 1.0 + 0j
-    for power in powers[:nx]:
-        rx *= 1.0 - x * power
-    for power in powers[:ny]:
-        ry *= 1.0 - y * power
+    # a complex 1 is subtracted from in one step, where a float 1.0 first
+    # tries float subtraction; the bits are the same
+    one = rx = ry = 1.0 + 0j
+    for power in powers[:both]:
+        rx *= one - x * power
+        ry *= one - y * power
+    for power in powers[both:nx]:
+        rx *= one - x * power
+    for power in powers[both:ny]:
+        ry *= one - y * power
     value = rx * ry
     # _settled's common case for both products at once: skips two calls
     if not (most <= base.policy.max_terms and value and cmath.isfinite(value)):

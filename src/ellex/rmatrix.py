@@ -119,7 +119,8 @@ def kappa_inv(
     log(1/kappa) by less than 2 tail_tol / 3 and the relative error is below
     e^(2 tail_tol/3) - 1 < tail_tol.  More than ``max_terms`` rows for one
     argument, factors in a row or series terms: TruncationExceeded.  A
-    running product of head rows that overflows: DomainError.
+    running product of head rows that overflows, or underflows to 0 with no
+    row product 0: DomainError.
     """
     y = _invertible(x2, "x2")
     pv = _in_disk(p, "p")
@@ -154,6 +155,11 @@ def kappa_inv(
         den *= _product(z, rows)
     if not (cmath.isfinite(num) and cmath.isfinite(den)):
         raise DomainError(f"kappa_inv row products out of floating-point range at x2 = {y!r}")
+    # a row product is zero only at a zero factor, so a zero running product
+    # of nonzero ones underflowed
+    if (not num and all(_product(z, rows) for z in num_rows)
+            or not den and all(_product(z, rows) for z in den_rows)):
+        raise DomainError(f"kappa_inv row products underflow at x2 = {y!r}")
     if den == 0:
         raise NearSingularity(f"kappa_inv denominator vanished at x2 = {y!r}")
 

@@ -666,6 +666,19 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
         (("eval", "--fn", "mu", "--p", "0.997", "--q", "0.5", "--x", "2.5",
           "--max-terms", "100000"), {},
          "theta quotient denominator underflows at a = (0.994009+0j)"),
+        # kappa_inv's head-row products and the running products of F and Y
+        # underflow to 0 with no factor or step 0
+        *[(("eval", "--fn", fn, "--p", "0.995", "--q", "0.5", "--x", "2.5",
+            "--max-terms", "100000"), {}, "kappa_inv row products underflow at x2 = (6.25+0j)")
+          for fn in ("kappa", "mu")],
+        (("eval", "--fn", "F", "--m=-32", "--p=0.9183099367747641+0.022373689537674168j",
+          "--q=-0.03988826010863804+0.8757637783654194j",
+          "--x=-0.3104834713268973-0.17483602480197497j"), {},
+         "F underflows to 0 at x = (-0.3104834713268973-0.17483602480197497j), m = -32"),
+        (("eval", "--fn", "Y", "--m=58", "--p=0.9672497223588254-0.025608725260075536j",
+          "--q=0.06706630858736884+0.7588416436919556j",
+          "--x=0.7680811674400397-0.9103962883210333j"), {},
+         "Y underflows to 0 at x = (0.7680811674400397-0.9103962883210333j), m = 58"),
     ],
 )
 def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, message):

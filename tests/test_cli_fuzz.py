@@ -40,13 +40,18 @@ EDGE_NUMBERS = [
     "-1e308", "1.7976931348623157e308", "1e309", "nan", "-nan", "nanj", "inf", "-inf",
     "infj", "1", "-1", "1j", "-1j", "0.9999999999999999", "1.0000000000000002", "abc", "",
 ]
-# the inputs that hung or ended in a traceback before they were mended
+# the inputs that hung, ended in a traceback or printed an underflowed 0
+# before they were mended: kappa and mu at p = 0.995, and the p, q and x of F
+# at m = -32 and of Y at m = 58
 KNOWN = ["1+7.967831128488578e-09j", "0.9553364891256059+0.2955202066613395j",
-         "-1.2438604811473973e-12", "0.999999", "0.9999"]
+         "-1.2438604811473973e-12", "0.999999", "0.9999", "0.995",
+         "0.9183099367747641+0.022373689537674168j", "-0.03988826010863804+0.8757637783654194j",
+         "-0.3104834713268973-0.17483602480197497j", "0.9672497223588254-0.025608725260075536j",
+         "0.06706630858736884+0.7588416436919556j", "0.7680811674400397-0.9103962883210333j"]
 INTS = ["1", "-1", "2", "-2", "3", "-3", "5"]
 # |m| = 1000 is 2000 theta quotients, up to 2.6 s at |p| near 1: no hang,
 # but past the alarm
-INTS_WILD = ["0", "8", "40", "-40", "100", "-100", "1.5", "x"]
+INTS_WILD = ["0", "8", "40", "-40", "-32", "58", "100", "-100", "1.5", "x"]
 MAX_TERMS = ["60", "512", "512", "4096"]
 MAX_TERMS_WILD = ["1", "2", "3", "8", "0", "-1"]
 TAIL_TOLS = ["1e-15", "1e-10", "1e-6", "0.5"]

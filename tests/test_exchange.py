@@ -30,7 +30,7 @@ from ellex.exchange import (
     exchange_Y_ratio,
     shift_factor_F,
 )
-from ellex.qseries import TruncationPolicy, _theta_quotient, near_theta_zero
+from ellex.qseries import TruncationPolicy, _theta_quotient, near_theta_zero, point_scope
 from ellex.rmatrix import mu_inv, tau_fn
 
 NOME = NomeParams(0.18, -0.45)
@@ -125,7 +125,9 @@ def test_exchange_closed_forms_keep_their_bits(p):
 def closed_form_per_step(table, first, last, step, nome, x, policy):
     """The closed-form loop as it was before the base was hoisted out of it:
     every step checks q^4 again and forms (q^4; q^4) and its powers afresh,
-    in a quotient of its own.  exchange._closed_form must equal it."""
+    in a quotient of its own, and no step is kept for another level.  It
+    also says whether a step's quotient was exactly 0.  exchange._closed_form
+    must equal it."""
     xv = qseries._nonzero(x, "x")
     p, q = nome.p, nome.q
     q4 = q**4
@@ -137,6 +139,7 @@ def closed_form_per_step(table, first, last, step, nome, x, policy):
         (heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side
     ]
     ps = result = 1.0 + 0j
+    zero = False
     for s in range(first, last + 1):
         if s:
             ps *= p
@@ -145,8 +148,9 @@ def closed_form_per_step(table, first, last, step, nome, x, policy):
         nums = (a * ps if a_up else a / ps, b * ps if b_up else b / ps)
         dens = (c * ps if c_up else c / ps, d * ps if d_up else d / ps)
         quot = _theta_quotient(qseries._base(q4, policy, "q^4"), nums, dens)
+        zero = zero or quot == 0
         result *= step(quot, q, x2)
-    return result
+    return result, zero
 
 
 def exchange_F_per_step(level, x, policy):
@@ -155,14 +159,14 @@ def exchange_F_per_step(level, x, policy):
         form = (exchange._F_POS, 1, 2 * m, lambda u, q, x2: u / q)
     else:
         form = (exchange._F_NEG, 0, -2 * m - 1, lambda u, q, x2: q * u)
-    return exchange._finite(closed_form_per_step(*form, nome, x, policy), "F", level, x)
+    return exchange._finite(*closed_form_per_step(*form, nome, x, policy), "F", level, x)
 
 
 def exchange_Y_per_step(level, x, policy):
     upper = 2 * level.m - 1 if level.m > 0 else 2 * abs(level.m)
     form = (exchange._Y, 1, upper, lambda u, q, x2: x2 * u)
-    inner = closed_form_per_step(*form, level.nome, x, policy)
-    return exchange._finite(inner * inner, "Y", level, x)
+    inner, zero = closed_form_per_step(*form, level.nome, x, policy)
+    return exchange._finite(inner * inner, zero, "Y", level, x)
 
 
 def outcome_and_message(f, *args):
@@ -208,6 +212,101 @@ def test_closed_forms_equal_the_per_step_quotient_product():
             assert outcome_and_message(closed, level, x, policy) == want, (level, x)
             seen.add(want[0] if isinstance(want, tuple) else str)
     assert seen == {str, DomainError, NearSingularity, TruncationExceeded, NonConvergentBase}
+
+
+# --- the levels of one point share their closed-form steps ---------------------
+
+
+def test_levels_in_a_scope_equal_the_per_step_quotient_product():
+    # every level of F and Y at one point, in a shuffled order inside one
+    # scope: each value, error and message is that of a fresh evaluation,
+    # whichever levels ran before it
+    rng = random.Random(7)
+    seen = set()
+    for level, x, policy in per_step_draws(600):
+        levels = [LevelParams(m, level.nome) for m in (1, -1, 2, -2, 3, -3)]
+        calls = [(closed, per_step, at) for at in levels
+                 for closed, per_step in ((exchange_F, exchange_F_per_step),
+                                          (exchange_Y, exchange_Y_per_step))]
+        rng.shuffle(calls)
+        with point_scope():
+            for closed, per_step, at in calls:
+                want = outcome_and_message(per_step, at, x, policy)
+                assert outcome_and_message(closed, at, x, policy) == want, (at, x)
+                seen.add(want[0] if isinstance(want, tuple) else str)
+    assert seen == {str, DomainError, NearSingularity, TruncationExceeded, NonConvergentBase}
+
+
+def commuting_calls(cp, q, x, policy):
+    """The calls of the commuting-points suite at one point: F, commuting_F
+    and Y at each level m = -3..3."""
+    nome = cp.exact_nome(q)
+    calls = []
+    for m in (-3, -2, -1, 1, 2, 3):
+        level = LevelParams(m, nome)
+        calls += [(exchange_F, (level, x, policy)), (commuting_F, (m, cp, x, q, policy)),
+                  (exchange_Y, (level, x, policy))]
+    return calls
+
+
+def test_levels_at_one_point_form_each_step_once(monkeypatch):
+    # F at m = 1..3, F at m = -1..-3 and Y at all six levels are three
+    # running products of 6 steps each, 18 step quotients; level by level
+    # they take 2 + 4 + 6 twice and 1 + 3 + 5 + 2 + 4 + 6, 45 in all.
+    # commuting_F forms its one quotient at every level.
+    calls = commuting_calls(CommutingPoint(2), 0.55 - 0.1j, 1.2 + 0.15j, TruncationPolicy())
+    alone = [repr(fn(*args)) for fn, args in calls]
+    steps = []
+
+    def counting(base, nums, dens, *args, **kwargs):
+        steps.append(len(dens))  # a closed-form step has two denominator factors
+        return _theta_quotient(base, nums, dens, *args, **kwargs)
+
+    monkeypatch.setattr(exchange, "_theta_quotient", counting)
+    with point_scope():
+        shared = [repr(fn(*args)) for fn, args in calls]
+    assert (steps.count(2), steps.count(1)) == (18, 6)
+    assert shared == alone and len(set(alone)) > 6
+    steps.clear()
+    for fn, args in calls:  # outside a scope nothing is shared
+        fn(*args)
+    assert (steps.count(2), steps.count(1)) == (45, 6)
+
+
+def test_a_step_that_raises_does_so_whichever_levels_ran_before():
+    # x^2 = p^5 puts the denominator x^-2 p^s of F's step s = 5 on a zero of
+    # theta_{q^4}: level 3 raises there, after levels 1 and 2 stored steps
+    # 1..4 or alone, and the failing step stores nothing
+    nome = NomeParams(0.3 + 0.1j, 0.5 - 0.2j)
+    x = cmath.sqrt(nome.p**5)
+    low, mid, high = (LevelParams(m, nome) for m in (1, 2, 3))
+    alone = outcome_and_message(exchange_F, high, x)
+    assert alone[0] is NearSingularity
+    with point_scope():
+        assert outcome_and_message(exchange_F, low, x) == repr(exchange_F(low, x))
+        assert outcome_and_message(exchange_F, high, x) == alone
+        assert outcome_and_message(exchange_F, mid, x) == repr(exchange_F(mid, x))
+        assert outcome_and_message(exchange_F, high, x) == alone
+
+
+# F at this point is subnormal at m = -25 and underflows to 0 at m = -26,
+# with no step 0
+UNDERFLOW_NOME = NomeParams(0.9183099367747641 + 0.022373689537674168j,
+                            -0.03988826010863804 + 0.8757637783654194j)
+UNDERFLOW_X = -0.3104834713268973 - 0.17483602480197497j
+
+
+@pytest.mark.parametrize("order", [(-25, -26, -25), (-26, -25, -26)])
+def test_an_underflow_is_refused_at_its_own_level(order):
+    # the run stores a nonzero product for m = -25 and a zero one for
+    # m = -26, so each level decides for itself
+    alone = exchange_F(LevelParams(-25, UNDERFLOW_NOME), UNDERFLOW_X)
+    assert alone != 0 and abs(alone) < 1e-300
+    refused = (DomainError, f"F underflows to 0 at x = {UNDERFLOW_X!r}, m = -26")
+    with point_scope():
+        for m in order:
+            got = outcome_and_message(exchange_F, LevelParams(m, UNDERFLOW_NOME), UNDERFLOW_X)
+            assert got == (refused if m == -26 else repr(alone))
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1])

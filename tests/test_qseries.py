@@ -233,12 +233,53 @@ def test_factor_count_corrects_its_estimate_both_ways():
         policy = TruncationPolicy(512, tol)
         log_big = math.log(big)
         estimate = min(math.ceil((math.log(tol) - math.log(headroom)) / log_big), 513)
-        count = qseries._factor_count(headroom, qseries._base(big, policy))
+        [count] = qseries._factor_count(qseries._base(big, policy), headroom)
         least = next((k for k in range(513) if headroom * big**k < tol), 513)
         assert count == least, (headroom, big, tol)
         if count != estimate:
             corrected.add("down" if count < estimate else "up")
     assert corrected == {"down", "up"}
+
+
+def least_count(headroom, big, tol, cap):
+    """The least n < cap with headroom * big**n < tol, else cap: bisection
+    on the predicate, which falls monotonically in n."""
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if headroom * big**mid < tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_factor_count_takes_its_estimate_only_where_it_is_the_count():
+    # the estimate put at every distance from an integer, 1e-17 to 1, over
+    # bases from 1e-300 to 1 - 1e-15, tails from 5e-324 to 1 - 1e-14 and caps
+    # from 9 to 100001 factors: the count is the predicate's least n whether
+    # the estimate is taken or corrected, and both happen
+    rng = random.Random(29)
+    taken = set()
+    for _ in range(20000):
+        big = rng.choice((10.0 ** -rng.uniform(0.01, 300), rng.uniform(0.01, 0.99),
+                          1.0 - 10.0 ** -rng.uniform(1, 15)))
+        tol = rng.choice((10.0 ** -rng.uniform(0.01, 323), 5e-324, 1.0 - 1e-14))
+        policy = TruncationPolicy(rng.choice((8, 512, 100000)), tol)
+        base = qseries._base(big, policy)
+        cap = policy.max_terms + 1
+        near = rng.randint(0, cap + 1) + rng.choice((-1, 1)) * 10.0 ** -rng.uniform(0, 17)
+        log_headroom = math.log(tol) - near * math.log(big)
+        if not 0.0 < log_headroom < 709.0:
+            continue
+        headroom = math.exp(log_headroom)
+        [count] = qseries._factor_count(base, headroom)
+        assert count == least_count(headroom, big, tol, cap), (headroom, big, tol, cap)
+        exponent = base.log_tol - math.log(headroom)
+        n = math.ceil(exponent / base.log_big)
+        gap = n - exponent / base.log_big
+        taken.add(exponent > -690.0 and base.slack < gap < 1.0 - base.slack and n < cap)
+    assert taken == {True, False}
 
 
 def test_theta_overflowing_reflection_raises_truncation():
@@ -553,13 +594,14 @@ def test_point_scope_changes_no_value():
 def test_theta_and_quotient_share_their_memo_entries(monkeypatch):
     # a quotient gets theta's base from the memo, whose (a; a) and pair at x
     # are formed, and counts the factors of only its other arguments' pairs;
-    # the memo holds the base alone, and the base its values by the bits of x
+    # the memo holds the base alone, and the base its values by the bits of x.
+    # counts holds each product counted: a pair counts its two in one call
     factor_count = qseries._factor_count
     counts = []
 
-    def counting(*args):
-        counts.append(args[0])
-        return factor_count(*args)
+    def counting(base, *headrooms):
+        counts.extend(headrooms)
+        return factor_count(base, *headrooms)
 
     monkeypatch.setattr(qseries, "_factor_count", counting)
     a, x, u, v = 0.3 - 0.2j, 1.1 + 0.2j, 0.7 - 0.4j, complex(1.3, -0.0)
