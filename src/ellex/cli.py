@@ -392,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--annulus", type=int, default=0)
     sp.add_argument("--lmax", type=int, default=8)
-    sp.add_argument("--nodes", type=int, default=256)
+    sp.add_argument("--nodes", type=int, default=256,
+                    help="N, the node count of the coarse rule: a table samples 2N nodes "
+                         "on the circle and reports params.nodes = 2N")
     sp.add_argument("--pairs", default=None, help="bracket pairs to render, e.g. '1:-1,2:0'")
     sp.add_argument("--cutoff", type=int, default=8)
     common(sp)

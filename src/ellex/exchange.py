@@ -128,6 +128,8 @@ _F_NEG = (((1, 0, 1), (-1, 0, -1)), ((1, 1, 1), (-1, 1, -1)))  # s = 0..2|m|-1
 _Y = (((-1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1)))  # s = 1..S
 # a run's key beside its table: the exact bits of q, p and x
 _RUN_BITS = struct.Struct("6d").pack
+# commuting_F's ratio's key beside its name: the exact bits of q and x
+_RATIO_BITS = struct.Struct("4d").pack
 
 
 class _Run:
@@ -317,7 +319,9 @@ def commuting_F(
         q^(-2m) x^(4m) [ th(x^2 q^2) / th(x^2) ]^(4m)       for k even,
 
     with th = theta_{q^4}. Serves as the oracle for exchange_F there.
-    A value out of floating-point range raises DomainError.
+    A value out of floating-point range raises DomainError.  Inside a point
+    scope the base q^4 keeps the ratio under the exact bits of q and x, so
+    the levels at one point form it once; a ratio that raises is not kept.
     """
     m = _nonzero_int(m, "m")
     qv = _in_disk(q, "q")
@@ -325,7 +329,11 @@ def commuting_F(
     if cp.k % 2:
         return 1.0 + 0j
     x2 = _square(xv, "x^2")
-    ratio = _theta_quotient(_base(qv**4, policy, "q^4"), (x2 * qv * qv,), (x2,))
+    q4 = _base(qv**4, policy, "q^4")
+    key = ("commuting_F", _RATIO_BITS(qv.real, qv.imag, xv.real, xv.imag))
+    ratio = q4.runs.get(key)
+    if ratio is None:
+        ratio = q4.runs[key] = _theta_quotient(q4, (x2 * qv * qv,), (x2,))
     try:
         value = qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
         if cmath.isfinite(value):

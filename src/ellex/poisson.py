@@ -26,17 +26,21 @@ coefficients of the structure function are taken by trapezoidal quadrature
 on the circle of geometric-mean radius (spectrally accurate there).  The
 raw coefficients of a single annulus are *not* coefficient-antisymmetric:
 functional antisymmetry g(1/x) = -g(x) relates annulus n to its mirror
-1 - n, and the leftover l-symmetric part is the central piece that this
-package deliberately leaves out (central extensions are out of scope).
+1 - n.  On annulus 0, in units of the prefactor, the raw coefficients are
+2 q^(2j) / (1 + q^(2j)) at l = 2j, 2 / (1 + q^(2j)) at l = -2j (j >= 1),
+1 at l = 0 and 0 at odd l, so the l-symmetric part (g_l + g_-l)/2 is 1
+at every even l and 0 at every odd one: the modes of a delta(x^2) term.
 The bracket structure constants stored in ``ModeBracketTable.coefficients``
-are therefore the antisymmetric part (g_l - g_-l)/2 of the raw data, which
-is exactly what an antisymmetric bracket on commuting mode symbols can see;
+are the antisymmetric part (g_l - g_-l)/2 of the raw data, which is
+exactly what an antisymmetric bracket on commuting mode symbols can see;
 the raw coefficients are kept alongside for expansion and residue checks.
 
 The circle is sampled once, at 2N nodes: np.fft.fft of the samples gives
 the 2N-node rule, np.fft.fft of the even nodes the N-node rule, and the
-two rules must agree to 1e-9.  ``laurent_modes`` imports numpy itself, so
-the scalar functions of this module load without it.
+two rules must agree to 1e-9.  One integrand per table does the q-level
+work; each node forms x^2, its term counts and the series' cores.
+``laurent_modes`` imports numpy itself, so the scalar functions of this
+module load without it.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .qseries import (
     _as_complex,
     _base,
     _in_disk,
+    _log_deriv_core,
     _near_zero,
     _nonzero,
     _nonzero_int,
@@ -109,7 +114,6 @@ def poisson_series_g(
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a pole x^2 = q^(2j)")
     q2 = qv * qv
     q4 = q2 * q2
-    total = a / (1.0 - a) - b / (1.0 - b)
     scale = 8.0 * (abs(a) + abs(b))
     if q4:
         powers = _series_powers(scale, _base(q4, policy, "q^4"), "structure-function")
@@ -117,16 +121,33 @@ def poisson_series_g(
         powers = [1.0 + 0j, 0j]
     else:
         raise _unmet("structure-function", policy)
+    return _series_g_core(a, b, q2, powers)
+
+
+def _series_g_core(a: complex, b: complex, q2: complex, powers: list[complex]) -> complex:
+    """g at checked a = x^2 and b = 1/x^2, over the powers t = q^(4n) of the
+    base q^4 and the term past them: a loop with no test in it."""
+    one = 1.0 + 0j  # a complex 1, as in qseries._theta_pair
+    total = a / (one - a) - b / (one - b)
     neg_2a, pos_2a, pos_2b = -2.0 * a, 2.0 * a, 2.0 * b
     for t in powers[:-1]:
         at, bt, bt2 = a * t, b * t, pos_2b * t
         total += (
-            neg_2a * t / (1.0 - at)
-            + pos_2a * t * q2 / (1.0 - at * q2)
-            + bt2 / (1.0 - bt)
-            - bt2 * q2 / (1.0 - bt * q2)
+            neg_2a * t / (one - at)
+            + pos_2a * t * q2 / (one - at * q2)
+            + bt2 / (one - bt)
+            - bt2 * q2 / (one - bt * q2)
         )
     return total
+
+
+def _prefactor(m: int, k: int, q: complex) -> complex:
+    """The k-labeled structure function's prefactor, m, k and q checked in that order."""
+    m, k = _nonzero_int(m, "m"), _nonzero_int(k, "k")
+    lnq = cmath.log(_in_disk(q, "q"))
+    if k % 2:
+        return 2.0 * k * m * lnq
+    return -2.0 * k * m * (2 * m - 1) * lnq
 
 
 def poisson_structure(
@@ -137,14 +158,7 @@ def poisson_structure(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Full k-labeled structure function: parity-dependent prefactor times g."""
-    m, k = _nonzero_int(m, "m"), _nonzero_int(k, "k")
-    qv = _in_disk(q, "q")
-    lnq = cmath.log(qv)
-    if k % 2:
-        prefactor = 2.0 * k * m * lnq
-    else:
-        prefactor = -2.0 * k * m * (2 * m - 1) * lnq
-    return prefactor * poisson_series_g(x, qv, policy)
+    return _prefactor(m, k, q) * poisson_series_g(x, q, policy)
 
 
 def poisson_structure_center(
@@ -269,23 +283,64 @@ _WHICH_ALIASES = {
 }
 
 
-def _structure_integrand(which: str, q: complex, m: int | None, k: int | None, policy):
+def _kind(which: str, m: int | None, k: int | None) -> str:
+    """The structure function ``which`` names, with the levels it needs."""
     kind = _WHICH_ALIASES.get(which)
     if kind is None:
         raise DomainError(f"unknown structure function {which!r}")
+    if kind == "klimit" and (m is None or k is None):
+        raise DomainError("the k-labeled structure function needs m and k")
+    return kind
+
+
+def _circle_integrand(kind: str, q: complex, r: float, m: int | None, k: int | None,
+                      policy: TruncationPolicy):
+    """The structure function on the circle |x| = r of a checked q, as one
+    function of x whose every value, error type and message is the public
+    function's.
+
+    It does the q-level work once: the checks of m, k, q and q^4, q^2, the
+    base q^4 and ln q in the prefactor, each raising what the first node
+    would.  Each node then forms x^2, its term counts and its cores.  The
+    node checks it drops give one verdict on the whole circle:
+    - the moduli of x^2, 1/x^2, q^2 x^2 and q^2 / x^2 lie in
+      (1e-200, 1e100), so none is 0, inf or out of reciprocal range;
+    - the poles of g (x^2 = q^(2j)) and the zeros of the center's
+      theta_{q^4} factors lie on the circles |x| = |q|^j, which r clears by
+      relative 1e-6 (laurent_modes has checked), so no node lies within
+      their relative 1e-8; and each node's window of candidate powers is
+      at least 200 times narrower than that check's, which held no more
+      than 1024 of them, so |q| near 1 refuses no node there either.
+    Where that cannot be shown, at |q^2| <= 1e-100 (q^4 may underflow) or
+    r^2 outside (1e-100, 1e100), every node goes through the public
+    function, with all its checks in their order.
+    """
+    q2 = q * q
+    if not (1e-100 < abs(q2) and 1e-100 < r * r < 1e100):
+        if kind == "klimit":
+            return lambda x: poisson_structure(m, k, x, q, policy)
+        return lambda x: poisson_structure_center(x, q, policy)
     if kind == "klimit":
-        if m is None or k is None:
-            raise DomainError("the k-labeled structure function needs m and k")
+        prefactor = _prefactor(m, k, q)
+        base = _base(q2 * q2, policy, "q^4")
+        core = _series_g_core
 
-        def f(z: complex) -> complex:
-            return poisson_structure(m, k, z, q, policy)
+        def klimit(x: complex) -> complex:
+            a = x * x
+            b = 1.0 / a
+            powers = _series_powers(8.0 * (abs(a) + abs(b)), base, "structure-function")
+            return prefactor * core(a, b, q2, powers)
 
-    else:
+        return klimit
+    base = _base(q**4, policy, "q^4")
+    prefactor = -2.0 * cmath.log(q)
+    L = _log_deriv_core
 
-        def f(z: complex) -> complex:
-            return poisson_structure_center(z, q, policy)
+    def center(x: complex) -> complex:
+        x2 = x * x
+        return prefactor * (L(q2 * x2, base) + L(1.0 / x2, base) - L(q2 / x2, base) - L(x2, base))
 
-    return kind, f
+    return center
 
 
 def laurent_modes(
@@ -303,16 +358,18 @@ def laurent_modes(
 
     g_l = (1/2 pi i) oint_{|x| = r} x^(-l-1) f(x) dx by the trapezoidal rule
     on the circle of radius r = |q|^(n_ann - 1/2).  f is sampled once at
-    2N nodes (N = quadrature_points), in one point scope, so that they share
-    one base q^4; np.fft.fft of those samples gives the 2N-node rule and of
-    the even nodes alone the N-node rule.  Raises
+    2N nodes (N = quadrature_points, params["nodes"] = 2N), in one point
+    scope, by one integrand that does the q-level work once and shares one
+    base q^4 (``_circle_integrand``); its samples are the public function's
+    bit for bit.  np.fft.fft of them gives the 2N-node rule and of the even
+    nodes alone the N-node rule.  Raises
     QuadratureUnresolved when the two rules differ in any coefficient by
     more than 1e-9, AnnulusContainsPole when r is within relative 1e-6 of a
     pole circle |q|^j, and DomainError when some r^l, |l| <= l_max, leaves
     the floating-point range; every input is checked before f is sampled.
     """
     qv = _in_disk(q, "q")
-    kind, f = _structure_integrand(which, qv, m, k, policy)
+    kind = _kind(which, m, k)
     if int(l_max) != l_max or l_max < 0:
         raise DomainError(f"l_max must be a non-negative integer, got {l_max!r}")
     l_max = int(l_max)
@@ -329,6 +386,7 @@ def laurent_modes(
 
     nodes = 2 * quadrature_points
     with point_scope():  # every node shares the structure function's base q^4
+        f = _circle_integrand(kind, qv, r, m, k, policy)
         vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
 
     def rule(samples: np.ndarray) -> dict[int, complex]:

@@ -39,10 +39,11 @@ Each base remembers the values formed at it: its products (x; a)_inf,
 a call that raises stores nothing.  A base q^4 also keeps the runs of the
 exchange closed forms (``exchange._closed_form``): each one's running
 products and the p^s reached, under its table and the exact bits of q, p
-and x.  Inside ``point_scope()`` the scope's memo holds the bases, one per
-policy and type and exact bits of a, so every ``theta`` call and quotient
-at one base and point shares one base, its (a; a), its table and its pairs,
-and the levels of F and Y at one point share their steps.  The
+and x, and ``exchange.commuting_F``'s ratio under the bits of q and x.
+Inside ``point_scope()`` the scope's memo holds the bases, one per policy
+and type and exact bits of a, so every ``theta`` call and quotient at one
+base and point shares one base, its (a; a), its table and its pairs, and
+the levels of F and Y at one point share their steps.  The
 verification suites open one scope per sampled point, so each distinct
 theta factor and quotient of a point is formed once and nothing carries
 over to the next point.  The CLI's ``eval`` opens one scope for all
@@ -208,7 +209,8 @@ class _Base:
     exact bits of its x: the products (x; a)_inf, (a; a)_inf among them,
     and the theta pairs.  At a base q^4, ``runs`` holds each exchange closed
     form's steps formed so far, under its table and the bits of q, p and x
-    (see ``exchange._closed_form``).  Messages show ``given``, a as passed."""
+    (see ``exchange._closed_form``), and commuting_F's ratios.  Messages
+    show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
                  "slack", "powers", "products", "pairs", "runs")
@@ -579,12 +581,17 @@ def log_deriv_theta(
     if _near_power(base.a, xv, _ZERO_RTOL, base.log_big, base.half):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a theta_a zero")
     _as_complex(1.0 / xv, "1/x")  # a subnormal x: a^(n+1)/x overflows
+    return _log_deriv_core(xv, base)
 
-    xmag = abs(xv)
+
+def _log_deriv_core(x: complex, base: _Base) -> complex:
+    """log_deriv_theta at a checked base and a checked x: the count of its
+    terms, then a loop over them with no test in it."""
+    xmag = abs(x)
     powers = _series_powers(2.0 * (xmag + 1.0 / xmag + 1.0), base, "log-derivative")
-    neg_x = -xv
-    total = 0j
+    neg_x = -x
+    one, total = 1.0 + 0j, 0j  # a complex 1, as in _theta_pair
     for an, an1 in pairwise(powers):
-        w = an1 / xv
-        total += neg_x * an / (1.0 - xv * an) + w / (1.0 - w)
+        w = an1 / x
+        total += neg_x * an / (one - x * an) + w / (one - w)
     return total

@@ -368,18 +368,16 @@ def test_modes_match_geometric_expansion(which, m, k, pref_over_lnq, q, annulus)
 
 @pytest.mark.parametrize(
     "which, expected",
-    [
-        ("klimit", {"poisson_structure": 1, "poisson_series_g": 1}),
-        ("center", {"poisson_structure_center": 1, "log_deriv_theta": 4}),
-    ],
+    [("klimit", {"_series_g_core": 1}), ("center", {"_log_deriv_core": 4})],
 )
-def test_a_modes_table_calls_each_public_layer_once_per_node(monkeypatch, capsys, which, expected):
-    # every node goes through the public structure function, and the center
-    # through four log-derivatives, so per-layer spans around these names
-    # count and time what one node costs; --nodes N samples 2N nodes
-    calls = dict.fromkeys(
-        ("poisson_structure", "poisson_structure_center", "poisson_series_g", "log_deriv_theta"), 0
-    )
+def test_a_modes_table_calls_no_public_layer_and_its_cores_once_per_node(
+    monkeypatch, capsys, which, expected
+):
+    # one integrand per table does the q-level work, so no node goes through
+    # a public structure function; each runs g's core once, or the four
+    # log-derivative cores of the center; --nodes N samples 2N nodes
+    calls = dict.fromkeys(("poisson_structure", "poisson_structure_center", "poisson_series_g",
+                           "log_deriv_theta", "_series_g_core", "_log_deriv_core"), 0)
     for name in calls:
         real = getattr(poisson, name)
 
@@ -412,6 +410,97 @@ def test_a_modes_table_forms_its_base_once(monkeypatch, which):
     monkeypatch.setattr(qseries, "_Base", Counted)
     laurent_modes(which, q=0.5, annulus=AnnulusLabel(0), l_max=2, quadrature_points=128, m=1, k=1)
     assert built == [0.0625]
+
+
+def modes_by_public_calls(which, q, annulus, l_max, quadrature_points, m, k, policy):
+    """laurent_modes as it sampled before its per-table integrand: the same
+    checks, every node through the public structure function in one point
+    scope, then the same FFT."""
+    import numpy as np
+
+    qv = qseries._in_disk(q, "q")
+    kind = {"klimit": "klimit", "center": "center"}[which]
+    if int(l_max) != l_max or l_max < 0:
+        raise DomainError(f"l_max must be a non-negative integer, got {l_max!r}")
+    if quadrature_points < 4 * (l_max + 1):
+        raise DomainError(
+            f"quadrature_points = {quadrature_points} < 4 (l_max + 1) = {4 * (l_max + 1)}"
+        )
+    r = annulus.radius(qv)
+    if qseries._near_zero(abs(qv), r, 1e-6):
+        raise AnnulusContainsPole(f"radius {r:.8g} within relative 1e-6 of a circle |q|^j")
+    if not l_max * abs(math.log(r)) < 700.0:
+        raise DomainError(f"r^l for |l| <= {l_max} out of floating-point range at radius {r:.8g}")
+
+    def f(z):
+        if kind == "klimit":
+            return poisson_structure(m, k, z, qv, policy)
+        return poisson_structure_center(z, qv, policy)
+
+    nodes = 2 * quadrature_points
+    with qseries.point_scope():
+        vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
+
+    def rule(samples):
+        hat = np.fft.fft(samples)
+        return {l: complex(hat[l]) / (len(samples) * r**l) for l in range(-l_max, l_max + 1)}
+
+    coarse, fine = rule(vals[::2]), rule(vals)
+    drift = max(abs(coarse[l] - fine[l]) for l in fine)
+    if drift > 1e-9:
+        raise QuadratureUnresolved(
+            f"doubling {quadrature_points} nodes moved a coefficient by {drift:.3e}"
+        )
+    return ModeBracketTable(
+        annulus=annulus,
+        coefficients={l: 0.5 * (fine[l] - fine[-l]) for l in fine},
+        raw_coefficients=fine,
+        which=kind,
+        params={"q": qv, "m": m, "k": k, "radius": r, "nodes": nodes, "drift": drift},
+    )
+
+
+def modes_draws(count):
+    """Seeded tables: klimit at m, k in +-1..3 and the center; real,
+    negative and complex q with log|q| uniform over |q| in [0.02, 0.98] on
+    annuli -3..4, and every fifth table at a q whose q^4 underflows, at
+    1 - |q| in [1e-9, 1e-3], or on a radius between 1e-200 and 1e200, whose
+    r^2 may leave (1e-100, 1e100) or the floating-point range: where every
+    node keeps the public function's checks, and across the edge of that."""
+    rng = random.Random(29)
+    levels = (-3, -2, -1, 1, 2, 3)
+    for i in range(count):
+        which = rng.choice(("klimit", "center"))
+        m, k = (rng.choice(levels), rng.choice(levels)) if which == "klimit" else (None, None)
+        modulus, annulus = math.exp(rng.uniform(-3.9, -0.02)), rng.randint(-3, 4)
+        if i % 5 == 4:
+            small, decades = rng.uniform(0.02, 0.1), rng.choice((-1, 1)) * rng.uniform(40, 200)
+            modulus, annulus = rng.choice(
+                [(10 ** rng.uniform(-160, -82), rng.randint(-1, 2)),
+                 (10 ** rng.uniform(-100, -82), 1),  # r^2 = |q| in range
+                 (1.0 - 10 ** rng.uniform(-9, -3), rng.randint(-3, 4)),
+                 (small, round(decades / -math.log10(small) + 0.5))]
+            )
+        q = rng.choice((modulus, -modulus, modulus * cmath.exp(1j * rng.uniform(-3.1, 3.1))))
+        policy = qseries.TruncationPolicy(rng.choice((1, 2, 8, 512, 512, 512)),
+                                          rng.choice((0.5, 1e-6, 1e-15)))
+        l_max, points = rng.randint(0, 3), rng.choice((16, 32, 64))
+        yield which, q, AnnulusLabel(annulus), l_max, points, m, k, policy
+
+
+def laurent_modes_by_position(which, q, annulus, l_max, quadrature_points, m, k, policy):
+    return laurent_modes(which, q=q, annulus=annulus, l_max=l_max,
+                         quadrature_points=quadrature_points, m=m, k=k, policy=policy)
+
+
+def test_modes_equal_the_public_per_node_loop():
+    seen = set()
+    for args in modes_draws(500):
+        want = series_outcome(modes_by_public_calls, *args)
+        assert series_outcome(laurent_modes_by_position, *args) == want, args
+        seen.add(want[0] if isinstance(want, tuple) else str)
+    assert seen == {str, AnnulusContainsPole, DomainError, NonConvergentBase,
+                    QuadratureUnresolved, TruncationExceeded}
 
 
 @pytest.mark.parametrize("lmax", [0, 5])
