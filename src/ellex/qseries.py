@@ -20,12 +20,15 @@ tail_tol (``_factor_count``); a series sums over the powers a^0 .. a^N that
 ``_series_powers`` gives, N the least with scale |a^N| / (1 - |a|) <
 tail_tol, the bound on the terms it drops (``log_deriv_theta`` and
 ``poisson.poisson_series_g``).  Each count comes from a logarithm,
-corrected against its exact test; a product's count skips the test where
-the logarithm's rounding cannot move it (``_factor_count``).
+corrected against its exact test.  A product's count is that estimate
+itself wherever the logarithm's rounding cannot move it (``_factor_count``
+says why): ``_product`` and ``_theta_pair`` take it inline, from the
+base's cached logarithms, slack and cap, and call ``_factor_count``, the one
+exact rule, only for the counts the estimate leaves open.
 ``_product`` evaluates one product (``qpochhammer``, theta's (a; a),
 ``rmatrix.kappa_inv``'s head rows), and ``_theta_pair`` theta's (x; a) and
-(a/x; a), both counted in one call and multiplied out in one loop over
-their common powers.  One guarded quotient,
+(a/x; a), both counted together and multiplied out in one loop over their
+common powers.  One guarded quotient,
 ``_theta_quotient``, forms every theta quotient (tau, mu, snh's T(y), each
 step of an exchange closed form, all steps at one base) from its base's
 (a; a).  Every value is bit for bit what a loop testing the bound before
@@ -127,6 +130,7 @@ DEFAULT_POLICY = TruncationPolicy()
 _ZERO_RTOL = 1e-8
 # the most powers a^n whose moduli _near_power tries against |x|; see there
 _MOST_CANDIDATES = 1024
+_INF = math.inf
 
 # The memo of the open point scope, None outside one.  It maps a's type, the
 # policy's max_terms and the exact bits of a and tail_tol to the one _Base
@@ -163,6 +167,12 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
 
 def _nonzero(z: complex, name: str) -> complex:
     """z as a finite, nonzero complex number, else DomainError naming it."""
+    if type(z) is complex:  # the common case, which needs no conversion
+        try:
+            if 0.0 < abs(z) < _INF:
+                return z
+        except OverflowError:  # _as_complex names it
+            pass
     w = _as_complex(z, name)
     if w == 0:
         raise DomainError(f"{name} must be nonzero")
@@ -213,7 +223,7 @@ class _Base:
     show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
-                 "slack", "powers", "products", "pairs", "runs")
+                 "slack", "cap", "powers", "products", "pairs", "runs")
 
     def __init__(self, a: complex, given: complex, policy: TruncationPolicy) -> None:
         self.a, self.given, self.policy = a, given, policy
@@ -224,7 +234,8 @@ class _Base:
         self.half = math.log1p(-_ZERO_RTOL) / self.log_big
         # how far from an integer a factor count's estimate must lie to be
         # the count itself (see _factor_count)
-        self.slack = 1e-12 / -self.log_big + 1e-15 * (policy.max_terms + 1)
+        self.cap = policy.max_terms + 1
+        self.slack = 1e-12 / -self.log_big + 1e-15 * self.cap
         self.powers = [1.0 + 0j]
         self.products: dict[bytes, complex] = {}
         self.pairs: dict[bytes, complex] = {}
@@ -248,9 +259,15 @@ class _Base:
 def _base(a: complex, policy: TruncationPolicy, name: str = "a") -> _Base:
     """The _Base of a under policy; NonConvergentBase naming it unless
     0 < |a| < 1.  Inside a point scope, every call with the same policy and
-    the same a, its type and exact bits, gets the same one."""
-    av = _in_disk(a, name)
+    the same a, its type and exact bits, gets the same one.  A complex a is
+    looked up before it is checked: a base stored under its type and bits
+    was built from an a that passed the check."""
     memo = _MEMO.get()
+    if memo is not None and type(a) is complex:
+        base = memo.get((complex, policy.max_terms, _BASE_BITS(a.real, a.imag, policy.tail_tol)))
+        if base is not None:
+            return base
+    av = _in_disk(a, name)
     if memo is None:
         return _Base(av, a, policy)
     key = (type(a), policy.max_terms, _BASE_BITS(av.real, av.imag, policy.tail_tol))
@@ -261,7 +278,11 @@ def _factor_count(base: _Base, *headrooms: float) -> list[int]:
     """Factors each product at base keeps, one count per headroom: the least
     n with headroom * |a|**n < tail_tol, the count a per-factor test finds.
     No n <= max_terms passing, a non-finite headroom included, gives
-    max_terms + 1.  A theta pair counts both its products in one call.
+    max_terms + 1.  ``_product`` and ``_theta_pair`` take the estimate below
+    themselves where its test makes it the count, and call this only for
+    the others: an estimate within the slack of an integer or at the cap,
+    an exponent log(tail_tol) - log(headroom) at most -690, or a
+    non-finite headroom.  A theta pair counts both its products in one call.
 
     The estimate e = (log(tail_tol) - log(headroom)) / log|a|, its
     logarithm taken as a difference so that the ratio cannot underflow,
@@ -274,10 +295,8 @@ def _factor_count(base: _Base, *headrooms: float) -> list[int]:
     the count.  Otherwise, or at the cap, ceil(e) is corrected against the
     exact predicate, which falls monotonically in n.
     """
-    policy = base.policy
-    cap = policy.max_terms + 1
-    tol, big, log_tol, log_big, slack = (policy.tail_tol, base.big, base.log_tol,
-                                         base.log_big, base.slack)
+    tol, big, log_tol, log_big, slack, cap = (base.policy.tail_tol, base.big, base.log_tol,
+                                              base.log_big, base.slack, base.cap)
     counts = []
     for headroom in headrooms:
         if not math.isfinite(headroom):
@@ -358,26 +377,47 @@ def _settled(x: complex, base: _Base, count: int, result: complex) -> complex:
 
 def _product(x: complex, base: _Base) -> complex:
     """(x; a)_inf at a checked base, formed once per base: the factor count
-    first, then a loop over the tabled powers with no test in it."""
+    first, then a loop over the tabled powers with no test in it.  The count
+    is ``_factor_count``'s estimate where its test makes that the count,
+    taken here with no call; the rest are left to ``_factor_count``."""
     key = _X_BITS(x.real, x.imag)
     value = base.products.get(key)
-    if value is None:
-        [count] = _factor_count(base, (1.0 + abs(x)) / base.room)
-        one = result = 1.0 + 0j  # see _theta_pair
-        for power in base.upto(count)[:count]:
-            result *= one - x * power
-        value = base.products[key] = _settled(x, base, count, result)
-    return value
+    if value is not None:
+        return value
+    headroom = (1.0 + abs(x)) / base.room
+    exponent = base.log_tol - math.log(headroom)
+    # an exponent at most -690, or not finite, leaves count at the cap,
+    # which sends it to _factor_count
+    count = base.cap
+    if exponent > -690.0:
+        estimate = exponent / base.log_big
+        count = math.ceil(estimate)
+        slack = base.slack
+    if not (count < base.cap and slack < count - estimate < 1.0 - slack):
+        [count] = _factor_count(base, headroom)
+    powers = base.powers
+    if count > len(powers):
+        powers = base.upto(count)
+    one = result = 1.0 + 0j  # see _theta_pair
+    for power in powers[:count]:
+        result *= one - x * power
+    # _settled's common case, without the call
+    if not (count < base.cap and result and cmath.isfinite(result)):
+        result = _settled(x, base, count, result)
+    base.products[key] = result
+    return result
 
 
 def _theta_pair(x: complex, base: _Base) -> complex:
     """(x; a)_inf * (a/x; a)_inf at a checked base and a checked x != 0,
     formed once per base; theta_a(x) is this times (a; a)_inf.
 
-    One ``_factor_count`` call counts both products; one loop runs them over
-    the tabled powers a^n they share, and the longer one goes on alone, each
-    product's factors in the order of its own loop.  An a/x whose parts are
-    finite but whose modulus is not raises DomainError.
+    Both products are counted as ``_product`` counts one, inline, with one
+    ``_factor_count`` call for the two where either estimate is left open;
+    an a/x that overflowed to inf is one of those.  One loop runs them over
+    the tabled powers a^n they share, and the longer one goes on alone,
+    each product's factors in the order of its own loop.  An a/x whose parts
+    are finite but whose modulus is not raises DomainError.
     """
     key = _X_BITS(x.real, x.imag)
     value = base.pairs.get(key)
@@ -389,10 +429,25 @@ def _theta_pair(x: complex, base: _Base) -> complex:
     except OverflowError:  # finite parts whose modulus overflows abs()
         raise DomainError(f"|a/x| is out of floating-point range at theta argument "
                           f"x = {x!r}, a = {base.a!r}") from None
-    room = base.room
-    nx, ny = _factor_count(base, (1.0 + abs(x)) / room, (1.0 + ay) / room)
+    room, log_tol, log_big = base.room, base.log_tol, base.log_big
+    slack, cap = base.slack, base.cap
+    hx = (1.0 + abs(x)) / room
+    hy = (1.0 + ay) / room
+    ex = log_tol - math.log(hx)
+    ey = log_tol - math.log(hy)
+    nx = ny = cap  # as in _product; an a/x of inf gives ey = -inf
+    if ex > -690.0 and ey > -690.0:
+        fx = ex / log_big
+        fy = ey / log_big
+        nx = math.ceil(fx)
+        ny = math.ceil(fy)
+    if not (nx < cap and ny < cap and slack < nx - fx < 1.0 - slack
+            and slack < ny - fy < 1.0 - slack):
+        nx, ny = _factor_count(base, hx, hy)
     most, both = (nx, ny) if nx > ny else (ny, nx)
-    powers = base.upto(most)
+    powers = base.powers
+    if most > len(powers):
+        powers = base.upto(most)
     # a complex 1 is subtracted from in one step, where a float 1.0 first
     # tries float subtraction; the bits are the same
     one = rx = ry = 1.0 + 0j
@@ -405,7 +460,7 @@ def _theta_pair(x: complex, base: _Base) -> complex:
         ry *= one - y * power
     value = rx * ry
     # _settled's common case for both products at once: skips two calls
-    if not (most <= base.policy.max_terms and value and cmath.isfinite(value)):
+    if not (most < cap and value and cmath.isfinite(value)):
         sx, sy = _settled(x, base, nx, rx), _settled(y, base, ny, ry)
         value = sx * sy
         if sx and sy and not value:
@@ -529,19 +584,44 @@ def _theta_quotient(
     bit for bit what the public ``theta`` gives.  Checks come first: each
     denominator argument (DomainError unless finite and nonzero, naming a
     "theta argument", not the caller's x; NearSingularity within relative
-    _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Only
-    then are the base's (a; a)_inf, once per base, and the pairs formed.  A
-    quotient that is not finite, because a running product overflowed, or
-    that is zero with no zero factor, because one underflowed, raises
-    DomainError."""
+    _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Each
+    check takes its common case, a complex of finite nonzero modulus, with
+    no call, and leaves anything else to ``_nonzero``; a denominator
+    argument calls ``_near_power`` only when the window it tests holds an
+    integer.  Only then are the base's (a; a)_inf, read from its products
+    once formed, and the pairs formed.  A quotient that is not finite,
+    because a running product overflowed, or that is zero with no zero
+    factor, because one underflowed, raises DomainError."""
+    a, log_big, half = base.a, base.log_big, base.half
     dens = []
     for arg in den_args:
-        w = _nonzero(arg, "theta argument")
-        if _near_power(base.a, w, _ZERO_RTOL, base.log_big, base.half):
+        # _nonzero's common case with no call; anything else goes to it
+        try:
+            mag = abs(arg) if type(arg) is complex else 0.0
+        except OverflowError:  # finite parts whose modulus overflows abs()
+            mag = 0.0
+        w = arg
+        if not 0.0 < mag < _INF:
+            w = _nonzero(arg, "theta argument")
+            mag = abs(w)
+        # _near_power's window, tested here (an integer lo is at most
+        # floor(hi) when it is at most hi): only one holding a power calls it
+        center = math.log(mag) / log_big
+        spread = 1e-9 * (1.0 + abs(center) + half)
+        if (math.ceil(center - half - spread) <= center + half + spread
+                and _near_power(a, w, _ZERO_RTOL, log_big, half)):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {base.given!r}")
         dens.append(w)
-    nums = [_nonzero(arg, "theta argument") for arg in num_args]
-    aa = base.aa
+    nums = []
+    for arg in num_args:
+        try:
+            mag = abs(arg) if type(arg) is complex else 0.0
+        except OverflowError:
+            mag = 0.0
+        nums.append(arg if 0.0 < mag < _INF else _nonzero(arg, "theta argument"))
+    aa = base.products.get(_X_BITS(a.real, a.imag))
+    if aa is None:
+        aa = _product(a, base)
     num, den = factor, 1.0 + 0j
     for xv in nums:
         num *= _theta_pair(xv, base) * aa

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellex import qseries
+from ellex import qseries, rmatrix, suites
 from ellex.elliptic import snh_core
 from ellex.errors import (
     DomainError,
@@ -365,6 +365,84 @@ def test_a_shared_base_equals_the_stepwise_loop(policy):
     assert (True in seen) == (policy.max_terms >= 60)
 
 
+def slack_boundary_draws(policy, seed, draws):
+    """Bases b and arguments x whose headroom (1 + |x|) / (1 - |b|) puts the
+    estimate of a factor count within a few ulps of an integer n, n from
+    the least count a product can have to 40 past it, so that the estimate
+    lies within the base's slack; the last two are infinite headrooms, one
+    from a finite x of huge modulus and one whose b/x overflows."""
+    rng = random.Random(seed)
+    tol = policy.tail_tol
+    for _ in range(draws):
+        mag = rng.uniform(0.05, 0.95)
+        least = math.ceil(math.log(tol * (1.0 - mag) / 2.0) / math.log(mag))
+        n = max(least, 1) + rng.randint(0, 40)
+        if mag**n < 1e-307:  # keep |b|^n normal
+            continue
+        headroom = tol / mag**n * (1.0 + rng.randint(-4, 4) * 2.0**-52)
+        xmag = headroom * (1.0 - mag) - 1.0
+        if math.isfinite(xmag) and xmag > 0.0:
+            yield cmath.rect(mag, rng.uniform(-3.1, 3.1)), cmath.rect(xmag, rng.uniform(-3.1, 3.1))
+    yield complex(0.95), complex(1e308)
+    yield complex(0.5), complex(1e-320)
+
+
+@pytest.mark.parametrize("policy", [TruncationPolicy(512, 1e-15), TruncationPolicy(512, 1e-6),
+                                    TruncationPolicy(60, 1e-10), TruncationPolicy(8, 1e-3),
+                                    TruncationPolicy(512, 1e-300)],
+                         ids=lambda p: f"{p.max_terms}-{p.tail_tol:g}")
+def test_counts_at_the_slack_boundary_equal_the_stepwise_loops(policy):
+    # headrooms within the slack of an integer estimate, where the pair and
+    # the product leave the count to _factor_count: through both kernels,
+    # with x and with b/x at the boundary, each outcome equals the per-factor
+    # loop's by repr or error type, and by repr or error type and message
+    # that of a base whose slack of 1 sends every count to _factor_count
+    def product(b, x, policy):
+        return product_stepwise(x, b, policy)
+
+    corrected, seen = set(), set()
+    for b, x in slack_boundary_draws(policy, 31, 150):
+        for arg in (x, b / x):
+            base = qseries._base(b, policy)
+            exact = qseries._base(b, policy)
+            exact.slack = 1.0
+            headroom = (1.0 + abs(arg)) / base.room
+            if math.isfinite(headroom):
+                estimate = (base.log_tol - math.log(headroom)) / base.log_big
+                [count] = qseries._factor_count(base, headroom)
+                if count != math.ceil(estimate):
+                    corrected.add("down" if count < math.ceil(estimate) else "up")
+            for kernel, reference in ((qseries._theta_pair, pair_stepwise),
+                                      (qseries._product, product)):
+                got = outcome_and_message(kernel, arg, base)
+                assert got == outcome_and_message(kernel, arg, exact), (b, arg)
+                assert kind(got) == outcome(reference, b, arg, policy), (b, arg)
+                seen.add(kind(got) if not isinstance(got, str) else str)
+    # the estimate was one off both ways, and the cap and the infinite
+    # headrooms raised
+    assert corrected == {"down", "up"}
+    assert {str, TruncationExceeded} <= seen
+
+
+def test_an_exchange_suite_counts_its_products_without_factor_count(monkeypatch):
+    # the pair and the product take their counts from the estimate wherever
+    # _factor_count's test makes it the count; f-two-path at seed 7 forms
+    # 9230 products and leaves none to the call.  A count sent back through
+    # _factor_count every time fails here
+    puts = record_stores(monkeypatch)
+    factor_count = qseries._factor_count
+    counted = []
+
+    def counting(base, *headrooms):
+        counted.extend(headrooms)
+        return factor_count(base, *headrooms)
+
+    monkeypatch.setattr(qseries, "_factor_count", counting)
+    report = suites.run_suite("f-two-path", suites.VerifyConfig())
+    assert report.checks and formed(puts) > 5000
+    assert len(counted) < 0.01 * formed(puts), (len(counted), formed(puts))
+
+
 # --- theta -------------------------------------------------------------------
 
 
@@ -526,25 +604,67 @@ def test_theta_quotient_checks_first_and_raises_as_the_reference():
     assert compared == {str, DomainError, NonConvergentBase, NearSingularity, TruncationExceeded}
 
 
+def record_kernels(monkeypatch):
+    """Wrap the two kernels that form products, qseries._theta_pair and
+    qseries._product (rmatrix's reference to it too), and return the list
+    of their calls, each as (kernel name, x, whether the base had its value
+    stored before the call)."""
+    calls = []
+    for name, store in (("_theta_pair", "pairs"), ("_product", "products")):
+        def recording(x, base, kernel=getattr(qseries, name), name=name, store=store):
+            calls.append((name, x, qseries._X_BITS(x.real, x.imag) in getattr(base, store)))
+            return kernel(x, base)
+
+        for module in (qseries, rmatrix):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def record_stores(monkeypatch):
+    """Give every base built from here on stores that record each value put
+    in them, and return the list of those puts, each as (store name, key)."""
+    puts = []
+
+    class Store(dict):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def __setitem__(self, key, value):
+            puts.append((self.name, key))
+            super().__setitem__(key, value)
+
+    init = qseries._Base.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        self.products, self.pairs = Store("products"), Store("pairs")
+
+    monkeypatch.setattr(qseries._Base, "__init__", recording)
+    return puts
+
+
+def formed(puts):
+    """The products formed by the recorded puts: two per pair, one per product."""
+    return sum(2 if name == "pairs" else 1 for name, _ in puts)
+
+
 def test_theta_quotient_forms_no_product_before_a_check_fails(monkeypatch):
-    factor_count = qseries._factor_count
-    counts = [0]
-
-    def counting(*args):
-        counts[0] += 1
-        return factor_count(*args)
-
-    monkeypatch.setattr(qseries, "_factor_count", counting)
+    calls = record_kernels(monkeypatch)
     rejected = 0
     for a, num_args, den_args, policy in quotient_draws(3000):
         try:
             check_quotient_inputs(a, num_args, den_args)
         except EllexError as exc:
-            counts[0] = 0
+            calls.clear()
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 theta_quotient(a, num_args, den_args, policy)
-            assert counts[0] == 0, (a, num_args, den_args)
+            assert calls == [], (a, num_args, den_args)
             rejected += 1
+        else:
+            outcome(theta_quotient, a, num_args, den_args, policy)
+            assert calls, (a, num_args, den_args)  # the kernels are the ones called
     assert rejected > 1000
 
 
@@ -593,17 +713,9 @@ def test_point_scope_changes_no_value():
 
 def test_theta_and_quotient_share_their_memo_entries(monkeypatch):
     # a quotient gets theta's base from the memo, whose (a; a) and pair at x
-    # are formed, and counts the factors of only its other arguments' pairs;
-    # the memo holds the base alone, and the base its values by the bits of x.
-    # counts holds each product counted: a pair counts its two in one call
-    factor_count = qseries._factor_count
-    counts = []
-
-    def counting(base, *headrooms):
-        counts.extend(headrooms)
-        return factor_count(base, *headrooms)
-
-    monkeypatch.setattr(qseries, "_factor_count", counting)
+    # are formed, and forms the products of only its other arguments' pairs;
+    # the memo holds the base alone, and the base its values by the bits of x
+    puts = record_stores(monkeypatch)
     a, x, u, v = 0.3 - 0.2j, 1.1 + 0.2j, 0.7 - 0.4j, complex(1.3, -0.0)
     policy = TruncationPolicy()
     bits = [qseries._X_BITS(z.real, z.imag) for z in (a, x, u, v)]
@@ -611,11 +723,11 @@ def test_theta_and_quotient_share_their_memo_entries(monkeypatch):
         memo = qseries._MEMO.get()
         alone = theta(a, x)
         [base] = memo.values()
-        assert (list(base.products), list(base.pairs), len(counts)) == (bits[:1], bits[1:2], 3)
+        assert (list(base.products), list(base.pairs), formed(puts)) == (bits[:1], bits[1:2], 3)
         quotient = theta_quotient(a, (u, x), (v, x), policy)
         assert list(memo.values()) == [base] and base is qseries._base(a, policy)
-        assert (list(base.products), list(base.pairs), len(counts)) == (bits[:1], bits[1:], 7)
-        assert theta(a, x) == alone and len(counts) == 7
+        assert (list(base.products), list(base.pairs), formed(puts)) == (bits[:1], bits[1:], 7)
+        assert theta(a, x) == alone and formed(puts) == 7
     assert quotient == theta_quotient_public(a, (u, x), (v, x))
 
 
@@ -644,21 +756,17 @@ def test_point_scope_keeps_the_base_each_caller_gave():
     ],
 )
 def test_point_scope_raises_again_on_a_repeated_call(monkeypatch, call, error):
-    # a call that raises stores nothing: the repeat raises after the same work
-    factor_count = qseries._factor_count
-    counts = []
-
-    def counting(*args):
-        counts[-1] += 1
-        return factor_count(*args)
-
-    monkeypatch.setattr(qseries, "_factor_count", counting)
+    # a call that raises stores nothing: the repeat raises after the same
+    # work, each kernel call finding in the memo what it found the first time
+    calls = record_kernels(monkeypatch)
+    attempts = []
     with point_scope():
         for _ in range(2):
-            counts.append(0)
             with pytest.raises(error):
                 call()
-    assert counts[0] == counts[1]
+            attempts.append(calls[:])
+            calls.clear()
+    assert attempts[0] == attempts[1]
 
 
 # --- shift factor ------------------------------------------------------------
