@@ -126,6 +126,10 @@ class CommutingPoint:
 _F_POS = (((1, 1, -1), (-1, 1, 1)), ((-1, 0, 1), (1, 0, -1)))  # s = 1..2m
 _F_NEG = (((1, 0, 1), (-1, 0, -1)), ((1, 1, 1), (-1, 1, -1)))  # s = 0..2|m|-1
 _Y = (((-1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1)))  # s = 1..S
+# each table's factors in that order, compiled once: the index of the head
+# x^(2e) q^(2k) in (x^2, x^-2, x^2 q^2, x^-2 q^2) and whether p^s multiplies it
+_HEADS = {table: tuple((2 * k + (e < 0), f > 0) for side in table for e, k, f in side)
+          for table in (_F_POS, _F_NEG, _Y)}
 # a run's key beside its table: the exact bits of q, p and x
 _RUN_BITS = struct.Struct("6d").pack
 # commuting_F's ratio's key beside its name: the exact bits of q and x
@@ -175,10 +179,8 @@ def _closed_form(
     if run is None:
         q2 = q * q
         ix2 = 1.0 / x2
-        heads = (x2, ix2, x2 * q2, ix2 * q2)  # x^(2e) q^(2k) at 2k + (e < 0)
-        run = q4.runs[key] = _Run(
-            [(heads[2 * k + (e < 0)], f > 0) for side in table for e, k, f in side]
-        )
+        heads = (x2, ix2, x2 * q2, ix2 * q2)
+        run = q4.runs[key] = _Run([(heads[i], up) for i, up in _HEADS[table]])
     products = run.products
     formed = len(products)
     if first + formed <= last:

@@ -66,13 +66,13 @@ from .qseries import (
     _base,
     _in_disk,
     _log_deriv_core,
-    _near_zero,
     _nonzero,
     _nonzero_int,
     _series_powers,
     _square,
     _unmet,
     log_deriv_theta,
+    near_theta_zero,
     point_scope,
 )
 
@@ -110,7 +110,7 @@ def poisson_series_g(
     qv = _in_disk(q, "q")
     a = _square(xv, "x^2")
     b = 1.0 / a
-    if _near_zero(qv * qv, a, _ZERO_RTOL):
+    if near_theta_zero(qv * qv, a):
         raise NearSingularity(f"x = {xv!r} is within {_ZERO_RTOL:g} of a pole x^2 = q^(2j)")
     q2 = qv * qv
     q4 = q2 * q2
@@ -378,7 +378,7 @@ def laurent_modes(
             f"quadrature_points = {quadrature_points} < 4 (l_max + 1) = {4 * (l_max + 1)}"
         )
     r = annulus.radius(qv)
-    if _near_zero(abs(qv), r, 1e-6):
+    if near_theta_zero(abs(qv), r, 1e-6):
         raise AnnulusContainsPole(f"radius {r:.8g} within relative 1e-6 of a circle |q|^j")
     if not l_max * abs(math.log(r)) < 700.0:
         raise DomainError(f"r^l for |l| <= {l_max} out of floating-point range at radius {r:.8g}")

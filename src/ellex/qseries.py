@@ -16,43 +16,34 @@ Each product and series counts its factors or terms once, at its checked
 base (a ``_Base`` from ``_base``), and then loops with no test inside over
 the base's powers, a table that every product and series at the base reads.
 A product keeps the least n factors with (1 + |x|) |b|^n / (1 - |b|) <
-tail_tol (``_factor_count``); a series sums over the powers a^0 .. a^N that
-``_series_powers`` gives, N the least with scale |a^N| / (1 - |a|) <
-tail_tol, the bound on the terms it drops (``log_deriv_theta`` and
-``poisson.poisson_series_g``).  Each count comes from a logarithm,
-corrected against its exact test.  A product's count is that estimate
-itself wherever the logarithm's rounding cannot move it (``_factor_count``
-says why): ``_product`` and ``_theta_pair`` take it inline, from the
-base's cached logarithms, slack and cap, and call ``_factor_count``, the one
-exact rule, only for the counts the estimate leaves open.
-``_product`` evaluates one product (``qpochhammer``, theta's (a; a),
-``rmatrix.kappa_inv``'s head rows), and ``_theta_pair`` theta's (x; a) and
-(a/x; a), both counted together and multiplied out in one loop over their
-common powers.  One guarded quotient,
-``_theta_quotient``, forms every theta quotient (tau, mu, snh's T(y), each
-step of an exchange closed form, all steps at one base) from its base's
-(a; a).  Every value is bit for bit what a loop testing the bound before
-each factor, or after each term, gives; tests/test_qseries.py and
+tail_tol, the count ``_factor_count`` gives; a series sums over the powers
+a^0 .. a^N that ``_series_powers`` gives, N the least with
+scale |a^N| / (1 - |a|) < tail_tol, the bound on the terms it drops
+(``log_deriv_theta`` and ``poisson.poisson_series_g``).  Each count is the
+least that passes its exact test, found from a logarithmic estimate
+corrected against that test.  ``_product`` forms one product,
+``_theta_pair`` theta's (x; a) and (a/x; a) in one loop over their common
+powers, and ``_theta_quotient`` every theta quotient from its base's
+(a; a).  Every value is bit for bit what a loop testing the bound
+before each factor, or after each term, gives; tests/test_qseries.py and
 tests/test_poisson.py keep those loops as the reference.  A product is zero
 only when one of its factors is exactly zero: one that overflows or
 underflows raises DomainError, not inf, nan or 0.
 
+A rule has one home.  Where a call to it costs more than the work it
+does, on the paths every point takes, its common case is copied inline
+and leaves the rest to the rule, with the same value, error and message;
+each copy names its share of the opcodes of one ``run_suites(["all"])`` at
+seed 7 (``tools/count_opcodes.py``), so an audit can check that it still
+pays.
+
 Each base remembers the values formed at it: its products (x; a)_inf,
 (a; a)_inf among them, and its theta pairs, each under the exact bits of x;
-a call that raises stores nothing.  A base q^4 also keeps the runs of the
-exchange closed forms (``exchange._closed_form``): each one's running
-products and the p^s reached, under its table and the exact bits of q, p
-and x, and ``exchange.commuting_F``'s ratio under the bits of q and x.
-Inside ``point_scope()`` the scope's memo holds the bases, one per policy
-and type and exact bits of a, so every ``theta`` call and quotient at one
-base and point shares one base, its (a; a), its table and its pairs, and
-the levels of F and Y at one point share their steps.  The
-verification suites open one scope per sampled point, so each distinct
-theta factor and quotient of a point is formed once and nothing carries
-over to the next point.  The CLI's ``eval`` opens one scope for all
-the points of an invocation, and ``poisson.laurent_modes`` one for the nodes
-of a table.  Outside a scope a base, and all it remembers, lives for one
-call, or one closed form, so nothing is shared there.
+a call that raises stores nothing.  Callers keep their own values at a
+base in its ``runs``.  Inside ``point_scope()`` the scope's memo holds the
+bases, one per policy and type and exact bits of a, so the calls at one
+base in a scope share it and all it remembers; outside a scope a base lives
+for one call.  README says which callers open a scope.
 
 Check first, then compute: ``_base`` checks the base, then
 ``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
@@ -105,6 +96,7 @@ class TruncationPolicy:
     ``max_terms`` bounds the factors of a product and the terms of a series;
     evaluation stops earlier once the certified tail bound drops below
     ``tail_tol``, which must not exceed 1 - 1e-14 (see ``log_deriv_theta``).
+    An integral float ``max_terms`` is stored as its int.
     """
 
     max_terms: int = 512
@@ -113,6 +105,7 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if int(self.max_terms) != self.max_terms or self.max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
+        object.__setattr__(self, "max_terms", int(self.max_terms))
         if not (0.0 < self.tail_tol < 1.0):
             raise DomainError("tail_tol must lie in (0, 1)")
         if self.tail_tol > _MOST_TAIL:
@@ -167,7 +160,8 @@ def _as_complex(z: complex, name: str = "argument") -> complex:
 
 def _nonzero(z: complex, name: str) -> complex:
     """z as a finite, nonzero complex number, else DomainError naming it."""
-    if type(z) is complex:  # the common case, which needs no conversion
+    # inline: a complex z needs no conversion (0.75% of the opcodes)
+    if type(z) is complex:
         try:
             if 0.0 < abs(z) < _INF:
                 return z
@@ -213,14 +207,14 @@ def _nonzero_int(n: int, name: str) -> int:
 
 class _Base:
     """A checked base a, 0 < |a| < 1, under one policy, with what every product
-    and series at it shares: |a|, log|a|, 1 - |a|, log(tail_tol), the window
-    of ``_near_power`` at _ZERO_RTOL, the powers a^0, a^1, ... grown by
-    repeated multiplication, and the values formed at it, each under the
-    exact bits of its x: the products (x; a)_inf, (a; a)_inf among them,
-    and the theta pairs.  At a base q^4, ``runs`` holds each exchange closed
-    form's steps formed so far, under its table and the bits of q, p and x
-    (see ``exchange._closed_form``), and commuting_F's ratios.  Messages
-    show ``given``, a as passed."""
+    and series at it shares: |a|, log|a|, 1 - |a|, log(tail_tol), the
+    half-width ``half`` of ``_near_power``'s window at _ZERO_RTOL, the
+    theta pair's ``slack`` (see there), the cap max_terms + 1, the powers
+    a^0, a^1, ... grown by repeated multiplication, and the values formed
+    at it, each under the exact bits of its x: the products (x; a)_inf,
+    (a; a)_inf among them, and the theta pairs.  ``runs`` holds what callers
+    keep at the base (``exchange``'s closed-form steps and ratios).
+    Messages show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
                  "slack", "cap", "powers", "products", "pairs", "runs")
@@ -233,7 +227,7 @@ class _Base:
         self.log_tol = math.log(policy.tail_tol)
         self.half = math.log1p(-_ZERO_RTOL) / self.log_big
         # how far from an integer a factor count's estimate must lie to be
-        # the count itself (see _factor_count)
+        # the count itself (see _theta_pair)
         self.cap = policy.max_terms + 1
         self.slack = 1e-12 / -self.log_big + 1e-15 * self.cap
         self.powers = [1.0 + 0j]
@@ -263,6 +257,7 @@ def _base(a: complex, policy: TruncationPolicy, name: str = "a") -> _Base:
     looked up before it is checked: a base stored under its type and bits
     was built from an a that passed the check."""
     memo = _MEMO.get()
+    # inline: a stored complex a, found before its check (0.75% of the opcodes)
     if memo is not None and type(a) is complex:
         base = memo.get((complex, policy.max_terms, _BASE_BITS(a.real, a.imag, policy.tail_tol)))
         if base is not None:
@@ -274,46 +269,21 @@ def _base(a: complex, policy: TruncationPolicy, name: str = "a") -> _Base:
     return memo.get(key) or memo.setdefault(key, _Base(av, a, policy))
 
 
-def _factor_count(base: _Base, *headrooms: float) -> list[int]:
-    """Factors each product at base keeps, one count per headroom: the least
-    n with headroom * |a|**n < tail_tol, the count a per-factor test finds.
-    No n <= max_terms passing, a non-finite headroom included, gives
-    max_terms + 1.  ``_product`` and ``_theta_pair`` take the estimate below
-    themselves where its test makes it the count, and call this only for
-    the others: an estimate within the slack of an integer or at the cap,
-    an exponent log(tail_tol) - log(headroom) at most -690, or a
-    non-finite headroom.  A theta pair counts both its products in one call.
-
-    The estimate e = (log(tail_tol) - log(headroom)) / log|a|, its
-    logarithm taken as a difference so that the ratio cannot underflow,
-    lies within 5e-13 / |log|a|| + 4e-16 e of the exact boundary.  While
-    tail_tol / headroom > e^-690, the predicate's pow and product round by
-    less than 4e-16 relative wherever |a|^n is normal, which moves its
-    boundary by less than 4e-16 / |log|a||, and a subnormal |a|^n passes
-    it.  So when ceil(e) - e lies farther than ``base.slack`` =
-    1e-12 / |log|a|| + 1e-15 (max_terms + 1) from 0 and from 1, ceil(e) is
-    the count.  Otherwise, or at the cap, ceil(e) is corrected against the
-    exact predicate, which falls monotonically in n.
-    """
-    tol, big, log_tol, log_big, slack, cap = (base.policy.tail_tol, base.big, base.log_tol,
-                                              base.log_big, base.slack, base.cap)
-    counts = []
-    for headroom in headrooms:
-        if not math.isfinite(headroom):
-            counts.append(cap)
-            continue
-        exponent = log_tol - math.log(headroom)
-        estimate = exponent / log_big
-        n = math.ceil(estimate)
-        if not (exponent > -690.0 and slack < n - estimate < 1.0 - slack and n < cap):
-            if n > cap:
-                n = cap
-            while n > 0 and headroom * big ** (n - 1) < tol:
-                n -= 1
-            while n < cap and not headroom * big**n < tol:
-                n += 1
-        counts.append(n)
-    return counts
+def _factor_count(base: _Base, headroom: float) -> int:
+    """Factors a product at base keeps: the least n with
+    headroom * |a|**n < tail_tol, the count a per-factor test finds; no
+    n <= max_terms passing, a non-finite headroom included, gives
+    max_terms + 1.  The logarithmic estimate of n is corrected both ways
+    against that predicate, which falls monotonically in n.  No other code
+    tests the predicate."""
+    tol, big, cap = base.policy.tail_tol, base.big, base.cap
+    estimate = (base.log_tol - math.log(headroom)) / base.log_big
+    n = math.ceil(min(estimate, cap))
+    while n > 0 and headroom * big ** (n - 1) < tol:
+        n -= 1
+    while n < cap and not headroom * big**n < tol:
+        n += 1
+    return n
 
 
 def _series_powers(scale: float, base: _Base, series: str) -> list[complex]:
@@ -376,35 +346,18 @@ def _settled(x: complex, base: _Base, count: int, result: complex) -> complex:
 
 
 def _product(x: complex, base: _Base) -> complex:
-    """(x; a)_inf at a checked base, formed once per base: the factor count
-    first, then a loop over the tabled powers with no test in it.  The count
-    is ``_factor_count``'s estimate where its test makes that the count,
-    taken here with no call; the rest are left to ``_factor_count``."""
+    """(x; a)_inf at a checked base, formed once per base: ``_factor_count``
+    counts its factors, a loop over the tabled powers with no test in it
+    multiplies them out, and ``_settled`` decides the outcome."""
     key = _X_BITS(x.real, x.imag)
     value = base.products.get(key)
     if value is not None:
         return value
-    headroom = (1.0 + abs(x)) / base.room
-    exponent = base.log_tol - math.log(headroom)
-    # an exponent at most -690, or not finite, leaves count at the cap,
-    # which sends it to _factor_count
-    count = base.cap
-    if exponent > -690.0:
-        estimate = exponent / base.log_big
-        count = math.ceil(estimate)
-        slack = base.slack
-    if not (count < base.cap and slack < count - estimate < 1.0 - slack):
-        [count] = _factor_count(base, headroom)
-    powers = base.powers
-    if count > len(powers):
-        powers = base.upto(count)
-    one = result = 1.0 + 0j  # see _theta_pair
-    for power in powers[:count]:
-        result *= one - x * power
-    # _settled's common case, without the call
-    if not (count < base.cap and result and cmath.isfinite(result)):
-        result = _settled(x, base, count, result)
-    base.products[key] = result
+    count = _factor_count(base, (1.0 + abs(x)) / base.room)
+    result = 1.0 + 0j
+    for power in base.upto(count)[:count]:
+        result *= 1.0 - x * power
+    result = base.products[key] = _settled(x, base, count, result)
     return result
 
 
@@ -412,12 +365,24 @@ def _theta_pair(x: complex, base: _Base) -> complex:
     """(x; a)_inf * (a/x; a)_inf at a checked base and a checked x != 0,
     formed once per base; theta_a(x) is this times (a; a)_inf.
 
-    Both products are counted as ``_product`` counts one, inline, with one
-    ``_factor_count`` call for the two where either estimate is left open;
-    an a/x that overflowed to inf is one of those.  One loop runs them over
-    the tabled powers a^n they share, and the longer one goes on alone,
-    each product's factors in the order of its own loop.  An a/x whose parts
-    are finite but whose modulus is not raises DomainError.
+    Each product's count is ``_factor_count``'s.  Where the ceiling of its
+    logarithmic estimate e = (log(tail_tol) - log(headroom)) / log|a| is
+    provably that count, the pair takes it inline, and it leaves every other
+    count to ``_factor_count``.  The proof: e, its logarithm taken as a
+    difference so that the ratio cannot underflow, lies within
+    5e-13 / |log|a|| + 4e-16 e of the exact boundary.  While
+    tail_tol / headroom > e^-690, the predicate's pow and product round by
+    less than 4e-16 relative wherever |a|^n is normal, which moves its
+    boundary by less than 4e-16 / |log|a||, and a subnormal |a|^n passes
+    it.  So when ceil(e) - e lies farther than ``base.slack`` =
+    1e-12 / |log|a|| + 1e-15 (max_terms + 1) from 0 and from 1, and ceil(e)
+    is below the cap, ceil(e) is the count.  An a/x that overflowed to inf
+    has an infinite headroom, which ``_factor_count`` counts.
+
+    One loop runs both products over the tabled powers a^n they share, and
+    the longer one goes on alone, each product's factors in the order of its
+    own loop.  An a/x whose parts are finite but whose modulus is not raises
+    DomainError.
     """
     key = _X_BITS(x.real, x.imag)
     value = base.pairs.get(key)
@@ -435,16 +400,19 @@ def _theta_pair(x: complex, base: _Base) -> complex:
     hy = (1.0 + ay) / room
     ex = log_tol - math.log(hx)
     ey = log_tol - math.log(hy)
-    nx = ny = cap  # as in _product; an a/x of inf gives ey = -inf
+    # inline: each estimate that is the count (5.5% of the opcodes)
+    nx = ny = cap  # an exponent at most -690, or -inf, leaves both open
     if ex > -690.0 and ey > -690.0:
         fx = ex / log_big
         fy = ey / log_big
         nx = math.ceil(fx)
         ny = math.ceil(fy)
-    if not (nx < cap and ny < cap and slack < nx - fx < 1.0 - slack
-            and slack < ny - fy < 1.0 - slack):
-        nx, ny = _factor_count(base, hx, hy)
+    if not (nx < cap and slack < nx - fx < 1.0 - slack):
+        nx = _factor_count(base, hx)
+    if not (ny < cap and slack < ny - fy < 1.0 - slack):
+        ny = _factor_count(base, hy)
     most, both = (nx, ny) if nx > ny else (ny, nx)
+    # inline: upto's common case, a table long enough (0.73% of the opcodes)
     powers = base.powers
     if most > len(powers):
         powers = base.upto(most)
@@ -459,7 +427,7 @@ def _theta_pair(x: complex, base: _Base) -> complex:
     for power in powers[both:ny]:
         ry *= one - y * power
     value = rx * ry
-    # _settled's common case for both products at once: skips two calls
+    # inline: _settled's common case for both products (5.5% of the opcodes)
     if not (most < cap and value and cmath.isfinite(value)):
         sx, sy = _settled(x, base, nx, rx), _settled(y, base, ny, ry)
         value = sx * sy
@@ -528,17 +496,13 @@ def near_theta_zero(a: complex, x: complex, rtol: float = _ZERO_RTOL) -> bool:
     below about 1 - |a|^(1/2) that is at most one n.  rtol must lie in (0, 1).
     A window of more than 1024 integers raises NonConvergentBase: at any
     rtol up to 1e-3 it needs 1 - |a| < 4e-6, where every product or series
-    at a needs more than 3e6 factors or terms.
+    at a needs more than 3e6 factors or terms.  False for x = 0 and for
+    |a| >= 1; an a of 0 (a base that underflowed) leaves theta_0(x) = 1 - x,
+    zero at x = 1.
     """
     if not (0.0 < rtol < 1.0):
         raise DomainError(f"rtol must lie in (0, 1), got {rtol!r}")
-    return _near_zero(_as_complex(a, "a"), _as_complex(x, "x"), rtol)
-
-
-def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
-    """near_theta_zero for arguments already checked: finite complex av and
-    xv, and rtol in (0, 1).  False for xv = 0 and for |av| outside [0, 1);
-    a base that underflowed to 0 leaves theta_0(x) = 1 - x, zero at x = 1."""
+    av, xv = _as_complex(a, "a"), _as_complex(x, "x")
     if av == 0:
         return abs(xv - 1.0) < rtol
     if xv == 0 or abs(av) >= 1.0:
@@ -548,7 +512,7 @@ def _near_zero(av: complex, xv: complex, rtol: float) -> bool:
 
 
 def _near_power(av: complex, xv: complex, rtol: float, la: float, half: float) -> bool:
-    """_near_zero at 0 < |av| < 1 and xv != 0, given la = log|av| and half = log1p(-rtol) / la;
+    """near_theta_zero at 0 < |av| < 1 and xv != 0, given la = log|av| and half = log1p(-rtol) / la;
     NonConvergentBase when the window holds more than _MOST_CANDIDATES integers."""
     center = math.log(abs(xv)) / la
     slack = 1e-9 * (1.0 + abs(center) + half)
@@ -584,18 +548,15 @@ def _theta_quotient(
     bit for bit what the public ``theta`` gives.  Checks come first: each
     denominator argument (DomainError unless finite and nonzero, naming a
     "theta argument", not the caller's x; NearSingularity within relative
-    _ZERO_RTOL of a zero of theta_a), then each numerator argument.  Each
-    check takes its common case, a complex of finite nonzero modulus, with
-    no call, and leaves anything else to ``_nonzero``; a denominator
-    argument calls ``_near_power`` only when the window it tests holds an
-    integer.  Only then are the base's (a; a)_inf, read from its products
-    once formed, and the pairs formed.  A quotient that is not finite,
-    because a running product overflowed, or that is zero with no zero
-    factor, because one underflowed, raises DomainError."""
+    _ZERO_RTOL of a zero of theta_a), then each numerator argument, by
+    ``_nonzero``.  Only then are the base's (a; a)_inf and the pairs
+    formed.  A quotient that is not finite, because a running product
+    overflowed, or that is zero with no zero factor, because one
+    underflowed, raises DomainError."""
     a, log_big, half = base.a, base.log_big, base.half
     dens = []
     for arg in den_args:
-        # _nonzero's common case with no call; anything else goes to it
+        # inline: _nonzero's common case (0.49% of the opcodes)
         try:
             mag = abs(arg) if type(arg) is complex else 0.0
         except OverflowError:  # finite parts whose modulus overflows abs()
@@ -604,21 +565,16 @@ def _theta_quotient(
         if not 0.0 < mag < _INF:
             w = _nonzero(arg, "theta argument")
             mag = abs(w)
-        # _near_power's window, tested here (an integer lo is at most
-        # floor(hi) when it is at most hi): only one holding a power calls it
+        # inline: _near_power's empty window, as an integer lo is at most
+        # floor(hi) when it is at most hi (2.5% of the opcodes)
         center = math.log(mag) / log_big
         spread = 1e-9 * (1.0 + abs(center) + half)
         if (math.ceil(center - half - spread) <= center + half + spread
                 and _near_power(a, w, _ZERO_RTOL, log_big, half)):
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {base.given!r}")
         dens.append(w)
-    nums = []
-    for arg in num_args:
-        try:
-            mag = abs(arg) if type(arg) is complex else 0.0
-        except OverflowError:
-            mag = 0.0
-        nums.append(arg if 0.0 < mag < _INF else _nonzero(arg, "theta argument"))
+    nums = [_nonzero(arg, "theta argument") for arg in num_args]
+    # inline: base.aa once formed (0.42% of the opcodes)
     aa = base.products.get(_X_BITS(a.real, a.imag))
     if aa is None:
         aa = _product(a, base)

@@ -208,6 +208,6 @@ def test_only_qseries_forms_theta_factors(path):
     if path.name in ("exchange.py", "rmatrix.py", "elliptic.py"):
         assert {"_base", "_theta_quotient"} <= names
     if path.name == "elliptic.py":
-        assert names & {"_product", "_near_zero", "_near_power", "_ZERO_RTOL"} == set()
+        assert names & {"_product", "_near_power", "_ZERO_RTOL"} == set()
     if path.name == "poisson.py":  # its series count comes from qseries
         assert _attributes(tree) & {"tail_tol", "max_terms"} == set()

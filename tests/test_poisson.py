@@ -85,7 +85,7 @@ def g_stepwise(x, q, policy):
     qv = qseries._in_disk(q, "q")
     a = qseries._square(xv, "x^2")
     b = 1.0 / a
-    if qseries._near_zero(qv * qv, a, qseries._ZERO_RTOL):
+    if qseries.near_theta_zero(qv * qv, a, qseries._ZERO_RTOL):
         raise NearSingularity(
             f"x = {xv!r} is within {qseries._ZERO_RTOL:g} of a pole x^2 = q^(2j)"
         )
@@ -427,7 +427,7 @@ def modes_by_public_calls(which, q, annulus, l_max, quadrature_points, m, k, pol
             f"quadrature_points = {quadrature_points} < 4 (l_max + 1) = {4 * (l_max + 1)}"
         )
     r = annulus.radius(qv)
-    if qseries._near_zero(abs(qv), r, 1e-6):
+    if qseries.near_theta_zero(abs(qv), r, 1e-6):
         raise AnnulusContainsPole(f"radius {r:.8g} within relative 1e-6 of a circle |q|^j")
     if not l_max * abs(math.log(r)) < 700.0:
         raise DomainError(f"r^l for |l| <= {l_max} out of floating-point range at radius {r:.8g}")
