@@ -30,6 +30,22 @@ tests/test_poisson.py keep those loops as the reference.  A product is zero
 only when one of its factors is exactly zero: one that overflows or
 underflows raises DomainError, not inf, nan or 0.
 
+From |a| = _CROSSOVER on, ``theta`` and ``_theta_quotient`` take theta
+from the dual nome instead (Jacobi's imaginary transformation, see "The
+dual nome" below): a Gaussian factor times theta at b = e^(4 pi^2 / log a),
+whose products keep a factor or a few where the product at a keeps
+hundreds, counted as ``_factor_count`` counts at a ``_Base`` of b under the
+same policy.  The bit-for-bit promise holds below the crossover, where the
+product is the path; above it the product stays the oracle, and the dual
+has its own bound: a relative error within about
+(16 + (|log|x|| + pi) / |log|a||) unit roundoffs times the condition of the
+point, which tests/test_qseries_oracle.py checks against mpmath.  A dual
+theta or quotient that leaves the normal double range raises DomainError;
+a quotient sums its thetas' exponents before it exponentiates, so it needs
+no theta in range.  A base with |log|a|| below 2^-40 raises
+NonConvergentBase: there the bound above passes 1e-4, and the shifts by
+log a that the dual takes leave exact arithmetic.
+
 A rule has one home.  Where a call to it costs more than the work it
 does, on the paths every point takes, its common case is copied inline
 and leaves the rest to the rule, with the same value, error and message;
@@ -38,12 +54,14 @@ seed 7 (``tools/count_opcodes.py``), so an audit can check that it still
 pays.
 
 Each base remembers the values formed at it: its products (x; a)_inf,
-(a; a)_inf among them, and its theta pairs, each under the exact bits of x;
-a call that raises stores nothing.  Callers keep their own values at a
-base in its ``runs``.  Inside ``point_scope()`` the scope's memo holds the
-bases, one per policy and type and exact bits of a, so the calls at one
-base in a scope share it and all it remembers; outside a scope a base lives
-for one call.  README says which callers open a scope.
+(a; a)_inf among them, its theta pairs and its dual thetas' parts, each
+under the exact bits of x; a call that raises stores nothing.  Callers keep
+their own values at a base in its ``runs``.  Inside ``point_scope()`` the
+scope's memo holds the bases, one per policy and type and exact bits of a,
+so the calls at one base in a scope share it and all it remembers; outside
+a scope a base lives for one call.  README says which callers open a scope.
+A base's dual constants depend on the exact bits of a and the policy alone,
+and a bounded cache (``_dual_for``) lends them to every base at that a.
 
 Check first, then compute: ``_base`` checks the base, then
 ``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
@@ -52,14 +70,17 @@ that order, before it forms any product.
 
 Everything here is a pure function of its arguments.  The memo lives in a
 ContextVar, so each thread sees only its own, and concurrent use needs no
-synchronization.
+synchronization; the cache of dual constants holds values that no call
+changes, behind functools.lru_cache's own lock.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -212,12 +233,13 @@ class _Base:
     theta pair's ``slack`` (see there), the cap max_terms + 1, the powers
     a^0, a^1, ... grown by repeated multiplication, and the values formed
     at it, each under the exact bits of its x: the products (x; a)_inf,
-    (a; a)_inf among them, and the theta pairs.  ``runs`` holds what callers
-    keep at the base (``exchange``'s closed-form steps and ratios).
-    Messages show ``given``, a as passed."""
+    (a; a)_inf among them, the theta pairs, and from _CROSSOVER on each
+    theta's ``parts`` and the base's ``dual`` (``_dual_of``).  ``runs``
+    holds what callers keep at the base (``exchange``'s closed-form steps
+    and ratios).  Messages show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
-                 "slack", "cap", "powers", "products", "pairs", "runs")
+                 "slack", "cap", "powers", "products", "pairs", "parts", "runs", "dual")
 
     def __init__(self, a: complex, given: complex, policy: TruncationPolicy) -> None:
         self.a, self.given, self.policy = a, given, policy
@@ -233,7 +255,9 @@ class _Base:
         self.powers = [1.0 + 0j]
         self.products: dict[bytes, complex] = {}
         self.pairs: dict[bytes, complex] = {}
+        self.parts: dict[bytes, tuple[complex, complex, complex]] = {}
         self.runs: dict = {}
+        self.dual: _Dual | None = None
 
     @property
     def aa(self) -> complex:
@@ -339,7 +363,13 @@ def _settled(x: complex, base: _Base, count: int, result: complex) -> complex:
             return partial
     if count <= policy.max_terms:
         raise DomainError(f"(x; b)_inf underflows at x = {x!r}, b = {base.a!r}")
-    raise TruncationExceeded(
+    raise _unmet_product(base)
+
+
+def _unmet_product(base: _Base) -> TruncationExceeded:
+    """The error of a product at base whose tail bound needs more than max_terms factors."""
+    policy = base.policy
+    return TruncationExceeded(
         f"tail bound {policy.tail_tol:g} not reached within max_terms="
         f"{policy.max_terms} (base moduli {base.big:.4g})"
     )
@@ -455,12 +485,22 @@ def qpochhammer(
 def theta(
     a: complex, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
-    """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0."""
+    """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0:
+    the product below |a| = _CROSSOVER, the dual nome from it on."""
     base = _base(a, policy)
-    pair = _theta_pair(_nonzero(x, "x"), base)
+    xv = _nonzero(x, "x")
+    if base.big >= _CROSSOVER:
+        return _dual_theta(xv, base)
+    return _product_theta(xv, base)
+
+
+def _product_theta(x: complex, base: _Base) -> complex:
+    """theta_a(x) as the product (x; a)(a/x; a)(a; a), at a checked base and a
+    checked x: the path below _CROSSOVER, and the oracle above it."""
+    pair = _theta_pair(x, base)
     value = pair * base.aa
     if pair and not value:
-        raise DomainError(f"theta_a(x) underflows at x = {x!r}, a = {a!r}")
+        raise DomainError(f"theta_a(x) underflows at x = {x!r}, a = {base.given!r}")
     return value
 
 
@@ -545,7 +585,8 @@ def _theta_quotient(
     """factor * prod theta_a(num_args) / (scale * prod theta_a(den_args)) at
     a base from ``_base``, which has checked it, each product formed in
     argument order, the numerator's from the caller's prefactor ``factor``,
-    bit for bit what the public ``theta`` gives.  Checks come first: each
+    bit for bit what the public ``theta`` gives; from |a| = _CROSSOVER on,
+    ``_dual_quotient``'s.  Checks come first: each
     denominator argument (DomainError unless finite and nonzero, naming a
     "theta argument", not the caller's x; NearSingularity within relative
     _ZERO_RTOL of a zero of theta_a), then each numerator argument, by
@@ -574,6 +615,8 @@ def _theta_quotient(
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {base.given!r}")
         dens.append(w)
     nums = [_nonzero(arg, "theta argument") for arg in num_args]
+    if base.big >= _CROSSOVER:
+        return _dual_quotient(base, nums, dens, scale, factor)
     # inline: base.aa once formed (0.42% of the opcodes)
     aa = base.products.get(_X_BITS(a.real, a.imag))
     if aa is None:
@@ -592,6 +635,373 @@ def _theta_quotient(
     if not result and factor and all(_theta_pair(xv, base) for xv in nums):
         raise DomainError(f"theta quotient underflows at a = {base.a!r}")
     return result
+
+
+# ---------------------------------------------------------------------------
+# The dual nome
+#
+# Jacobi's imaginary transformation (Whittaker-Watson 21.51), in multiplicative
+# notation: with L = log a (Im L in (-pi, pi]) and l any logarithm of x,
+#
+#     theta_a(x) = sqrt(2 pi / -L) * exp(-W^2 / (2L)) * theta_b(e^(2 pi i l / L)),
+#     W = l + pi i - L/2,    b = e^(4 pi^2 / L),
+#
+# and |b| = |a|^(4 pi^2 / |L|^2) < |a| whenever |L| < 2 pi: b is below 1e-22
+# for real a >= 0.45, and |a|^4 at phase pi.  Changing l by 2 pi i multiplies
+# the dual argument by 1/b, so l is chosen to put it in |b| < |x~| <= 1.  The
+# Gaussian exponent reaches pi^2 / (2 |L|) and more, so W, its square and the
+# product by -1/(2L) are formed in double-double arithmetic, and L itself to
+# about 2^-100: every digit the exponent loses is a digit of theta.
+
+# Below it theta_a is the product; at and above it, the dual nome.  Derived
+# by tools/theta_crossover.py (seed 1, 2400 points against mpmath, |a| in
+# [0.05, 0.99], 24 bands of equal count; BENCH_32.json keeps its table):
+# the dual's worst relative error over the condition of the point was no
+# worse than the product's in every band, the lowest included, so accuracy
+# leaves the choice to speed, and the dual, a base of its own met for the
+# first time, was no slower per call from the band edge |a| = 0.7574 on
+# (0.7108 to 0.7572 took 1.03 times the product's time).  Rounded up to two
+# digits.
+_CROSSOVER = 0.76
+
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's constant, for 26-bit heads
+_SPLIT17 = 68719476737.0  # 2^36 + 1: for 17-bit heads
+
+
+def _head(v: float) -> float:
+    """v rounded to its leading 26 bits: v - head is exact, and so is n * head
+    for an integer |n| < 2^27."""
+    t = v * _SPLIT
+    return t - (t - v)
+
+
+def _head17(v: float) -> float:
+    """v rounded to its leading 17 bits: a product of three is exact."""
+    t = v * _SPLIT17
+    return t - (t - v)
+
+
+# pi and log 2 as a 26-bit head and the rest to about 2^-105
+_PI_HEAD = _head(math.pi)
+_PI_REST = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
+_LN2_HEAD = _head(math.log(2.0))
+_LN2_REST = (math.log(2.0) - _LN2_HEAD) + 2.3190468138462996e-17
+_ROOT_HALF = 0.7071067811865476
+# the largest shift s by L whose products with L's 26-bit head stay exact;
+# beyond it theta leaves the double range at any base _Dual takes
+_MOST_SHIFT = 1 << 26
+_TINY = sys.float_info.min  # the least positive normal double
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+# The per-base constants of the dual path are formed in 100-bit fixed point:
+# log a to about 2^-100 by one Newton step on cmath.log, then -1/(2L),
+# 2 pi i / L and 4 pi^2 / L from it, each handed on as hi + lo doubles.
+_FIX = 100
+_FIX_ONE = 1 << _FIX
+
+
+def _fixed(v: float) -> int:
+    """v in 2^-100 units, rounded toward -inf (exact unless |v| < 2^-47)."""
+    n, d = v.as_integer_ratio()
+    return (n << _FIX) // d
+
+
+_PI_FIX = _fixed(math.pi) + _fixed(1.2246467991473532e-16)
+_LN2_FIX = _fixed(math.log(2.0)) + _fixed(2.3190468138462996e-17)
+
+
+def _unfixed(re: int, im: int) -> tuple[complex, complex]:
+    """A fixed-point complex number as hi + lo doubles (float() rounds an
+    int to nearest, and the scalings by powers of 2 are exact)."""
+    hr, hi = float(re) * _UNIT, float(im) * _UNIT
+    return complex(hr, hi), complex(float(re - int(hr * _TWO_FIX)) * _UNIT,
+                                    float(im - int(hi * _TWO_FIX)) * _UNIT)
+
+
+_TWO_FIX = 2.0**_FIX
+_UNIT = 2.0**-_FIX
+_PI_SQ_FIX = (_PI_FIX * _PI_FIX) >> _FIX
+
+
+def _log_fixed(z: complex) -> tuple[int, int]:
+    """The principal log z in fixed point.  ``_reduced_log`` gives
+    p + iq = log w to about 1e-16, and one Newton step adds
+    w e^-p (cos q - i sin q) - 1, with e^-p and e^-iq summed in fixed point
+    (Taylor series at -p/64 and -q/64, then six squarings)."""
+    lw, w, e, h = _reduced_log(z)
+    lr, li = _fixed(lw.real), _fixed(lw.imag)
+    xr, xi = -lr >> 6, -li >> 6
+    er = tr = cr = ti = _FIX_ONE
+    ci = 0
+    for n in range(1, 12):  # |log(w) / 64| < 1/64: 11 terms reach 2^-100
+        tr = (tr * xr >> _FIX) // n
+        er += tr
+        ti = (ti * xi >> _FIX) // n
+        if n % 2:
+            ci += ti if n % 4 == 1 else -ti
+        else:
+            cr += ti if n % 4 == 0 else -ti
+    for _ in range(6):
+        er = er * er >> _FIX
+        cr, ci = (cr * cr - ci * ci) >> _FIX, (cr * ci) >> (_FIX - 1)
+    er_r, er_i = er * cr >> _FIX, er * ci >> _FIX
+    wr, wi = _fixed(w.real), _fixed(w.imag)
+    lr += ((wr * er_r - wi * er_i) >> _FIX) - _FIX_ONE + e * _LN2_FIX
+    li += ((wr * er_i + wi * er_r) >> _FIX) + int(2 * h) * _PI_FIX // 2
+    return lr, li
+
+
+def _reduced_log(z: complex) -> tuple[complex, complex, int, float]:
+    """(log w, w, e, h) with log z = log w + e log 2 + h pi i for the
+    principal log: z turned by a power of i and scaled by 2^-e, both exact,
+    to w with |arg w| <= pi/4 and |w| in [2^-1/2, 2^1/2], so |log w| < 0.87
+    and cmath.log(w) errs by about 1e-16 at most."""
+    re, im = z.real, z.imag
+    if abs(im) <= abs(re):
+        h, w = (0.0, z) if re > 0 else ((1.0 if im >= 0 else -1.0), -z)
+    elif im > 0:
+        h, w = 0.5, complex(im, -re)
+    else:
+        h, w = -0.5, complex(-im, re)
+    mant, e = math.frexp(abs(w))
+    if mant < _ROOT_HALF:
+        e -= 1
+    w = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
+    return cmath.log(w), w, e, h
+
+
+class _Dual:
+    """What theta at a base a shares on the dual side, from L = log a in
+    fixed point: L as hi + lo (``lh``, ``ll``), L's 26-bit ``head``, so that
+    s * head is exact, and the ``rest``; c = -1/(2L) as its 17-bit head
+    ``c0`` and the rest ``c1``, with ``c`` = c0 + c1 rounded; m = 2 pi i / L
+    (``mh``, and in ``m_parts`` its 26-bit heads and its lo); the prefactor
+    sqrt(2 pi / -L); ``dual_re`` = Re(4 pi^2 / L); and the dual nome
+    b = e^(4 pi^2 / L), 0 where it underflows.  ``count`` is the factors each
+    product at b keeps for an argument of modulus up to 1: 1 where
+    2 |b| / (1 - |b|) < tail_tol, else ``_factor_count``'s at b's _Base under
+    the same policy and the headroom 2 / (1 - |b|); ``powers`` holds b^0 ..
+    b^(count - 1) and ``bb`` is (b; b)_inf, both formed here, so that no
+    call changes a _Dual that threads may share.  From |b| = _CROSSOVER on,
+    ``inner`` is b's own _Dual instead."""
+
+    __slots__ = ("lh", "ll", "head", "rest", "c0", "c1", "c", "mh", "m_parts", "dual_re",
+                 "pref", "b", "count", "powers", "bb", "inner")
+
+    def __init__(self, lr: int, li: int, policy: TruncationPolicy) -> None:
+        if -lr < _FIX_ONE >> 40:
+            raise NonConvergentBase(
+                f"|a| = {math.exp(float(lr) * _UNIT)!r} is too close to 1 for theta's dual "
+                f"nome: |log|a|| is below 2^-40"
+            )
+        lh, ll = _unfixed(lr, li)
+        self.lh, self.ll = lh, ll
+        self.head = complex(_head(lh.real), _head(lh.imag))
+        self.rest = (lh - self.head) + ll
+        # c = -1/(2L) = -conj(L) / (2 |L|^2), m = -4 pi i c and 4 pi^2 / L = -8 pi^2 c,
+        # its imaginary part reduced into [-pi, pi)
+        twice_norm = 2 * (lr * lr + li * li)  # exact, in 2^-200 units
+        cr, ci = (-lr << 2 * _FIX) // twice_norm, (li << 2 * _FIX) // twice_norm
+        mr, mi = (4 * _PI_FIX * ci) >> _FIX, (-4 * _PI_FIX * cr) >> _FIX
+        tr, ti = (-8 * _PI_SQ_FIX * cr) >> _FIX, (-8 * _PI_SQ_FIX * ci) >> _FIX
+        ti -= (ti + _PI_FIX) // (2 * _PI_FIX) * (2 * _PI_FIX)
+        ch, cl = _unfixed(cr, ci)
+        self.c0 = complex(_head17(ch.real), _head17(ch.imag))
+        self.c1 = (ch - self.c0) + cl
+        self.c = ch
+        mh, ml = _unfixed(mr, mi)
+        self.mh = mh
+        # m's 26-bit heads, whose products with a log's heads are exact, and lo
+        self.m_parts = (_head(mh.real), _head(mh.imag), ml)
+        th, tl = _unfixed(tr, ti)
+        self.dual_re = th.real
+        self.pref = cmath.sqrt(1j * mh)
+        b = cmath.exp(th) * (1.0 + tl) if th.real > -745.0 else 0j
+        self.b = b
+        big = abs(b)
+        self.count, self.powers, self.bb, self.inner = 1, (), 1.0 - b, None
+        if big >= _CROSSOVER:
+            self.inner = _Dual(tr, ti, policy)
+        elif 2.0 * big >= policy.tail_tol * (1.0 - big):
+            base = _Base(b, b, policy)
+            self.count = _factor_count(base, 2.0 / base.room)
+            if self.count > policy.max_terms:
+                raise _unmet_product(base)
+            self.powers = tuple(base.upto(self.count)[: self.count])
+            self.bb = base.aa
+
+
+def _dual_of(base: _Base) -> _Dual:
+    """The base's _Dual, which depends on the exact bits of a and the policy
+    alone: bases at one a share it, inside a point scope or outside."""
+    a = base.a
+    base.dual = _dual_for(_BASE_BITS(a.real, a.imag, 0.0), a, base.policy)
+    return base.dual
+
+
+@functools.lru_cache(maxsize=256)
+def _dual_for(bits: bytes, a: complex, policy: TruncationPolicy) -> _Dual:
+    """The _Dual at a, the key ``bits`` telling 0.0 from -0.0 where a does
+    not; it holds constants alone, so the cache is bounded by its size."""
+    return _Dual(*_log_fixed(a), policy)
+
+
+def _dual_parts(x: complex, base: _Base) -> tuple[complex, complex, complex]:
+    """theta_a(x) = mantissa * e^(hi + lo) from the dual nome, at a checked
+    base with |a| >= _CROSSOVER and a checked x, formed once per base."""
+    key = _X_BITS(x.real, x.imag)
+    parts = base.parts.get(key)
+    if parts is None:
+        lw, _, e, h = _reduced_log(x)
+        re, re_lo = _two_sum(e * _LN2_HEAD, lw.real)
+        im, im_lo = _two_sum(h * _PI_HEAD, lw.imag)
+        try:
+            parts = _dual_core(re, re_lo + e * _LN2_REST, im, im_lo + h * _PI_REST,
+                               base.dual or _dual_of(base))
+        except OverflowError:
+            raise DomainError(f"theta_a(x) overflows at x = {x!r}, a = {base.given!r}") from None
+        base.parts[key] = parts
+    return parts
+
+
+def _dual_theta(x: complex, base: _Base) -> complex:
+    """theta_a(x) from ``_dual_parts``; DomainError when it leaves the
+    normal floating-point range, where it would have lost digits."""
+    value, problem = _exp_parts(*_dual_parts(x, base))
+    if problem:
+        raise DomainError(f"theta_a(x) {problem} at x = {x!r}, a = {base.given!r}")
+    return value
+
+
+def _exp_parts(mantissa: complex, hi: complex, lo: complex) -> tuple[complex, str]:
+    """mantissa * e^(hi + lo), and "overflows" or "underflows" where a
+    nonzero mantissa gives a value outside the normal floating-point range
+    ("" inside it); a zero mantissa, from a zero factor, is the value."""
+    if not mantissa:
+        return mantissa, ""
+    if not -708.0 < hi.real < 709.0:
+        # e^hi alone would leave the normal range: fold |mantissa| into it
+        size = abs(mantissa)
+        re, err = _two_sum(hi.real, math.log(size))
+        hi, lo, mantissa = complex(re, hi.imag), lo + err, mantissa / size
+    try:
+        value = mantissa * (cmath.exp(hi) * (1.0 + lo))
+    except OverflowError:
+        return _INF, "overflows"
+    if not cmath.isfinite(value):
+        return value, "overflows"
+    if abs(value) < _TINY:
+        return value, "underflows"
+    return value, ""
+
+
+def _dual_quotient(base: _Base, nums: list, dens: list, scale: complex,
+                   factor: complex) -> complex:
+    """factor * prod theta_a(nums) / (scale * prod theta_a(dens)) from their
+    ``_dual_parts``: the mantissas multiply, and the exponents are summed
+    exactly before one exponential, so that no theta need be in range for
+    the quotient to be."""
+    num, den = factor, scale
+    terms = []
+    for sign, args in ((1.0, nums), (-1.0, dens)):
+        for arg in args:
+            mantissa, hi, lo = _dual_parts(arg, base)
+            if sign > 0:
+                num *= mantissa
+            else:
+                den *= mantissa
+            terms += (sign * hi, sign * lo)
+    if not den:
+        raise DomainError(f"theta quotient denominator underflows at a = {base.a!r}")
+    re = [t.real for t in terms]
+    im = [t.imag for t in terms]
+    hi = complex(math.fsum(re), math.fsum(im))
+    lo = complex(math.fsum(re + [-hi.real]), math.fsum(im + [-hi.imag]))
+    value, problem = _exp_parts(num / den, hi, lo)
+    if problem:
+        raise DomainError(f"theta quotient {problem} at a = {base.a!r}")
+    return value
+
+
+def _dual_core(re: float, re_lo: float, im: float, im_lo: float,
+               dual: _Dual) -> tuple[complex, complex, complex]:
+    """theta_a(e^l) = mantissa * e^(hi + lo), for l = (re + re_lo) + i (im + im_lo):
+    the mantissa is sqrt(2 pi / -L) theta_b(u), the exponent -W^2 / (2L).
+
+    s shifts l by s L so that its real part lies in (Re L, 0], and k then
+    takes the log l + s L + 2 pi i k, rounded once, whose dual argument
+    u = e^(m (l + s L + 2 pi i k)) has modulus in (|b|, 1]; the shift by s L
+    leaves u alone, so the Gaussian takes W = l + (2k + 1) pi i - L/2 and no
+    shift factor is needed.  The terms of W, of its square and of the
+    product by c are summed exactly: s * head, n * _PI_HEAD and the 17-bit
+    heads' products are exact, and what they leave out is 2^-16 of them.
+    """
+    lh, ll, head, rest = dual.lh, dual.ll, dual.head, dual.rest
+    s = -math.floor(re / lh.real)
+    if abs(s) >= _MOST_SHIFT:
+        raise OverflowError  # |log theta| is then about s^2 |log|a|| / 2 >= 2^11
+    k2 = 2 * math.floor((dual.mh * complex(re + s * lh.real, im + s * lh.imag)).real
+                        / dual.dual_re)
+    # l + s L + 2 pi i k as (p + p_lo) + i (q + q_lo), from exact terms
+    p, p_lo = _two_sum(re, s * head.real)
+    p_lo += re_lo + s * rest.real
+    q, q_lo = _two_sum(im, s * head.imag)
+    q, turn = _two_sum(q, k2 * _PI_HEAD)
+    q_lo += turn + im_lo + s * rest.imag + k2 * _PI_REST
+    if dual.inner is None and dual.count == 1:
+        # the dual arguments u and b / u = e^(-m (l + s L + 2 pi i (k + 1))),
+        # each exponent rounded once
+        mh = dual.mh
+        u = cmath.exp(mh * complex(p + p_lo, q + q_lo))
+        v = cmath.exp(mh * complex(-(p + p_lo), -(q + (q_lo + 2.0 * math.pi))))
+        inner = (1.0 - u) * (1.0 - v) * dual.bb
+    else:
+        # m l as hi + lo, m's heads and l's 26-bit heads multiplying exactly
+        xr, xi, m_lo = dual.m_parts
+        mh = dual.mh
+        yr, yi = _head(p), _head(q)
+        y_rest = complex((p - yr) + p_lo, (q - yi) + q_lo)
+        zr, err_r = _two_sum(xr * yr, -xi * yi)
+        zi, err_i = _two_sum(xr * yi, xi * yr)
+        lo = (complex(err_r, err_i) + (mh - complex(xr, xi)) * complex(yr, yi)
+              + mh * y_rest + m_lo * complex(p, q))
+        zr, zr_lo = _two_sum(zr, lo.real)
+        zi, zi_lo = _two_sum(zi, lo.imag)
+        if dual.inner is not None:
+            mantissa, g_hi, g_lo = _dual_core(zr, zr_lo, zi, zi_lo, dual.inner)
+            inner = mantissa * (cmath.exp(g_hi) * (1.0 + g_lo))
+        else:
+            u = cmath.exp(complex(zr, zi)) * (1.0 + complex(zr_lo, zi_lo))
+            v = dual.b / u
+            inner = dual.bb
+            for power in dual.powers:
+                inner *= (1.0 - u * power) * (1.0 - v * power)
+    # W = l + (2k + 1) pi i - L/2, the real and imaginary parts as hi + lo
+    wr, wr_lo = _two_sum(re, -0.5 * lh.real)
+    wr_lo += re_lo - 0.5 * ll.real
+    wi, wi_lo = _two_sum(im, (k2 + 1) * _PI_HEAD)
+    wi, t = _two_sum(wi, -0.5 * lh.imag)
+    wi_lo += t + im_lo + (k2 + 1) * _PI_REST - 0.5 * ll.imag
+    # G = c W^2 = c0 W0^2 + (c1 W0^2 + c (2 W0 + W1) W1), W0 the 17-bit heads
+    w0r, w0i = _head17(wr), _head17(wi)
+    w0 = complex(w0r, w0i)
+    w1 = complex((wr - w0r) + wr_lo, (wi - w0i) + wi_lo)
+    c0 = dual.c0
+    sq, cross = w0r * w0r, w0i * w0i
+    mixed = 2.0 * w0r * w0i
+    tail = dual.c1 * (w0 * w0) + dual.c * ((w0 + w0 + w1) * w1)
+    g_re = (c0.real * sq, -c0.real * cross, -c0.imag * mixed, tail.real)
+    g_im = (c0.imag * sq, -c0.imag * cross, c0.real * mixed, tail.imag)
+    gh = complex(math.fsum(g_re), math.fsum(g_im))
+    gl = complex(math.fsum((*g_re, -gh.real)), math.fsum((*g_im, -gh.imag)))
+    return dual.pref * inner, gh, gl
 
 
 def log_deriv_theta(

@@ -215,7 +215,10 @@ def mu_inv(
     x2 = _square(xv, "x^2")
     p2 = _base(pv * pv, policy, "p^2")
     quotient = _theta_quotient(p2, (pv * x2, qv * qv), (qv * qv * x2,))
-    const = p2.aa / qpochhammer(pv, pv, policy) ** 2
+    square = qpochhammer(pv, pv, policy) ** 2
+    if not square:
+        raise DomainError(f"(p; p)^2 underflows at p = {pv!r}")
+    const = p2.aa / square
     return kappa_inv(x2, pv, qv, policy) * const * quotient
 
 

@@ -2,6 +2,7 @@
 formats, exit codes, and report determinism."""
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -152,21 +153,28 @@ def test_verify_unknown_suite_exits_2(capsys):
     "suite, extra, check_id",
     [
         pytest.param("rmatrix", ("--p", "0.69"), "crossing-symmetry", id="rmatrix"),
-        pytest.param("theorem6", (), "f-equals-one(k=+1)", id="theorem6"),
-        pytest.param("p-periodicity", (), "f-invariant-under-p-shift", id="p-periodicity"),
-        pytest.param("f-two-path", (), "f-two-path(m=-3)", id="f-two-path"),
-        pytest.param("y-two-path", (), "y-two-path(m=-3)", id="y-two-path"),
-        pytest.param("feigin-frenkel", (), "y-q2-shift(m=+1)", id="feigin-frenkel"),
+        pytest.param("tau", (), "tau-two-representations", id="tau"),
     ],
 )
 def test_verify_rmatrix_gives_up_when_no_point_is_valid(capsys, suite, extra, check_id):
-    # at q = 0.999 every candidate exceeds max_terms, so sampling can never
+    # at q = 0.999 every candidate needs a product of more than max_terms
+    # factors (kappa_inv's rows, tau's product form), so sampling can never
     # fill the grid; the capped retries end in a typed error, exit code 2
     code, _, err = run(
         capsys, "verify", "--suite", suite, *extra, "--q", "0.999", "--max-terms", "8"
     )
     assert code == 2
     assert check_id in err and "candidates" in err
+
+
+@pytest.mark.parametrize(
+    "suite", ["theorem6", "p-periodicity", "f-two-path", "y-two-path", "feigin-frenkel"]
+)
+def test_verify_theta_suites_pass_near_q_one_with_few_factors(capsys, suite):
+    # their points need theta quotients alone, which the dual nome forms at
+    # q^4 = 0.996 with a factor or two each
+    code, _, err = run(capsys, "verify", "--suite", suite, "--q", "0.999", "--max-terms", "8")
+    assert (code, err) == (0, "")
 
 
 def test_verify_report_bytes_deterministic(capsys, tmp_path):
@@ -645,27 +653,21 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
         (("verify", "--suite", "commuting-points", "--q=-0.055840228260864135", "--k=-1000"),
          {}, "f-even-closed-form(k=-1000), y-equals-one(k=-1000): only 0 of 10 points valid "
          "after 100 candidates"),
-        # a product is zero only at a zero factor: these partial products
-        # underflowed within max_terms + 1 factors and were taken for zeros
+        # from |a| = qseries._CROSSOVER on, theta takes the dual nome, and a
+        # theta or a quotient that leaves the normal double range is refused
         (("eval", "--fn", "theta", "--a", "0.9999", "--x", "1.1"), {},
-         "tail bound 1e-15 not reached within max_terms=512 (base moduli 0.9999)"),
-        (("eval", "--fn", "tau", "--q=0.999999", "--x=-1"), {},
-         "tail bound 1e-15 not reached within max_terms=512 (base moduli 1)"),
-        # within the cap, a product, a theta pair, theta itself, and a
-        # quotient's numerator or denominator that underflow are refused
+         "theta_a(x) underflows at x = (1.1+0j), a = (0.9999+0j)"),
         (("eval", "--fn", "theta", "--a", "0.999", "--x", "1.1", "--max-terms", "100000"), {},
-         "(x; b)_inf underflows at x = (1.1+0j), b = (0.999+0j)"),
+         "theta_a(x) underflows at x = (1.1+0j), a = (0.999+0j)"),
         (("eval", "--fn", "mu", "--p", "0.998", "--q", "0.5", "--x", "1.1",
           "--max-terms", "100000"), {},
-         "theta pair underflows at x = (1.20758+0j), a = (0.996004+0j)"),
+         "theta quotient underflows at a = (0.996004+0j)"),
         (("eval", "--fn", "theta", "--a", "0.994", "--x", "1.1", "--max-terms", "100000"), {},
          "theta_a(x) underflows at x = (1.1+0j), a = (0.994+0j)"),
-        (("eval", "--fn", "mu", "--p", "0.995", "--q", "0.5", "--x", "1.1",
-          "--max-terms", "100000"), {},
-         "theta quotient underflows at a = (0.990025+0j)"),
+        # mu's quotient is in range, and (p; p)^2 underflows
         (("eval", "--fn", "mu", "--p", "0.997", "--q", "0.5", "--x", "2.5",
           "--max-terms", "100000"), {},
-         "theta quotient denominator underflows at a = (0.994009+0j)"),
+         "(p; p)^2 underflows at p = (0.997+0j)"),
         # kappa_inv's head-row products and the running products of F and Y
         # underflow to 0 with no factor or step 0
         *[(("eval", "--fn", fn, "--p", "0.995", "--q", "0.5", "--x", "2.5",
@@ -686,6 +688,25 @@ def test_bad_input_is_an_ellex_error_naming_it(capsys, monkeypatch, argv, env, m
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        # each needed a product of thousands of factors, or one that underflowed
+        (("eval", "--fn", "tau", "--q=0.999999", "--x=-1"), "(-1+0j)"),
+        (("eval", "--fn", "mu", "--p", "0.995", "--q", "0.5", "--x", "1.1",
+          "--max-terms", "100000"), None),
+        (("eval", "--fn", "theta", "--a", "0.93", "--x=1.1"), None),
+    ],
+)
+def test_eval_reaches_bases_the_product_could_not(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["results"]
+    got = complex(row["value"])
+    assert cmath.isfinite(got) and got != 0
+    assert value is None or got == complex(value)
 
 
 def test_eval_points_share_one_base_per_policy(capsys, monkeypatch):
@@ -1049,7 +1070,8 @@ def test_verify_memo_lives_for_one_point(capsys, monkeypatch):
     assert counts[0] == counts[1] > 0
     computed.clear()
     code, _, err = run(
-        capsys, "verify", "--suite", "commuting-points", "--q", "0.999", "--max-terms", "8"
+        capsys, "verify", "--suite", "commuting-points", "--q=-0.055840228260864135",
+        "--k=-1000",
     )
     assert code == 2 and "candidates" in err
     assert computed and qseries._MEMO.get() is None

@@ -260,6 +260,14 @@ def test_cli_fuzz_ends_every_run_cleanly(seed):
     assert failures == []
 
 
+def test_verify_near_q_one_ends_within_the_alarm():
+    # at q^4 = 0.98 each theta product took about 1 800 factors, and this run
+    # spent 2.6 s forming f-two-path's 200 candidates before it exited 2; the
+    # dual nome forms each theta with one factor a product
+    assert problem(["verify", "--suite=all", "--q=0.995", "--max-terms=4096",
+                    "--format=json"]) is None
+
+
 if __name__ == "__main__":
     seed, seconds = int(sys.argv[1]), float(sys.argv[2])
     rng = random.Random(seed)

@@ -20,6 +20,7 @@ from ellex.elliptic import (
     param_map,
     snh_core,
 )
+from ellex import qseries
 from ellex.errors import DomainError, NearSingularity, NonConvergentBase, TruncationExceeded
 from ellex.qseries import DEFAULT_POLICY, TruncationPolicy, theta
 from ellex.rmatrix import r_plus
@@ -93,7 +94,8 @@ def _snh_core_two_thetas(y, p, policy):
     return y * theta(p * p, 1.0 / (y * y), policy) / theta(p * p, p / (y * y), policy)
 
 
-def test_snh_core_matches_two_theta_form_bit_for_bit():
+def test_snh_core_matches_two_theta_form():
+    # bit for bit below the crossover
     rng = random.Random(5)
     short = TruncationPolicy(max_terms=8)
     for i in range(300):
@@ -112,7 +114,10 @@ def test_snh_core_matches_two_theta_form_bit_for_bit():
             got = snh_core(y, p, policy)
         except NearSingularity:
             continue
-        assert repr(got) == repr(ref)
+        if abs(p * p) < qseries._CROSSOVER:
+            assert repr(got) == repr(ref)
+        else:  # the dual-nome quotient sums its exponents before one exponential
+            assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def test_snh_core_rejects_what_theta_rejects():

@@ -12,7 +12,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellex import qseries, rmatrix, suites
@@ -82,6 +82,36 @@ def theta_stepwise(a, x, policy):
         * product_stepwise(a / x, a, policy)
         * product_stepwise(a, a, policy)
     )
+
+
+def theta_product(a, x, policy):
+    """theta by the product path at any base, after theta's checks: the path
+    below qseries._CROSSOVER, and the oracle above it."""
+    base = qseries._base(a, policy)
+    return qseries._product_theta(qseries._nonzero(x, "x"), base)
+
+
+# relative bound between a dual-nome quotient, whose exponents are summed
+# before one exponential, and the product of the public thetas it divides
+DUAL_QUOTIENT_REL = 1e-14
+
+
+def settle(f, *args):
+    """The value f returns, or the type of the EllexError it raises."""
+    try:
+        return f(*args)
+    except EllexError as exc:
+        return type(exc)
+
+
+def agree(got, want, rel):
+    """Both outcomes are the same EllexError subclass, or values that differ
+    by at most relative rel (bit for bit, signs of zeros included, at 0)."""
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    if rel == 0.0:
+        return repr(got) == repr(want)
+    return abs(got - want) <= rel * abs(want)
 
 
 def theta_quotient(a, num_args, den_args, policy, scale=1.0):
@@ -183,7 +213,9 @@ def test_counted_products_equal_stepwise_loop(max_terms, tail_tol):
             want = outcome(product_stepwise, x, b, policy)
             assert outcome(qpochhammer, x, b, policy) == want, (x, b)
             want = outcome(theta_stepwise, b, x, policy)
-            assert outcome(theta, b, x, policy) == want, (b, x)
+            assert outcome(theta_product, b, x, policy) == want, (b, x)
+            if abs(b) < qseries._CROSSOVER:
+                assert outcome(theta, b, x, policy) == want, (b, x)
             raised += want is TruncationExceeded
     assert raised > 0 or max_terms == 512
 
@@ -194,7 +226,8 @@ def test_counted_products_equal_stepwise_loop(max_terms, tail_tol):
 def test_quotient_path_equals_theta_products(max_terms, tail_tol, scoped):
     # the cases above through _theta_quotient, each argument once in the
     # numerator and, clear of a theta zero, once in the denominator; in one
-    # scope the quotients and the theta calls share memo entries
+    # scope the quotients and the theta calls share memo entries.  Bit for
+    # bit below the crossover; above it the quotient sums its exponents
     policy = TruncationPolicy(max_terms, tail_tol)
     calls = []
     for b in REF_BASES:
@@ -204,8 +237,10 @@ def test_quotient_path_equals_theta_products(max_terms, tail_tol, scoped):
                 calls.append((b, (), (x,)))
     with point_scope() if scoped else contextlib.nullcontext():
         for b, num_args, den_args in calls:
-            got = outcome(theta_quotient, b, num_args, den_args, policy)
-            assert got == outcome(theta_quotient_public, b, num_args, den_args, 1.0, policy)
+            got = settle(theta_quotient, b, num_args, den_args, policy)
+            want = settle(theta_quotient_public, b, num_args, den_args, 1.0, policy)
+            rel = DUAL_QUOTIENT_REL if abs(b) >= qseries._CROSSOVER else 0.0
+            assert agree(got, want, rel), (b, num_args, den_args, got, want)
 
 
 @pytest.mark.parametrize("tail_tol", [1e-15, 1e-10, 1e-6])
@@ -228,7 +263,9 @@ def test_counted_products_equal_stepwise_loop_at_the_stop_boundary(tail_tol):
                 assert outcome(qpochhammer, x, b, policy) == want, (x, b)
                 for arg in (x, b / x):  # the count of (x; b), then of (b/arg; b)
                     want = outcome(theta_stepwise, b, arg, policy)
-                    assert outcome(theta, b, arg, policy) == want, (b, arg)
+                    assert outcome(theta_product, b, arg, policy) == want, (b, arg)
+                    if mag < qseries._CROSSOVER:
+                        assert outcome(theta, b, arg, policy) == want, (b, arg)
 
 
 def test_factor_count_corrects_its_estimate_both_ways():
@@ -528,13 +565,19 @@ def theta_quotient_public(a, num_args, den_args, scale=1.0, policy=TruncationPol
     scale=complex_units,
 )
 @settings(max_examples=150, deadline=None)
+# a numerator argument beside the zero x = 1, where both sides once raised DomainError
+@example(amag=0.875, aphase=0.0, num_args=[1 + 2.2e-311j], den_args=[0.5], scale=1.0 + 0j)
 def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, scale):
+    # the same value, bit for bit below the crossover and within
+    # DUAL_QUOTIENT_REL above it, or the same error
     a = amag * cmath.exp(1j * aphase)
     if any(near_theta_zero(a, v) for v in den_args):
         return
     num_args, den_args = tuple(num_args), tuple(den_args)
-    got = theta_quotient(a, num_args, den_args, TruncationPolicy(), scale)
-    assert got == theta_quotient_public(a, num_args, den_args, scale)
+    got = settle(theta_quotient, a, num_args, den_args, TruncationPolicy(), scale)
+    want = settle(theta_quotient_public, a, num_args, den_args, scale)
+    rel = DUAL_QUOTIENT_REL if amag >= qseries._CROSSOVER else 0.0
+    assert agree(got, want, rel), (got, want)
 
 
 @pytest.mark.parametrize(
@@ -548,16 +591,22 @@ def test_theta_quotient_equals_public_thetas(amag, aphase, num_args, den_args, s
         (0.4j, (0.7, float("inf")), (1.3,), DomainError),
         (0.4j, (0.7,), (1.3, (0.4j) ** 2 * (1 + 1e-10)), NearSingularity),
         (0.4j, (0.7,), ((0.4j) ** -1,), NearSingularity),
-        # (a; a) needs more than 512 factors at |a| = 0.95, but a zero
-        # argument is refused before any product is formed
+        # a zero argument is refused before the dual nome is formed
         (0.95, (0.0, 0.7), (1.3,), DomainError),
         (0.95, (0.7,), (0.0,), DomainError),
-        (0.95, (0.7,), (1.3,), TruncationExceeded),
     ],
 )
 def test_theta_quotient_errors_match_public_theta(a, num_args, den_args, error):
     with pytest.raises(error):
         theta_quotient(a, num_args, den_args, TruncationPolicy())
+
+
+def test_theta_quotient_at_095_needs_no_long_product():
+    # (a; a) alone needs more than 512 factors at |a| = 0.95, which raised
+    # TruncationExceeded; the dual nome's products there keep one factor each
+    got = theta_quotient(0.95, (0.7,), (1.3,), TruncationPolicy())
+    want = theta_quotient_public(0.95, (0.7,), (1.3,))
+    assert agree(got, want, DUAL_QUOTIENT_REL)
 
 
 def check_quotient_inputs(a, num_args, den_args):
@@ -576,9 +625,13 @@ def check_quotient_inputs(a, num_args, den_args):
 
 def theta_quotient_checked_first(a, num_args, den_args, policy, scale=1.0):
     """The reference for _theta_quotient's values and errors (type, message
-    and order): every check first, then (a; a) and the pairs."""
+    and order): every check first, then (a; a) and the pairs, or above the
+    crossover the dual-nome quotient."""
     av = check_quotient_inputs(a, num_args, den_args)
     base = qseries._base(av, policy)
+    if abs(av) >= qseries._CROSSOVER:
+        nums, dens = [complex(v) for v in num_args], [complex(v) for v in den_args]
+        return qseries._dual_quotient(base, nums, dens, scale, 1.0 + 0j)
     aa = qseries._product(av, base)
     num = den = 1.0 + 0j
     for arg in num_args:
@@ -626,14 +679,17 @@ def test_theta_quotient_checks_first_and_raises_as_the_reference():
 
 
 def record_kernels(monkeypatch):
-    """Wrap the two kernels that form products, qseries._theta_pair and
-    qseries._product (rmatrix's reference to it too), and return the list
-    of their calls, each as (kernel name, x, whether the base had its value
-    stored before the call)."""
+    """Wrap the kernels that form products and dual-nome thetas,
+    qseries._theta_pair, qseries._product (rmatrix's reference to it too)
+    and qseries._dual_parts, and return the list of their calls, each as
+    (kernel name, x, whether the base had its value stored before the call)."""
     calls = []
-    for name, store in (("_theta_pair", "pairs"), ("_product", "products")):
+    stores = (("_theta_pair", lambda base: base.pairs),
+              ("_product", lambda base: base.products),
+              ("_dual_parts", lambda base: base.parts))
+    for name, store in stores:
         def recording(x, base, kernel=getattr(qseries, name), name=name, store=store):
-            calls.append((name, x, qseries._X_BITS(x.real, x.imag) in getattr(base, store)))
+            calls.append((name, x, qseries._X_BITS(x.real, x.imag) in store(base)))
             return kernel(x, base)
 
         for module in (qseries, rmatrix):

@@ -28,7 +28,10 @@ from functools import lru_cache
 
 import pytest
 
-from ellex.elliptic import EllipticParams, complete_K, jacobi_snh
+from ellex import qseries
+from ellex.elliptic import EllipticParams, NomeParams, complete_K, jacobi_snh
+from ellex.errors import DomainError
+from ellex.exchange import LevelParams, exchange_F, exchange_Y
 from ellex.poisson import poisson_series_g, poisson_structure_center
 from ellex.qseries import TruncationPolicy, log_deriv_theta, qpochhammer, theta
 from ellex.rmatrix import kappa_inv, tau_fn
@@ -129,7 +132,10 @@ def claimed_error_one_base(x, b, tail_tol):
 def claimed_error_theta(a, x, tail_tol):
     """theta_a(x) = (x; a)(a/x; a)(a; a): the three claims add, plus the two
     multiplications that combine them.  A zero x = a^m of theta is a zero of
-    the first product for m <= 0 and of the second for m >= 1."""
+    the first product for m <= 0 and of the second for m >= 1.  From
+    qseries._CROSSOVER on, the dual nome's claim."""
+    if abs(a) >= qseries._CROSSOVER:
+        return claimed_error_dual(a, x, tail_tol)
     return (
         claimed_error_one_base(x, a, tail_tol)
         + claimed_error_one_base(a / x, a, tail_tol)
@@ -170,6 +176,132 @@ def test_theta_within_claim(a, x, tail_tol):
     val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
     ref = theta_oracle(a, x)
     assert abs(val - ref) / abs(ref) <= claimed_error_theta(a, x, tail_tol)
+
+
+
+# --- the dual nome, from qseries._CROSSOVER on -----------------------------------
+
+
+def _zero_distance(a, x):
+    """Relative distance from x to the nearest zero a^n of theta_a."""
+    la, lx = cmath.log(a), cmath.log(x)
+    center = round(math.log(abs(x)) / math.log(abs(a)))
+    return min(abs(cmath.exp(lx - n * la) - 1.0) for n in range(center - 2, center + 3))
+
+
+def claimed_error_dual(a, x, tail_tol):
+    """Relative error the dual nome claims: the dropped factors of its
+    products at b, and the logarithm of x, which errs by about EPS and which
+    the Gaussian and the dual argument amplify by (|log|x|| + pi) / |log|a||,
+    all times the point's condition; 16 roundings besides."""
+    cond = max(1.0, 1.0 / _zero_distance(a, x))
+    spread = (abs(math.log(abs(x))) + math.pi) / abs(math.log(abs(a)))
+    return 4 * tail_tol + cond * (16 + spread) * EPS
+
+
+@lru_cache(maxsize=None)
+def deep_theta_oracle(a, x):
+    """theta_a(x) as the triple-product series sum_n (-1)^n a^(n(n-1)/2) x^n,
+    summed by recurrence from its largest term outward, at 30 digits plus
+    log10 of the ratio of that term to a lower bound on |theta|,
+    e^(-pi^2 / (2 |log|a||)) times the distance to a zero: about 250 digits
+    at |a| = 0.99."""
+    la, lx = math.log(abs(a)), math.log(abs(x))
+    peak = round(0.5 - lx / la)
+    big = peak * lx + peak * (peak - 1) / 2 * la
+    small = -math.pi**2 / (2 * abs(la)) + math.log(_zero_distance(a, x)) - 10
+    digits = 30 + (big - small) / math.log(10)
+    with mp.workdps(int(digits) + 10):
+        am, xm = mp.mpc(a), mp.mpc(x)
+        stop = mp.exp(big) * mp.mpf(10) ** (-int(digits) - 5)
+        top = (-1) ** peak * am ** (peak * (peak - 1) // 2) * xm**peak
+        total = top
+        for step in (1, -1):
+            n, term = peak, top
+            while True:
+                # term n + 1 is -a^n x times term n; term n - 1 is -a^(1-n) / x times it
+                term *= -(am**n) * xm if step == 1 else -(am ** (1 - n)) / xm
+                n += step
+                total += term
+                if abs(term) < stop and abs(n - peak) > 3:
+                    break
+        return complex(total)
+
+
+def _dual_bases():
+    """Moduli from the crossover to 0.99, at phases that include pi +- 0.05."""
+    low = qseries._CROSSOVER
+    moduli = [low, low + 0.3 * (0.99 - low), 0.93, 0.97, 0.99]
+    phases = [0.0, 1.1, math.pi - 0.05, -2.3, -(math.pi - 0.05)]
+    return [cis(m, phi) for m, phi in zip(moduli, phases)] + [cis(0.99, math.pi - 0.05), 0.95]
+
+
+DUAL_X = [0.1, 10.0, cis(0.4, 2.2), cis(3.0, -0.5), cis(1.4, 2.7), cis(0.15, -1.9)]
+DUAL_NEAR_ZERO = [(-1, 1e-7, 0.3), (0, 1e-6, 1.1), (1, 1e-5, 2.0), (2, 1e-4, -1.2)]
+
+
+def _dual_points(a):
+    """Generic points with |x| in [0.1, 10], and points at relative 1e-7 to
+    1e-4 from a zero a^n."""
+    return DUAL_X + [a**n * (1 + cis(d, phi)) for n, d, phi in DUAL_NEAR_ZERO]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("a,x", [(a, x) for a in _dual_bases() for x in _dual_points(a)])
+def test_dual_theta_within_claim(a, x, tail_tol):
+    val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref = deep_theta_oracle(a, x)
+    assert abs(val - ref) / abs(ref) <= claimed_error_dual(a, x, tail_tol)
+
+
+
+@pytest.mark.parametrize(
+    "mantissa, hi", [(1e5 + 0j, complex(-710.0, 0.3)), (3e-6 + 1e-6j, complex(712.5, -2.0))]
+)
+def test_dual_parts_exponentiate_in_the_normal_range(mantissa, hi):
+    # e^hi alone leaves the normal double range, mantissa e^hi does not; the
+    # fold of |mantissa| into the exponent rounds its log once
+    value, problem = qseries._exp_parts(mantissa, hi, 0j)
+    bound = (4 + abs(math.log(abs(mantissa)))) * EPS
+    with mp.workdps(30):
+        ref = mp.mpc(mantissa) * mp.exp(mp.mpc(hi))
+        assert problem == "" and abs(mp.mpc(value) - ref) <= bound * abs(ref)
+
+
+# |q^4| from the crossover to 0.92, where the product still forms every theta
+DUAL_Q = [cis(qseries._CROSSOVER ** 0.25, 0.3), cis(0.95, -1.7), cis(0.975, 0.6),
+          -(0.92**0.25)]
+DUAL_P = 0.2 * cmath.exp(0.4j)
+# relative error allowed between the two paths: a few hundred roundings of
+# the product at |a| near 0.92, over the eight thetas of an F or Y step
+PATHS_REL = 2e-13
+
+
+def _by_the_product(monkeypatch, f, *args):
+    """f(*args) with every theta formed by the product, the oracle path."""
+    with monkeypatch.context() as patched:
+        patched.setattr(qseries, "_CROSSOVER", 1.0)
+        return f(*args)
+
+
+@pytest.mark.parametrize("q", DUAL_Q)
+def test_dual_quotients_match_the_product_path(monkeypatch, q):
+    policy = TruncationPolicy(4096)  # a cap the product's longest factors meet
+    calls = [(tau_fn, (x, q, policy)) for x in GENERIC_X]
+    for m in (-2, 1, 3):
+        level = LevelParams(m, NomeParams(DUAL_P, q))
+        for x in (cis(0.9, 0.4), cis(1.2, -2.0)):
+            calls += [(exchange_F, (level, x, policy)), (exchange_Y, (level, x, policy))]
+    compared = 0
+    for f, args in calls:
+        try:
+            want = _by_the_product(monkeypatch, f, *args)
+        except DomainError:  # a running product of thetas left the double range
+            continue
+        got = f(*args)
+        assert abs(got - want) <= PATHS_REL * abs(want), (f.__name__, args)
+        compared += 1
+    assert compared >= len(calls) - 4
 
 
 # --- kappa_inv ------------------------------------------------------------------

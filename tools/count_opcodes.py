@@ -1,11 +1,15 @@
-"""Count the Python opcodes one warm in-process ``run_suites(["all"])`` executes.
+"""Count the Python opcodes one warm in-process run executes.
 
-    python3 tools/count_opcodes.py [--src DIR] [--top N]
+    python3 tools/count_opcodes.py [--src DIR] [--top N] [-- ARGV ...]
 
-Imports ``ellex`` from DIR (default: this checkout's ``src``), runs every
-suite once at the default config (seed 7) to warm the imports and caches,
-then runs them again under ``sys.settrace`` with per-opcode events and
-prints the opcodes executed in that second run.  The count is
+Imports ``ellex`` from DIR (default: this checkout's ``src``) and runs once
+to warm the imports and caches, then again under ``sys.settrace`` with
+per-opcode events, and prints the opcodes executed in that second run; the
+dual nome's constants, the one cache that outlives a run in the process, are
+emptied between the two.  With no ARGV the run is every suite at the
+default config (seed 7, ``run_suites(["all"])``); with ARGV after ``--``
+it is the CLI, ``ellex`` given that argument vector, its output discarded.
+The count is
 deterministic for one interpreter version (it was taken on CPython 3.11),
 so two trees compare by it where wall time on a shared machine is noise.
 ``--top N`` also prints the N functions that executed the most opcodes,
@@ -16,6 +20,9 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import functools
+import io
 import pathlib
 import sys
 
@@ -25,11 +32,27 @@ def main() -> None:
     here = pathlib.Path(__file__).resolve().parent.parent / "src"
     parser.add_argument("--src", default=str(here), help="directory holding the ellex package")
     parser.add_argument("--top", type=int, default=0, help="also list the N busiest functions")
+    parser.add_argument("argv", nargs="*", help="a CLI argument vector, after --")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from ellex.suites import VerifyConfig, run_suites
+    if args.argv:
+        from ellex.cli import main as cli
 
-    run_suites(["all"], VerifyConfig())
+        def run() -> None:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli(list(args.argv))
+    else:
+        from ellex.suites import VerifyConfig, run_suites
+
+        def run() -> None:
+            run_suites(["all"], VerifyConfig())
+
+    run()
+    # the dual nome's constants outlive a run in the process; empty them so
+    # that the count is what one run forms (a tree without them has none)
+    from ellex import qseries
+
+    getattr(qseries, "_dual_for", functools.lru_cache(lambda: None)).cache_clear()
     counts: collections.Counter = collections.Counter()
 
     def tracer(frame, event, arg):
@@ -41,7 +64,7 @@ def main() -> None:
 
     sys.settrace(tracer)
     try:
-        run_suites(["all"], VerifyConfig())
+        run()
     finally:
         sys.settrace(None)
     total = sum(counts.values())
