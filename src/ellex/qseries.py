@@ -42,9 +42,9 @@ has its own bound: a relative error within about
 point, which tests/test_qseries_oracle.py checks against mpmath.  A dual
 theta or quotient that leaves the normal double range raises DomainError;
 a quotient sums its thetas' exponents before it exponentiates, so it needs
-no theta in range.  A base with |log|a|| below 2^-40 raises
-NonConvergentBase: there the bound above passes 1e-4, and the shifts by
-log a that the dual takes leave exact arithmetic.
+no theta in range.  Where |log|a|| < _DUAL_LEAST_LOG (|a| above about
+0.99965) that bound passes 1e-12 for |x| <= 1, and the product, under
+max_terms, is the path again (``_Base.dual_side`` says which).
 
 A rule has one home.  Where a call to it costs more than the work it
 does, on the paths every point takes, its common case is copied inline
@@ -55,13 +55,12 @@ pays.
 
 Each base remembers the values formed at it: its products (x; a)_inf,
 (a; a)_inf among them, its theta pairs and its dual thetas' parts, each
-under the exact bits of x; a call that raises stores nothing.  Callers keep
-their own values at a base in its ``runs``.  Inside ``point_scope()`` the
-scope's memo holds the bases, one per policy and type and exact bits of a,
-so the calls at one base in a scope share it and all it remembers; outside
-a scope a base lives for one call.  README says which callers open a scope.
-A base's dual constants depend on the exact bits of a and the policy alone,
-and a bounded cache (``_dual_for``) lends them to every base at that a.
+under the exact bits of x, and its ``dual`` constants; a call that raises
+stores nothing.  Callers keep their own values at a base in its ``runs``.
+Inside ``point_scope()`` the scope's memo holds the bases, one per policy
+and type and exact bits of a, so the calls at one base in a scope share it
+and all it remembers; outside a scope a base lives for one call.  README
+says which callers open a scope.
 
 Check first, then compute: ``_base`` checks the base, then
 ``_theta_quotient`` each denominator argument (finite, nonzero, and clear of
@@ -70,14 +69,12 @@ that order, before it forms any product.
 
 Everything here is a pure function of its arguments.  The memo lives in a
 ContextVar, so each thread sees only its own, and concurrent use needs no
-synchronization; the cache of dual constants holds values that no call
-changes, behind functools.lru_cache's own lock.
+synchronization.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import struct
 import sys
@@ -233,13 +230,14 @@ class _Base:
     theta pair's ``slack`` (see there), the cap max_terms + 1, the powers
     a^0, a^1, ... grown by repeated multiplication, and the values formed
     at it, each under the exact bits of its x: the products (x; a)_inf,
-    (a; a)_inf among them, the theta pairs, and from _CROSSOVER on each
-    theta's ``parts`` and the base's ``dual`` (``_dual_of``).  ``runs``
-    holds what callers keep at the base (``exchange``'s closed-form steps
-    and ratios).  Messages show ``given``, a as passed."""
+    (a; a)_inf among them, the theta pairs, and where ``dual_side`` (theta
+    from the dual nome) each theta's ``parts`` and the base's ``dual``.
+    ``runs`` holds what callers keep at the base (``exchange``'s closed-form
+    steps and ratios).  Messages show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
-                 "slack", "cap", "powers", "products", "pairs", "parts", "runs", "dual")
+                 "slack", "cap", "powers", "products", "pairs", "parts", "runs", "dual",
+                 "dual_side")
 
     def __init__(self, a: complex, given: complex, policy: TruncationPolicy) -> None:
         self.a, self.given, self.policy = a, given, policy
@@ -258,6 +256,7 @@ class _Base:
         self.parts: dict[bytes, tuple[complex, complex, complex]] = {}
         self.runs: dict = {}
         self.dual: _Dual | None = None
+        self.dual_side = big >= _CROSSOVER and -self.log_big >= _DUAL_LEAST_LOG
 
     @property
     def aa(self) -> complex:
@@ -486,17 +485,18 @@ def theta(
     a: complex, x: complex, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
     """theta_a(x) = (x; a)_inf (a/x; a)_inf (a; a)_inf, for 0 < |a| < 1, x != 0:
-    the product below |a| = _CROSSOVER, the dual nome from it on."""
+    the dual nome from |a| = _CROSSOVER to where its error bound passes
+    1e-12, the product elsewhere."""
     base = _base(a, policy)
     xv = _nonzero(x, "x")
-    if base.big >= _CROSSOVER:
+    if base.dual_side:
         return _dual_theta(xv, base)
     return _product_theta(xv, base)
 
 
 def _product_theta(x: complex, base: _Base) -> complex:
     """theta_a(x) as the product (x; a)(a/x; a)(a; a), at a checked base and a
-    checked x: the path below _CROSSOVER, and the oracle above it."""
+    checked x: the path off the dual side, and the oracle on it."""
     pair = _theta_pair(x, base)
     value = pair * base.aa
     if pair and not value:
@@ -585,7 +585,7 @@ def _theta_quotient(
     """factor * prod theta_a(num_args) / (scale * prod theta_a(den_args)) at
     a base from ``_base``, which has checked it, each product formed in
     argument order, the numerator's from the caller's prefactor ``factor``,
-    bit for bit what the public ``theta`` gives; from |a| = _CROSSOVER on,
+    bit for bit what the public ``theta`` gives; on the base's dual side,
     ``_dual_quotient``'s.  Checks come first: each
     denominator argument (DomainError unless finite and nonzero, naming a
     "theta argument", not the caller's x; NearSingularity within relative
@@ -615,7 +615,7 @@ def _theta_quotient(
             raise NearSingularity(f"theta_a denominator zero near {arg!r}, a = {base.given!r}")
         dens.append(w)
     nums = [_nonzero(arg, "theta argument") for arg in num_args]
-    if base.big >= _CROSSOVER:
+    if base.dual_side:
         return _dual_quotient(base, nums, dens, scale, factor)
     # inline: base.aa once formed (0.42% of the opcodes)
     aa = base.products.get(_X_BITS(a.real, a.imag))
@@ -661,8 +661,14 @@ def _theta_quotient(
 # leaves the choice to speed, and the dual, a base of its own met for the
 # first time, was no slower per call from the band edge |a| = 0.7574 on
 # (0.7108 to 0.7572 took 1.03 times the product's time).  Rounded up to two
-# digits.
+# digits.  A rerun read 0.97 for that band: the paths cost the same there to
+# within the timing's spread.
 _CROSSOVER = 0.76
+# The dual's relative error over the condition, about
+# (16 + (|log|x|| + pi) / |log|a||) 2^-53 with |x| <= 1 after the shift law,
+# passes 1e-12 below this |log|a|| (|a| above about 0.99965); there the
+# product, under max_terms, is the path as below the crossover.
+_DUAL_LEAST_LOG = math.pi * 2.0**-53 / 1e-12
 
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's constant, for 26-bit heads
 _SPLIT17 = 68719476737.0  # 2^36 + 1: for 17-bit heads
@@ -687,9 +693,6 @@ _PI_REST = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
 _LN2_HEAD = _head(math.log(2.0))
 _LN2_REST = (math.log(2.0) - _LN2_HEAD) + 2.3190468138462996e-17
 _ROOT_HALF = 0.7071067811865476
-# the largest shift s by L whose products with L's 26-bit head stay exact;
-# beyond it theta leaves the double range at any base _Dual takes
-_MOST_SHIFT = 1 << 26
 _TINY = sys.float_info.min  # the least positive normal double
 
 
@@ -788,19 +791,14 @@ class _Dual:
     product at b keeps for an argument of modulus up to 1: 1 where
     2 |b| / (1 - |b|) < tail_tol, else ``_factor_count``'s at b's _Base under
     the same policy and the headroom 2 / (1 - |b|); ``powers`` holds b^0 ..
-    b^(count - 1) and ``bb`` is (b; b)_inf, both formed here, so that no
-    call changes a _Dual that threads may share.  From |b| = _CROSSOVER on,
-    ``inner`` is b's own _Dual instead."""
+    b^(count - 1) and ``bb`` is (b; b)_inf.  From |b| = _CROSSOVER on,
+    ``inner`` is b's own _Dual instead: |log|b|| is then at least 3.9
+    |log|a||, so b is on its dual side too."""
 
     __slots__ = ("lh", "ll", "head", "rest", "c0", "c1", "c", "mh", "m_parts", "dual_re",
                  "pref", "b", "count", "powers", "bb", "inner")
 
     def __init__(self, lr: int, li: int, policy: TruncationPolicy) -> None:
-        if -lr < _FIX_ONE >> 40:
-            raise NonConvergentBase(
-                f"|a| = {math.exp(float(lr) * _UNIT)!r} is too close to 1 for theta's dual "
-                f"nome: |log|a|| is below 2^-40"
-            )
         lh, ll = _unfixed(lr, li)
         self.lh, self.ll = lh, ll
         self.head = complex(_head(lh.real), _head(lh.imag))
@@ -839,34 +837,22 @@ class _Dual:
 
 
 def _dual_of(base: _Base) -> _Dual:
-    """The base's _Dual, which depends on the exact bits of a and the policy
-    alone: bases at one a share it, inside a point scope or outside."""
-    a = base.a
-    base.dual = _dual_for(_BASE_BITS(a.real, a.imag, 0.0), a, base.policy)
+    """The base's _Dual, formed at its first dual theta."""
+    base.dual = _Dual(*_log_fixed(base.a), base.policy)
     return base.dual
-
-
-@functools.lru_cache(maxsize=256)
-def _dual_for(bits: bytes, a: complex, policy: TruncationPolicy) -> _Dual:
-    """The _Dual at a, the key ``bits`` telling 0.0 from -0.0 where a does
-    not; it holds constants alone, so the cache is bounded by its size."""
-    return _Dual(*_log_fixed(a), policy)
 
 
 def _dual_parts(x: complex, base: _Base) -> tuple[complex, complex, complex]:
     """theta_a(x) = mantissa * e^(hi + lo) from the dual nome, at a checked
-    base with |a| >= _CROSSOVER and a checked x, formed once per base."""
+    base on its dual side and a checked x, formed once per base."""
     key = _X_BITS(x.real, x.imag)
     parts = base.parts.get(key)
     if parts is None:
         lw, _, e, h = _reduced_log(x)
         re, re_lo = _two_sum(e * _LN2_HEAD, lw.real)
         im, im_lo = _two_sum(h * _PI_HEAD, lw.imag)
-        try:
-            parts = _dual_core(re, re_lo + e * _LN2_REST, im, im_lo + h * _PI_REST,
-                               base.dual or _dual_of(base))
-        except OverflowError:
-            raise DomainError(f"theta_a(x) overflows at x = {x!r}, a = {base.given!r}") from None
+        parts = _dual_core(re, re_lo + e * _LN2_REST, im, im_lo + h * _PI_REST,
+                           base.dual or _dual_of(base))
         base.parts[key] = parts
     return parts
 
@@ -934,19 +920,20 @@ def _dual_core(re: float, re_lo: float, im: float, im_lo: float,
                dual: _Dual) -> tuple[complex, complex, complex]:
     """theta_a(e^l) = mantissa * e^(hi + lo), for l = (re + re_lo) + i (im + im_lo):
     the mantissa is sqrt(2 pi / -L) theta_b(u), the exponent -W^2 / (2L).
+    Where b takes its own dual, theta_b(u) is a mantissa and an exponent too,
+    and its exponent joins the sum, so that theta_b(u) need not be in range.
 
     s shifts l by s L so that its real part lies in (Re L, 0], and k then
     takes the log l + s L + 2 pi i k, rounded once, whose dual argument
     u = e^(m (l + s L + 2 pi i k)) has modulus in (|b|, 1]; the shift by s L
     leaves u alone, so the Gaussian takes W = l + (2k + 1) pi i - L/2 and no
     shift factor is needed.  The terms of W, of its square and of the
-    product by c are summed exactly: s * head, n * _PI_HEAD and the 17-bit
-    heads' products are exact, and what they leave out is 2^-16 of them.
+    product by c are summed exactly: s * head (|s| < 2^22, as |re| < 746 and
+    |Re L| >= _DUAL_LEAST_LOG), n * _PI_HEAD and the 17-bit heads' products
+    are exact, and what they leave out is 2^-16 of them.
     """
     lh, ll, head, rest = dual.lh, dual.ll, dual.head, dual.rest
     s = -math.floor(re / lh.real)
-    if abs(s) >= _MOST_SHIFT:
-        raise OverflowError  # |log theta| is then about s^2 |log|a|| / 2 >= 2^11
     k2 = 2 * math.floor((dual.mh * complex(re + s * lh.real, im + s * lh.imag)).real
                         / dual.dual_re)
     # l + s L + 2 pi i k as (p + p_lo) + i (q + q_lo), from exact terms
@@ -955,6 +942,7 @@ def _dual_core(re: float, re_lo: float, im: float, im_lo: float,
     q, q_lo = _two_sum(im, s * head.imag)
     q, turn = _two_sum(q, k2 * _PI_HEAD)
     q_lo += turn + im_lo + s * rest.imag + k2 * _PI_REST
+    inner_hi = inner_lo = 0j  # the exponent of theta at b, when b takes its own dual
     if dual.inner is None and dual.count == 1:
         # the dual arguments u and b / u = e^(-m (l + s L + 2 pi i (k + 1))),
         # each exponent rounded once
@@ -975,8 +963,7 @@ def _dual_core(re: float, re_lo: float, im: float, im_lo: float,
         zr, zr_lo = _two_sum(zr, lo.real)
         zi, zi_lo = _two_sum(zi, lo.imag)
         if dual.inner is not None:
-            mantissa, g_hi, g_lo = _dual_core(zr, zr_lo, zi, zi_lo, dual.inner)
-            inner = mantissa * (cmath.exp(g_hi) * (1.0 + g_lo))
+            inner, inner_hi, inner_lo = _dual_core(zr, zr_lo, zi, zi_lo, dual.inner)
         else:
             u = cmath.exp(complex(zr, zi)) * (1.0 + complex(zr_lo, zi_lo))
             v = dual.b / u
@@ -997,8 +984,10 @@ def _dual_core(re: float, re_lo: float, im: float, im_lo: float,
     sq, cross = w0r * w0r, w0i * w0i
     mixed = 2.0 * w0r * w0i
     tail = dual.c1 * (w0 * w0) + dual.c * ((w0 + w0 + w1) * w1)
-    g_re = (c0.real * sq, -c0.real * cross, -c0.imag * mixed, tail.real)
-    g_im = (c0.imag * sq, -c0.imag * cross, c0.real * mixed, tail.imag)
+    g_re = (c0.real * sq, -c0.real * cross, -c0.imag * mixed, tail.real,
+            inner_hi.real, inner_lo.real)
+    g_im = (c0.imag * sq, -c0.imag * cross, c0.real * mixed, tail.imag,
+            inner_hi.imag, inner_lo.imag)
     gh = complex(math.fsum(g_re), math.fsum(g_im))
     gl = complex(math.fsum((*g_re, -gh.real)), math.fsum((*g_im, -gh.imag)))
     return dual.pref * inner, gh, gl

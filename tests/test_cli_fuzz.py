@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from ellex import qseries
 from ellex.cli import main
 
 ALARM_S = 2.0
@@ -225,16 +226,16 @@ def _ring(signum, frame):
     raise _Alarm
 
 
-def problem(argv: list[str]) -> str | None:
+def problem(argv: list[str], alarm_s: float = ALARM_S) -> str | None:
     """What is wrong with one in-process run of argv, or None."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _ring)
-    signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+    signal.setitimer(signal.ITIMER_REAL, alarm_s)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except _Alarm:
-        return f"ran past {ALARM_S} s"
+        return f"ran past {alarm_s} s"
     except Exception as exc:  # a traceback
         return f"raised {exc!r}"
     finally:
@@ -260,12 +261,23 @@ def test_cli_fuzz_ends_every_run_cleanly(seed):
     assert failures == []
 
 
-def test_verify_near_q_one_ends_within_the_alarm():
+def test_verify_near_q_one_forms_no_theta_product_on_the_dual_side(monkeypatch):
     # at q^4 = 0.98 each theta product took about 1 800 factors, and this run
     # spent 2.6 s forming f-two-path's 200 candidates before it exited 2; the
-    # dual nome forms each theta with one factor a product
+    # dual nome forms each theta there with a factor a product, so no theta
+    # pair is formed at a base from the crossover on.  The run takes 1.2-1.8 s on
+    # two idle cores (kappa_inv's rows and the g and center series are most
+    # of it), so the time limit here only catches a hang
+    pair, bases = qseries._theta_pair, []
+
+    def recorded(x, base):
+        bases.append(base)
+        return pair(x, base)
+
+    monkeypatch.setattr(qseries, "_theta_pair", recorded)
     assert problem(["verify", "--suite=all", "--q=0.995", "--max-terms=4096",
-                    "--format=json"]) is None
+                    "--format=json"], alarm_s=60.0) is None
+    assert bases and not [base.given for base in bases if base.big >= qseries._CROSSOVER]
 
 
 if __name__ == "__main__":

@@ -625,13 +625,12 @@ def check_quotient_inputs(a, num_args, den_args):
 
 def theta_quotient_checked_first(a, num_args, den_args, policy, scale=1.0):
     """The reference for _theta_quotient's values and errors (type, message
-    and order): every check first, then (a; a) and the pairs, or above the
-    crossover the dual-nome quotient."""
+    and order): every check first, then (a; a) and the pairs, or on the
+    dual side the public thetas (a value within DUAL_QUOTIENT_REL)."""
     av = check_quotient_inputs(a, num_args, den_args)
     base = qseries._base(av, policy)
-    if abs(av) >= qseries._CROSSOVER:
-        nums, dens = [complex(v) for v in num_args], [complex(v) for v in den_args]
-        return qseries._dual_quotient(base, nums, dens, scale, 1.0 + 0j)
+    if base.dual_side:
+        return theta_quotient_public(av, num_args, den_args, scale, policy)
     aa = qseries._product(av, base)
     num = den = 1.0 + 0j
     for arg in num_args:
@@ -644,6 +643,14 @@ def theta_quotient_checked_first(a, num_args, den_args, policy, scale=1.0):
 def outcome_and_message(f, *args):
     try:
         return repr(f(*args))
+    except EllexError as exc:
+        return type(exc), str(exc)
+
+
+def value_or_message(f, *args):
+    """The value f returns, or the type and message of its EllexError."""
+    try:
+        return f(*args)
     except EllexError as exc:
         return type(exc), str(exc)
 
@@ -672,10 +679,17 @@ def quotient_draws(count):
 def test_theta_quotient_checks_first_and_raises_as_the_reference():
     compared = set()
     for a, num_args, den_args, policy in quotient_draws(3000):
-        want = outcome_and_message(theta_quotient_checked_first, a, num_args, den_args, policy)
-        assert outcome_and_message(theta_quotient, a, num_args, den_args, policy) == want
-        compared.add(want[0] if isinstance(want, tuple) else str)
-    assert compared == {str, DomainError, NonConvergentBase, NearSingularity, TruncationExceeded}
+        want = value_or_message(theta_quotient_checked_first, a, num_args, den_args, policy)
+        got = value_or_message(theta_quotient, a, num_args, den_args, policy)
+        if isinstance(want, tuple):
+            assert got == want
+            compared.add(want[0])
+        else:
+            dual = qseries._base(a, policy).dual_side
+            assert agree(got, want, DUAL_QUOTIENT_REL if dual else 0.0), (a, got, want)
+            compared.add("dual value" if dual else "product value")
+    assert compared == {"product value", "dual value", DomainError, NonConvergentBase,
+                        NearSingularity, TruncationExceeded}
 
 
 def record_kernels(monkeypatch):

@@ -30,7 +30,7 @@ import pytest
 
 from ellex import qseries
 from ellex.elliptic import EllipticParams, NomeParams, complete_K, jacobi_snh
-from ellex.errors import DomainError
+from ellex.errors import DomainError, TruncationExceeded
 from ellex.exchange import LevelParams, exchange_F, exchange_Y
 from ellex.poisson import poisson_series_g, poisson_structure_center
 from ellex.qseries import TruncationPolicy, log_deriv_theta, qpochhammer, theta
@@ -205,7 +205,7 @@ def deep_theta_oracle(a, x):
     summed by recurrence from its largest term outward, at 30 digits plus
     log10 of the ratio of that term to a lower bound on |theta|,
     e^(-pi^2 / (2 |log|a||)) times the distance to a zero: about 250 digits
-    at |a| = 0.99."""
+    at |a| = 0.99 and 5400 at 0.9996.  An mpc, at that precision."""
     la, lx = math.log(abs(a)), math.log(abs(x))
     peak = round(0.5 - lx / la)
     big = peak * lx + peak * (peak - 1) / 2 * la
@@ -217,15 +217,18 @@ def deep_theta_oracle(a, x):
         top = (-1) ** peak * am ** (peak * (peak - 1) // 2) * xm**peak
         total = top
         for step in (1, -1):
+            # term n + 1 is -a^n x times term n, and term n - 1 is -a^(1-n) / x
+            # times it; either ratio gains a factor a with each step
             n, term = peak, top
+            ratio = -(am**peak) * xm if step == 1 else -(am ** (1 - peak)) / xm
             while True:
-                # term n + 1 is -a^n x times term n; term n - 1 is -a^(1-n) / x times it
-                term *= -(am**n) * xm if step == 1 else -(am ** (1 - n)) / xm
+                term *= ratio
+                ratio *= am
                 n += step
                 total += term
                 if abs(term) < stop and abs(n - peak) > 3:
                     break
-        return complex(total)
+        return +total
 
 
 def _dual_bases():
@@ -250,8 +253,41 @@ def _dual_points(a):
 @pytest.mark.parametrize("a,x", [(a, x) for a in _dual_bases() for x in _dual_points(a)])
 def test_dual_theta_within_claim(a, x, tail_tol):
     val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = deep_theta_oracle(a, x)
+    ref = complex(deep_theta_oracle(a, x))
     assert abs(val - ref) / abs(ref) <= claimed_error_dual(a, x, tail_tol)
+
+
+# moduli up to just under the dual's limit, |log|a|| = qseries._DUAL_LEAST_LOG,
+# where theta_a(x) is below the double range for these x and its parts are
+# not; at 0.9996 the oracle sums 5400 digits, so a and x are real there (a
+# phase of pi takes a second dual nome, as pi - 0.05 does, whose theta at
+# -0.9996 is below the double range too)
+TOP_POINTS = [(a, x) for a in (0.995, cis(0.995, math.pi - 0.05))
+              for x in (1.1, cis(3.0, -0.5), cis(0.7, 2.0))]
+TOP_POINTS += [(0.9996, 1.1), (-0.9996, 0.7)]
+
+
+@pytest.mark.parametrize("a,x", TOP_POINTS)
+def test_dual_parts_within_claim_up_to_the_limit(a, x):
+    base = qseries._base(a, TruncationPolicy())
+    assert base.dual_side
+    mantissa, hi, lo = qseries._dual_parts(complex(x), base)
+    ref = deep_theta_oracle(a, x)
+    with mp.workdps(30):
+        val = mp.mpc(mantissa) * mp.exp(mp.mpc(hi) + mp.mpc(lo))
+        err = abs(val - ref) / abs(ref)
+    assert err <= claimed_error_dual(a, x, 1e-15)
+
+
+def test_the_dual_side_ends_where_its_bound_passes_1e_12():
+    # above |a| = e^-_DUAL_LEAST_LOG the product takes theta again, under
+    # max_terms: 512 factors are far too few there
+    for scale, dual in ((1.01, True), (0.99, False)):
+        a = math.exp(-qseries._DUAL_LEAST_LOG * scale)
+        assert qseries._base(a, TruncationPolicy()).dual_side is dual
+    assert math.pi / qseries._DUAL_LEAST_LOG * EPS == pytest.approx(1e-12)
+    with pytest.raises(TruncationExceeded):
+        theta(math.exp(-qseries._DUAL_LEAST_LOG * 0.99), 1.1)
 
 
 

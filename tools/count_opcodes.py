@@ -4,9 +4,8 @@
 
 Imports ``ellex`` from DIR (default: this checkout's ``src``) and runs once
 to warm the imports and caches, then again under ``sys.settrace`` with
-per-opcode events, and prints the opcodes executed in that second run; the
-dual nome's constants, the one cache that outlives a run in the process, are
-emptied between the two.  With no ARGV the run is every suite at the
+per-opcode events, and prints the opcodes executed in that second run.
+With no ARGV the run is every suite at the
 default config (seed 7, ``run_suites(["all"])``); with ARGV after ``--``
 it is the CLI, ``ellex`` given that argument vector, its output discarded.
 The count is
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import functools
 import io
 import pathlib
 import sys
@@ -48,11 +46,6 @@ def main() -> None:
             run_suites(["all"], VerifyConfig())
 
     run()
-    # the dual nome's constants outlive a run in the process; empty them so
-    # that the count is what one run forms (a tree without them has none)
-    from ellex import qseries
-
-    getattr(qseries, "_dual_for", functools.lru_cache(lambda: None)).cache_clear()
     counts: collections.Counter = collections.Counter()
 
     def tracer(frame, event, arg):

@@ -102,7 +102,6 @@ def product_path(a: complex, x: complex) -> complex:
 
 
 def dual_path(a: complex, x: complex) -> complex:
-    qseries._dual_for.cache_clear()  # a base met for the first time
     return qseries._dual_theta(x, qseries._Base(a, a, qseries.DEFAULT_POLICY))
 
 
