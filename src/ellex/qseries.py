@@ -39,12 +39,15 @@ same policy.  The bit-for-bit promise holds below the crossover, where the
 product is the path; above it the product stays the oracle, and the dual
 has its own bound: a relative error within about
 (16 + (|log|x|| + pi) / |log|a||) unit roundoffs times the condition of the
-point, which tests/test_qseries_oracle.py checks against mpmath.  A dual
-theta or quotient that leaves the normal double range raises DomainError;
-a quotient sums its thetas' exponents before it exponentiates, so it needs
-no theta in range.  Where |log|a|| < _DUAL_LEAST_LOG (|a| above about
-0.99965) that bound passes 1e-12 for |x| <= 1, and the product, under
-max_terms, is the path again (``_Base.dual_side`` says which).
+point, which tests/test_qseries_oracle.py checks against mpmath.  Its
+exact arithmetic is one 100-bit fixed point: log a, the constants from it,
+and each theta's Gaussian exponent, which a dual theta keeps beside its
+mantissa.  A dual theta or quotient that leaves the normal double range
+raises DomainError; a quotient adds its thetas' exponents exactly before
+it exponentiates, so it needs no theta in range.  Where
+|log|a|| < _DUAL_LEAST_LOG (|a| above about 0.99965) that bound passes
+1e-12 for |x| <= 1, and the product, under max_terms, is the path again
+(``_Base.dual_side`` says which).
 
 A rule has one home.  Where a call to it costs more than the work it
 does, on the paths every point takes, its common case is copied inline
@@ -649,20 +652,21 @@ def _theta_quotient(
 # and |b| = |a|^(4 pi^2 / |L|^2) < |a| whenever |L| < 2 pi: b is below 1e-22
 # for real a >= 0.45, and |a|^4 at phase pi.  Changing l by 2 pi i multiplies
 # the dual argument by 1/b, so l is chosen to put it in |b| < |x~| <= 1.  The
-# Gaussian exponent reaches pi^2 / (2 |L|) and more, so W, its square and the
-# product by -1/(2L) are formed in double-double arithmetic, and L itself to
-# about 2^-100: every digit the exponent loses is a digit of theta.
+# Gaussian exponent reaches pi^2 / (2 |L|) and more, so it is formed in 100-bit
+# fixed point, as are L (to about 2^-100) and the constants taken from L:
+# every digit the exponent loses is a digit of theta.
 
-# Below it theta_a is the product; at and above it, the dual nome.  Derived
-# by tools/theta_crossover.py (seed 1, 2400 points against mpmath, |a| in
-# [0.05, 0.99], 24 bands of equal count; BENCH_32.json keeps its table):
-# the dual's worst relative error over the condition of the point was no
-# worse than the product's in every band, the lowest included, so accuracy
-# leaves the choice to speed, and the dual, a base of its own met for the
-# first time, was no slower per call from the band edge |a| = 0.7574 on
-# (0.7108 to 0.7572 took 1.03 times the product's time).  Rounded up to two
-# digits.  A rerun read 0.97 for that band: the paths cost the same there to
-# within the timing's spread.
+# Below it theta_a is the product; at and above it, the dual nome.  0.76 is
+# what tools/theta_crossover.py printed when the dual nome came in (seed 1,
+# 2400 points against mpmath, |a| in [0.05, 0.99], 24 bands of equal count;
+# BENCH_32.json keeps its table): the dual's worst relative error over the
+# condition of the point was no worse than the product's in every band, the
+# lowest included, so accuracy leaves the choice to speed, and the dual, a
+# base of its own met for the first time, was no slower per call from the
+# band edge |a| = 0.7574 on (a rerun read 0.7108), rounded up to two digits.
+# With its exponent in fixed point the dual costs less, and the sweep now
+# reads it no slower from 0.672 (BENCH_33.json); the constant stays, so that
+# every input keeps its path.
 _CROSSOVER = 0.76
 # The dual's relative error over the condition, about
 # (16 + (|log|x|| + pi) / |log|a||) 2^-53 with |x| <= 1 after the shift law,
@@ -670,44 +674,13 @@ _CROSSOVER = 0.76
 # product, under max_terms, is the path as below the crossover.
 _DUAL_LEAST_LOG = math.pi * 2.0**-53 / 1e-12
 
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's constant, for 26-bit heads
-_SPLIT17 = 68719476737.0  # 2^36 + 1: for 17-bit heads
-
-
-def _head(v: float) -> float:
-    """v rounded to its leading 26 bits: v - head is exact, and so is n * head
-    for an integer |n| < 2^27."""
-    t = v * _SPLIT
-    return t - (t - v)
-
-
-def _head17(v: float) -> float:
-    """v rounded to its leading 17 bits: a product of three is exact."""
-    t = v * _SPLIT17
-    return t - (t - v)
-
-
-# pi and log 2 as a 26-bit head and the rest to about 2^-105
-_PI_HEAD = _head(math.pi)
-_PI_REST = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
-_LN2_HEAD = _head(math.log(2.0))
-_LN2_REST = (math.log(2.0) - _LN2_HEAD) + 2.3190468138462996e-17
-_ROOT_HALF = 0.7071067811865476
-_TINY = sys.float_info.min  # the least positive normal double
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as s + e exactly (Knuth's TwoSum)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-# The per-base constants of the dual path are formed in 100-bit fixed point:
-# log a to about 2^-100 by one Newton step on cmath.log, then -1/(2L),
-# 2 pi i / L and 4 pi^2 / L from it, each handed on as hi + lo doubles.
+# Fixed point: a real v is the int floor(v 2^100), a complex one a pair.
 _FIX = 100
 _FIX_ONE = 1 << _FIX
+_TWO_FIX = 2.0**_FIX
+_UNIT = 2.0**-_FIX
+_ROOT_HALF = 0.7071067811865476
+_TINY = sys.float_info.min  # the least positive normal double
 
 
 def _fixed(v: float) -> int:
@@ -716,8 +689,13 @@ def _fixed(v: float) -> int:
     return (n << _FIX) // d
 
 
+# pi and log 2 to about 2^-100, as a double and the rest
 _PI_FIX = _fixed(math.pi) + _fixed(1.2246467991473532e-16)
 _LN2_FIX = _fixed(math.log(2.0)) + _fixed(2.3190468138462996e-17)
+_PI_SQ_FIX = (_PI_FIX * _PI_FIX) >> _FIX
+_TWO_PI_FIX = 2 * _PI_FIX
+# the real exponents between which e^hi is a normal double
+_EXP_LOW, _EXP_HIGH = -708 << _FIX, 709 << _FIX
 
 
 def _unfixed(re: int, im: int) -> tuple[complex, complex]:
@@ -728,19 +706,34 @@ def _unfixed(re: int, im: int) -> tuple[complex, complex]:
                                     float(im - int(hi * _TWO_FIX)) * _UNIT)
 
 
-_TWO_FIX = 2.0**_FIX
-_UNIT = 2.0**-_FIX
-_PI_SQ_FIX = (_PI_FIX * _PI_FIX) >> _FIX
+def _point_log(z: complex) -> tuple[int, int, complex, complex]:
+    """(lr, li, w, log w): the principal log z in fixed point, as
+    log w + e log 2 + h pi i / 2, where z turned by a power of i and scaled
+    by 2^-e, both exact, is w with |arg w| <= pi/4 and |w| in [2^-1/2, 2^1/2].
+    So |log w| < 0.87, cmath.log(w) errs by about 1e-16 at most, and it is
+    moved to fixed point exactly."""
+    re, im = z.real, z.imag
+    if abs(im) <= abs(re):
+        h, w = (0, z) if re > 0 else ((2 if im >= 0 else -2), -z)
+    elif im > 0:
+        h, w = 1, complex(im, -re)
+    else:
+        h, w = -1, complex(-im, re)
+    mant, e = math.frexp(abs(w))
+    if mant < _ROOT_HALF:
+        e -= 1
+    w = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
+    lw = cmath.log(w)
+    return _fixed(lw.real) + e * _LN2_FIX, _fixed(lw.imag) + h * _PI_FIX // 2, w, lw
 
 
 def _log_fixed(z: complex) -> tuple[int, int]:
-    """The principal log z in fixed point.  ``_reduced_log`` gives
-    p + iq = log w to about 1e-16, and one Newton step adds
+    """The principal log z in fixed point to about 2^-100: ``_point_log``'s,
+    p + iq = log w to about 1e-16, and one Newton step, which adds
     w e^-p (cos q - i sin q) - 1, with e^-p and e^-iq summed in fixed point
     (Taylor series at -p/64 and -q/64, then six squarings)."""
-    lw, w, e, h = _reduced_log(z)
-    lr, li = _fixed(lw.real), _fixed(lw.imag)
-    xr, xi = -lr >> 6, -li >> 6
+    lr, li, w, lw = _point_log(z)
+    xr, xi = -_fixed(lw.real) >> 6, -_fixed(lw.imag) >> 6
     er = tr = cr = ti = _FIX_ONE
     ci = 0
     for n in range(1, 12):  # |log(w) / 64| < 1/64: 11 terms reach 2^-100
@@ -756,83 +749,47 @@ def _log_fixed(z: complex) -> tuple[int, int]:
         cr, ci = (cr * cr - ci * ci) >> _FIX, (cr * ci) >> (_FIX - 1)
     er_r, er_i = er * cr >> _FIX, er * ci >> _FIX
     wr, wi = _fixed(w.real), _fixed(w.imag)
-    lr += ((wr * er_r - wi * er_i) >> _FIX) - _FIX_ONE + e * _LN2_FIX
-    li += ((wr * er_i + wi * er_r) >> _FIX) + int(2 * h) * _PI_FIX // 2
-    return lr, li
-
-
-def _reduced_log(z: complex) -> tuple[complex, complex, int, float]:
-    """(log w, w, e, h) with log z = log w + e log 2 + h pi i for the
-    principal log: z turned by a power of i and scaled by 2^-e, both exact,
-    to w with |arg w| <= pi/4 and |w| in [2^-1/2, 2^1/2], so |log w| < 0.87
-    and cmath.log(w) errs by about 1e-16 at most."""
-    re, im = z.real, z.imag
-    if abs(im) <= abs(re):
-        h, w = (0.0, z) if re > 0 else ((1.0 if im >= 0 else -1.0), -z)
-    elif im > 0:
-        h, w = 0.5, complex(im, -re)
-    else:
-        h, w = -0.5, complex(-im, re)
-    mant, e = math.frexp(abs(w))
-    if mant < _ROOT_HALF:
-        e -= 1
-    w = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
-    return cmath.log(w), w, e, h
+    return (lr + ((wr * er_r - wi * er_i) >> _FIX) - _FIX_ONE,
+            li + ((wr * er_i + wi * er_r) >> _FIX))
 
 
 class _Dual:
-    """What theta at a base a shares on the dual side, from L = log a in
-    fixed point: L as hi + lo (``lh``, ``ll``), L's 26-bit ``head``, so that
-    s * head is exact, and the ``rest``; c = -1/(2L) as its 17-bit head
-    ``c0`` and the rest ``c1``, with ``c`` = c0 + c1 rounded; m = 2 pi i / L
-    (``mh``, and in ``m_parts`` its 26-bit heads and its lo); the prefactor
-    sqrt(2 pi / -L); ``dual_re`` = Re(4 pi^2 / L); and the dual nome
-    b = e^(4 pi^2 / L), 0 where it underflows.  ``count`` is the factors each
-    product at b keeps for an argument of modulus up to 1: 1 where
-    2 |b| / (1 - |b|) < tail_tol, else ``_factor_count``'s at b's _Base under
-    the same policy and the headroom 2 / (1 - |b|); ``powers`` holds b^0 ..
-    b^(count - 1) and ``bb`` is (b; b)_inf.  From |b| = _CROSSOVER on,
+    """What theta at a base a shares on the dual side, as fixed-point pairs
+    from L = log a: ``log`` = L, ``c`` = -1/(2L), ``m`` = 2 pi i / L and
+    ``t`` = 4 pi^2 / L, its imaginary part turned into [-pi, pi); and the
+    prefactor ``pref`` = sqrt(2 pi / -L).  The dual nome b = e^t, 0 where it
+    underflows, keeps count factors in each product for an argument of
+    modulus up to 1: 1 where 2 |b| / (1 - |b|) < tail_tol, else
+    ``_factor_count``'s at b's _Base under the same policy and the headroom
+    2 / (1 - |b|).  ``powers`` holds b^0 .. b^(count - 1), and ``bb`` is
+    (b; b)_inf, 1 - b where one factor does.  From |b| = _CROSSOVER on,
     ``inner`` is b's own _Dual instead: |log|b|| is then at least 3.9
     |log|a||, so b is on its dual side too."""
 
-    __slots__ = ("lh", "ll", "head", "rest", "c0", "c1", "c", "mh", "m_parts", "dual_re",
-                 "pref", "b", "count", "powers", "bb", "inner")
+    __slots__ = ("log", "c", "m", "t", "pref", "powers", "bb", "inner")
 
     def __init__(self, lr: int, li: int, policy: TruncationPolicy) -> None:
-        lh, ll = _unfixed(lr, li)
-        self.lh, self.ll = lh, ll
-        self.head = complex(_head(lh.real), _head(lh.imag))
-        self.rest = (lh - self.head) + ll
-        # c = -1/(2L) = -conj(L) / (2 |L|^2), m = -4 pi i c and 4 pi^2 / L = -8 pi^2 c,
-        # its imaginary part reduced into [-pi, pi)
+        self.log = (lr, li)
+        # c = -1/(2L) = -conj(L) / (2 |L|^2), m = -4 pi i c and t = -8 pi^2 c
         twice_norm = 2 * (lr * lr + li * li)  # exact, in 2^-200 units
         cr, ci = (-lr << 2 * _FIX) // twice_norm, (li << 2 * _FIX) // twice_norm
         mr, mi = (4 * _PI_FIX * ci) >> _FIX, (-4 * _PI_FIX * cr) >> _FIX
         tr, ti = (-8 * _PI_SQ_FIX * cr) >> _FIX, (-8 * _PI_SQ_FIX * ci) >> _FIX
-        ti -= (ti + _PI_FIX) // (2 * _PI_FIX) * (2 * _PI_FIX)
-        ch, cl = _unfixed(cr, ci)
-        self.c0 = complex(_head17(ch.real), _head17(ch.imag))
-        self.c1 = (ch - self.c0) + cl
-        self.c = ch
-        mh, ml = _unfixed(mr, mi)
-        self.mh = mh
-        # m's 26-bit heads, whose products with a log's heads are exact, and lo
-        self.m_parts = (_head(mh.real), _head(mh.imag), ml)
+        ti -= (ti + _PI_FIX) // _TWO_PI_FIX * _TWO_PI_FIX
+        self.c, self.m, self.t = (cr, ci), (mr, mi), (tr, ti)
+        self.pref = cmath.sqrt(1j * _unfixed(mr, mi)[0])
         th, tl = _unfixed(tr, ti)
-        self.dual_re = th.real
-        self.pref = cmath.sqrt(1j * mh)
         b = cmath.exp(th) * (1.0 + tl) if th.real > -745.0 else 0j
-        self.b = b
         big = abs(b)
-        self.count, self.powers, self.bb, self.inner = 1, (), 1.0 - b, None
+        self.powers, self.bb, self.inner = (1.0 + 0j,), 1.0 - b, None
         if big >= _CROSSOVER:
             self.inner = _Dual(tr, ti, policy)
         elif 2.0 * big >= policy.tail_tol * (1.0 - big):
             base = _Base(b, b, policy)
-            self.count = _factor_count(base, 2.0 / base.room)
-            if self.count > policy.max_terms:
+            count = _factor_count(base, 2.0 / base.room)
+            if count > policy.max_terms:
                 raise _unmet_product(base)
-            self.powers = tuple(base.upto(self.count)[: self.count])
+            self.powers = tuple(base.upto(count)[:count])
             self.bb = base.aa
 
 
@@ -842,18 +799,15 @@ def _dual_of(base: _Base) -> _Dual:
     return base.dual
 
 
-def _dual_parts(x: complex, base: _Base) -> tuple[complex, complex, complex]:
-    """theta_a(x) = mantissa * e^(hi + lo) from the dual nome, at a checked
-    base on its dual side and a checked x, formed once per base."""
+def _dual_parts(x: complex, base: _Base) -> tuple[complex, int, int]:
+    """theta_a(x) = mantissa * e^(gr + i gi) from the dual nome, the exponent
+    in fixed point, at a checked base on its dual side and a checked x,
+    formed once per base from ``_point_log``'s log of x."""
     key = _X_BITS(x.real, x.imag)
     parts = base.parts.get(key)
     if parts is None:
-        lw, _, e, h = _reduced_log(x)
-        re, re_lo = _two_sum(e * _LN2_HEAD, lw.real)
-        im, im_lo = _two_sum(h * _PI_HEAD, lw.imag)
-        parts = _dual_core(re, re_lo + e * _LN2_REST, im, im_lo + h * _PI_REST,
-                           base.dual or _dual_of(base))
-        base.parts[key] = parts
+        lr, li, _, _ = _point_log(x)
+        parts = base.parts[key] = _dual_core(lr, li, base.dual or _dual_of(base))
     return parts
 
 
@@ -866,17 +820,20 @@ def _dual_theta(x: complex, base: _Base) -> complex:
     return value
 
 
-def _exp_parts(mantissa: complex, hi: complex, lo: complex) -> tuple[complex, str]:
-    """mantissa * e^(hi + lo), and "overflows" or "underflows" where a
-    nonzero mantissa gives a value outside the normal floating-point range
-    ("" inside it); a zero mantissa, from a zero factor, is the value."""
+def _exp_parts(mantissa: complex, gr: int, gi: int) -> tuple[complex, str]:
+    """mantissa * e^(gr + i gi), the exponent in fixed point, and "overflows"
+    or "underflows" where a nonzero mantissa gives a value outside the normal
+    floating-point range ("" inside it); a zero mantissa, from a zero factor,
+    is the value.  The exponent is rounded once, to hi + lo doubles, and
+    e^hi (1 + lo) taken; where e^hi alone would leave the normal range,
+    log|mantissa|, rounded once, joins the exponent first."""
     if not mantissa:
         return mantissa, ""
-    if not -708.0 < hi.real < 709.0:
-        # e^hi alone would leave the normal range: fold |mantissa| into it
+    if not _EXP_LOW < gr < _EXP_HIGH:
         size = abs(mantissa)
-        re, err = _two_sum(hi.real, math.log(size))
-        hi, lo, mantissa = complex(re, hi.imag), lo + err, mantissa / size
+        gr += _fixed(math.log(size))
+        mantissa /= size
+    hi, lo = _unfixed(gr, gi)
     try:
         value = mantissa * (cmath.exp(hi) * (1.0 + lo))
     except OverflowError:
@@ -891,106 +848,65 @@ def _exp_parts(mantissa: complex, hi: complex, lo: complex) -> tuple[complex, st
 def _dual_quotient(base: _Base, nums: list, dens: list, scale: complex,
                    factor: complex) -> complex:
     """factor * prod theta_a(nums) / (scale * prod theta_a(dens)) from their
-    ``_dual_parts``: the mantissas multiply, and the exponents are summed
-    exactly before one exponential, so that no theta need be in range for
-    the quotient to be."""
-    num, den = factor, scale
-    terms = []
-    for sign, args in ((1.0, nums), (-1.0, dens)):
-        for arg in args:
-            mantissa, hi, lo = _dual_parts(arg, base)
-            if sign > 0:
-                num *= mantissa
-            else:
-                den *= mantissa
-            terms += (sign * hi, sign * lo)
+    ``_dual_parts``: the mantissas multiply, and the fixed-point exponents
+    add exactly before one exponential, so that no theta need be in range
+    for the quotient to be."""
+    num, den, gr, gi = factor, scale, 0, 0
+    for arg in nums:
+        mantissa, r, i = _dual_parts(arg, base)
+        num *= mantissa
+        gr += r
+        gi += i
+    for arg in dens:
+        mantissa, r, i = _dual_parts(arg, base)
+        den *= mantissa
+        gr -= r
+        gi -= i
     if not den:
         raise DomainError(f"theta quotient denominator underflows at a = {base.a!r}")
-    re = [t.real for t in terms]
-    im = [t.imag for t in terms]
-    hi = complex(math.fsum(re), math.fsum(im))
-    lo = complex(math.fsum(re + [-hi.real]), math.fsum(im + [-hi.imag]))
-    value, problem = _exp_parts(num / den, hi, lo)
+    value, problem = _exp_parts(num / den, gr, gi)
     if problem:
         raise DomainError(f"theta quotient {problem} at a = {base.a!r}")
     return value
 
 
-def _dual_core(re: float, re_lo: float, im: float, im_lo: float,
-               dual: _Dual) -> tuple[complex, complex, complex]:
-    """theta_a(e^l) = mantissa * e^(hi + lo), for l = (re + re_lo) + i (im + im_lo):
-    the mantissa is sqrt(2 pi / -L) theta_b(u), the exponent -W^2 / (2L).
-    Where b takes its own dual, theta_b(u) is a mantissa and an exponent too,
-    and its exponent joins the sum, so that theta_b(u) need not be in range.
+def _dual_core(lr: int, li: int, dual: _Dual) -> tuple[complex, int, int]:
+    """theta_a(e^l) = mantissa * e^(gr + i gi), for l = lr + i li in fixed
+    point: the mantissa is sqrt(2 pi / -L) theta_b(u), and the exponent
+    G = -W^2 / (2L), in fixed point.  Where b takes its own dual,
+    theta_b(u) is a mantissa and an exponent too, and its exponent joins G,
+    so that theta_b(u) need not be in range.
 
-    s shifts l by s L so that its real part lies in (Re L, 0], and k then
-    takes the log l + s L + 2 pi i k, rounded once, whose dual argument
-    u = e^(m (l + s L + 2 pi i k)) has modulus in (|b|, 1]; the shift by s L
-    leaves u alone, so the Gaussian takes W = l + (2k + 1) pi i - L/2 and no
-    shift factor is needed.  The terms of W, of its square and of the
-    product by c are summed exactly: s * head (|s| < 2^22, as |re| < 746 and
-    |Re L| >= _DUAL_LEAST_LOG), n * _PI_HEAD and the 17-bit heads' products
-    are exact, and what they leave out is 2^-16 of them.
+    z = m l - k t, with k = floor(Re(m l) / Re t), has its real part in
+    (Re t, 0], so that u = e^z has modulus in (|b|, 1]: z is m times the log
+    l + 2 pi i k of x, and the Gaussian takes W = l + (2k + 1) pi i - L/2.
+    z, its imaginary part turned into [-pi, pi), and G are exact up to
+    truncations at 2^-100; u = e^z and b / u = e^(t - z) round their
+    exponents once each.
     """
-    lh, ll, head, rest = dual.lh, dual.ll, dual.head, dual.rest
-    s = -math.floor(re / lh.real)
-    k2 = 2 * math.floor((dual.mh * complex(re + s * lh.real, im + s * lh.imag)).real
-                        / dual.dual_re)
-    # l + s L + 2 pi i k as (p + p_lo) + i (q + q_lo), from exact terms
-    p, p_lo = _two_sum(re, s * head.real)
-    p_lo += re_lo + s * rest.real
-    q, q_lo = _two_sum(im, s * head.imag)
-    q, turn = _two_sum(q, k2 * _PI_HEAD)
-    q_lo += turn + im_lo + s * rest.imag + k2 * _PI_REST
-    inner_hi = inner_lo = 0j  # the exponent of theta at b, when b takes its own dual
-    if dual.inner is None and dual.count == 1:
-        # the dual arguments u and b / u = e^(-m (l + s L + 2 pi i (k + 1))),
-        # each exponent rounded once
-        mh = dual.mh
-        u = cmath.exp(mh * complex(p + p_lo, q + q_lo))
-        v = cmath.exp(mh * complex(-(p + p_lo), -(q + (q_lo + 2.0 * math.pi))))
-        inner = (1.0 - u) * (1.0 - v) * dual.bb
+    (mr, mi), (tr, ti) = dual.m, dual.t
+    zr = (mr * lr - mi * li) >> _FIX
+    zi = (mr * li + mi * lr) >> _FIX
+    k = zr // tr
+    zr -= k * tr
+    zi -= k * ti
+    zi -= (zi + _PI_FIX) // _TWO_PI_FIX * _TWO_PI_FIX
+    if dual.inner is not None:
+        inner, gr, gi = _dual_core(zr, zi, dual.inner)
     else:
-        # m l as hi + lo, m's heads and l's 26-bit heads multiplying exactly
-        xr, xi, m_lo = dual.m_parts
-        mh = dual.mh
-        yr, yi = _head(p), _head(q)
-        y_rest = complex((p - yr) + p_lo, (q - yi) + q_lo)
-        zr, err_r = _two_sum(xr * yr, -xi * yi)
-        zi, err_i = _two_sum(xr * yi, xi * yr)
-        lo = (complex(err_r, err_i) + (mh - complex(xr, xi)) * complex(yr, yi)
-              + mh * y_rest + m_lo * complex(p, q))
-        zr, zr_lo = _two_sum(zr, lo.real)
-        zi, zi_lo = _two_sum(zi, lo.imag)
-        if dual.inner is not None:
-            inner, inner_hi, inner_lo = _dual_core(zr, zr_lo, zi, zi_lo, dual.inner)
-        else:
-            u = cmath.exp(complex(zr, zi)) * (1.0 + complex(zr_lo, zi_lo))
-            v = dual.b / u
-            inner = dual.bb
-            for power in dual.powers:
-                inner *= (1.0 - u * power) * (1.0 - v * power)
-    # W = l + (2k + 1) pi i - L/2, the real and imaginary parts as hi + lo
-    wr, wr_lo = _two_sum(re, -0.5 * lh.real)
-    wr_lo += re_lo - 0.5 * ll.real
-    wi, wi_lo = _two_sum(im, (k2 + 1) * _PI_HEAD)
-    wi, t = _two_sum(wi, -0.5 * lh.imag)
-    wi_lo += t + im_lo + (k2 + 1) * _PI_REST - 0.5 * ll.imag
-    # G = c W^2 = c0 W0^2 + (c1 W0^2 + c (2 W0 + W1) W1), W0 the 17-bit heads
-    w0r, w0i = _head17(wr), _head17(wi)
-    w0 = complex(w0r, w0i)
-    w1 = complex((wr - w0r) + wr_lo, (wi - w0i) + wi_lo)
-    c0 = dual.c0
-    sq, cross = w0r * w0r, w0i * w0i
-    mixed = 2.0 * w0r * w0i
-    tail = dual.c1 * (w0 * w0) + dual.c * ((w0 + w0 + w1) * w1)
-    g_re = (c0.real * sq, -c0.real * cross, -c0.imag * mixed, tail.real,
-            inner_hi.real, inner_lo.real)
-    g_im = (c0.imag * sq, -c0.imag * cross, c0.real * mixed, tail.imag,
-            inner_hi.imag, inner_lo.imag)
-    gh = complex(math.fsum(g_re), math.fsum(g_im))
-    gl = complex(math.fsum((*g_re, -gh.real)), math.fsum((*g_im, -gh.imag)))
-    return dual.pref * inner, gh, gl
+        u = cmath.exp(complex(zr * _UNIT, zi * _UNIT))
+        v = cmath.exp(complex((tr - zr) * _UNIT, (ti - zi) * _UNIT))
+        inner, gr, gi = dual.bb, 0, 0
+        for power in dual.powers:
+            inner *= (1.0 - u * power) * (1.0 - v * power)
+    # 2W = 2l + (2k + 1) 2 pi i - L, and G = c W^2 = c (2W)^2 / 4
+    (big_r, big_i), (cr, ci) = dual.log, dual.c
+    wr = 2 * lr - big_r
+    wi = 2 * li + (2 * k + 1) * _TWO_PI_FIX - big_i
+    sr, si = wr * wr - wi * wi, 2 * wr * wi
+    gr += (cr * sr - ci * si) >> (2 * _FIX + 2)
+    gi += (cr * si + ci * sr) >> (2 * _FIX + 2)
+    return dual.pref * inner, gr, gi
 
 
 def log_deriv_theta(

@@ -220,6 +220,14 @@ def test_counted_products_equal_stepwise_loop(max_terms, tail_tol):
     assert raised > 0 or max_terms == 512
 
 
+# bases near phase pi whose dual nome b is itself past the crossover, so that
+# theta_b takes its own dual (|b| from 0.81 to 0.88); REF_BASES stop at
+# |b| <= 0.742
+INNER_DUAL_BASES = [0.95 * cmath.exp(1j * phase) for phase in (math.pi, math.pi - 0.05,
+                                                                 -(math.pi - 0.05))]
+INNER_DUAL_BASES.append(0.97 * cmath.exp(1j * (math.pi - 0.03)))
+
+
 @pytest.mark.parametrize("scoped", [False, True])
 @pytest.mark.parametrize("tail_tol", [1e-15, 1e-10, 1e-6])
 @pytest.mark.parametrize("max_terms", [8, 60, 512])
@@ -230,7 +238,7 @@ def test_quotient_path_equals_theta_products(max_terms, tail_tol, scoped):
     # bit below the crossover; above it the quotient sums its exponents
     policy = TruncationPolicy(max_terms, tail_tol)
     calls = []
-    for b in REF_BASES:
+    for b in REF_BASES + INNER_DUAL_BASES:
         for x in REF_ARGS:
             calls.append((b, (x,), ()))
             if not near_theta_zero(b, x):

@@ -34,7 +34,7 @@ from ellex.errors import DomainError, TruncationExceeded
 from ellex.exchange import LevelParams, exchange_F, exchange_Y
 from ellex.poisson import poisson_series_g, poisson_structure_center
 from ellex.qseries import TruncationPolicy, log_deriv_theta, qpochhammer, theta
-from ellex.rmatrix import kappa_inv, tau_fn
+from ellex.rmatrix import kappa_inv, mu_inv, tau_fn
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -271,10 +271,10 @@ TOP_POINTS += [(0.9996, 1.1), (-0.9996, 0.7)]
 def test_dual_parts_within_claim_up_to_the_limit(a, x):
     base = qseries._base(a, TruncationPolicy())
     assert base.dual_side
-    mantissa, hi, lo = qseries._dual_parts(complex(x), base)
+    mantissa, gr, gi = qseries._dual_parts(complex(x), base)  # the exponent in fixed point
     ref = deep_theta_oracle(a, x)
     with mp.workdps(30):
-        val = mp.mpc(mantissa) * mp.exp(mp.mpc(hi) + mp.mpc(lo))
+        val = mp.mpc(mantissa) * mp.exp(mp.mpc(mp.ldexp(gr, -qseries._FIX), mp.ldexp(gi, -qseries._FIX)))
         err = abs(val - ref) / abs(ref)
     assert err <= claimed_error_dual(a, x, 1e-15)
 
@@ -296,8 +296,10 @@ def test_the_dual_side_ends_where_its_bound_passes_1e_12():
 )
 def test_dual_parts_exponentiate_in_the_normal_range(mantissa, hi):
     # e^hi alone leaves the normal double range, mantissa e^hi does not; the
-    # fold of |mantissa| into the exponent rounds its log once
-    value, problem = qseries._exp_parts(mantissa, hi, 0j)
+    # fold of |mantissa| into the exponent rounds its log once.  The exponent
+    # goes in as fixed-point ints, exact for these hi
+    scale = 2.0**qseries._FIX
+    value, problem = qseries._exp_parts(mantissa, int(hi.real * scale), int(hi.imag * scale))
     bound = (4 + abs(math.log(abs(mantissa)))) * EPS
     with mp.workdps(30):
         ref = mp.mpc(mantissa) * mp.exp(mp.mpc(hi))
@@ -623,6 +625,134 @@ def claimed_error_center(x, q, tail_tol):
 def test_poisson_structure_center_within_claim(q, x, tail_tol):
     val = poisson_structure_center(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
     assert abs(val - center_oracle(x, q)) <= claimed_error_center(x, q, tail_tol)
+
+
+# --- exchange_F, exchange_Y and mu_inv: theta quotients on both paths -----------
+
+
+@lru_cache(maxsize=None)
+def path_theta_oracle(a, x):
+    """theta_a(x) as an mpc of 40 digits or more: mpmath's ``qp`` below
+    qseries._CROSSOVER, and from it on ``deep_theta_oracle``'s series, which
+    costs a few ms a point where ``qp`` at |a| near 0.9 costs tens."""
+    if abs(a) >= qseries._CROSSOVER:
+        return deep_theta_oracle(a, x)
+    with mp.workdps(40):
+        return +_theta_mp(a, x)
+
+
+# step s's theta_{q^4} arguments, numerator then denominator, as exponents
+# (e, k, f) of x^(2e) q^(2k) p^(f s) (see exchange's docstring), over the
+# steps first..last of a level m; step(quot, q, x^2) is the step's factor
+F_POS_ARGS = ((1, 1, -1), (-1, 1, 1)), ((-1, 0, 1), (1, 0, -1))
+F_NEG_ARGS = ((1, 0, 1), (-1, 0, -1)), ((1, 1, 1), (-1, 1, -1))
+Y_ARGS = ((-1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1))
+
+
+def _level_steps(f, m):
+    """(table, first, last, step) of exchange_F or exchange_Y at level m."""
+    if f is exchange_Y:
+        return Y_ARGS, 1, 2 * m - 1 if m > 0 else -2 * m, lambda quot, q, x2: x2 * quot
+    if m > 0:
+        return F_POS_ARGS, 1, 2 * m, lambda quot, q, x2: quot / q
+    return F_NEG_ARGS, 0, -2 * m - 1, lambda quot, q, x2: q * quot
+
+
+def _step_args(table, s, x, p, q):
+    """Step s's theta arguments as exchange forms them in doubles: the heads
+    x^2, x^-2, x^2 q^2 and x^-2 q^2, times or over p^s by repeated
+    multiplication."""
+    x2, q2 = x * x, q * q
+    heads = {(1, 0): x2, (-1, 0): 1.0 / x2}
+    heads[1, 1], heads[-1, 1] = heads[1, 0] * q2, heads[-1, 0] * q2
+    ps = 1.0 + 0j
+    for _ in range(s):
+        ps *= p
+    return [[heads[e, k] * ps if f > 0 else heads[e, k] / ps for e, k, f in side]
+            for side in table]
+
+
+# roundings, in units of EPS, that one step adds to its four thetas' claims:
+# the second theta of the numerator and of the denominator, the quotient,
+# the step's product or division by q or x^2, and the running product
+STEP_ROUNDINGS = 3 * MUL + 2 * DIV
+
+
+def exchange_oracle_and_claim(f, m, p, q, x, tail_tol):
+    """f(level m, x) at 40 digits from the oracle thetas at the arguments
+    exchange forms, and the relative error it claims: its thetas' claims
+    (the dual's from the crossover on) plus STEP_ROUNDINGS a step; Y is the
+    square of its product, which doubles the claim and rounds once more."""
+    table, first, last, step = _level_steps(f, m)
+    a, x2 = q**4, x * x
+    value, claim = mp.one, 0.0
+    with mp.workdps(40):
+        for s in range(first, last + 1):
+            nums, dens = _step_args(table, s, x, p, q)
+            quot = (path_theta_oracle(a, nums[0]) * path_theta_oracle(a, nums[1])
+                    / (path_theta_oracle(a, dens[0]) * path_theta_oracle(a, dens[1])))
+            value *= step(quot, mp.mpc(q), mp.mpc(x2))
+            claim += sum(claimed_error_theta(a, arg, tail_tol) for arg in nums + dens)
+            claim += STEP_ROUNDINGS * EPS
+        if f is exchange_Y:
+            return complex(value * value), 2 * claim + MUL * EPS
+        return complex(value), claim
+
+
+# |q^4| from 0.04 to 0.9, two below the crossover and two above it
+EXCHANGE_Q = [cis(0.45, 0.3), cis(0.84, -2.0), cis(0.95, 0.6), cis(0.974, 1.2)]
+EXCHANGE_P = 0.5 * cmath.exp(0.4j)
+EXCHANGE_X = [cis(0.9, 0.4), cis(1.2, -2.0)]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
+@pytest.mark.parametrize("f", [exchange_F, exchange_Y])
+@pytest.mark.parametrize("q,x", [(q, x) for q in EXCHANGE_Q for x in EXCHANGE_X])
+def test_exchange_within_claim(q, x, f, m, tail_tol):
+    val = f(LevelParams(m, NomeParams(EXCHANGE_P, q)), x, TruncationPolicy(MAX_TERMS, tail_tol))
+    ref, claim = exchange_oracle_and_claim(f, m, EXCHANGE_P, q, x, tail_tol)
+    assert abs(val - ref) / abs(ref) <= claim
+
+
+def _mu_args(x, p, q):
+    """What mu_inv forms in doubles: x^2, the base p^2, and its thetas'
+    arguments p x^2 and q^2 (numerator) and q^2 x^2 (denominator)."""
+    x2, q2 = x * x, q * q
+    return x2, p * p, (p * x2, q2), q2 * x2
+
+
+@lru_cache(maxsize=None)
+def mu_inv_oracle(x, p, q):
+    x2, p2, (n1, n2), d = _mu_args(x, p, q)
+    with mp.workdps(40):
+        thetas = path_theta_oracle(p2, n1) * path_theta_oracle(p2, n2) / path_theta_oracle(p2, d)
+        const = mp.qp(mp.mpc(p2), mp.mpc(p2)) / mp.qp(mp.mpc(p), mp.mpc(p)) ** 2
+        return complex(kappa_inv_oracle(x2, p, q) * const * thetas)
+
+
+def claimed_error_mu(x, p, q, tail_tol):
+    """Relative error that mu_inv(x, p, q) claims: kappa_inv's, its three
+    thetas' in the base p^2, those of (p^2; p^2) and (p; p) twice, and the
+    roundings that combine them: the theta quotient's product and division,
+    the square of (p; p), the constant's division and two products."""
+    x2, p2, nums, d = _mu_args(x, p, q)
+    thetas = sum(claimed_error_theta(p2, arg, tail_tol) for arg in (*nums, d))
+    products = claimed_error_one_base(p2, p2, tail_tol) + 2 * claimed_error_one_base(p, p, tail_tol)
+    return (claimed_error_kappa(x2, p, q, tail_tol) + thetas + products
+            + (4 * MUL + 2 * DIV) * EPS)
+
+
+# |p^2| from 0.25 to 0.81: the last two take the dual nome
+MU_POINTS = [(1.1 + 0.2j, 0.5, -0.6), (cis(0.8, 2.0), cis(0.6, 1.0), cis(0.7, 0.4)),
+             (1.1 + 0.2j, cis(0.88, 0.3), cis(0.6, -1.0)), (cis(1.3, -0.7), 0.9, 0.5j)]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("x,p,q", MU_POINTS)
+def test_mu_inv_within_claim(x, p, q, tail_tol):
+    val = mu_inv(x, p, q, TruncationPolicy(MAX_TERMS, tail_tol))
+    assert abs(val - mu_inv_oracle(x, p, q)) / abs(val) <= claimed_error_mu(x, p, q, tail_tol)
 
 
 # --- elliptic layer: complete_K and jacobi_snh -----------------------------------

@@ -20,8 +20,11 @@ at an a it has not met, as each verify point takes it), and the median over
 its points of the dual's time over the product's.  The last line is the
 least band edge from which on the dual's worst error is no worse than the
 product's in every band, and the least from which on the dual is also no
-slower (that median ratio at most 1).  ``_CROSSOVER`` in src/ellex/qseries.py is the
-larger of the two, as the sweep at the default arguments printed it.
+slower (that median ratio at most 1).  ``_CROSSOVER`` in src/ellex/qseries.py,
+0.76, is the larger of the two as the sweep at the default arguments
+printed it when the dual nome came in; since the dual's exponent is formed
+in fixed point the sweep prints a lower edge (0.672, BENCH_33.json), and the
+constant is kept so that every input keeps its path.
 """
 
 from __future__ import annotations
