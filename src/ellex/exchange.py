@@ -74,8 +74,9 @@ __all__ = [
 class LevelParams:
     """Nonzero integer level m with the charge c derived from q^(c+2) = p^m.
 
-    c is computed once by principal logarithm and stored; q^c itself is kept
-    in the exact form p^m / q^2 so downstream products never re-take logs.
+    Only m and the nome are stored.  ``c`` is computed on each access by
+    principal logarithms, and ``q_pow_c`` takes q^c in the exact form
+    p^m / q^2, so downstream products never take a logarithm.
     """
 
     m: int
@@ -132,8 +133,6 @@ _HEADS = {table: tuple((2 * k + (e < 0), f > 0) for side in table for e, k, f in
           for table in (_F_POS, _F_NEG, _Y)}
 # a run's key beside its table: the exact bits of q, p and x
 _RUN_BITS = struct.Struct("6d").pack
-# commuting_F's ratio's key beside its name: the exact bits of q and x
-_RATIO_BITS = struct.Struct("4d").pack
 
 
 class _Run:
@@ -322,8 +321,8 @@ def commuting_F(
 
     with th = theta_{q^4}. Serves as the oracle for exchange_F there.
     A value out of floating-point range raises DomainError.  Inside a point
-    scope the base q^4 keeps the ratio under the exact bits of q and x, so
-    the levels at one point form it once; a ratio that raises is not kept.
+    scope the base q^4 keeps both thetas, so the levels at one point form
+    them once.
     """
     m = _nonzero_int(m, "m")
     qv = _in_disk(q, "q")
@@ -331,11 +330,7 @@ def commuting_F(
     if cp.k % 2:
         return 1.0 + 0j
     x2 = _square(xv, "x^2")
-    q4 = _base(qv**4, policy, "q^4")
-    key = ("commuting_F", _RATIO_BITS(qv.real, qv.imag, xv.real, xv.imag))
-    ratio = q4.runs.get(key)
-    if ratio is None:
-        ratio = q4.runs[key] = _theta_quotient(q4, (x2 * qv * qv,), (x2,))
+    ratio = _theta_quotient(_base(qv**4, policy, "q^4"), (x2 * qv * qv,), (x2,))
     try:
         value = qv ** (-2 * m) * xv ** (4 * m) * ratio ** (4 * m)
         if cmath.isfinite(value):

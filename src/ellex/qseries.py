@@ -236,7 +236,7 @@ class _Base:
     (a; a)_inf among them, the theta pairs, and where ``dual_side`` (theta
     from the dual nome) each theta's ``parts`` and the base's ``dual``.
     ``runs`` holds what callers keep at the base (``exchange``'s closed-form
-    steps and ratios).  Messages show ``given``, a as passed."""
+    steps).  Messages show ``given``, a as passed."""
 
     __slots__ = ("a", "given", "policy", "big", "log_big", "room", "log_tol", "half",
                  "slack", "cap", "powers", "products", "pairs", "parts", "runs", "dual",

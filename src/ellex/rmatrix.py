@@ -353,7 +353,8 @@ def check_ybe(
 
     Returns (max entry residual, largest entry of R(x), R(y), R(xy)).
     Embeddings are slot-major (slot 1 varies slowest): R12 = R (x) I,
-    R23 = I (x) R, and R13 is R12 conjugated by the swap of slots 2 and 3.
+    R23 = I (x) R, and R13 is R (x) I with slots 2 and 3 swapped in its row
+    and column indices.
     """
     import numpy as np
 
@@ -363,12 +364,7 @@ def check_ybe(
     ry = r_plus(yv, nome, policy)
     rxy = r_plus(xv * yv, nome, policy)
     i2 = np.eye(2)
-    s23 = np.zeros((8, 8))  # swap of slots 2 and 3: |s1 s2 s3> -> |s1 s3 s2>
-    for s1 in range(2):
-        for s2 in range(2):
-            for s3 in range(2):
-                s23[4 * s1 + 2 * s2 + s3, 4 * s1 + 2 * s3 + s2] = 1.0
     r12 = np.kron(rx, i2)
     r23 = np.kron(i2, ry)
-    r13 = s23 @ np.kron(rxy, i2) @ s23
+    r13 = np.kron(rxy, i2).reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
     return _max_abs(r12 @ r13 @ r23 - r23 @ r13 @ r12), _max_abs(rx, ry, rxy)

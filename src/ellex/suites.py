@@ -304,8 +304,9 @@ def _well_posed(
     cond: float = 0.0, max_cond: float = math.inf,
 ) -> tuple:
     # residuals of well-posed points only: near a determinant-zero spiral the
-    # inversion amplifies roundoff by cond * scale regardless of truncation
-    if cond > max_cond or scale > max_scale:
+    # inversion amplifies roundoff by cond * scale regardless of truncation,
+    # and where every entry is tiny an absolute residual says nothing
+    if cond > max_cond or scale > max_scale or scale < 1.0 / max_scale:
         raise SingularMatrix("ill-posed point")
     return ((err, point),)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellex.elliptic import NomeParams
-from ellex import exchange, qseries, suites
+from ellex import exchange, qseries
 from ellex.errors import (
     DomainError,
     EllexError,
@@ -253,8 +253,8 @@ def test_levels_at_one_point_form_each_step_once(monkeypatch):
     # F at m = 1..3, F at m = -1..-3 and Y at all six levels are three
     # running products of 6 steps each, 18 step quotients; level by level
     # they take 2 + 4 + 6 twice and 1 + 3 + 5 + 2 + 4 + 6, 45 in all.
-    # commuting_F forms its one quotient once in the scope, at every level
-    # outside it.
+    # commuting_F forms its one quotient at every level, in the scope from
+    # the two thetas the base keeps.
     calls = commuting_calls(CommutingPoint(2), 0.55 - 0.1j, 1.2 + 0.15j, TruncationPolicy())
     alone = [repr(fn(*args)) for fn, args in calls]
     steps = []
@@ -266,7 +266,7 @@ def test_levels_at_one_point_form_each_step_once(monkeypatch):
     monkeypatch.setattr(exchange, "_theta_quotient", counting)
     with point_scope():
         shared = [repr(fn(*args)) for fn, args in calls]
-    assert (steps.count(2), steps.count(1)) == (18, 1)
+    assert (steps.count(2), steps.count(1)) == (18, 6)
     assert shared == alone and len(set(alone)) > 6
     steps.clear()
     for fn, args in calls:  # outside a scope nothing is shared
@@ -274,23 +274,9 @@ def test_levels_at_one_point_form_each_step_once(monkeypatch):
     assert (steps.count(2), steps.count(1)) == (45, 6)
 
 
-def test_commuting_points_forms_one_ratio_per_point(monkeypatch):
-    # seed 7 samples 20 even-k points, whose six levels each used to form
-    # commuting_F's quotient again: 1200 quotients, now 1100
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return _theta_quotient(*args, **kwargs)
-
-    monkeypatch.setattr(exchange, "_theta_quotient", counting)
-    suites.run_suite("commuting-points", suites.VerifyConfig())
-    assert len(calls) == 1100
-
-
 def test_a_commuting_ratio_that_raises_does_so_at_every_level():
     # x^2 = q^4 puts the ratio's denominator on a zero of theta_{q^4}; the
-    # failing ratio stores nothing, so each level raises the same error
+    # failing quotient stores nothing, so each level raises the same error
     q = 0.6 + 0.2j
     cp = CommutingPoint(2)
     alone = [outcome_and_message(commuting_F, m, cp, q * q, q) for m in (1, -2, 3)]

@@ -1,25 +1,21 @@
 """q-Pochhammer products, theta, tau_fn, kappa_inv, log_deriv_theta,
-poisson_series_g, poisson_structure_center, complete_K and jacobi_snh
-against a 40-digit oracle.
+poisson_series_g, poisson_structure_center, exchange_F, exchange_Y, mu_inv,
+complete_K and jacobi_snh against the raised-precision references of
+``mp_oracle``.
 
-Products and theta are compared with mpmath's ``qp``, which sums the
-q-binomial series rather than multiplying factors.  The kappa_inv oracle
-takes each double-base product (z; a, b) as ``qp`` nested over rows of the
-larger base, (z; a, b) = prod_n (z a^n; b), for the rows with |z a^n| > 1/2.
-The rows after them are summed exactly through
-
-    log (w; a, b)_inf = -sum_{j >= 1} w^j / (j (1 - a^j) (1 - b^j)),  |w| <= 1/2,
-
-so the oracle truncates nothing beyond its 40 digits.  The log-derivative
-oracle is a ratio of two sums of the Jacobi triple-product series, and the
-structure-function oracle g(x) = -1 + 2 L(x^2) + 2 L(q^2 / x^2) takes two such
-log-derivatives in the base q^4.  tau and the central bracket are a theta
-quotient and a sum of four log-derivatives; their oracles take the same
-quotient and sum at 40 digits, at the arguments the library forms, so each
-claim is the theta or log-derivative claims plus the roundings that combine
-them.  K and snh are compared with mpmath's ``ellipk`` and ``ellipfun``.
-Each comparison asserts the error the library claims: ``tail_tol`` plus a
-first-order roundoff budget, not a fixed constant.
+Products are compared with mpmath's ``qp``, which sums the q-binomial series
+rather than multiplying factors, and kappa_inv's double-base products with
+``qp`` nested over rows of the larger base and a log series for the rest.
+Every theta, and so every theta quotient (tau, the F and Y steps, mu and
+snh), comes from the Jacobi triple-product series at 30 digits plus the
+digits its terms cancel; the log-derivative is a ratio of two of its sums,
+and g and the central bracket are sums of log-derivatives in the base q^4.
+tau, the central bracket, the exchange steps and mu's quotient are formed at
+the arguments the library forms in doubles, so each claim is the theta or
+log-derivative claims plus the roundings that combine them.  K and snh are
+compared with mpmath's ``ellipk`` and ``ellipfun``.  Each comparison asserts
+the error the library claims: ``tail_tol`` plus a first-order roundoff
+budget, not a fixed constant.
 """
 
 import cmath
@@ -37,41 +33,14 @@ from ellex.qseries import TruncationPolicy, log_deriv_theta, qpochhammer, theta
 from ellex.rmatrix import kappa_inv, mu_inv, tau_fn
 
 mpmath = pytest.importorskip("mpmath")
+import mp_oracle  # noqa: E402  (after the skip: it imports mpmath)
+
 mp = mpmath.mp
 
 EPS = 2.0**-53  # unit roundoff of a double
 MUL = 5**0.5  # roundings, in units of EPS, of a complex multiplication
 DIV = 5.0  # of a complex division
 MAX_TERMS = 512
-
-
-def _nested_oracle(x, a, b):
-    """(x; a, b)_inf for mpc arguments, at the working precision."""
-    if abs(a) < abs(b):
-        a, b = b, a
-    head = mp.one
-    while abs(x) > 0.5:
-        head *= mp.qp(x, b)
-        x *= a
-    log_tail = mp.zero
-    j, xj, aj, bj = 1, x, a, b
-    while abs(xj) > mp.mpf(10) ** (-mp.dps - 5):
-        log_tail -= xj / (j * (1 - aj) * (1 - bj))
-        j, xj, aj, bj = j + 1, xj * x, aj * a, bj * b
-    return head * mp.exp(log_tail)
-
-
-@lru_cache(maxsize=None)
-def kappa_inv_oracle(y, p, q):
-    with mp.workdps(40):
-        y, p, q = mp.mpc(y), mp.mpc(p), mp.mpc(q)
-        q2, q4 = q**2, q**4
-        num = den = mp.one
-        for z in (q4 / y, q2 * y, p / y, p * q2 * y):
-            num *= _nested_oracle(z, p, q4)
-        for z in (q4 * y, q2 / y, p * y, p * q2 / y):
-            den *= _nested_oracle(z, p, q4)
-        return complex(num / den)
 
 
 def cis(r, phi):
@@ -82,24 +51,6 @@ X_POINTS = [0.4 + 0.3j, cis(1.4, 2.7)]
 
 
 # --- one base and theta --------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def qp1_oracle(x, b):
-    with mp.workdps(40):
-        return complex(mp.qp(mp.mpc(x), mp.mpc(b)))
-
-
-def _theta_mp(a, x):
-    """theta_a(x) at the working precision."""
-    a, x = mp.mpc(a), mp.mpc(x)
-    return mp.qp(x, a) * mp.qp(a / x, a) * mp.qp(a, a)
-
-
-@lru_cache(maxsize=None)
-def theta_oracle(a, x):
-    with mp.workdps(40):
-        return complex(_theta_mp(a, x))
 
 
 def one_base_roundoff(x, b, tail_tol, formed=4.0):
@@ -166,7 +117,7 @@ def _theta_points(a):
 @pytest.mark.parametrize("b,x", [(b, x) for b in ONE_BASES for x in _one_base_points(b)])
 def test_qpochhammer_one_base_within_claim(b, x, tail_tol):
     val = qpochhammer(x, b, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = qp1_oracle(x, b)
+    ref = mp_oracle.qpochhammer(x, b)
     assert abs(val - ref) / abs(ref) <= claimed_error_one_base(x, b, tail_tol)
 
 
@@ -174,7 +125,7 @@ def test_qpochhammer_one_base_within_claim(b, x, tail_tol):
 @pytest.mark.parametrize("a,x", [(a, x) for a in ONE_BASES for x in _theta_points(a)])
 def test_theta_within_claim(a, x, tail_tol):
     val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = theta_oracle(a, x)
+    ref = complex(mp_oracle.theta(a, x))
     assert abs(val - ref) / abs(ref) <= claimed_error_theta(a, x, tail_tol)
 
 
@@ -182,53 +133,14 @@ def test_theta_within_claim(a, x, tail_tol):
 # --- the dual nome, from qseries._CROSSOVER on -----------------------------------
 
 
-def _zero_distance(a, x):
-    """Relative distance from x to the nearest zero a^n of theta_a."""
-    la, lx = cmath.log(a), cmath.log(x)
-    center = round(math.log(abs(x)) / math.log(abs(a)))
-    return min(abs(cmath.exp(lx - n * la) - 1.0) for n in range(center - 2, center + 3))
-
-
 def claimed_error_dual(a, x, tail_tol):
     """Relative error the dual nome claims: the dropped factors of its
     products at b, and the logarithm of x, which errs by about EPS and which
     the Gaussian and the dual argument amplify by (|log|x|| + pi) / |log|a||,
     all times the point's condition; 16 roundings besides."""
-    cond = max(1.0, 1.0 / _zero_distance(a, x))
+    cond = max(1.0, 1.0 / mp_oracle.zero_distance(a, x))
     spread = (abs(math.log(abs(x))) + math.pi) / abs(math.log(abs(a)))
     return 4 * tail_tol + cond * (16 + spread) * EPS
-
-
-@lru_cache(maxsize=None)
-def deep_theta_oracle(a, x):
-    """theta_a(x) as the triple-product series sum_n (-1)^n a^(n(n-1)/2) x^n,
-    summed by recurrence from its largest term outward, at 30 digits plus
-    log10 of the ratio of that term to a lower bound on |theta|,
-    e^(-pi^2 / (2 |log|a||)) times the distance to a zero: about 250 digits
-    at |a| = 0.99 and 5400 at 0.9996.  An mpc, at that precision."""
-    la, lx = math.log(abs(a)), math.log(abs(x))
-    peak = round(0.5 - lx / la)
-    big = peak * lx + peak * (peak - 1) / 2 * la
-    small = -math.pi**2 / (2 * abs(la)) + math.log(_zero_distance(a, x)) - 10
-    digits = 30 + (big - small) / math.log(10)
-    with mp.workdps(int(digits) + 10):
-        am, xm = mp.mpc(a), mp.mpc(x)
-        stop = mp.exp(big) * mp.mpf(10) ** (-int(digits) - 5)
-        top = (-1) ** peak * am ** (peak * (peak - 1) // 2) * xm**peak
-        total = top
-        for step in (1, -1):
-            # term n + 1 is -a^n x times term n, and term n - 1 is -a^(1-n) / x
-            # times it; either ratio gains a factor a with each step
-            n, term = peak, top
-            ratio = -(am**peak) * xm if step == 1 else -(am ** (1 - peak)) / xm
-            while True:
-                term *= ratio
-                ratio *= am
-                n += step
-                total += term
-                if abs(term) < stop and abs(n - peak) > 3:
-                    break
-        return +total
 
 
 def _dual_bases():
@@ -253,7 +165,7 @@ def _dual_points(a):
 @pytest.mark.parametrize("a,x", [(a, x) for a in _dual_bases() for x in _dual_points(a)])
 def test_dual_theta_within_claim(a, x, tail_tol):
     val = theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = complex(deep_theta_oracle(a, x))
+    ref = complex(mp_oracle.theta(a, x))
     assert abs(val - ref) / abs(ref) <= claimed_error_dual(a, x, tail_tol)
 
 
@@ -272,7 +184,7 @@ def test_dual_parts_within_claim_up_to_the_limit(a, x):
     base = qseries._base(a, TruncationPolicy())
     assert base.dual_side
     mantissa, gr, gi = qseries._dual_parts(complex(x), base)  # the exponent in fixed point
-    ref = deep_theta_oracle(a, x)
+    ref = mp_oracle.theta(a, x)
     with mp.workdps(30):
         val = mp.mpc(mantissa) * mp.exp(mp.mpc(mp.ldexp(gr, -qseries._FIX), mp.ldexp(gi, -qseries._FIX)))
         err = abs(val - ref) / abs(ref)
@@ -398,41 +310,11 @@ KAPPA_POINTS = [
 @pytest.mark.parametrize("y,p,q", KAPPA_POINTS)
 def test_kappa_inv_within_claim(y, p, q, tail_tol):
     val = kappa_inv(y, p, q, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = kappa_inv_oracle(y, p, q)
+    ref = mp_oracle.kappa_inv(y, p, q)
     assert abs(val - ref) / abs(ref) <= claimed_error_kappa(y, p, q, tail_tol)
 
 
 # --- log_deriv_theta and poisson_series_g ----------------------------------------
-
-
-def _log_deriv_oracle(a, x):
-    """x d/dx log theta_a(x) at the working precision, from the triple-product
-    series theta_a(x) = sum_n (-1)^n a^(n(n-1)/2) x^n and its x-derivative,
-    summed over the n within reach of the largest term."""
-    la = mp.log(abs(a))
-    peak = int(mp.nint(mp.mpf(0.5) - mp.log(abs(x)) / la))
-    reach = int(mp.ceil(mp.sqrt(2 * (mp.dps + 10) * mp.log(10) / -la))) + 2
-    series = derivative = mp.zero
-    for n in range(peak - reach, peak + reach + 1):
-        term = (-1) ** n * a ** (n * (n - 1) // 2) * x**n
-        series += term
-        derivative += n * term
-    return derivative / series
-
-
-@lru_cache(maxsize=None)
-def log_deriv_oracle(a, x):
-    with mp.workdps(40):
-        return complex(_log_deriv_oracle(mp.mpc(a), mp.mpc(x)))
-
-
-@lru_cache(maxsize=None)
-def series_g_oracle(x, q):
-    with mp.workdps(40):
-        x2, q = mp.mpc(x) ** 2, mp.mpc(q)
-        q4 = q**4
-        g = -1 + 2 * _log_deriv_oracle(q4, x2) + 2 * _log_deriv_oracle(q4, q * q / x2)
-        return complex(g)
 
 
 def _ratio_roundoff(v, formed):
@@ -523,7 +405,7 @@ def _log_deriv_points(a):
 @pytest.mark.parametrize("a,x", [(a, x) for a in ONE_BASES for x in _log_deriv_points(a)])
 def test_log_deriv_theta_within_claim(a, x, tail_tol):
     val = log_deriv_theta(a, x, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = log_deriv_oracle(a, x)
+    ref = mp_oracle.log_deriv_theta(a, x)
     assert abs(val - ref) <= claimed_error_log_deriv(a, x, tail_tol)
 
 
@@ -540,7 +422,7 @@ def _series_g_points(q):
 @pytest.mark.parametrize("q,x", [(q, x) for q in SERIES_Q for x in _series_g_points(q)])
 def test_poisson_series_g_within_claim(q, x, tail_tol):
     val = poisson_series_g(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = series_g_oracle(x, q)
+    ref = mp_oracle.series_g(x, q)
     assert abs(val - ref) <= claimed_error_series_g(x, q, tail_tol)
 
 
@@ -549,23 +431,10 @@ def test_poisson_series_g_within_claim(q, x, tail_tol):
 QUOTIENT_Q = [cis(0.3, 0.7), cis(0.6, -2.0), -0.6, cis(0.9, 2.4)]  # |q^4| to 0.66
 
 
-def _tau_args(x, q):
-    """The base and the two theta arguments tau_fn(x, q) forms."""
-    x, q = complex(x), complex(q)
-    return q**4, x * x * q, q / (x * x)
-
-
-@lru_cache(maxsize=None)
-def tau_oracle(x, q):
-    a, num, den = _tau_args(x, q)
-    with mp.workdps(40):
-        return complex(_theta_mp(a, num) / (mp.mpc(x) * _theta_mp(a, den)))
-
-
 def claimed_error_tau(x, q, tail_tol):
     """Relative error that tau_fn(x, q) claims: the claims of its two thetas,
     plus the product by x and the quotient that combine them."""
-    a, num, den = _tau_args(x, q)
+    a, num, den = mp_oracle.tau_args(x, q)
     return (
         claimed_error_theta(a, num, tail_tol)
         + claimed_error_theta(a, den, tail_tol)
@@ -584,25 +453,8 @@ def _tau_points(q):
 @pytest.mark.parametrize("q,x", [(q, x) for q in QUOTIENT_Q for x in _tau_points(q)])
 def test_tau_fn_within_claim(q, x, tail_tol):
     val = tau_fn(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
-    ref = tau_oracle(x, q)
+    ref = mp_oracle.tau(x, q)
     assert abs(val - ref) / abs(ref) <= claimed_error_tau(x, q, tail_tol)
-
-
-def _center_args(x, q):
-    """The base q^4 and the four log-derivative arguments q^2 x^2, x^-2,
-    q^2 x^-2 and x^2 (signs +, +, -, -) that poisson_structure_center forms."""
-    x, q = complex(x), complex(q)
-    x2, q2 = x * x, q * q
-    return q**4, (q2 * x2, 1 / x2, q2 / x2, x2)
-
-
-@lru_cache(maxsize=None)
-def center_oracle(x, q):
-    a, (l1, l2, l3, l4) = _center_args(x, q)
-    with mp.workdps(40):
-        a = mp.mpc(a)
-        L = [_log_deriv_oracle(a, mp.mpc(y)) for y in (l1, l2, l3, l4)]
-        return complex(-2 * mp.log(mp.mpc(q)) * (L[0] + L[1] - L[2] - L[3]))
 
 
 def claimed_error_center(x, q, tail_tol):
@@ -613,32 +465,21 @@ def claimed_error_center(x, q, tail_tol):
     -2 ln q: the claim on S scales by |2 ln q|, and the rounded log (charged
     4 roundings) and the product add (4 + sqrt(5)) roundings of the result.
     """
-    a, args = _center_args(x, q)
-    moduli = sum(abs(log_deriv_oracle(a, y)) for y in args)
+    a, args = mp_oracle.center_args(x, q)
+    moduli = sum(abs(mp_oracle.log_deriv_theta(a, y)) for y in args)
     sum_error = sum(claimed_error_log_deriv(a, y, tail_tol) for y in args) + 3 * moduli * EPS
     scale = abs(2 * cmath.log(q))
-    return scale * sum_error + abs(center_oracle(x, q)) * (4 + MUL) * EPS
+    return scale * sum_error + abs(mp_oracle.center(x, q)) * (4 + MUL) * EPS
 
 
 @pytest.mark.parametrize("tail_tol", [1e-6, 1e-15])
 @pytest.mark.parametrize("q,x", [(q, x) for q in QUOTIENT_Q for x in _series_g_points(q)])
 def test_poisson_structure_center_within_claim(q, x, tail_tol):
     val = poisson_structure_center(x, q, TruncationPolicy(MAX_TERMS, tail_tol))
-    assert abs(val - center_oracle(x, q)) <= claimed_error_center(x, q, tail_tol)
+    assert abs(val - mp_oracle.center(x, q)) <= claimed_error_center(x, q, tail_tol)
 
 
 # --- exchange_F, exchange_Y and mu_inv: theta quotients on both paths -----------
-
-
-@lru_cache(maxsize=None)
-def path_theta_oracle(a, x):
-    """theta_a(x) as an mpc of 40 digits or more: mpmath's ``qp`` below
-    qseries._CROSSOVER, and from it on ``deep_theta_oracle``'s series, which
-    costs a few ms a point where ``qp`` at |a| near 0.9 costs tens."""
-    if abs(a) >= qseries._CROSSOVER:
-        return deep_theta_oracle(a, x)
-    with mp.workdps(40):
-        return +_theta_mp(a, x)
 
 
 # step s's theta_{q^4} arguments, numerator then denominator, as exponents
@@ -689,8 +530,8 @@ def exchange_oracle_and_claim(f, m, p, q, x, tail_tol):
     with mp.workdps(40):
         for s in range(first, last + 1):
             nums, dens = _step_args(table, s, x, p, q)
-            quot = (path_theta_oracle(a, nums[0]) * path_theta_oracle(a, nums[1])
-                    / (path_theta_oracle(a, dens[0]) * path_theta_oracle(a, dens[1])))
+            quot = (mp_oracle.theta(a, nums[0]) * mp_oracle.theta(a, nums[1])
+                    / (mp_oracle.theta(a, dens[0]) * mp_oracle.theta(a, dens[1])))
             value *= step(quot, mp.mpc(q), mp.mpc(x2))
             claim += sum(claimed_error_theta(a, arg, tail_tol) for arg in nums + dens)
             claim += STEP_ROUNDINGS * EPS
@@ -715,28 +556,12 @@ def test_exchange_within_claim(q, x, f, m, tail_tol):
     assert abs(val - ref) / abs(ref) <= claim
 
 
-def _mu_args(x, p, q):
-    """What mu_inv forms in doubles: x^2, the base p^2, and its thetas'
-    arguments p x^2 and q^2 (numerator) and q^2 x^2 (denominator)."""
-    x2, q2 = x * x, q * q
-    return x2, p * p, (p * x2, q2), q2 * x2
-
-
-@lru_cache(maxsize=None)
-def mu_inv_oracle(x, p, q):
-    x2, p2, (n1, n2), d = _mu_args(x, p, q)
-    with mp.workdps(40):
-        thetas = path_theta_oracle(p2, n1) * path_theta_oracle(p2, n2) / path_theta_oracle(p2, d)
-        const = mp.qp(mp.mpc(p2), mp.mpc(p2)) / mp.qp(mp.mpc(p), mp.mpc(p)) ** 2
-        return complex(kappa_inv_oracle(x2, p, q) * const * thetas)
-
-
 def claimed_error_mu(x, p, q, tail_tol):
     """Relative error that mu_inv(x, p, q) claims: kappa_inv's, its three
     thetas' in the base p^2, those of (p^2; p^2) and (p; p) twice, and the
     roundings that combine them: the theta quotient's product and division,
     the square of (p; p), the constant's division and two products."""
-    x2, p2, nums, d = _mu_args(x, p, q)
+    x2, p2, nums, d = mp_oracle.mu_args(x, p, q)
     thetas = sum(claimed_error_theta(p2, arg, tail_tol) for arg in (*nums, d))
     products = claimed_error_one_base(p2, p2, tail_tol) + 2 * claimed_error_one_base(p, p, tail_tol)
     return (claimed_error_kappa(x2, p, q, tail_tol) + thetas + products
@@ -752,7 +577,7 @@ MU_POINTS = [(1.1 + 0.2j, 0.5, -0.6), (cis(0.8, 2.0), cis(0.6, 1.0), cis(0.7, 0.
 @pytest.mark.parametrize("x,p,q", MU_POINTS)
 def test_mu_inv_within_claim(x, p, q, tail_tol):
     val = mu_inv(x, p, q, TruncationPolicy(MAX_TERMS, tail_tol))
-    assert abs(val - mu_inv_oracle(x, p, q)) / abs(val) <= claimed_error_mu(x, p, q, tail_tol)
+    assert abs(val - mp_oracle.mu_inv(x, p, q)) / abs(val) <= claimed_error_mu(x, p, q, tail_tol)
 
 
 # --- elliptic layer: complete_K and jacobi_snh -----------------------------------
@@ -786,24 +611,16 @@ def claimed_error_K(k):
 
 @pytest.mark.parametrize("k", [1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
 def test_complete_K_within_claim(k):
+    ref = mp_oracle.complete_K(k)
     with mp.workdps(40):
-        ref = mp.ellipk(mp.mpf(k) ** 2)
         assert abs(complete_K(k) - ref) / ref <= claimed_error_K(k)
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.01, 0.1, 0.5, 0.9, 0.99])
 def test_K_prime_within_claim(k):
+    ref = mp_oracle.K_prime(k)
     with mp.workdps(40):
-        ref = mp.ellipk(1 - mp.mpf(k) ** 2)
         assert abs(EllipticParams(k, 1.0).K_prime - ref) / ref <= claimed_error_agm(k)
-
-
-def _snh_oracle_form(y, p):
-    """p^(1/4) y theta_{p^2}(y^-2) / theta_{p^2}(p y^-2), at the working precision."""
-    p2, w = p * p, 1 / (y * y)
-    num = mp.qp(w, p2) * mp.qp(p2 / w, p2)
-    den = mp.qp(p * w, p2) * mp.qp(p / w, p2)
-    return p ** mp.mpf(0.25) * y * num / den
 
 
 @lru_cache(maxsize=None)
@@ -819,12 +636,11 @@ def claimed_error_snh(u, k, tail_tol):
     and quotient that combine the factors.
     """
     with mp.workdps(40):
-        mk = mp.mpf(k)
-        K, Kp = mp.ellipk(mk**2), mp.ellipk(1 - mk**2)
+        K, Kp = mp_oracle.complete_K(k), mp_oracle.K_prime(k)
         p, y = mp.exp(-mp.pi * Kp / K), mp.exp(mp.pi * u / (2 * K))
-        S = _snh_oracle_form(y, p)
-        cond_p = abs(mp.diff(lambda t: _snh_oracle_form(y, t), p) * p / S)
-        cond_y = abs(mp.diff(lambda t: _snh_oracle_form(t, p), y) * y / S)
+        S = mp_oracle.snh_form(y, p)
+        cond_p = abs(mp.diff(lambda t: mp_oracle.snh_form(y, t), p) * p / S)
+        cond_y = abs(mp.diff(lambda t: mp_oracle.snh_form(t, p), y) * y / S)
         e_K = claimed_error_K(k)
         e_Kp = claimed_error_agm(k)
         e_p = mp.pi * Kp / K * (e_K + e_Kp + 3 * EPS) + EPS
@@ -847,6 +663,5 @@ SNH_FRACTIONS = [-0.8, -0.3, 0.05, 0.4, 0.8]
 def test_jacobi_snh_within_claim(k, frac, tail_tol):
     u = frac * complete_K(math.sqrt(1.0 - k * k))
     val = jacobi_snh(u, k, TruncationPolicy(MAX_TERMS, tail_tol))
-    with mp.workdps(40):
-        ref = complex(-1j * mp.ellipfun("sn", 1j * mp.mpf(u), m=mp.mpf(k) ** 2))
+    ref = mp_oracle.snh(u, k)
     assert abs(val - ref) / abs(ref) <= claimed_error_snh(u, k, tail_tol)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellex import suites
 from ellex.elliptic import EllipticParams, NomeParams, baxter_entries, param_map
 from ellex.errors import (
     DomainError,
@@ -352,3 +353,27 @@ def test_ybe_residual_scales_with_tail_tol():
     assert tight < 1e-12
     assert loose < 1e-4
     assert loose >= tight
+
+
+# Two points (p, x, y) that the rmatrix sampler draws at q = 0.99647i.  Each
+# check's entries are tiny there, so its absolute residual passes 1e-9 and
+# says nothing; the suites refuse a point whose scale is below the
+# reciprocal of its ceiling, as they refuse one above it
+TINY_Q = complex(6.101638685651041e-17, 0.9964732182208355)
+TINY_A = (0.22058116312563292, 0.934191766606252 - 0.6892041339277742j,
+          -1.1074161895523014 + 0.19583781968740122j)
+TINY_B = (0.52875917765976, -0.7283033655355248 - 0.3289007503616184j,
+          0.8087845463158235 - 0.16727792512732267j)
+
+
+@pytest.mark.parametrize("name, at, floor", [
+    ("crossing", TINY_A, 1e-2), ("pshift", TINY_B, 1e-3), ("ybe", TINY_B, 1 / 50),
+])
+def test_suites_refuse_points_whose_entries_are_tiny(name, at, floor):
+    p, x, y = at
+    nome = NomeParams(p, TINY_Q)
+    check = {"crossing": check_crossing, "pshift": check_pshift, "ybe": check_ybe}[name]
+    err, scale, *_ = check(x, y, nome) if name == "ybe" else check(x, nome)
+    assert err < 1e-9 and scale < floor
+    with pytest.raises(SingularMatrix, match="ill-posed point"):
+        getattr(suites, f"_eval_{name}")(suites.VerifyConfig(q=TINY_Q), (complex(p), TINY_Q, x, y))

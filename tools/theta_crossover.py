@@ -6,12 +6,12 @@ Draws N seeded points (default 2400, seed 1): |a| uniform in [0.05, 0.99],
 a fifth of the phases within 0.05 of pi and the rest uniform, |x|
 log-uniform in [0.1, 10], and a sixth of the points within relative
 1e-7 .. 1e-4 of a zero a^n.  Each point is evaluated by the product
-(``_theta_pair`` times (a; a), under a cap that lets it reach its tail) and
-by the dual nome (``_dual_theta``), whatever ``_CROSSOVER`` says, and both
-are compared with the Jacobi triple-product series summed by mpmath at 30
-digits plus the digits its terms cancel.  The error of a point is its
-relative error over its condition, 1 / (relative distance to the nearest
-zero), floored at 1.
+(``_product_theta``, under a cap that lets it reach its tail) and by the
+dual nome (``_dual_theta``), whatever ``_CROSSOVER`` says, and both are
+compared with ``tests/mp_oracle.py``'s theta: the Jacobi triple-product
+series summed by mpmath at 30 digits plus the digits its terms cancel.  The
+error of a point is its relative error over its condition, 1 / (relative
+distance to the nearest zero), floored at 1.
 
 The points are sorted by |a| and cut into B bands of equal count; each band
 prints its |a| range, the median and worst error of each path, the median
@@ -39,15 +39,17 @@ import statistics
 import sys
 import time
 
-import mpmath
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+import mp_oracle  # noqa: E402
 from ellex import qseries  # noqa: E402
 from ellex.errors import EllexError  # noqa: E402
 
-mp = mpmath.mp
-# a cap under which the product reaches its tail at every |a| <= 0.99
-WIDE = qseries.TruncationPolicy(max_terms=1 << 14)
+# the two paths, each with a base of its own per call: the product under a
+# cap that lets it reach its tail at every |a| <= 0.99, the dual under the
+# default policy
+PATHS = (("product", qseries._product_theta, qseries.TruncationPolicy(max_terms=1 << 14)),
+         ("dual", qseries._dual_theta, qseries.DEFAULT_POLICY))
 
 
 def draw(rng: random.Random) -> tuple[complex, complex]:
@@ -66,53 +68,11 @@ def draw(rng: random.Random) -> tuple[complex, complex]:
                          rng.uniform(0.0, 2.0 * math.pi))
 
 
-def condition(a: complex, x: complex) -> float:
-    """1 / (relative distance from x to the nearest zero a^n), at least 1."""
-    la, lx = cmath.log(a), cmath.log(x)
-    center = round(math.log(abs(x)) / math.log(abs(a)))
-    gap = min(abs(cmath.exp(lx - n * la) - 1.0) for n in range(center - 2, center + 3))
-    return max(1.0, 1.0 / gap)
-
-
-def oracle(a: complex, x: complex, digits: int = 30) -> complex:
-    """sum_n (-1)^n a^(n(n-1)/2) x^n, at enough digits that the cancellation
-    between its largest terms and theta, at least e^(-pi^2 / (2 |log a|))
-    times the distance to a zero, leaves 30."""
-    la, lx = math.log(abs(a)), math.log(abs(x))
-    peak = 0.5 - lx / la
-    big = max(n * lx + n * (n - 1) / 2 * la for n in (math.floor(peak), math.ceil(peak)))
-    small = -math.pi**2 / (2 * abs(la)) - 3 * abs(la) - 40
-    extra = max(0.0, (big - small) / math.log(10))
-    with mp.workdps(int(digits + extra + 10)):
-        am, xm = mp.mpc(a), mp.mpc(x)
-        stop = mp.exp(big) * mp.mpf(10) ** (-(digits + extra + 5))
-        total = mp.zero
-        center = int(round(peak))
-        for step in (1, -1):
-            n = center if step == 1 else center - 1
-            while True:
-                term = (-1) ** n * am ** (n * (n - 1) // 2) * xm**n
-                total += term
-                if abs(term) < stop and abs(n - center) > 3:
-                    break
-                n += step
-        return complex(total)
-
-
-def product_path(a: complex, x: complex) -> complex:
-    base = qseries._Base(a, a, WIDE)
-    return qseries._theta_pair(x, base) * base.aa
-
-
-def dual_path(a: complex, x: complex) -> complex:
-    return qseries._dual_theta(x, qseries._Base(a, a, qseries.DEFAULT_POLICY))
-
-
-def per_call(path, a: complex, x: complex, repeat: int = 5) -> float:
+def per_call(path, policy, a: complex, x: complex, repeat: int = 5) -> float:
     best = math.inf
     for _ in range(repeat):
         start = time.perf_counter()
-        path(a, x)
+        path(x, qseries._Base(a, a, policy))
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -128,12 +88,13 @@ def main() -> None:
     rows = []
     for _ in range(args.points):
         a, x = draw(rng)
-        cond, ref = condition(a, x), oracle(a, x)
+        cond = max(1.0, 1.0 / mp_oracle.zero_distance(a, x))
+        ref = complex(mp_oracle.theta(a, x))
         row = {"a": abs(a)}
-        for name, path in (("product", product_path), ("dual", dual_path)):
+        for name, path, policy in PATHS:
             try:
-                row[name] = abs(path(a, x) - ref) / abs(ref) / cond
-                row[name + "_us"] = per_call(path, a, x) * 1e6
+                row[name] = abs(path(x, qseries._Base(a, a, policy)) - ref) / abs(ref) / cond
+                row[name + "_us"] = per_call(path, policy, a, x) * 1e6
             except EllexError as exc:
                 row[name] = math.inf
                 row[name + "_us"] = math.inf
