@@ -35,17 +35,19 @@ are the antisymmetric part (g_l - g_-l)/2 of the raw data, which is
 exactly what an antisymmetric bracket on commuting mode symbols can see;
 the raw coefficients are kept alongside for expansion and residue checks.
 
-The circle is sampled once, at 2N nodes: np.fft.fft of the samples gives
-the 2N-node rule, np.fft.fft of the even nodes the N-node rule, and the
-two rules must agree to 1e-9.  One integrand per table does the q-level
-work; each node forms x^2, its term counts and the series' cores.
-``laurent_modes`` imports numpy itself, so the scalar functions of this
-module load without it.
+The circle is sampled once, at 2N nodes.  One FFT of the even nodes (E)
+and one of the odd nodes (O) give both rules: the N-node rule is E_l and
+the 2N-node rule E_l + w^l O_l with w = exp(-pi i / N), and the two must
+agree to 1e-9.  The transform is this module's own (``_fft``), so no
+command needs numpy.  One integrand per table does the q-level work; each
+node forms x^2 and the series' cores, and counts its terms unless the whole
+circle shares one count.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,6 +58,7 @@ from .errors import (
     DomainError,
     NearSingularity,
     QuadratureUnresolved,
+    TruncationExceeded,
 )
 from .exchange import LevelParams, exchange_Y
 from .qseries import (
@@ -293,6 +296,22 @@ def _kind(which: str, m: int | None, k: int | None) -> str:
     return kind
 
 
+def _circle_powers(scale: float, base, series: str) -> list[complex] | None:
+    """The powers that ``_series_powers`` gives at every node of a circle
+    whose nodes' scales lie within relative 3e-12 of ``scale``, or None where
+    two of them may differ.  The count only grows with the scale, so where
+    the least and the largest scale agree, every scale between does.  A node
+    with |x| within relative 1e-12 of r moves x^2 + x^-2, and the
+    log-derivative's |y| + 1/|y| + 1, by less than relative 2e-12; rounding
+    adds a few ulps."""
+    try:
+        low = _series_powers(scale * (1.0 - 3e-12), base, series)
+        high = _series_powers(scale * (1.0 + 3e-12), base, series)
+    except TruncationExceeded:
+        return None
+    return low if len(low) == len(high) else None
+
+
 def _circle_integrand(kind: str, q: complex, r: float, m: int | None, k: int | None,
                       policy: TruncationPolicy):
     """The structure function on the circle |x| = r of a checked q, as one
@@ -301,8 +320,10 @@ def _circle_integrand(kind: str, q: complex, r: float, m: int | None, k: int | N
 
     It does the q-level work once: the checks of m, k, q and q^4, q^2, the
     base q^4 and ln q in the prefactor, each raising what the first node
-    would.  Each node then forms x^2, its term counts and its cores.  The
-    node checks it drops give one verdict on the whole circle:
+    would.  Each node then forms x^2 and its cores; each series counts its
+    terms once for the whole circle (``_circle_powers``), and per node only
+    where two nodes' counts may differ.  The node checks it drops give one
+    verdict on the whole circle:
     - the moduli of x^2, 1/x^2, q^2 x^2 and q^2 / x^2 lie in
       (1e-200, 1e100), so none is 0, inf or out of reciprocal range;
     - the poles of g (x^2 = q^(2j)) and the zeros of the center's
@@ -316,7 +337,8 @@ def _circle_integrand(kind: str, q: complex, r: float, m: int | None, k: int | N
     function, with all its checks in their order.
     """
     q2 = q * q
-    if not (1e-100 < abs(q2) and 1e-100 < r * r < 1e100):
+    r2 = r * r
+    if not (1e-100 < abs(q2) and 1e-100 < r2 < 1e100):
         if kind == "klimit":
             return lambda x: poisson_structure(m, k, x, q, policy)
         return lambda x: poisson_structure_center(x, q, policy)
@@ -324,23 +346,90 @@ def _circle_integrand(kind: str, q: complex, r: float, m: int | None, k: int | N
         prefactor = _prefactor(m, k, q)
         base = _base(q2 * q2, policy, "q^4")
         core = _series_g_core
+        shared = _circle_powers(8.0 * (r2 + 1.0 / r2), base, "structure-function")
 
         def klimit(x: complex) -> complex:
             a = x * x
             b = 1.0 / a
-            powers = _series_powers(8.0 * (abs(a) + abs(b)), base, "structure-function")
+            powers = shared or _series_powers(8.0 * (abs(a) + abs(b)), base, "structure-function")
             return prefactor * core(a, b, q2, powers)
 
         return klimit
     base = _base(q**4, policy, "q^4")
     prefactor = -2.0 * cmath.log(q)
     L = _log_deriv_core
+    # the moduli of the four arguments below, at |x| = r
+    s1, s2, s3, s4 = [
+        _circle_powers(2.0 * (y + 1.0 / y + 1.0), base, "log-derivative")
+        for y in (abs(q2) * r2, 1.0 / r2, abs(q2) / r2, r2)
+    ]
 
     def center(x: complex) -> complex:
         x2 = x * x
-        return prefactor * (L(q2 * x2, base) + L(1.0 / x2, base) - L(q2 / x2, base) - L(x2, base))
+        return prefactor * (
+            L(q2 * x2, base, s1) + L(1.0 / x2, base, s2) - L(q2 / x2, base, s3) - L(x2, base, s4)
+        )
 
     return center
+
+
+@functools.lru_cache(maxsize=32)
+def _roots(n: int) -> tuple[complex, ...]:
+    """exp(-2 pi i k / n) for 0 <= k < n/2, each from its own angle."""
+    return tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n // 2))
+
+
+def _fft(values: list[complex]) -> list[complex]:
+    """The discrete Fourier transform X_l = sum_j v_j exp(-2 pi i j l / n),
+    0 <= l < n, as numpy.fft.fft computes it.
+
+    A length that is a power of two goes through radix-2 stages in place
+    (Stockham order).  Before the stage that doubles m, the list holds, for
+    each residue r mod n/m, the m-point transform of v_r, v_(r+n/m), ... in
+    slots r m .. r m + m - 1; the first half of the list holds the
+    residues whose even parts the stage needs and the second half their odd
+    parts, so X = E + w^k O and E - w^k O come from the two halves whole.
+    Any other length n goes through Bluestein's chirp,
+    j l = (j^2 + l^2 - (l - j)^2)/2, as a convolution whose length is a power
+    of two at least 2n - 1; its chirp exp(-pi i j^2 / n) takes j^2 mod 2n,
+    so every angle stays below 2 pi.
+    """
+    n = len(values)
+    if n & (n - 1):
+        return _bluestein(values)
+    cur = list(values)
+    half = n // 2
+    m = 1
+    while m < n:
+        head = cur[:half]
+        turned = [w * b for w, b in zip(_roots(2 * m) * (half // m), cur[half:])]
+        plus = [a + t for a, t in zip(head, turned)]
+        minus = [a - t for a, t in zip(head, turned)]
+        # block r of plus and of minus go to slots 2 r m and 2 r m + m; the
+        # loop runs over whichever of the m offsets or the n/2m blocks is fewer
+        step = 2 * m
+        if m * m <= half:
+            for k in range(m):
+                cur[k::step] = plus[k::m]
+                cur[m + k::step] = minus[k::m]
+        else:
+            for r in range(0, half, m):
+                cur[2 * r:2 * r + m] = plus[r:r + m]
+                cur[2 * r + m:2 * r + step] = minus[r:r + m]
+        m = step
+    return cur
+
+
+def _bluestein(values: list[complex]) -> list[complex]:
+    n = len(values)
+    size = 1 << (2 * n - 2).bit_length()
+    chirp = [cmath.exp(-1j * math.pi * (j * j % (2 * n)) / n) for j in range(n)]
+    kernel = [w.conjugate() for w in chirp] + [0j] * (size - 2 * n + 1)
+    kernel += kernel[n - 1:0:-1]
+    padded = [v * w for v, w in zip(values, chirp)] + [0j] * (size - n)
+    # the inverse transform as the conjugate of the transform of the conjugate
+    spectrum = [u.conjugate() * h.conjugate() for u, h in zip(_fft(padded), _fft(kernel))]
+    return [w * c.conjugate() / size for w, c in zip(chirp, _fft(spectrum))]
 
 
 def laurent_modes(
@@ -361,8 +450,8 @@ def laurent_modes(
     2N nodes (N = quadrature_points, params["nodes"] = 2N), in one point
     scope, by one integrand that does the q-level work once and shares one
     base q^4 (``_circle_integrand``); its samples are the public function's
-    bit for bit.  np.fft.fft of them gives the 2N-node rule and of the even
-    nodes alone the N-node rule.  Raises
+    bit for bit.  ``_fft`` of the even and of the odd nodes gives the N-node
+    rule and, combined, the 2N-node rule.  Raises
     QuadratureUnresolved when the two rules differ in any coefficient by
     more than 1e-9, AnnulusContainsPole when r is within relative 1e-6 of a
     pole circle |q|^j, and DomainError when some r^l, |l| <= l_max, leaves
@@ -382,20 +471,18 @@ def laurent_modes(
         raise AnnulusContainsPole(f"radius {r:.8g} within relative 1e-6 of a circle |q|^j")
     if not l_max * abs(math.log(r)) < 700.0:
         raise DomainError(f"r^l for |l| <= {l_max} out of floating-point range at radius {r:.8g}")
-    import numpy as np
-
     nodes = 2 * quadrature_points
     with point_scope():  # every node shares the structure function's base q^4
         f = _circle_integrand(kind, qv, r, m, k, policy)
-        vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
-
-    def rule(samples: np.ndarray) -> dict[int, complex]:
-        # index l of the transform is frequency l; negative l wraps to the end
-        hat = np.fft.fft(samples)
-        return {l: complex(hat[l]) / (len(samples) * r**l) for l in range(-l_max, l_max + 1)}
-
-    coarse = rule(vals[::2])
-    fine = rule(vals)
+        vals = [f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)]
+    # index l of a transform is frequency l; negative l wraps to the end
+    even, odd = _fft(vals[0::2]), _fft(vals[1::2])
+    ls = range(-l_max, l_max + 1)
+    coarse = {l: even[l] / (quadrature_points * r**l) for l in ls}
+    fine = {
+        l: (even[l] + cmath.exp(-1j * math.pi * l / quadrature_points) * odd[l]) / (nodes * r**l)
+        for l in ls
+    }
     drift = max(abs(coarse[l] - fine[l]) for l in fine)
     if drift > 1e-9:
         raise QuadratureUnresolved(

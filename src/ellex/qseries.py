@@ -935,11 +935,13 @@ def log_deriv_theta(
     return _log_deriv_core(xv, base)
 
 
-def _log_deriv_core(x: complex, base: _Base) -> complex:
+def _log_deriv_core(x: complex, base: _Base, powers: list[complex] | None = None) -> complex:
     """log_deriv_theta at a checked base and a checked x: the count of its
-    terms, then a loop over them with no test in it."""
-    xmag = abs(x)
-    powers = _series_powers(2.0 * (xmag + 1.0 / xmag + 1.0), base, "log-derivative")
+    terms, unless the caller passes the powers that count gives, then a loop
+    over them with no test in it."""
+    if powers is None:
+        xmag = abs(x)
+        powers = _series_powers(2.0 * (xmag + 1.0 / xmag + 1.0), base, "log-derivative")
     neg_x = -x
     one, total = 1.0 + 0j, 0j  # a complex 1, as in _theta_pair
     for an, an1 in pairwise(powers):

@@ -16,12 +16,15 @@ every identity be checked at shifted arguments (x q^-2, x p, products):
 
 with T(y) = y theta_{p^2}(y^-2)/theta_{p^2}(p y^-2) from the elliptic module.
 
-R+ is a plain 4x4 complex ndarray.  numpy is imported inside the functions
-that build or read one (``r_plus``, the transposes and inverse, the checks),
-so the scalar functions here (tau, mu, kappa, the entries) load without it.
-It is symmetric and invariant under conjugation by the slot swap, so R_21 =
-R_12 and both partial transposes coincide on it; the checks below still apply
-the transposes literally.  check_pshift imports the scalar F(x) = F(1, x p)
+R+ is held as its four scaled entries (a, b, c, d), a tuple of complex
+numbers: the layout above is fixed, and every check reads the matrix through
+it.  M splits into the blocks [[a, d], [d, a]] on (++, --) and [[b, c],
+[c, b]] on (+-, -+), so the inverse and the condition number come from
+a +- d and b +- c, and a transpose on either tensor slot swaps c and d
+(R+ is symmetric and invariant under conjugation by the slot swap, so
+R_21 = R_12 and both partial transposes coincide).  Yang-Baxter multiplies
+the three embedded 8x8 operators on their nonzero pattern.  No function
+here needs numpy.  check_pshift imports the scalar F(x) = F(1, x p)
 of R(x p) = F(x)^-1 R(x) from exchange on use, as exchange imports tau_fn
 from here.  The checks return residuals, not verdicts: the verification
 suites decide which points are well posed and what passes.
@@ -30,7 +33,8 @@ suites decide which points are well posed and what passes.
 from __future__ import annotations
 
 import cmath
-from typing import TYPE_CHECKING
+import math
+from typing import Iterable
 
 from .elliptic import NomeParams, _POLE_TOL, snh_core
 from .errors import DomainError, NearSingularity, SingularMatrix, TruncationExceeded
@@ -48,9 +52,6 @@ from .qseries import (
     qpochhammer,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "tau_fn",
     "tau_fn_pochhammer",
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+
+Entries = tuple[complex, complex, complex, complex]  # (a, b, c, d) of R+
 
 
 def tau_fn(
@@ -243,70 +246,70 @@ def r_plus(
     x: complex,
     nome: NomeParams,
     policy: TruncationPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """Normalized matrix R+(x) at nome pair (p, q), as a 4x4 complex array
-    (rows and columns ++, +-, -+, --).  Its normalization uses p as a product
-    base, so |p| >= 1 raises NonConvergentBase; an entry that is not finite
-    raises DomainError."""
-    import numpy as np
-
+) -> Entries:
+    """Normalized matrix R+(x) at nome pair (p, q), as its four scaled
+    entries (a, b, c, d) (see the module docstring for the layout).  Its
+    normalization uses p as a product base, so |p| >= 1 raises
+    NonConvergentBase; a normalization or entry that is not finite raises
+    DomainError."""
     xv = _nonzero(x, "x")
     _square(xv, "x^2")  # tau below takes q^(1/2)/x, whose square is q/x^2
     _in_disk(nome.p, "p")
     scale = tau_fn(cmath.sqrt(nome.q) / xv, nome.q, policy) * mu_inv(
         xv, nome.p, nome.q, policy
     )
+    if not cmath.isfinite(scale):
+        raise DomainError(f"R+ normalization is not finite at x = {xv!r}")
     a, b, c, d = _entries(xv, nome, policy)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = a
-    m[1, 1] = m[2, 2] = b
-    m[1, 2] = m[2, 1] = c
-    m[0, 3] = m[3, 0] = d
-    m *= scale
-    if not np.all(np.isfinite(m)):
+    entries = (scale * a, scale * b, scale * c, scale * d)
+    if not _max_abs(entries) < math.inf:  # nan, inf, or a modulus beyond range
         raise DomainError(f"R+ entries are not finite at x = {xv!r}")
-    return m
+    return entries
 
 
-def _matrix4(mat: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    arr = np.asarray(mat, dtype=complex)
-    if arr.shape != (4, 4):
-        raise DomainError(f"need a 4x4 matrix, got shape {arr.shape}")
-    return arr
+def _checked(entries: Entries) -> Entries:
+    if len(entries) != 4:
+        raise DomainError(f"need the four entries (a, b, c, d), got {len(entries)}")
+    return tuple(complex(e) for e in entries)
 
 
-def partial_transpose(mat: np.ndarray, slot: int) -> np.ndarray:
-    """Transpose on one tensor slot of the 2x2 (x) 2x2 structure; involutive."""
+def partial_transpose(entries: Entries, slot: int) -> Entries:
+    """Transpose on one tensor slot of the 2x2 (x) 2x2 structure; involutive.
+    Either slot moves c to the corner and d to the middle block."""
     if slot not in (1, 2):
         raise DomainError(f"slot must be 1 or 2, got {slot!r}")
-    t = _matrix4(mat).reshape(2, 2, 2, 2)
-    t = t.transpose(2, 1, 0, 3) if slot == 1 else t.transpose(0, 3, 2, 1)
-    return t.reshape(4, 4)
+    a, b, c, d = _checked(entries)
+    return a, b, d, c
 
 
-def rmatrix_inverse(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse with condition-number reporting; raises SingularMatrix when
-    the condition number exceeds 1e12 or LAPACK fails, as the SVD behind it
-    does on a nan entry."""
-    import numpy as np
+def rmatrix_inverse(entries: Entries) -> tuple[Entries, float]:
+    """Inverse with condition-number reporting, from the blocks [[a, d], [d, a]]
+    and [[b, c], [c, b]]: each is normal with eigenvalues a +- d and b +- c,
+    whose moduli are the singular values.  Raises SingularMatrix when one of
+    them is not finite, when the condition number max / min of them exceeds
+    1e12, and when a block determinant (a - d)(a + d) or (b - c)(b + c)
+    underflows to 0 or overflows.  Within that condition number, a finite
+    nonzero determinant keeps every inverse entry in range."""
+    a, b, c, d = _checked(entries)
+    sigmas = [_modulus(z) for z in (a - d, a + d, b - c, b + c)]
+    if not all(map(math.isfinite, sigmas)):
+        raise SingularMatrix(f"singular values {sigmas} are not all finite")
+    cond = max(sigmas) / min(sigmas) if min(sigmas) else math.inf
+    if cond > _COND_LIMIT:
+        raise SingularMatrix(f"condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
+    det_ad, det_bc = (a - d) * (a + d), (b - c) * (b + c)
+    if not (det_ad and det_bc and cmath.isfinite(det_ad) and cmath.isfinite(det_bc)):
+        raise SingularMatrix("a block determinant is out of floating-point range")
+    return (a / det_ad, b / det_bc, -c / det_bc, -d / det_ad), cond
 
-    arr = _matrix4(mat)
-    try:
-        cond = float(np.linalg.cond(arr))
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularMatrix(f"condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
-        inv = np.linalg.inv(arr)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    return inv, cond
+
+def _modulus(z: complex) -> float:
+    # abs() raises OverflowError where the modulus exceeds the largest double
+    return math.hypot(z.real, z.imag)
 
 
-def _max_abs(*mats: np.ndarray) -> float:
-    import numpy as np
-
-    return float(max(np.max(np.abs(m)) for m in mats))
+def _max_abs(*vectors: Iterable[complex]) -> float:
+    return max(_modulus(v) for vec in vectors for v in vec)
 
 
 def check_crossing(
@@ -323,7 +326,7 @@ def check_crossing(
     inv_here, cond1 = rmatrix_inverse(r_here)
     lhs = partial_transpose(inv_here, 1)
     rhs, cond2 = rmatrix_inverse(partial_transpose(r_shift, 1))
-    return _max_abs(lhs - rhs), _max_abs(lhs, rhs), max(cond1, cond2)
+    return _max_abs(l - r for l, r in zip(lhs, rhs)), _max_abs(lhs, rhs), max(cond1, cond2)
 
 
 def check_pshift(
@@ -338,9 +341,39 @@ def check_pshift(
 
     xv = _as_complex(x, "x")
     factor = exchange_F(LevelParams(1, nome), xv * nome.p, policy)
-    lhs = factor * r_plus(xv * nome.p, nome, policy)
+    lhs = [factor * e for e in r_plus(xv * nome.p, nome, policy)]
     rhs = r_plus(xv, nome, policy)
-    return _max_abs(lhs - rhs), _max_abs(lhs, rhs)
+    return _max_abs(l - r for l, r in zip(lhs, rhs)), _max_abs(lhs, rhs)
+
+
+def _embedded(entries: Entries, i: int, j: int) -> list[dict[int, complex]]:
+    """R on slots i and j of three as sparse 8x8 rows {column: entry}; basis
+    index 4 s1 + 2 s2 + s3 (slot 1 varies slowest), spin 0 = +.  A row keeps
+    its spins or flips both slots i and j: a or d where they agree, b or c
+    where they differ."""
+    a, b, c, d = entries
+    bit_i, bit_j = 4 >> (i - 1), 4 >> (j - 1)
+    rows = []
+    for s in range(8):
+        agree = bool(s & bit_i) == bool(s & bit_j)
+        rows.append({s: a if agree else b, s ^ bit_i ^ bit_j: d if agree else c})
+    return rows
+
+
+def _matmul(*mats: list[dict[int, complex]]) -> list[dict[int, complex]]:
+    """Left-to-right product of sparse rows, each entry summed over the
+    inner index in increasing order."""
+    out = mats[0]
+    for right in mats[1:]:
+        rows = []
+        for row in out:
+            acc: dict[int, complex] = {}
+            for k in sorted(row):
+                for col, v in right[k].items():
+                    acc[col] = acc.get(col, 0j) + row[k] * v
+            rows.append(acc)
+        out = rows
+    return out
 
 
 def check_ybe(
@@ -352,19 +385,19 @@ def check_ybe(
     """Yang-Baxter relation R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x).
 
     Returns (max entry residual, largest entry of R(x), R(y), R(xy)).
-    Embeddings are slot-major (slot 1 varies slowest): R12 = R (x) I,
-    R23 = I (x) R, and R13 is R (x) I with slots 2 and 3 swapped in its row
-    and column indices.
+    Embeddings are slot-major (slot 1 varies slowest); each 8x8 operator
+    and product is kept on its nonzero pattern.
     """
-    import numpy as np
-
     xv = _as_complex(x, "x")
     yv = _as_complex(y, "y")
     rx = r_plus(xv, nome, policy)
     ry = r_plus(yv, nome, policy)
     rxy = r_plus(xv * yv, nome, policy)
-    i2 = np.eye(2)
-    r12 = np.kron(rx, i2)
-    r23 = np.kron(i2, ry)
-    r13 = np.kron(rxy, i2).reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
-    return _max_abs(r12 @ r13 @ r23 - r23 @ r13 @ r12), _max_abs(rx, ry, rxy)
+    r12, r13, r23 = _embedded(rx, 1, 2), _embedded(rxy, 1, 3), _embedded(ry, 2, 3)
+    lhs, rhs = _matmul(r12, r13, r23), _matmul(r23, r13, r12)
+    diff = (
+        lhs_row.get(col, 0j) - rhs_row.get(col, 0j)
+        for lhs_row, rhs_row in zip(lhs, rhs)
+        for col in lhs_row.keys() | rhs_row.keys()
+    )
+    return _max_abs(diff), _max_abs(rx, ry, rxy)

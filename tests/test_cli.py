@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ellex
-from ellex import cli, qseries
+from ellex import cli, qseries, suites
 from ellex.cli import main
 from ellex.errors import SamplingExhausted
 
@@ -549,7 +549,7 @@ SUBNORMAL_SQUARE = "1/x^2 is out of floating-point range at x^2 = (1e-310+0j)"
          "cannot parse --betas entry = 'abc' as a real number"),
         (("limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4", "--betas", "1e-2,,1e-3"),
          {}, "cannot parse --betas entry = '' as a real number"),
-        # numpy refuses a negative rng seed
+        # the sampler takes no negative seed
         (("verify", "--suite", "theta", "--seed", "-1"), {},
          "--seed must be a non-negative integer, got -1"),
         # the radius underflows, and math.log(0) would raise
@@ -926,7 +926,7 @@ def test_modes_malformed_pairs_name_the_form(capsys, pairs):
 
 
 # ---------------------------------------------------------------------------
-# cold start: scalar commands never import numpy
+# cold start: no command imports numpy
 
 SCALAR_EVALS = {
     "theta": ("--a", "0.4", "--x", "1.1"),
@@ -968,17 +968,19 @@ def test_scalar_commands_never_import_numpy():
         ("limit", ["limit", "--m", "1", "--k", "1", "--q", "0.5", "--x", "1.4"]),
         ("--version", ["--version"]),
         ("--help", ["--help"]),
-        ("usage error", ["eval", "--badflag"]),
-        # the one command that builds arrays comes last
         ("modes", ["modes", "--q", "0.5", "--m", "1", "--k", "1"]),
+        *((f"verify {name}", ["verify", "--suite", name]) for name in suites.SUITES),
+        ("verify all", ["verify", "--suite", "all"]),
+        ("verify all --parallel 2", ["verify", "--suite", "all", "--parallel", "2"]),
+        ("usage error", ["eval", "--badflag"]),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(ellex.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(steps)],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     expected = [["import ellex", None, False], ["import ellex.cli", None, False]]
-    expected += [[label, 0, False] for label, _ in steps[:-2]]
-    expected += [["usage error", 2, False], ["modes", 0, True]]
+    expected += [[label, 0, False] for label, _ in steps[:-1]]
+    expected += [["usage error", 2, False]]
     assert json.loads(proc.stdout) == expected
 
 

@@ -82,49 +82,49 @@ def test_output_matches_recording(name):
 _TABLE_DIGESTS = {
     "klimit-q0.5-annulus0": (
         "--q=0.5 --annulus=0 --nodes=512 --lmax=32 --m=2 --k=1",
-        "b466023958684a9836e169a8a850f877f00c415a1df1d4d40c1a7c55b4e8c123"),
+        "f3596ca557d161afb692e60d1e0dba0ee322b1a2990354a53f7f232e9fbfb4f8"),
     "klimit-q0.5-annulus1": (
         "--q=0.5 --annulus=1 --nodes=512 --lmax=32 --m=-1 --k=2",
-        "742aa2d396cb313e96ab667a5d544c6d4d8c8ec7937a765801db939b5547927f"),
+        "2c388e10ecad13b87049d3e8d9b6ebbcc19427a5b72303ef3d316d62f82fe6d6"),
     "klimit-q0.7-annulus0": (
         "--q=0.7 --annulus=0 --nodes=512 --lmax=32 --m=3 --k=3",
-        "654b973fa6b97ed3a589ae19b9a04c66b4eba166f72d94a1f4ae56ed9ac6d7e3"),
+        "d05f68c076c179725e02e3b4dbe7f9ccf96e87173ec6e31ad73911122303d62c"),
     "klimit-q0.7-annulus1": (
         "--q=0.7 --annulus=1 --nodes=512 --lmax=32 --m=-2 --k=2",
-        "56566c9d1a72ab0b7735eecc393add2700aa9b74b0e56759c8c0c798f54e43a8"),
+        "37ea56399facf5b2837d7110aaa3c1f6d5d8859b8cd38c48c5acebd234adf612"),
     "center-q0.5-annulus0": (
         "--q=0.5 --annulus=0 --nodes=512 --lmax=32",
-        "e39b9d2b9ff36e8190ba1ab207c67b1f242cc57a8b13763d563db274dff6aaed"),
+        "9dd53fcdbf65bc88665c3c3b09c98cdf30108e17e00f017e50a8fbd34fff982c"),
     "center-q0.5-annulus1": (
         "--q=0.5 --annulus=1 --nodes=512 --lmax=32",
-        "4ee24d11b733e839b3fd67b98d4ef1d8c8c5e3e8dfefcc7134ebdb1fa644388c"),
+        "9ba142b3ba0c7f8b0e8d6fece1c9e821b6b6eccd8d6ad6bf316f692b2708f967"),
     "center-q0.7-annulus0": (
         "--q=0.7 --annulus=0 --nodes=512 --lmax=32",
-        "8b54efe40cf889778b5b2ca7b1052a915972cce390f4dc87a2631220160477f9"),
+        "c76f8bc83208daa708606f03a997f6cce570617ec517c09a3df82d2e83188c4a"),
     "center-q0.7-annulus1": (
         "--q=0.7 --annulus=1 --nodes=512 --lmax=32",
-        "73abf364c37e0a0be35dc0e0178b89b4077cef7e4cb8ce48ec1239040e537036"),
+        "2ed3c3916a44fbc138f14a26409f6b747f68aac1c1fed87a3f80da50590915df"),
     "center-q0.3+0.4j-annulus0": (
         "--q=0.3+0.4j --annulus=0 --nodes=128 --lmax=8",
-        "d1b6e36142803372cd4a38b5b9924cdbe488e2c3beb01091c4edf71237583481"),
+        "09ea1bcee0853774afa7a784ec3d96e6bc2de3131f7d31b6f8959ca59ec38f75"),
     "klimit-q-0.6-annulus-1": (
         "--q=-0.6 --annulus=-1 --nodes=128 --lmax=6 --m=1 --k=2",
-        "bb22db0a7a6ec305f3a417e8eef4e971aaa1beea6f026929bc9a49cedb228294"),
+        "8fcbe95fbef7a047f76cc04ba66f9b25c4a9a5cb6fec12d38496975e0c8b6a6f"),
     "klimit-q0.2-0.5j-annulus-2": (
         "--q=0.2-0.5j --annulus=-2 --nodes=128 --lmax=4 --m=-3 --k=1",
-        "289d30970d14b2dc13111667467dfa8761eba1a5e2b8c6810dac195355df11ed"),
+        "c9fe3f154af2d9b0fbc27ee28306b3b05c6f0f30084d91208bd5e0d7f76e24d4"),
     "center-q-0.45-annulus-1": (
         "--q=-0.45 --annulus=-1 --nodes=128 --lmax=6",
-        "b3f60979350ca915b3c9d49ad0aed7215732ea66744851fe8f8ba9304b04a13c"),
+        "182823809a1799b29813d42385d83ef2085e3586afaa124353149dc93a7dab9f"),
     "center-q0.25j-annulus-1": (
         "--q=0.25j --annulus=-1 --nodes=128 --lmax=6",
-        "198a5515b475767d6cad6a2d24c35a16270326706592265eff5df2fc4e9dc5aa"),
+        "8259e5348e7f52420ef4b66253db0c9cc0c38c5cc792a4c02340601aa9146fc7"),
     "center-q-0.3-0.3j-annulus-3": (
         "--q=-0.3-0.3j --annulus=-3 --nodes=128 --lmax=3",
-        "5e51789befda5f153a0347903a6f95b03343193bbfb640f8d2d103f0873fd4c9"),
+        "f20b29b68a5cb79a18bc491ac54b621361163d8fa00b8701735c9a131adf3bf7"),
     "klimit-q0.55+0.1j-annulus2": (
         "--q=0.55+0.1j --annulus=2 --nodes=128 --lmax=5 --m=2 --k=-3",
-        "4a8e087d4d92bb1ba66d698f6fba88508bd6955c224aae2baec45743d05b11c8"),
+        "04844c98cd8aa0234551415186c68a7733db54e6f9bb917513896d943b6c8f07"),
 }
 
 

@@ -3,9 +3,9 @@ with the error type of that condition and a message naming the parameter
 its caller passed, not an internal theta base."""
 
 import cmath
+import math
 from functools import partial
 
-import numpy as np
 import pytest
 
 from ellex.elliptic import EllipticParams, NomeParams, baxter_entries, jacobi_snh, snh_core
@@ -246,9 +246,9 @@ EMPTY_TABLE = ModeBracketTable(AnnulusLabel(1), {}, {}, "center", {})
          r"^tau denominator vanished at x = \(0\.5\+0j\)$"),
         (lambda: exchange_F_negative_by_reciprocity(LEVEL, 1.1), DomainError,
          r"^reciprocity path applies to negative m only$"),
-        (lambda: partial_transpose(np.eye(4), 3), DomainError, r"^slot must be 1 or 2, got 3$"),
-        (lambda: rmatrix_inverse(np.diag([1.0, 1.0, 1.0, np.nan])), SingularMatrix,
-         r"^SVD did not converge"),
+        (lambda: partial_transpose((1, 0, 0, 0), 3), DomainError, r"^slot must be 1 or 2, got 3$"),
+        (lambda: rmatrix_inverse((1.0, 1.0, 0.0, math.nan)), SingularMatrix,
+         r"^singular values \[nan, nan, 1\.0, 1\.0\] are not all finite$"),
         (lambda: AnnulusLabel(0.5), DomainError, r"^annulus label must be an integer$"),
         (lambda: laurent_modes("klimit", q=0.5, annulus=AnnulusLabel(1)), DomainError,
          r"^the k-labeled structure function needs m and k$"),

@@ -7,7 +7,6 @@ import math
 import random
 import re
 
-import numpy as np
 import pytest
 
 from ellex.elliptic import (
@@ -66,7 +65,7 @@ def test_complete_K_domain():
 
 def test_snh_zero_and_oddness():
     assert jacobi_snh(0.0, 0.6) == 0.0
-    for u in np.linspace(0.1, 1.5, 8):
+    for u in (0.1 + 0.2 * i for i in range(8)):
         assert jacobi_snh(-u, 0.6) == pytest.approx(-jacobi_snh(u, 0.6), rel=1e-12)
 
 

@@ -415,9 +415,7 @@ def test_a_modes_table_forms_its_base_once(monkeypatch, which):
 def modes_by_public_calls(which, q, annulus, l_max, quadrature_points, m, k, policy):
     """laurent_modes as it sampled before its per-table integrand: the same
     checks, every node through the public structure function in one point
-    scope, then the same FFT."""
-    import numpy as np
-
+    scope, then the same transform of the even and of the odd nodes."""
     qv = qseries._in_disk(q, "q")
     kind = {"klimit": "klimit", "center": "center"}[which]
     if int(l_max) != l_max or l_max < 0:
@@ -439,13 +437,14 @@ def modes_by_public_calls(which, q, annulus, l_max, quadrature_points, m, k, pol
 
     nodes = 2 * quadrature_points
     with qseries.point_scope():
-        vals = np.array([f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)])
-
-    def rule(samples):
-        hat = np.fft.fft(samples)
-        return {l: complex(hat[l]) / (len(samples) * r**l) for l in range(-l_max, l_max + 1)}
-
-    coarse, fine = rule(vals[::2]), rule(vals)
+        vals = [f(r * cmath.exp(2j * math.pi * j / nodes)) for j in range(nodes)]
+    even, odd = poisson._fft(vals[0::2]), poisson._fft(vals[1::2])
+    ls = range(-l_max, l_max + 1)
+    coarse = {l: even[l] / (quadrature_points * r**l) for l in ls}
+    fine = {
+        l: (even[l] + cmath.exp(-1j * math.pi * l / quadrature_points) * odd[l]) / (nodes * r**l)
+        for l in ls
+    }
     drift = max(abs(coarse[l] - fine[l]) for l in fine)
     if drift > 1e-9:
         raise QuadratureUnresolved(
@@ -606,3 +605,51 @@ def test_format_bracket_suppresses_tiny_coefficients():
         params={},
     )
     assert format_mode_bracket(tab, 1, -1, 2)["terms"] == []
+
+
+def test_modes_count_per_node_where_the_circle_straddles_a_count():
+    # bisect q to where the structure function's term count on annulus 0
+    # steps: the circle's scales then straddle the step, so the nodes count
+    # their terms one by one, and the samples stay the public function's
+    policy = qseries.TruncationPolicy()
+
+    def count(q):
+        r2 = AnnulusLabel(0).radius(q) ** 2
+        base = qseries._base(q**4, policy, "q^4")
+        return len(poisson._series_powers(8.0 * (r2 + 1.0 / r2), base, "structure-function"))
+
+    lo, hi = 0.3, 0.31
+    assert count(lo) != count(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if count(mid) == count(lo) else (lo, mid)
+    shared = []
+    real = poisson._circle_powers
+
+    def spied(*args):
+        shared.append(real(*args))
+        return shared[-1]
+
+    args = ("klimit", lo, AnnulusLabel(0), 3, 64, 1, 1, policy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, "_circle_powers", spied)
+        got = series_outcome(laurent_modes_by_position, *args)
+    assert shared == [None]
+    assert got == series_outcome(modes_by_public_calls, *args)
+
+
+U = 2.0**-53
+
+
+@pytest.mark.parametrize("n", [1 << p for p in range(11)] + [3, 5, 6, 7, 12, 36, 100, 255, 1000])
+def test_fft_matches_numpy(n):
+    # relative 2-norm error within 4 u log2 of the length transformed: n at
+    # a power of two, else Bluestein's convolution length
+    np = pytest.importorskip("numpy")
+    length = n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
+    rng = random.Random(n)
+    for _ in range(5):
+        values = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        got, want = np.array(poisson._fft(values)), np.fft.fft(values)
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 4 * U * max(1, math.log2(length)), err

@@ -2,14 +2,15 @@
 and the crossing / nome-shift / Yang-Baxter identity checks."""
 
 import cmath
+import math
 import random
+import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellex import suites
+from ellex import rmatrix, suites
 from ellex.elliptic import EllipticParams, NomeParams, baxter_entries, param_map
 from ellex.errors import (
     DomainError,
@@ -37,11 +38,18 @@ from ellex.rmatrix import (
 NOME = NomeParams(0.0278640785937287, -0.4077049890725035)  # modulus 0.6, lambda 1.0
 
 
-def eight_vertex(a, b, c, d, scale=1.0):
-    """The eight-vertex layout (rows/cols ++, +-, -+, --) times scale."""
-    return scale * np.array(
-        [[a, 0, 0, d], [0, b, c, 0], [0, c, b, 0], [d, 0, 0, a]], dtype=complex
-    )
+def eight_vertex(a, b, c, d):
+    """The eight-vertex layout (rows/cols ++, +-, -+, --) as a numpy array,
+    for the tests that hold the entry forms to numpy's dense algebra."""
+    np = pytest.importorskip("numpy")
+    return np.array([[a, 0, 0, d], [0, b, c, 0], [0, c, b, 0], [d, 0, 0, a]], dtype=complex)
+
+
+def times(m, n):
+    """The product of two eight-vertex matrices, in entries."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + d * h, b * f + c * g, b * g + c * f, a * h + d * e
 
 
 def qp1_brute(x, b, terms=800):
@@ -201,7 +209,7 @@ def test_kappa_inv_rejects_nome_outside_disk(p):
 def test_mu_inv_finite_nonzero_on_grid():
     for x in (0.55, 0.8, 1.1 + 0.2j, 1.9):
         v = mu_inv(x, 0.2, 0.4)
-        assert np.isfinite(v.real) and np.isfinite(v.imag)
+        assert cmath.isfinite(v)
         assert abs(v) > 0
 
 
@@ -214,29 +222,26 @@ def test_r_plus_degenerates_to_permutation_at_x_one():
     # denominator theta_{q^4}(x^2) vanishes at x = 1), so r_plus(1) reports it
     with pytest.raises(NearSingularity):
         r_plus(1.0, NOME)
-    r = r_plus(1.0 + 1e-4, NOME)
-    a, b, c, d = r[0, 0], r[1, 1], r[1, 2], r[0, 3]
+    a, b, c, d = r_plus(1.0 + 1e-4, NOME)
     assert abs(b / a) < 1e-3 and abs(d / a) < 1e-3
     assert abs(c / a - 1.0) < 1e-3
 
 
 def test_r_plus_sparsity_exact():
+    # R+ is its four entries; the eight-vertex zeros are the layout's
     r = r_plus(1.23 + 0.1j, NOME)
-    assert isinstance(r, np.ndarray) and r.shape == (4, 4) and r.dtype == complex
-    forbidden = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
-    assert all(r[i, j] == 0 for i, j in forbidden)
-    assert np.count_nonzero(r) == 8
+    assert isinstance(r, tuple) and len(r) == 4
+    assert all(type(e) is complex and e != 0 for e in r)
 
 
 def test_r_plus_two_path_assembly():
     # entries from the u-space elliptic path, normalization from the q-series path
     ep = EllipticParams(0.6, 1.0, 0.35)
     nome, x = param_map(ep)
-    a, b, c, d = baxter_entries(ep)
     scale = tau_fn(cmath.sqrt(nome.q) / x, nome.q) * mu_inv(x, nome.p, nome.q)
-    independent = eight_vertex(a, b, c, d, scale)
+    independent = [scale * e for e in baxter_entries(ep)]
     direct = r_plus(x, nome)
-    assert np.max(np.abs(independent - direct)) < 1e-10
+    assert max(abs(u - v) for u, v in zip(independent, direct)) < 1e-10
 
 
 # --- transposes and inversion --------------------------------------------------
@@ -245,45 +250,89 @@ def test_r_plus_two_path_assembly():
 @given(
     st.lists(
         st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
-        min_size=16,
-        max_size=16,
+        min_size=4,
+        max_size=4,
     )
 )
 @settings(max_examples=25, deadline=None)
 def test_partial_transpose_involutive_and_composes(vals):
-    m = np.array(vals, dtype=complex).reshape(4, 4)
+    m = tuple(complex(v) for v in vals)
     for slot in (1, 2):
         twice = partial_transpose(partial_transpose(m, slot), slot)
-        assert np.array_equal(twice, m)
-    both = partial_transpose(partial_transpose(m, 1), 2)
-    assert np.array_equal(both, m.T)
+        assert twice == m
+    # the full transpose leaves the symmetric layout as it is
+    assert partial_transpose(partial_transpose(m, 1), 2) == m
+
+
+def test_partial_transpose_matches_the_dense_one():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(41)
+    for slot in (1, 2) * 10:
+        vals = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(4)]
+        dense = eight_vertex(*vals).reshape(2, 2, 2, 2)
+        dense = dense.transpose(2, 1, 0, 3) if slot == 1 else dense.transpose(0, 3, 2, 1)
+        assert np.array_equal(dense.reshape(4, 4), eight_vertex(*partial_transpose(vals, slot)))
 
 
 def test_partial_transpose_on_r_plus():
     r = r_plus(1.2 + 0.3j, NOME)
-    both = partial_transpose(partial_transpose(r, 1), 2)
-    assert np.max(np.abs(both - r.T)) == 0.0
+    assert partial_transpose(partial_transpose(r, 1), 2) == r
     # symmetric layout: the two slot transposes coincide here
-    assert np.max(np.abs(partial_transpose(r, 1) - partial_transpose(r, 2))) == 0.0
+    assert partial_transpose(r, 1) == partial_transpose(r, 2) == (r[0], r[1], r[3], r[2])
 
 
 def test_inverse_reports_condition_and_rejects_singular():
     r = r_plus(1.2, NOME)
     inv, cond = rmatrix_inverse(r)
-    assert np.max(np.abs(inv @ r - np.eye(4))) < 1e-12
+    assert max(abs(u - v) for u, v in zip(times(inv, r), (1, 1, 0, 0))) < 1e-12
     assert cond > 1.0
-    singular = eight_vertex(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SingularMatrix):
-        rmatrix_inverse(singular)
+    with pytest.raises(SingularMatrix, match="condition number inf"):
+        rmatrix_inverse((1.0, 1.0, 1.0, 1.0))
+    # well conditioned, but a block determinant underflows or overflows
+    for tiny_or_huge in (1e-170, 1e170):
+        with pytest.raises(SingularMatrix, match="determinant is out of floating-point range"):
+            rmatrix_inverse((tiny_or_huge, tiny_or_huge, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (2, 8), (16,), (4, 4, 1)])
-def test_matrix_functions_reject_non_4x4(shape):
-    bad = np.ones(shape, dtype=complex)
+def test_inverse_and_condition_match_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(37)
+    for _ in range(200):
+        entries = [cmath.rect(rng.uniform(0.1, 3.0), rng.uniform(-cmath.pi, cmath.pi))
+                   for _ in range(4)]
+        dense = eight_vertex(*entries)
+        cond = float(np.linalg.cond(dense))
+        if cond > 1e6:
+            continue
+        inv, got = rmatrix_inverse(entries)
+        assert got == pytest.approx(cond, rel=1e-12)
+        want = np.linalg.inv(dense)
+        assert np.max(np.abs(eight_vertex(*inv) - want)) <= 1e-14 * cond * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("length", [3, 5, 16])
+def test_matrix_functions_reject_non_4x4(length):
+    bad = (1.0,) * length
     with pytest.raises(DomainError):
         partial_transpose(bad, 1)
     with pytest.raises(DomainError):
         rmatrix_inverse(bad)
+
+
+def test_embeddings_match_numpy_kron():
+    # slot-major embeddings: R12 = R (x) I, R23 = I (x) R, and R13 is R (x) I
+    # with slots 2 and 3 swapped in its row and column indices
+    np = pytest.importorskip("numpy")
+    entries = (1.1 + 0.2j, 0.7 - 0.1j, 0.3 + 0.4j, -0.2 + 0.9j)
+    dense, eye2 = eight_vertex(*entries), np.eye(2)
+    swap = np.kron(dense, eye2).reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+    for (i, j), want in {(1, 2): np.kron(dense, eye2), (2, 3): np.kron(eye2, dense),
+                         (1, 3): swap}.items():
+        got = np.zeros((8, 8), dtype=complex)
+        for row, cols in enumerate(rmatrix._embedded(entries, i, j)):
+            for col, v in cols.items():
+                got[row, col] = v
+        assert np.array_equal(got, want), (i, j)
 
 
 # --- identity checks -----------------------------------------------------------
@@ -292,7 +341,7 @@ def test_matrix_functions_reject_non_4x4(shape):
 def test_crossing_residual_small():
     err, scale, cond = check_crossing(1.17 + 0.21j, NOME)
     assert err < 1e-12
-    assert 0.0 < scale < np.inf and 1.0 <= cond < 1e12
+    assert 0.0 < scale < math.inf and 1.0 <= cond < 1e12
 
 
 def test_crossing_residual_stable_under_tighter_tail():
@@ -313,7 +362,7 @@ def test_crossing_error_path_near_singular():
 def test_pshift_relation_and_scalar_consistency():
     x = 1.21 + 0.14j
     err, scale = check_pshift(x, NOME)
-    assert err < 1e-12 and 0.0 < scale < np.inf
+    assert err < 1e-12 and 0.0 < scale < math.inf
     # F(x) of the matrix relation, the closed form F(1, x p), equals the
     # exchange module's four-tau product
     f_here = exchange_F(LevelParams(1, NOME), x * NOME.p)
@@ -323,7 +372,7 @@ def test_pshift_relation_and_scalar_consistency():
 
 def test_ybe_residual_generic():
     err, scale = check_ybe(1.15, 0.9, NOME)
-    assert err < 1e-11 and 0.0 < scale < np.inf
+    assert err < 1e-11 and 0.0 < scale < math.inf
 
 
 def test_ybe_degenerate_point_consistency():
@@ -332,8 +381,9 @@ def test_ybe_degenerate_point_consistency():
     # matrix itself is on its x = 1 pole and reports NearSingularity
     with pytest.raises(NearSingularity):
         check_ybe(1.0, 0.85, NOME)
+    np = pytest.importorskip("numpy")
     perm = eight_vertex(1.0, 0.0, 1.0, 0.0)
-    ry = r_plus(0.85, NOME)
+    ry = eight_vertex(*r_plus(0.85, NOME))
     eye2 = np.eye(2)
     s23 = np.zeros((8, 8))
     for s1 in range(2):
@@ -377,3 +427,14 @@ def test_suites_refuse_points_whose_entries_are_tiny(name, at, floor):
     assert err < 1e-9 and scale < floor
     with pytest.raises(SingularMatrix, match="ill-posed point"):
         getattr(suites, f"_eval_{name}")(suites.VerifyConfig(q=TINY_Q), (complex(p), TINY_Q, x, y))
+
+
+def test_r_plus_refuses_a_normalization_that_overflows_without_a_warning():
+    # a point the crossing sampler draws at q = 0.99647i: tau(q^(1/2)/x) mu(x)^-1
+    # is not finite there, and is refused before it scales the entries
+    nome = NomeParams(0.5611382994560222, TINY_Q)
+    x = 1.2524720713877586 + 0.008845382650347377j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^R\+ normalization is not finite at x = "):
+            r_plus(x, nome)
