@@ -291,13 +291,14 @@ def rmatrix_inverse(entries: Entries) -> tuple[Entries, float]:
     underflows to 0 or overflows.  Within that condition number, a finite
     nonzero determinant keeps every inverse entry in range."""
     a, b, c, d = _checked(entries)
-    sigmas = [_modulus(z) for z in (a - d, a + d, b - c, b + c)]
+    eigen = ad_minus, ad_plus, bc_minus, bc_plus = a - d, a + d, b - c, b + c
+    sigmas = [_modulus(z) for z in eigen]
     if not all(map(math.isfinite, sigmas)):
         raise SingularMatrix(f"singular values {sigmas} are not all finite")
     cond = max(sigmas) / min(sigmas) if min(sigmas) else math.inf
     if cond > _COND_LIMIT:
         raise SingularMatrix(f"condition number {cond:.3e} exceeds {_COND_LIMIT:g}")
-    det_ad, det_bc = (a - d) * (a + d), (b - c) * (b + c)
+    det_ad, det_bc = ad_minus * ad_plus, bc_minus * bc_plus
     if not (det_ad and det_bc and cmath.isfinite(det_ad) and cmath.isfinite(det_bc)):
         raise SingularMatrix("a block determinant is out of floating-point range")
     return (a / det_ad, b / det_bc, -c / det_bc, -d / det_ad), cond

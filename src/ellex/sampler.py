@@ -2,7 +2,7 @@
 and its ``uniform`` in pure Python, bit for bit, so that a report's sampled
 points depend on the seed alone and ``verify`` runs without numpy.
 
-``default_rng(seed)`` is three steps, each mirrored here:
+``default_rng(seed)`` is three steps, each mirrored by ``Generator(seed)``:
 - SeedSequence turns the seed's 32-bit words into a pool of four words by
   the hash-and-mix rounds of numpy's ``bit_generator.pyx``, then expands the
   pool into four 64-bit words;
@@ -16,7 +16,7 @@ tests/test_sampler.py holds this to numpy's own generator.
 
 from __future__ import annotations
 
-__all__ = ["Generator", "default_rng"]
+__all__ = ["Generator"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -92,7 +92,3 @@ class Generator:
         """One draw from [low, high), as numpy's ``Generator.uniform``."""
         low, high = float(low), float(high)
         return low + (high - low) * ((self._next64() >> 11) * (1.0 / 9007199254740992.0))
-
-
-def default_rng(seed: int) -> Generator:
-    return Generator(seed)

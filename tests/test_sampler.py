@@ -6,7 +6,7 @@ import math
 import pytest
 
 from ellex import suites
-from ellex.sampler import default_rng
+from ellex.sampler import Generator
 
 np = pytest.importorskip("numpy")
 
@@ -24,7 +24,7 @@ def test_the_offsets_cover_every_suite():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniform_draws_equal_numpys(seed):
-    ours, theirs = default_rng(seed), np.random.default_rng(seed)
+    ours, theirs = Generator(seed), np.random.default_rng(seed)
     for i in range(300):
         low, high = BOUNDS[i % len(BOUNDS)]
         got = ours.uniform(low, high)
@@ -34,4 +34,4 @@ def test_uniform_draws_equal_numpys(seed):
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ValueError):
-        default_rng(seed)
+        Generator(seed)

@@ -6,9 +6,10 @@ numpy is a test-only dependency: no command imports it, and the tests that
 hold the sampler, the transform and the eight-vertex algebra to numpy skip
 without it.  Every other test must pass here.  Exits with pytest's code.
 
-The import is refused by a finder ahead of all others rather than by
-``sys.modules["numpy"] = None``: hypothesis takes a "numpy" key in
-``sys.modules`` as numpy loaded and reaches for ``numpy.random``.
+A finder ahead of all others refuses the import with ModuleNotFoundError,
+on which ``pytest.importorskip`` skips.  ``sys.modules["numpy"] = None``
+would not do: hypothesis takes a "numpy" key in ``sys.modules`` as numpy
+loaded and reaches for ``numpy.random``.
 """
 
 import sys
@@ -20,7 +21,7 @@ import pytest
 class _NoNumpy(MetaPathFinder):
     def find_spec(self, name, path, target=None):
         if name.partition(".")[0] == "numpy":
-            raise ImportError(f"{name} is blocked: running without numpy")
+            raise ModuleNotFoundError(f"{name} is blocked: running without numpy", name=name)
         return None
 
 
